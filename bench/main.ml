@@ -344,9 +344,9 @@ let sweep_benchmark () =
   let speedup = if par_s > 0. then seq_s /. par_s else 1. in
   Printf.printf "identical results; speedup %.2fx\n%!" speedup;
   let fault_spec =
-    match Util.Faults.parse bench_fault_spec with
+    match Util.Faults.parse_result bench_fault_spec with
     | Ok s -> s
-    | Error msg -> failwith msg
+    | Error e -> failwith (Util.Parse_error.to_string e)
   in
   Util.Faults.install fault_spec;
   let faulted_s, faulted_sig, faulted_bounds = run_sweep ~jobs:par_jobs () in
@@ -478,9 +478,9 @@ let dist_benchmark () =
   in
   Fun.protect ~finally:kill_workers @@ fun () ->
   let workers = [ ("127.0.0.1", p1); ("127.0.0.1", p2) ] in
-  (match Util.Faults.parse bench_dist_fault_spec with
+  (match Util.Faults.parse_result bench_dist_fault_spec with
   | Ok s -> Util.Faults.install s
-  | Error msg -> failwith msg);
+  | Error e -> failwith (Util.Parse_error.to_string e));
   let dist_s, dist_sig, dist_bounds =
     run_sweep ~jobs:1 ~workers ~timeout_s:300. ()
   in

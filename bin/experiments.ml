@@ -1907,10 +1907,10 @@ let setup_faults inject =
     match inject with
     | Some spec -> spec
     | None -> (
-      match Util.Faults.of_env () with
+      match Util.Faults.of_env_result () with
       | Ok spec -> spec
-      | Error msg ->
-        Logs.warn (fun f -> f "ignoring %s: %s" Util.Faults.env_var msg);
+      | Error e ->
+        Logs.warn (fun f -> f "ignoring %a" Util.Parse_error.pp e);
         Util.Faults.none)
   in
   Util.Faults.install spec;

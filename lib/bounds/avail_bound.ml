@@ -34,9 +34,6 @@ type built = {
 let pack ~intervals ~objects ~node ~interval ~object_id =
   ((node * objects) + object_id) * intervals + interval
 
-(* Pipeline's Auto gate, kept in sync with [simplex_size_limit]. *)
-let simplex_size_limit = 260
-
 let build_scenario_model (perm : Mcperf.Permission.t)
     (scenarios : Avail.Scenario.t array) =
   let spec = perm.Mcperf.Permission.spec in
@@ -303,14 +300,6 @@ let expected_cost_cells ?(solver = Pipeline.Auto) ?placeable
       let problem = built.problem in
       let nvars = Lp.Problem.nvars problem in
       let nrows = Lp.Problem.nrows problem in
-      let use_simplex =
-        match solver with
-        | Pipeline.Exact_simplex -> true
-        | Pipeline.First_order _ -> false
-        | Pipeline.Auto ->
-          nvars <= simplex_size_limit
-          && nrows <= simplex_size_limit
-      in
       let cell ~feasible ~bound ~exact ~iterations ~reused =
         {
           class_name = cls.Mcperf.Classes.name;
@@ -325,7 +314,8 @@ let expected_cost_cells ?(solver = Pipeline.Auto) ?placeable
           reused;
         }
       in
-      if use_simplex then begin
+      match Pipeline.route solver ~vars:nvars ~rows:nrows with
+      | Pipeline.Simplex -> (
         match Lp.Simplex.solve problem with
         | Lp.Simplex.Optimal { objective; _ } ->
           cell ~feasible:true ~bound:objective ~exact:true ~iterations:0
@@ -336,14 +326,8 @@ let expected_cost_cells ?(solver = Pipeline.Auto) ?placeable
         | Lp.Simplex.Unbounded ->
           (* Impossible for a box-bounded minimization; treat as no bound. *)
           cell ~feasible:true ~bound:neg_infinity ~exact:false ~iterations:0
-            ~reused:false
-      end
-      else begin
-        let options =
-          match solver with
-          | Pipeline.First_order o -> o
-          | _ -> Pipeline.default_pdhg_options
-        in
+            ~reused:false)
+      | Pipeline.Pdhg options ->
         let reused = !prepared <> None in
         let prep = Lp.Pdhg.prepare ?reuse:!prepared problem in
         prepared := Some prep;
@@ -356,7 +340,6 @@ let expected_cost_cells ?(solver = Pipeline.Auto) ?placeable
         warm := Some (outcome.Lp.Pdhg.x, outcome.Lp.Pdhg.y);
         cell ~feasible:true ~bound:outcome.Lp.Pdhg.best_bound ~exact:false
           ~iterations:outcome.Lp.Pdhg.iterations ~reused
-      end
     end
   in
   List.map solve_one fractions

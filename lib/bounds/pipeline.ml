@@ -82,7 +82,17 @@ let m_fallbacks = lazy (Obs.Metrics.counter "pipeline.fallback_hops")
 let default_pdhg_options =
   { Lp.Pdhg.default_options with max_iters = 40_000; rel_tol = 1e-4 }
 
-let simplex_size_limit = 260
+type route = Simplex | Pdhg of Lp.Pdhg.options
+
+(* The one solver choice: [Auto] takes the dense simplex while both
+   dimensions stay within 260, where it is exact and fast, and PDHG with
+   the MC-PERF options beyond. *)
+let route solver ~vars ~rows =
+  match solver with
+  | Exact_simplex -> Simplex
+  | First_order options -> Pdhg options
+  | Auto ->
+    if vars <= 260 && rows <= 260 then Simplex else Pdhg default_pdhg_options
 
 let infeasible_result ?ray cls worst_qos =
   {
@@ -116,22 +126,23 @@ let farkas_of problem =
   in
   match Lp.Certificate.row_farkas norm with
   | Some ray -> verified ray
-  | None ->
-    if
-      Lp.Problem.nvars norm <= simplex_size_limit
-      && Lp.Problem.nrows norm <= simplex_size_limit
-    then
+  | None -> (
+    match
+      route Auto ~vars:(Lp.Problem.nvars norm) ~rows:(Lp.Problem.nrows norm)
+    with
+    | Simplex -> (
       match Lp.Simplex.solve_certified norm with
       | Lp.Simplex.Cert_infeasible { ray } -> verified ray
-      | Lp.Simplex.Cert_optimal _ | Lp.Simplex.Cert_unbounded -> None
-    else None
+      | Lp.Simplex.Cert_optimal _ | Lp.Simplex.Cert_unbounded -> None)
+    | Pdhg _ -> None)
 
 (* --- shared LP-relaxation solve ----------------------------------------- *)
 
-(* One solve of a model's LP relaxation, used by [compute] and both sweep
-   drivers: presolve, pick the solver on the *original* dimensions (so the
-   choice is stable across reductions), solve the reduced problem, and map
-   the point and the certified bound back through [restore]/[offset].
+(* One solve of a model's LP relaxation, the LP leg of the cell chain
+   ([solve_cell] below): presolve, pick the solver on the *original*
+   dimensions (so the choice is stable across reductions), solve the
+   reduced problem, and map the point and the certified bound back
+   through [restore]/[offset].
    [reuse] threads a prepared PDHG image across structurally identical
    sweep models; [warm] carries reduced-space iterates between consecutive
    QoS fractions.
@@ -231,12 +242,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
         infeasible_ray = None;
       }
     else begin
-      let use_simplex =
-        match solver with
-        | Exact_simplex -> true
-        | First_order _ -> false
-        | Auto -> vars <= simplex_size_limit && rows <= simplex_size_limit
-      in
       let simplex_solution x objective dual =
         {
           point = pre.Lp.Presolve.restore x;
@@ -248,7 +253,8 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
           dual = Some dual;
         }
       in
-      if use_simplex then
+      match route solver ~vars ~rows with
+      | Simplex -> (
         match Lp.Simplex.solve_certified red with
         | Lp.Simplex.Cert_optimal { x; objective; dual } ->
           {
@@ -264,13 +270,8 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
              presolve replay. *)
           no_solution ?ray:(farkas_of problem) ()
         | Lp.Simplex.Cert_unbounded ->
-          invalid_arg "Bounds.Pipeline: unbounded MC-PERF relaxation"
-      else begin
-        let options =
-          match solver with
-          | First_order o -> o
-          | Auto | Exact_simplex -> default_pdhg_options
-        in
+          invalid_arg "Bounds.Pipeline: unbounded MC-PERF relaxation")
+      | Pdhg options -> begin
         (* The sweep governor's per-cell budget caps the solver deadline;
            an already-exhausted budget still runs the checkpointed first
            block, so every cell returns some valid bound. *)
@@ -540,43 +541,81 @@ let tree_cell ?placeable spec cls perm worst_qos =
         None
       end)
 
-(* What a successful LP leg leaves behind for the next epoch of an
-   online solve: the model's variable identities, the solution point in
-   the model's own space, and the prepared PDHG image. *)
-type warm_state = {
-  w_kinds : Mcperf.Model.var_kind array;
-  w_point : float array;
-  w_prep : Lp.Pdhg.prepared option;
+(* --- the cell chain ------------------------------------------------------ *)
+
+(* What a cell's LP leg leaves behind for the next cell of the same
+   entry point: the model it solved (a later fraction patches it instead
+   of rebuilding), the prepared PDHG image, the reduced-space iterates
+   and the solution point in the model's own space. Oracle-infeasible
+   and tree-DP cells build no LP and leave [nothing], so a series that
+   mixes tree and LP cells (atomicity can hold at one fraction and fail
+   at another) threads the same state as a pure LP series. *)
+type leftover = {
+  model : Mcperf.Model.t option;
+  prep : Lp.Pdhg.prepared option;
+  iterates : (float array * float array) option;
+  point : float array option;
 }
 
-let compute_with ?(solver = Auto) ?placeable ?reuse ?lift spec cls =
-  let perm = Mcperf.Permission.compute ?placeable spec cls in
+let nothing = { model = None; prep = None; iterates = None; point = None }
+
+(* An entry point's running state after one more cell: the first model
+   stays (later fractions patch it), the latest prep and iterates win. *)
+let carry state left =
+  let latest a b = match a with Some _ -> a | None -> b in
+  {
+    model = latest state.model left.model;
+    prep = latest left.prep state.prep;
+    iterates = latest left.iterates state.iterates;
+    point = left.point;
+  }
+
+(* The one cell chain behind every entry point: the permission oracle,
+   the exact tree DP under [Auto], then the LP — built, or patched from
+   [base], a model of the same spec at another QoS fraction
+   ([with_fraction] is value-identical to a fresh build) — solved from
+   [reuse]/[warm]/[lift], and rounding chosen by the goal. *)
+let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?warm ?lift
+    ?inject_nan spec cls =
+  let perm, model_of =
+    match base with
+    | None ->
+      let perm = Mcperf.Permission.compute ?placeable spec cls in
+      (perm, fun () -> Mcperf.Model.build perm)
+    | Some (base : Mcperf.Model.t) ->
+      let fraction =
+        match spec.Mcperf.Spec.goal with
+        | Mcperf.Spec.Qos { fraction; _ } -> fraction
+        | Mcperf.Spec.Avg_latency _ ->
+          invalid_arg "Pipeline: patching a base model needs a QoS goal"
+      in
+      ( Mcperf.Permission.with_fraction base.Mcperf.Model.permission fraction,
+        fun () -> Mcperf.Model.with_fraction base fraction )
+  in
   let worst_qos =
     match spec.Mcperf.Spec.goal with
     | Mcperf.Spec.Qos _ ->
       Array.fold_left Float.min 1. (Mcperf.Permission.max_feasible_qos perm)
     | Mcperf.Spec.Avg_latency _ -> 1.
   in
-  if not (Mcperf.Permission.feasible perm) then begin
+  if not (Mcperf.Permission.feasible perm) then
     (* Even oracle-detected infeasibility gets a checkable witness: the
        model builder emits the unsatisfiable QoS rows verbatim, so a
        single-row Farkas scan certifies the ceiling independently. *)
-    let model = Mcperf.Model.build perm in
     ( infeasible_result
-        ?ray:(farkas_of model.Mcperf.Model.problem)
+        ?ray:(farkas_of (model_of ()).Mcperf.Model.problem)
         cls worst_qos,
-      None )
-  end
-  else begin
+      nothing )
+  else
     let dp =
       match solver with
       | Auto -> tree_cell ?placeable spec cls perm worst_qos
       | Exact_simplex | First_order _ -> None
     in
     match dp with
-    | Some cell -> (cell, None)
+    | Some cell -> (cell, nothing)
     | None -> (
-      let model = Mcperf.Model.build perm in
+      let model = model_of () in
       Log.info (fun f ->
           f "class %s: %a" cls.Mcperf.Classes.name Mcperf.Model.pp_stats model);
       let round =
@@ -584,39 +623,39 @@ let compute_with ?(solver = Auto) ?placeable ?reuse ?lift spec cls =
         | Mcperf.Spec.Qos _ -> Rounding.Round.round
         | Mcperf.Spec.Avg_latency _ -> Rounding.Round_avg.round
       in
-      let warm_full = match lift with None -> None | Some f -> f model in
+      let warm_full = Option.bind lift (fun f -> f model) in
+      (* Remaining share of a budgeted sweep cell's time, installed by the
+         pool from [budget_of] at dispatch. Unbudgeted runs never read the
+         clock here, preserving byte-identical output at every [--jobs]. *)
+      let deadline_s =
+        let d = Util.Parallel.task_deadline () in
+        if Float.is_finite d then Some (d -. Unix.gettimeofday ()) else None
+      in
       let r =
-        solve_relaxation ~solver ?reuse ?warm_full model.Mcperf.Model.problem
+        solve_relaxation ~solver ?reuse ?warm ?warm_full ?inject_nan
+          ?deadline_s model.Mcperf.Model.problem
+      in
+      let left =
+        { model = Some model; prep = r.prep; iterates = r.warm; point = None }
       in
       match r.outcome with
       | None ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
-        (infeasible_result ?ray:r.infeasible_ray cls worst_qos, None)
+        (infeasible_result ?ray:r.infeasible_ray cls worst_qos, left)
       | Some sol ->
         ( finish ~round ~path:r.path model cls worst_qos sol,
-          Some
-            {
-              w_kinds = model.Mcperf.Model.kinds;
-              w_point = sol.point;
-              w_prep = r.prep;
-            } ))
-  end
+          { left with point = Some sol.point } ))
 
 let compute ?solver ?placeable spec cls =
-  fst (compute_with ?solver ?placeable spec cls)
+  fst (solve_cell ?solver ?placeable spec cls)
 
 module Online = struct
-  type entry = {
-    kinds : Mcperf.Model.var_kind array;
-    point : float array;
-    prep : Lp.Pdhg.prepared option;
-  }
-
   type handle = {
     solver : solver;
     placeable : bool array option;
     use_warm : bool;
-    entries : (string, entry) Hashtbl.t;
+    last : (string, leftover) Hashtbl.t;
+        (* per class name: the leftover of its last LP solution *)
     mutable solves : int;
     mutable warm_lifts : int;
     mutable lifted_vars : int;
@@ -627,7 +666,7 @@ module Online = struct
       solver;
       placeable;
       use_warm = warm;
-      entries = Hashtbl.create 7;
+      last = Hashtbl.create 7;
       solves = 0;
       warm_lifts = 0;
       lifted_vars = 0;
@@ -638,53 +677,51 @@ module Online = struct
      variable identities do. Every (node, interval, object) variable the
      previous model also had starts at last epoch's value; variables new
      to this epoch start cold. *)
-  let lift entry (model : Mcperf.Model.t) =
-    let tbl = Hashtbl.create (Array.length entry.kinds) in
-    Array.iteri
-      (fun j k -> Hashtbl.replace tbl k entry.point.(j))
-      entry.kinds;
-    let matched = ref 0 in
-    let x =
-      Array.map
-        (fun k ->
-          match Hashtbl.find_opt tbl k with
-          | Some v ->
-            incr matched;
-            v
-          | None -> 0.)
-        model.Mcperf.Model.kinds
-    in
-    if !matched = 0 then None else Some (x, !matched)
+  let lift prev (model : Mcperf.Model.t) =
+    match (prev.model, prev.point) with
+    | Some m, Some point ->
+      let kinds = m.Mcperf.Model.kinds in
+      let tbl = Hashtbl.create (Array.length kinds) in
+      Array.iteri (fun j k -> Hashtbl.replace tbl k point.(j)) kinds;
+      let matched = ref 0 in
+      let x =
+        Array.map
+          (fun k ->
+            match Hashtbl.find_opt tbl k with
+            | Some v ->
+              incr matched;
+              v
+            | None -> 0.)
+          model.Mcperf.Model.kinds
+      in
+      if !matched = 0 then None else Some (x, !matched)
+    | _ -> None
 
   let solve h spec cls =
     h.solves <- h.solves + 1;
     let key = cls.Mcperf.Classes.name in
-    let prev = if h.use_warm then Hashtbl.find_opt h.entries key else None in
-    let reuse = match prev with Some e -> e.prep | None -> None in
+    let prev = if h.use_warm then Hashtbl.find_opt h.last key else None in
     let lifted = ref 0 in
     let lift_fn =
       Option.map
-        (fun e model ->
-          match lift e model with
+        (fun prev model ->
+          match lift prev model with
           | Some (x, m) ->
             lifted := m;
             Some x
           | None -> None)
         prev
     in
-    let cell, warm =
-      compute_with ~solver:h.solver ?placeable:h.placeable ?reuse
+    let cell, left =
+      solve_cell ~solver:h.solver ?placeable:h.placeable
+        ?reuse:(Option.bind prev (fun l -> l.prep))
         ?lift:lift_fn spec cls
     in
     if !lifted > 0 then begin
       h.warm_lifts <- h.warm_lifts + 1;
       h.lifted_vars <- h.lifted_vars + !lifted
     end;
-    (match warm with
-    | Some w ->
-      Hashtbl.replace h.entries key
-        { kinds = w.w_kinds; point = w.w_point; prep = w.w_prep }
-    | None -> ());
+    if Option.is_some left.point then Hashtbl.replace h.last key left;
     cell
 
   let solves h = h.solves
@@ -838,33 +875,23 @@ type sweep = {
   resumed : int;
 }
 
-let path_counts sweep =
+(* How many of the sweep's cells carry each tag of [tags]. *)
+let count_cells sweep tag_of tags =
   List.map
-    (fun path ->
+    (fun tag ->
       let n =
         List.fold_left
           (fun acc (_, series) ->
             List.fold_left
-              (fun acc (_, r) -> if r.solve_path = path then acc + 1 else acc)
+              (fun acc (_, r) -> if tag_of r = tag then acc + 1 else acc)
               acc series)
           0 sweep.per_class
       in
-      (path, n))
-    all_paths
+      (tag, n))
+    tags
 
-let quality_counts sweep =
-  List.map
-    (fun q ->
-      let n =
-        List.fold_left
-          (fun acc (_, series) ->
-            List.fold_left
-              (fun acc (_, r) -> if r.quality = q then acc + 1 else acc)
-              acc series)
-          0 sweep.per_class
-      in
-      (q, n))
-    all_qualities
+let path_counts sweep = count_cells sweep (fun r -> r.solve_path) all_paths
+let quality_counts sweep = count_cells sweep (fun r -> r.quality) all_qualities
 
 (* --- checkpoint journal -------------------------------------------------- *)
 
@@ -1066,97 +1093,31 @@ let write_journal ~fingerprint path entries =
 (* The per-cell solve of [sweep_classes], factored to toplevel so the
    same code runs behind every transport: the sequential path, local
    fork workers, and remote TCP worker sessions (the [Dist.Registry]
-   entry below). Each call builds fresh per-process incremental state:
-   the first cell of a class builds the model; subsequent cells of the
-   same class (in the same process) patch only the QoS rhs and reuse the
-   prepared constraint matrix. Because a patched model is
+   entry below). Each call keeps fresh per-process state for each class:
+   the first LP cell of a class builds the model, later cells of the same
+   class (in the same process) patch only the QoS rhs and reuse the
+   latest prepared constraint matrix. Because a patched model is
    value-identical to a fresh build at its fraction, and every cell
    starts the solver cold, the results do not depend on which cell
-   seeded which cache — the sweep stays byte-identical however the
+   seeded which state — the sweep stays byte-identical however the
    cells are distributed. *)
 let make_cell_solver ~solver ?placeable ~tlat_ms spec =
-  let model_cache : (string, Mcperf.Model.t * float) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let prep_cache : (string, Lp.Pdhg.prepared) Hashtbl.t = Hashtbl.create 8 in
-  let solve_cell (key, label, cls, fraction) =
+  let state : (string, leftover) Hashtbl.t = Hashtbl.create 8 in
+  let solve_at (key, label, cls, fraction) =
     (* Deterministic fault-injection points: both fire only inside a pool
        worker on a task's first attempt, so the supervisor's retry always
        completes the cell. *)
     Util.Faults.crash_point ~key;
     Util.Faults.stall_point ~key;
-    let spec =
-      { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
+    let s = Option.value (Hashtbl.find_opt state label) ~default:nothing in
+    let cell, left =
+      solve_cell ~solver ?placeable ?base:s.model ?reuse:s.prep
+        ~inject_nan:(Util.Faults.diverge_requested ~key)
+        { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
+        cls
     in
-    let cached = Hashtbl.find_opt model_cache label in
-    let perm, worst_qos =
-      match cached with
-      | Some (base, worst_qos) ->
-        ( Mcperf.Permission.with_fraction base.Mcperf.Model.permission
-            fraction,
-          worst_qos )
-      | None ->
-        let perm = Mcperf.Permission.compute ?placeable spec cls in
-        let worst_qos =
-          Array.fold_left Float.min 1.
-            (Mcperf.Permission.max_feasible_qos perm)
-        in
-        (perm, worst_qos)
-    in
-    if not (Mcperf.Permission.feasible perm) then begin
-      (* Attach a verified Farkas ray so the feasibility ceiling is
-         certified, not just asserted. [with_fraction] is value-identical
-         to a fresh build, so the witness is cache-independent. *)
-      let model =
-        match cached with
-        | Some (base, _) -> Mcperf.Model.with_fraction base fraction
-        | None -> Mcperf.Model.build perm
-      in
-      infeasible_result
-        ?ray:(farkas_of model.Mcperf.Model.problem)
-        cls worst_qos
-    end
-    else begin
-      (* Exact tree cells bypass the model/prep caches entirely; LP cells
-         behave exactly as before, so mixed tree/LP series (atomicity can
-         hold at one fraction and fail at another) stay deterministic. *)
-      let dp =
-        match solver with
-        | Auto -> tree_cell ?placeable spec cls perm worst_qos
-        | Exact_simplex | First_order _ -> None
-      in
-      match dp with
-      | Some cell -> cell
-      | None ->
-      let model =
-        match cached with
-        | Some (base, _) -> Mcperf.Model.with_fraction base fraction
-        | None ->
-          let m = Mcperf.Model.build perm in
-          Hashtbl.replace model_cache label (m, worst_qos);
-          m
-      in
-      let reuse = Hashtbl.find_opt prep_cache label in
-      let inject_nan = Util.Faults.diverge_requested ~key in
-      (* Remaining share of the cell's budget, installed by the pool from
-         [budget_of] at dispatch. Unbudgeted sweeps never read the clock
-         here, preserving byte-identical output at every [--jobs]. *)
-      let deadline_s =
-        let d = Util.Parallel.task_deadline () in
-        if Float.is_finite d then Some (d -. Unix.gettimeofday ()) else None
-      in
-      let r =
-        solve_relaxation ~solver ?reuse ~inject_nan ?deadline_s
-          model.Mcperf.Model.problem
-      in
-      (match r.prep with
-      | Some p -> Hashtbl.replace prep_cache label p
-      | None -> ());
-      match r.outcome with
-      | None -> infeasible_result ?ray:r.infeasible_ray cls worst_qos
-      | Some sol ->
-        finish ~round:Rounding.Round.round ~path:r.path model cls worst_qos sol
-    end
+    Hashtbl.replace state label (carry s left);
+    cell
   in
   (* Each cell gets a span in its task scope, tagged with the class and
      fraction it computed and how the solve went. *)
@@ -1170,7 +1131,7 @@ let make_cell_solver ~solver ?placeable ~tlat_ms spec =
             ("fraction", Obs.Trace.Float fraction);
           ]
     in
-    match solve_cell cell with
+    match solve_at cell with
     | r ->
       Obs.Trace.span_end sp
         ~attrs:
@@ -1457,66 +1418,16 @@ let sweep_qos ?(solver = Auto) ?placeable spec fractions cls =
     | Mcperf.Spec.Avg_latency _ ->
       invalid_arg "Pipeline.sweep_qos: requires a QoS goal"
   in
-  let base = ref None in
-  let prep = ref None in
-  let warm = ref None in
+  let state = ref nothing in
   List.map
     (fun fraction ->
-      let spec =
-        {
-          spec with
-          Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction };
-        }
+      let s = !state in
+      let cell, left =
+        solve_cell ~solver ?placeable ?base:s.model ?reuse:s.prep
+          ?warm:s.iterates
+          { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
+          cls
       in
-      let perm =
-        match !base with
-        | Some (m : Mcperf.Model.t) ->
-          Mcperf.Permission.with_fraction m.Mcperf.Model.permission fraction
-        | None -> Mcperf.Permission.compute ?placeable spec cls
-      in
-      let worst_qos =
-        Array.fold_left Float.min 1. (Mcperf.Permission.max_feasible_qos perm)
-      in
-      if not (Mcperf.Permission.feasible perm) then begin
-        let model =
-          match !base with
-          | Some m -> Mcperf.Model.with_fraction m fraction
-          | None -> Mcperf.Model.build perm
-        in
-        ( fraction,
-          infeasible_result
-            ?ray:(farkas_of model.Mcperf.Model.problem)
-            cls worst_qos )
-      end
-      else begin
-        let dp =
-          match solver with
-          | Auto -> tree_cell ?placeable spec cls perm worst_qos
-          | Exact_simplex | First_order _ -> None
-        in
-        match dp with
-        | Some cell -> (fraction, cell)
-        | None ->
-        let model =
-          match !base with
-          | Some m -> Mcperf.Model.with_fraction m fraction
-          | None ->
-            let m = Mcperf.Model.build perm in
-            base := Some m;
-            m
-        in
-        let r =
-          solve_relaxation ~solver ?reuse:!prep ?warm:!warm
-            model.Mcperf.Model.problem
-        in
-        (match r.prep with Some p -> prep := Some p | None -> ());
-        (match r.warm with Some w -> warm := Some w | None -> ());
-        match r.outcome with
-        | None ->
-          (fraction, infeasible_result ?ray:r.infeasible_ray cls worst_qos)
-        | Some sol ->
-          ( fraction,
-            finish ~round:Rounding.Round.round ~path:r.path model cls
-              worst_qos sol )
-      end)
+      state := carry s left;
+      (fraction, cell))
     fractions

@@ -1,27 +1,38 @@
 (** The lower-bound pipeline of the paper's methodology (Sections 5–6.1).
 
-    For a given spec and heuristic class:
+    Every bound is built from one unit, the cell: one (class, goal) pair
+    run through one chain —
 
-    + run the {!Mcperf.Permission} feasibility oracle — if the class cannot
+    + the {!Mcperf.Permission} feasibility oracle — if the class cannot
       reach the goal at all (e.g. caching above its cold-miss ceiling), no
-      LP is solved and the class is reported infeasible;
-    + build the MC-PERF LP relaxation ({!Mcperf.Model});
-    + solve it — exactly with the dense simplex for small models, or with
-      PDHG + the always-valid dual certificate for large ones;
-    + round the fractional solution to a feasible integral placement
-      ({!Rounding.Round}), whose cost bounds the lower bound's tightness
-      from above.
+      LP is solved, and the class is reported infeasible with a verified
+      Farkas ray as its witness;
+    + under [Auto], the exact tree DP: when the spec is a tree instance
+      within {!Tree_dp}'s proven-exact scope, the closest-allocation DP
+      computes the true integer optimum directly — the cell's
+      [lower_bound] and [rounded] solution coincide, [quality] is [Exact],
+      [solve_path] is [Path_tree_dp] and the gap is zero by construction;
+      ineligible or unverified instances fall through to the LP;
+    + the MC-PERF LP relaxation ({!Mcperf.Model}), built, or patched from
+      a model of the same spec at another QoS fraction;
+    + its solve — on the solver {!route} picks: exactly with the dense
+      simplex for small models, or with PDHG + the always-valid dual
+      certificate for large ones;
+    + rounding of the fractional solution to a feasible integral
+      placement ({!Rounding.Round}, or {!Rounding.Round_avg} under an
+      average-latency goal), whose cost bounds the lower bound's
+      tightness from above.
+
+    The entry points differ only in what each cell's LP leg leaves for
+    the next one: {!compute} keeps nothing; {!sweep_classes} keeps, per
+    class and worker process, the first model and the latest prepared
+    PDHG image, and starts every solve cold; {!sweep_qos} also carries
+    the solver iterates from fraction to fraction; an {!Online} handle
+    keeps, per class, the last solution, lifted onto the next epoch's
+    model.
 
     The designer then compares classes on [lower_bound] (Figure 1) and
-    checks deployed heuristics against them (Figure 2).
-
-    A third producer rides in front of the LP chain: when the spec is a
-    tree instance within {!Tree_dp}'s proven-exact scope (and the solver
-    is [Auto]), the closest-allocation DP computes the true integer
-    optimum directly — the cell's [lower_bound] and [rounded] solution
-    coincide, [quality] is [Exact], [solve_path] is [Path_tree_dp] and
-    the gap is zero by construction. Ineligible or unverified instances
-    fall through to the LP producers unchanged. *)
+    checks deployed heuristics against them (Figure 2). *)
 
 type solver =
   | Auto
@@ -122,6 +133,18 @@ val default_pdhg_options : Lp.Pdhg.options
 (** PDHG options tuned for MC-PERF instances (more iterations, looser
     relative tolerance than the library default). *)
 
+type route = Simplex | Pdhg of Lp.Pdhg.options
+
+val route : solver -> vars:int -> rows:int -> route
+(** The solver an LP of the given dimensions goes to: [Exact_simplex]
+    always takes the dense simplex and [First_order o] always takes PDHG
+    with [o]; [Auto] takes the simplex while both [vars] and [rows] are
+    at most 260 and PDHG with {!default_pdhg_options} beyond. The cell
+    chain decides on the dimensions before presolve, so the choice is
+    stable across reductions; the phase-one LP of
+    [Methodology.plan_deployment] and the scenario LP of {!Avail_bound}
+    go through the same choice. *)
+
 val compute :
   ?solver:solver ->
   ?placeable:bool array ->
@@ -144,16 +167,17 @@ val compare_classes :
 
     An epoch loop solves the same (class, goal) bound on a demand that
     grows by a few intervals each epoch. The models differ in dimension,
-    so prepared images and iterates cannot be reused by index; a handle
-    instead keeps, per class, the last solve's variable identities
-    ({!Mcperf.Model.kinds}) and solution point, and lifts them onto the
+    so iterates cannot be reused by index; a handle instead keeps one
+    leftover per class — the model, solution point and prepared PDHG
+    image of that class's last LP solution — and lifts the point onto the
     next epoch's model by matching (node, interval, object) variable
-    kinds — carried-over variables start at their previous values, new
-    ones start cold, and the projection into the presolved space goes
-    through the presolve variable map. The dual always starts cold, and
-    a PDHG bound is certified at {e any} dual iterate, so warm starts
-    affect speed only, never validity. Exact (simplex / tree-DP) legs
-    ignore the warm start and stay bit-identical to {!compute}. *)
+    kinds ({!Mcperf.Model.kinds}): carried-over variables start at their
+    previous values, new ones start cold, and the projection into the
+    presolved space goes through the presolve variable map. The dual
+    always starts cold, and a PDHG bound is certified at {e any} dual
+    iterate, so warm starts affect speed only, never validity. Exact
+    (simplex / tree-DP) legs ignore the warm start and stay bit-identical
+    to {!compute}. *)
 module Online : sig
   type handle
 

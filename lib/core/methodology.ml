@@ -111,30 +111,20 @@ let plan_deployment ?solver ?(zeta = 10_000.) (spec : Mcperf.Spec.t) =
     let perm = Mcperf.Permission.compute phase1_spec cls in
     let model = Mcperf.Model.build perm in
     let problem = model.Mcperf.Model.problem in
-    let use_simplex =
-      match solver with
-      | Some Bounds.Pipeline.Exact_simplex -> true
-      | Some (Bounds.Pipeline.First_order _) -> false
-      | Some Bounds.Pipeline.Auto | None ->
-        Lp.Problem.nvars problem <= 260 && Lp.Problem.nrows problem <= 260
-    in
     let x, bound =
-      if use_simplex then
+      match
+        Bounds.Pipeline.route
+          (Option.value solver ~default:Bounds.Pipeline.Auto)
+          ~vars:(Lp.Problem.nvars problem) ~rows:(Lp.Problem.nrows problem)
+      with
+      | Bounds.Pipeline.Simplex -> (
         match Lp.Simplex.solve problem with
         | Lp.Simplex.Optimal { x; objective } -> (x, objective)
         | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
-          invalid_arg "plan_deployment: phase-one LP failed"
-      else begin
-        let options =
-          match solver with
-          | Some (Bounds.Pipeline.First_order o) -> o
-          | Some Bounds.Pipeline.Auto | Some Bounds.Pipeline.Exact_simplex
-          | None ->
-            Bounds.Pipeline.default_pdhg_options
-        in
+          invalid_arg "plan_deployment: phase-one LP failed")
+      | Bounds.Pipeline.Pdhg options ->
         let out = Lp.Pdhg.solve ~options problem in
         (out.Lp.Pdhg.x, out.Lp.Pdhg.best_bound)
-      end
     in
     let opens = open_values model x in
     (* Greedy rounding of the open variables: largest fractional value

@@ -145,14 +145,6 @@ let parse ?(file = "<topology>") s =
 
 let of_string_result s = parse s
 
-(* Legacy exception-raising entry point, kept for callers (and tests)
-   that treat any malformed file as a fatal [Failure]. Delegates to the
-   result API and renders the structured error. *)
-let of_string s =
-  match of_string_result s with
-  | Ok v -> v
-  | Error e -> failwith (error_to_string e)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -165,15 +157,6 @@ let load_result ~path =
   match read_file path with
   | s -> parse ~file:path s
   | exception Sys_error msg -> Error { file = path; line = 0; msg }
-
-let load ~path =
-  match load_result ~path with
-  | Ok v -> v
-  | Error e -> failwith (error_to_string e)
-
-let load_system ~path =
-  let g, origin = load ~path in
-  System.make ?origin g
 
 let load_system_result ~path =
   match load_result ~path with

@@ -13,19 +13,17 @@
     Real AS-level measurements (the paper used a Telstra-derived topology)
     can be converted to this format and loaded with {!load_system_result}.
 
-    The result-returning entry points below are the primary API: they
-    never raise on malformed input, and every field is validated at the
-    boundary — non-finite or negative latencies are rejected as an
-    {!error} carrying the offending line, before they can corrupt any
-    downstream shortest path. The [Failure]-raising twins at the bottom
-    are legacy wrappers that delegate to them. *)
+    The reading entry points never raise on malformed input, and every
+    field is validated at the boundary — non-finite or negative
+    latencies are rejected as an {!error} carrying the offending line,
+    before they can corrupt any downstream shortest path. *)
 
 (** {1 Writing} *)
 
 val save : ?origin:int -> Graph.t -> path:string -> unit
 val to_string : ?origin:int -> Graph.t -> string
 
-(** {1 Reading (primary, result-returning API)} *)
+(** {1 Reading} *)
 
 type error = Util.Parse_error.t = {
   file : string;  (** path, or ["<topology>"] when parsed from a string *)
@@ -53,19 +51,3 @@ val load_system_result : path:string -> (System.t, error) result
 (** {!load_result} followed by {!System.make} (using the recorded
     origin, or the highest-degree node); an origin outside the graph is
     reported as an [error] rather than raised. *)
-
-(** {1 Legacy raising API}
-
-    Thin wrappers over the result API, kept for callers that treat any
-    malformed input as fatal. Each raises [Failure] with the rendered
-    {!error} message. *)
-
-val of_string : string -> Graph.t * int option
-(** Raising twin of {!of_string_result}. *)
-
-val load : path:string -> Graph.t * int option
-(** Raising twin of {!load_result}. *)
-
-val load_system : path:string -> System.t
-(** Raising twin of {!load_system_result} (may also propagate
-    [Invalid_argument] from {!System.make}). *)

@@ -94,11 +94,6 @@ let parse_result ?(file = default_file) text =
     in
     List.fold_left parse_field (Ok none) (String.split_on_char ',' text)
 
-(* Legacy string-message wrapper: the historical messages carried a
-   "fault spec: " prefix instead of the error record's file label. *)
-let parse text =
-  Result.map_error (fun e -> "fault spec: " ^ e.msg) (parse_result text)
-
 let to_string s =
   if is_none s then ""
   else
@@ -128,9 +123,6 @@ let of_env_result () =
   match Sys.getenv_opt env_var with
   | None -> Ok none
   | Some text -> parse_result ~file:("$" ^ env_var) text
-
-let of_env () =
-  Result.map_error (fun (e : error) -> "fault spec: " ^ e.msg) (of_env_result ())
 
 let state = ref none
 let install s = state := s

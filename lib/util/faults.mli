@@ -29,7 +29,7 @@
 
     The ambient spec is installed per process ({!install}) and inherited
     by pool workers through [fork]; separate processes pick it up from
-    the [REPLICA_FAULTS] environment variable ({!of_env}). *)
+    the [REPLICA_FAULTS] environment variable ({!of_env_result}). *)
 
 type spec = {
   seed : int;  (** injection seed; distinct seeds pick distinct fault sets *)
@@ -79,23 +79,15 @@ val parse_result : ?file:string -> string -> (spec, error) Stdlib.result
     {!none}. [file] labels the error's [file] field (default
     ["<faults>"]; CLI and env callers pass their own source label). *)
 
-val parse : string -> (spec, string) Stdlib.result
-(** Legacy wrapper around {!parse_result}: the error rendered as the
-    historical ["fault spec: ..."] message. *)
-
 val to_string : spec -> string
-(** Round-trips through {!parse}; [""] for {!none}. *)
+(** Round-trips through {!parse_result}; [""] for {!none}. *)
 
 val env_var : string
-(** ["REPLICA_FAULTS"] — read by {!of_env}. *)
+(** ["REPLICA_FAULTS"] — read by {!of_env_result}. *)
 
 val of_env_result : unit -> (spec, error) Stdlib.result
 (** Parse {!env_var} from the environment ({!none} when unset). The
     error's [file] field is ["$REPLICA_FAULTS"]. *)
-
-val of_env : unit -> (spec, string) Stdlib.result
-(** Legacy wrapper around {!of_env_result} with the historical string
-    message. *)
 
 val install : spec -> unit
 (** Set the ambient spec for this process (and, through [fork], for any

@@ -157,14 +157,6 @@ let parse ?(file = "<trace>") s =
 
 let of_string_result s = parse s
 
-(* Legacy exception-raising entry point, kept for callers (and tests)
-   that treat any malformed file as a fatal [Failure]. Delegates to the
-   result API and renders the structured error. *)
-let of_string s =
-  match of_string_result s with
-  | Ok v -> v
-  | Error e -> failwith (error_to_string e)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -177,8 +169,3 @@ let load_result ~path =
   match read_file path with
   | s -> parse ~file:path s
   | exception Sys_error msg -> Error { file = path; line = 0; msg }
-
-let load ~path =
-  match load_result ~path with
-  | Ok v -> v
-  | Error e -> failwith (error_to_string e)

@@ -14,12 +14,10 @@
     importing real traces (convert to this format, then
     {!Workload.Demand.of_trace} buckets them).
 
-    The result-returning entry points below are the primary API: they
-    never raise on malformed input, and every field is validated at the
-    boundary — non-finite timestamps or durations are rejected as an
-    {!error} carrying the offending line, and node/object ids are
-    checked against the header dimensions. The [Failure]-raising twins
-    at the bottom are legacy wrappers that delegate to them. *)
+    The reading entry points never raise on malformed input, and every
+    field is validated at the boundary — non-finite timestamps or
+    durations are rejected as an {!error} carrying the offending line,
+    and node/object ids are checked against the header dimensions. *)
 
 (** {1 Writing} *)
 
@@ -28,7 +26,7 @@ val save : Trace.t -> path:string -> unit
 
 val to_string : Trace.t -> string
 
-(** {1 Reading (primary, result-returning API)} *)
+(** {1 Reading} *)
 
 type error = Util.Parse_error.t = {
   file : string;  (** path, or ["<trace>"] when parsed from a string *)
@@ -50,15 +48,3 @@ val parse : ?file:string -> string -> (Trace.t, error) result
 val load_result : path:string -> (Trace.t, error) result
 (** {!parse} on the file's contents; an unreadable file (missing,
     permission) is reported as an [error] with [line = 0]. *)
-
-(** {1 Legacy raising API}
-
-    Thin wrappers over the result API, kept for callers that treat any
-    malformed input as fatal. Each raises [Failure] with the rendered
-    {!error} message. *)
-
-val of_string : string -> Trace.t
-(** Raising twin of {!of_string_result}. *)
-
-val load : path:string -> Trace.t
-(** Raising twin of {!load_result}. *)

@@ -21,7 +21,9 @@ FAULTS_JOBS=4 ./_build/default/test/test_faults.exe
 # the trace merged from four workers must be byte-identical to the
 # sequential one — logical-mode events carry no clocks, so any diff is
 # a merge bug. The traces must also be well-formed: every line a JSON
-# object, span begins balanced by span ends.
+# object, span begins balanced by span ends. The untraced CSV must also
+# match the committed one from an earlier build, so a change that moves
+# every run the same way still shows.
 echo "== obs stage: traced sweep at --jobs 1 and 4 =="
 obsdir=_build/obs-check
 rm -rf "$obsdir"
@@ -32,6 +34,8 @@ mkdir -p "$obsdir"
   --jobs 1 -w web --csv "$obsdir/j1" --trace "$obsdir/j1.jsonl" > /dev/null
 ./_build/default/bin/experiments.exe fig2 --quick --scale 0.02 \
   --jobs 4 -w web --csv "$obsdir/j4" --trace "$obsdir/j4.jsonl" > /dev/null
+cmp test/fixtures/fig2-web-quick.csv "$obsdir/plain/fig2-web.csv" \
+  || { echo "obs stage: figure output differs from the committed fixture"; exit 1; }
 cmp "$obsdir/plain/fig2-web.csv" "$obsdir/j1/fig2-web.csv" \
   || { echo "obs stage: tracing changed the figure output"; exit 1; }
 cmp "$obsdir/j1/fig2-web.csv" "$obsdir/j4/fig2-web.csv" \
@@ -185,7 +189,9 @@ echo "dist stage OK: chaos CSVs identical at --jobs 1 and 4, coordinator kill+re
 # and 4 must agree to the byte, every reported regret must be
 # nonnegative (serve itself exits nonzero on a negative one), and the
 # Strategy-interface route must reproduce the pre-redesign heuristic
-# deployments bit for bit on the seed figures.
+# deployments bit for bit on the seed figures. The footer pins how many
+# bound re-solves started from a lifted previous epoch: a lost warm
+# lift changes no number, only speed, so nothing else would catch it.
 echo "== online stage: serve at --jobs 1 and 4, strategy-port equivalence =="
 onlinedir=_build/online-check
 rm -rf "$onlinedir"
@@ -200,6 +206,8 @@ cmp "$onlinedir/j1.out" "$onlinedir/j4.out" \
   || { echo "online stage: serve output differs across --jobs"; exit 1; }
 grep -q '^served ' "$onlinedir/j1.out" \
   || { echo "online stage: serve did not complete"; exit 1; }
+grep -q ' 9 bound solves (4 warm-lifted)$' "$onlinedir/j1.out" \
+  || { echo "online stage: serve footer lost its warm lifts"; exit 1; }
 ./_build/default/bin/experiments.exe validate --family strategy --scale 0.02 \
   > "$onlinedir/strategy.out"
 grep -q 'all strategy-port checks passed' "$onlinedir/strategy.out" \

@@ -216,14 +216,6 @@ let test_faults_parse_result_error_fields () =
     Alcotest.(check string) "caller's file label is preserved" "cli"
       e.Util.Faults.file
 
-let test_faults_legacy_wrapper () =
-  match Util.Faults.parse "crash=2" with
-  | Ok _ -> Alcotest.fail "out-of-range probability accepted"
-  | Error msg ->
-    Alcotest.(check bool)
-      "legacy wrapper keeps the historical prefix" true
-      (String.length msg >= 11 && String.sub msg 0 11 = "fault spec:")
-
 let () =
   Alcotest.run "avail"
     [
@@ -259,7 +251,5 @@ let () =
             test_faults_parse_result_ok;
           Alcotest.test_case "parse_result error fields" `Quick
             test_faults_parse_result_error_fields;
-          Alcotest.test_case "legacy wrapper prefix" `Quick
-            test_faults_legacy_wrapper;
         ] );
     ]

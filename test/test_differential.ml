@@ -363,33 +363,158 @@ let test_with_fraction_identity () =
       end)
     sweep_fixture
 
-(* The cached sweep path (shared model + prepared matrix per class) must
-   produce exactly what per-cell [compute] produces from scratch. *)
+(* A complete binary tree inside the tree DP's exact scope: its general
+   cells take the tree-DP branch of the cell chain. *)
+let tree_spec () =
+  (Replica_select.Tree_scenario.make ~seed:5 ~objects:3
+     (Replica_select.Tree_scenario.Balanced { fanout = 2; depth = 2 }))
+    .Replica_select.Tree_scenario.spec
+
+let at_fraction spec fraction =
+  match spec.Mcperf.Spec.goal with
+  | Mcperf.Spec.Qos { tlat_ms; _ } ->
+    { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
+  | Mcperf.Spec.Avg_latency _ -> invalid_arg "at_fraction"
+
+(* Every entry point runs the same cell chain, so each must produce
+   exactly what per-cell [compute] produces from scratch: the cached
+   sweep (shared model + prepared matrix per class), a cold online
+   handle, and — on the exact simplex, where carried iterates cannot
+   change the answer — the warm-started [sweep_qos]. The path tags show
+   the LP, Farkas and tree-DP branches all ran. *)
 let test_sweep_matches_percell_compute () =
-  let spec, _ = quickstart_spec () in
   let fractions = [ 0.95; 0.99; 0.999 ] in
-  let sweep =
-    Bounds.Pipeline.sweep_classes Bounds.Pipeline.Sweep_config.default spec
-      ~fractions sweep_fixture
+  let paths cells =
+    List.map
+      (fun (_, (r : Bounds.Pipeline.t)) ->
+        Bounds.Pipeline.path_label r.Bounds.Pipeline.solve_path)
+      cells
   in
-  List.iter2
-    (fun (label, cls) (label', cells) ->
-      Alcotest.(check string) "class order preserved" label label';
-      List.iter
-        (fun (fraction, (r : Bounds.Pipeline.t)) ->
-          let spec' =
+  let same_as_compute ?solver spec what (label, cls) cells =
+    List.iter
+      (fun (fraction, (r : Bounds.Pipeline.t)) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s @ %g: %s cell equals direct compute" label
+             fraction what)
+          true
+          (r = Bounds.Pipeline.compute ?solver (at_fraction spec fraction) cls))
+      cells
+  in
+  let sweep_and_online spec classes =
+    let sweep =
+      Bounds.Pipeline.sweep_classes Bounds.Pipeline.Sweep_config.default spec
+        ~fractions classes
+    in
+    let online = Bounds.Pipeline.Online.create ~warm:false () in
+    List.concat
+      (List.map2
+         (fun (label, cls) (label', cells) ->
+           Alcotest.(check string) "class order preserved" label label';
+           same_as_compute spec "sweep" (label, cls) cells;
+           same_as_compute spec "cold online" (label, cls)
+             (List.map
+                (fun fraction ->
+                  ( fraction,
+                    Bounds.Pipeline.Online.solve online
+                      (at_fraction spec fraction) cls ))
+                fractions);
+           paths cells)
+         classes sweep.Bounds.Pipeline.per_class)
+  in
+  let spec, _ = quickstart_spec () in
+  Alcotest.(check (list string))
+    "quickstart sweep paths"
+    (List.init 10 (fun _ -> "pdhg") @ [ "infeasible"; "infeasible" ])
+    (sweep_and_online spec
+       (sweep_fixture @ [ ("caching", Mcperf.Classes.caching) ]));
+  Alcotest.(check (list string))
+    "tree sweep paths" [ "tree-dp"; "tree-dp"; "tree-dp" ]
+    (sweep_and_online (tree_spec ()) [ ("general", Mcperf.Classes.general) ]);
+  let exact = Bounds.Pipeline.Exact_simplex in
+  Alcotest.(check (list string))
+    "exact sweep_qos paths"
+    [ "simplex"; "simplex"; "simplex"; "simplex"; "infeasible"; "infeasible" ]
+    (List.concat_map
+       (fun (label, cls) ->
+         let cells =
+           Bounds.Pipeline.sweep_qos ~solver:exact spec fractions cls
+         in
+         same_as_compute ~solver:exact spec "exact sweep_qos" (label, cls)
+           cells;
+         paths cells)
+       [
+         ("general", Mcperf.Classes.general);
+         ("caching", Mcperf.Classes.caching);
+       ])
+
+(* --- golden cells -------------------------------------------------------- *)
+
+(* Cells pinned against an earlier build, one "label md5" line each in
+   fixtures/pipeline_cells.golden; the MD5 is taken over the cell
+   marshaled without sharing, so any change to any field — bound, rounded
+   placement, certificate, path, quality — shows. The set reaches every
+   branch of the cell chain: LP cells for five classes at three QoS
+   goals, the oracle-infeasible Farkas branch (caching at 0.99 and
+   0.999), the exact tree DP and the average-latency rounding. *)
+let golden_cells () =
+  let spec, _ = quickstart_spec () in
+  let qos =
+    List.concat_map
+      (fun (cls : Mcperf.Classes.t) ->
+        List.map
+          (fun fraction ->
+            ( Printf.sprintf "quickstart/%s@%g" cls.Mcperf.Classes.name
+                fraction,
+              fun () -> Bounds.Pipeline.compute (at_fraction spec fraction) cls
+            ))
+          [ 0.95; 0.99; 0.999 ])
+      Mcperf.Classes.
+        [
+          general;
+          storage_constrained;
+          replica_constrained_uniform;
+          caching;
+          decentralized_local_routing;
+        ]
+  in
+  qos
+  @ [
+      ( "tree-balanced-2x2-seed5/general",
+        fun () -> Bounds.Pipeline.compute (tree_spec ()) Mcperf.Classes.general
+      );
+      ( "quickstart/general@avg100",
+        fun () ->
+          Bounds.Pipeline.compute
             {
               spec with
-              Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms = 150.; fraction };
+              Mcperf.Spec.goal = Mcperf.Spec.Avg_latency { tavg_ms = 100. };
             }
-          in
-          let direct = Bounds.Pipeline.compute spec' cls in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s @ %g: sweep cell equals direct compute" label
-               fraction)
-            true (r = direct))
-        cells)
-    sweep_fixture sweep.Bounds.Pipeline.per_class
+            Mcperf.Classes.general );
+    ]
+
+let cell_digest (cell : Bounds.Pipeline.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string cell [ Marshal.No_sharing ]))
+
+let test_golden_cells () =
+  let ic = open_in "fixtures/pipeline_cells.golden" in
+  let rec read acc =
+    match input_line ic with
+    | line -> (
+      match String.split_on_char ' ' line with
+      | [ label; md5 ] -> read ((label, md5) :: acc)
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  let expected = read [] in
+  let actual =
+    List.map
+      (fun (label, cell) -> (label, cell_digest (cell ())))
+      (golden_cells ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "every cell matches its pinned digest" expected actual
 
 let test_runner_determinism () =
   let spec, trace = quickstart_spec () in
@@ -439,6 +564,8 @@ let () =
             test_with_fraction_identity;
           Alcotest.test_case "cached sweep equals per-cell compute" `Quick
             test_sweep_matches_percell_compute;
+          Alcotest.test_case "cells match pinned digests" `Quick
+            test_golden_cells;
         ] );
       ( "determinism",
         [

@@ -203,9 +203,9 @@ let test_mixed_deaths_and_stats () =
       stop_worker pid;
       F.install F.none)
   @@ fun () ->
-  (match F.parse "seed=7,disconnect=1" with
+  (match F.parse_result "seed=7,disconnect=1" with
   | Ok s -> F.install s
-  | Error e -> Alcotest.fail e);
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e));
   let remote =
     [ Dist.Client.factory ~host:"127.0.0.1" ~port ~fn:square_fn ~ctx ]
   in

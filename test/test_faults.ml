@@ -98,53 +98,53 @@ let fo_solver =
 let fo_golden = lazy (run_sweep ~jobs:1 ~solver:fo_solver ())
 
 let with_spec text f =
-  (match F.parse text with
+  (match F.parse_result text with
   | Ok s -> F.install s
-  | Error msg -> Alcotest.fail msg);
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e));
   Fun.protect ~finally:(fun () -> F.install F.none) f
 
 (* --- spec parsing and the deterministic coin ----------------------------- *)
 
 let test_parse_roundtrip () =
-  (match F.parse "" with
+  (match F.parse_result "" with
   | Ok s -> Alcotest.(check bool) "empty is none" true (F.is_none s)
-  | Error msg -> Alcotest.fail msg);
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e));
   let text = "seed=42,crash=0.25,crash_every=3,stall=0.1,stall_s=0.2,diverge=0.5" in
-  (match F.parse text with
-  | Error msg -> Alcotest.fail msg
+  (match F.parse_result text with
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
   | Ok spec -> (
     Alcotest.(check int) "seed" 42 spec.F.seed;
     Alcotest.(check (float 1e-12)) "crash" 0.25 spec.F.crash_prob;
     Alcotest.(check int) "crash_every" 3 spec.F.crash_every;
     Alcotest.(check (float 1e-12)) "stall_s" 0.2 spec.F.stall_s;
-    match F.parse (F.to_string spec) with
+    match F.parse_result (F.to_string spec) with
     | Ok spec2 -> Alcotest.(check bool) "round trip" true (spec = spec2)
-    | Error msg -> Alcotest.fail msg));
-  (match F.parse "crash=1.5" with
+    | Error e -> Alcotest.fail (Util.Parse_error.to_string e)));
+  (match F.parse_result "crash=1.5" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "probability above 1 must be rejected");
-  (match F.parse "bogus=1" with
+  (match F.parse_result "bogus=1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must be rejected");
-  match F.parse "crash" with
+  match F.parse_result "crash" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing '=' must be rejected"
 
 let test_of_env () =
   Unix.putenv F.env_var "seed=2,diverge=0.5";
-  (match F.of_env () with
+  (match F.of_env_result () with
   | Ok s -> Alcotest.(check (float 1e-12)) "diverge" 0.5 s.F.diverge_prob
-  | Error msg -> Alcotest.fail msg);
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e));
   Unix.putenv F.env_var "";
-  match F.of_env () with
+  match F.of_env_result () with
   | Ok s -> Alcotest.(check bool) "empty env is none" true (F.is_none s)
-  | Error msg -> Alcotest.fail msg
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
 
 let test_decide_deterministic () =
   let spec =
-    match F.parse "seed=11,crash=0.3" with
+    match F.parse_result "seed=11,crash=0.3" with
     | Ok s -> s
-    | Error msg -> Alcotest.fail msg
+    | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
   in
   let keys = List.init 200 (fun i -> Printf.sprintf "cell-%d" i) in
   let flip s k = F.decide s ~kind:"crash" ~key:k ~prob:s.F.crash_prob in

@@ -12,9 +12,19 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let topo_of_string s =
+  match Topology.Topo_io.of_string_result s with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Topology.Topo_io.error_to_string e)
+
+let trace_of_string s =
+  match Workload.Trace_io.of_string_result s with
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
+
 let test_topo_round_trip () =
   let golden = read_file "fixtures/golden.topo" in
-  let graph, origin = Topology.Topo_io.of_string golden in
+  let graph, origin = topo_of_string golden in
   Alcotest.(check int) "node count" 5 (Topology.Graph.node_count graph);
   Alcotest.(check (option int)) "origin preserved" (Some 0) origin;
   Alcotest.(check (option (float 1e-9)))
@@ -23,14 +33,14 @@ let test_topo_round_trip () =
   let printed = Topology.Topo_io.to_string ?origin graph in
   Alcotest.(check string) "read -> write reproduces the fixture" golden printed;
   (* Fixpoint: a second round trip changes nothing. *)
-  let graph2, origin2 = Topology.Topo_io.of_string printed in
+  let graph2, origin2 = topo_of_string printed in
   Alcotest.(check string)
     "write o read is a fixpoint" printed
     (Topology.Topo_io.to_string ?origin:origin2 graph2)
 
 let test_trace_round_trip () =
   let golden = read_file "fixtures/golden.trace" in
-  let trace = Workload.Trace_io.of_string golden in
+  let trace = trace_of_string golden in
   Alcotest.(check int) "event count" 8 (Workload.Trace.length trace);
   Alcotest.(check int) "node count" 3 (Workload.Trace.node_count trace);
   Alcotest.(check int) "object count" 4 (Workload.Trace.object_count trace);
@@ -40,7 +50,7 @@ let test_trace_round_trip () =
     (Workload.Trace.duration_s trace);
   let printed = Workload.Trace_io.to_string trace in
   Alcotest.(check string) "read -> write reproduces the fixture" golden printed;
-  let trace2 = Workload.Trace_io.of_string printed in
+  let trace2 = trace_of_string printed in
   Alcotest.(check string)
     "write o read is a fixpoint" printed
     (Workload.Trace_io.to_string trace2)
@@ -88,7 +98,7 @@ let test_save_load_agree () =
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      let graph, origin = Topology.Topo_io.of_string (read_file "fixtures/golden.topo") in
+      let graph, origin = topo_of_string (read_file "fixtures/golden.topo") in
       Topology.Topo_io.save ?origin graph ~path:tmp;
       Alcotest.(check string)
         "save writes to_string bytes"
@@ -98,7 +108,7 @@ let test_save_load_agree () =
   Fun.protect
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
-      let trace = Workload.Trace_io.of_string (read_file "fixtures/golden.trace") in
+      let trace = trace_of_string (read_file "fixtures/golden.trace") in
       Workload.Trace_io.save trace ~path:tmp;
       Alcotest.(check string)
         "save writes to_string bytes"

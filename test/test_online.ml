@@ -174,17 +174,26 @@ let test_regret_nonnegative () =
 let test_warm_vs_cold_decisions_agree () =
   let cs = Lazy.force cs in
   let run warm =
-    let _, epochs =
+    let t, epochs =
       E.run { (config ~epoch_intervals:6 ()) with E.warm } ~trace:cs.CS.trace
     in
-    List.map
-      (fun (e : E.epoch) ->
-        List.map
-          (fun (d : E.decision) -> (d.E.strategy, d.E.parameter, d.E.cost))
-          e.E.decisions)
-      epochs
+    ( List.map
+        (fun (e : E.epoch) ->
+          List.map
+            (fun (d : E.decision) -> (d.E.strategy, d.E.parameter, d.E.cost))
+            e.E.decisions)
+        epochs,
+      E.warm_lifts t )
   in
-  Alcotest.(check bool) "same deployments" true (run true = run false)
+  let warm_decisions, warm_lifts = run true in
+  let cold_decisions, cold_lifts = run false in
+  Alcotest.(check bool)
+    "same deployments" true
+    (warm_decisions = cold_decisions);
+  (* A lost warm lift costs only speed, so the decisions above cannot
+     catch it; pin the lift count the warm chain is known to reach. *)
+  Alcotest.(check int) "warm run lifts" 1 warm_lifts;
+  Alcotest.(check int) "cold run never lifts" 0 cold_lifts
 
 (* --- engine stream edge cases --------------------------------------------- *)
 

@@ -223,7 +223,11 @@ let test_topo_io_roundtrip () =
     Topology.Generate.as_like ~rng:(rng ()) ~nodes:12 ~latency:lat100_200 ()
   in
   let s = Topology.Topo_io.to_string ~origin:3 g in
-  let g2, origin = Topology.Topo_io.of_string s in
+  let g2, origin =
+    match Topology.Topo_io.of_string_result s with
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Topology.Topo_io.error_to_string e)
+  in
   Alcotest.(check (option int)) "origin" (Some 3) origin;
   Alcotest.(check int) "nodes" 12 (Topology.Graph.node_count g2);
   Alcotest.(check int) "edges" (Topology.Graph.edge_count g)
@@ -238,14 +242,12 @@ let test_topo_io_load_system () =
   let g = Topology.Graph.of_edges 3 [ (0, 1, 100.); (1, 2, 100.) ] in
   let path = Filename.temp_file "topo" ".csv" in
   Topology.Topo_io.save ~origin:1 g ~path;
-  let sys = Topology.Topo_io.load_system ~path in
+  let sys = Topology.Topo_io.load_system_result ~path in
   Sys.remove path;
-  Alcotest.(check int) "origin from file" 1 sys.Topology.System.origin
-
-let test_topo_io_rejects_garbage () =
-  match Topology.Topo_io.of_string "nope" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "should reject"
+  match sys with
+  | Ok sys ->
+    Alcotest.(check int) "origin from file" 1 sys.Topology.System.origin
+  | Error e -> Alcotest.fail (Topology.Topo_io.error_to_string e)
 
 let topo_header = "# replica-select topology v1 nodes=3\nu,v,latency_ms\n"
 
@@ -270,17 +272,11 @@ let test_topo_io_structured_errors () =
     Alcotest.(check string) "negative latency" "negative latency"
       e.Topology.Topo_io.msg
   | Ok _ -> Alcotest.fail "negative latency must be rejected");
-  (match Topology.Topo_io.parse (topo_header ^ "0,1\n") with
+  match Topology.Topo_io.parse (topo_header ^ "0,1\n") with
   | Error e ->
     Alcotest.(check string) "truncated record"
       "expected 3 comma-separated fields" e.Topology.Topo_io.msg
-  | Ok _ -> Alcotest.fail "truncated record must be rejected");
-  (* The legacy wrapper renders the structured error, line included. *)
-  match Topology.Topo_io.of_string (topo_header ^ "0,1,100\n1,2,nan\n") with
-  | exception Failure msg ->
-    Alcotest.(check string) "legacy failure"
-      "<topology>:4: non-finite latency" msg
-  | _ -> Alcotest.fail "legacy of_string must also reject"
+  | Ok _ -> Alcotest.fail "truncated record must be rejected"
 
 let test_topo_io_load_result_missing_file () =
   (match Topology.Topo_io.load_result ~path:"/nonexistent/topo.csv" with
@@ -338,8 +334,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_topo_io_roundtrip;
           Alcotest.test_case "load system" `Quick test_topo_io_load_system;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_topo_io_rejects_garbage;
           Alcotest.test_case "structured errors" `Quick
             test_topo_io_structured_errors;
           Alcotest.test_case "missing file" `Quick

@@ -240,7 +240,11 @@ let test_trace_io_roundtrip () =
         (99.9, 2, 0, Workload.Trace.Read);
       ]
   in
-  let t2 = Workload.Trace_io.of_string (Workload.Trace_io.to_string t) in
+  let t2 =
+    match Workload.Trace_io.of_string_result (Workload.Trace_io.to_string t) with
+    | Ok t2 -> t2
+    | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
+  in
   Alcotest.(check int) "length" (Workload.Trace.length t) (Workload.Trace.length t2);
   Alcotest.(check int) "nodes" 3 (Workload.Trace.node_count t2);
   Alcotest.(check int) "objects" 5 (Workload.Trace.object_count t2);
@@ -259,21 +263,13 @@ let test_trace_io_file_roundtrip () =
   let t = Workload.Synthesize.web ~rng:(rng ()) small_web_spec in
   let path = Filename.temp_file "trace" ".csv" in
   Workload.Trace_io.save t ~path;
-  let t2 = Workload.Trace_io.load ~path in
+  let t2 = Workload.Trace_io.load_result ~path in
   Sys.remove path;
-  Alcotest.(check int) "length preserved" (Workload.Trace.length t)
-    (Workload.Trace.length t2)
-
-let test_trace_io_rejects_garbage () =
-  (match Workload.Trace_io.of_string "not a trace" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "should reject");
-  let bad = "# replica-select trace v1 nodes=2 objects=2 duration_s=10\ntime_s,node,object,kind\n1.0,0,0,x\n" in
-  match Workload.Trace_io.of_string bad with
-  | exception Failure msg ->
-    Alcotest.(check bool) "line number in error" true
-      (String.length msg > 0)
-  | _ -> Alcotest.fail "should reject unknown kind"
+  match t2 with
+  | Ok t2 ->
+    Alcotest.(check int) "length preserved" (Workload.Trace.length t)
+      (Workload.Trace.length t2)
+  | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
 
 let trace_header =
   "# replica-select trace v1 nodes=2 objects=2 duration_s=10\n\
@@ -314,6 +310,12 @@ let test_trace_io_structured_errors () =
     Alcotest.(check string) "object range" "object 7 out of range"
       e.Workload.Trace_io.msg
   | Ok _ -> Alcotest.fail "out-of-range object must be rejected");
+  (match Workload.Trace_io.parse (trace_header ^ "1.0,0,0,x\n") with
+  | Error e ->
+    Alcotest.(check int) "unknown kind line" 3 e.Workload.Trace_io.line;
+    Alcotest.(check string) "unknown kind" "unknown kind x"
+      e.Workload.Trace_io.msg
+  | Ok _ -> Alcotest.fail "unknown event kind must be rejected");
   match Workload.Trace_io.parse (trace_header ^ "1.0,0,0\n") with
   | Error e ->
     Alcotest.(check string) "truncated record"
@@ -634,8 +636,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_trace_io_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick
             test_trace_io_file_roundtrip;
-          Alcotest.test_case "rejects garbage" `Quick
-            test_trace_io_rejects_garbage;
           Alcotest.test_case "structured errors" `Quick
             test_trace_io_structured_errors;
           Alcotest.test_case "missing file" `Quick
