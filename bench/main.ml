@@ -38,6 +38,16 @@ let fig1_tests =
 
 (* --- Figure 2: deployed heuristics ------------------------------------- *)
 
+(* One strategy verdict at a fixed provisioning parameter: a single
+   place-and-price (or cache simulation) without the minimal-parameter
+   search around it. *)
+let assess_at ?trace factory spec parameter =
+  let module S = Heuristics.Strategy in
+  S.assess
+    (S.observe
+       (factory (S.Context.with_parameter (S.Context.of_spec spec) parameter))
+       (S.delta_of_spec ?trace spec))
+
 let fig2_tests =
   Test.make_grouped ~name:"fig2"
     [
@@ -45,26 +55,26 @@ let fig2_tests =
         (Staged.stage (fun () ->
              let cs = Lazy.force web in
              let spec = CS.qos_spec cs ~fraction:0.99 ~for_bounds:false () in
-             ignore (Heuristics.Greedy_global.evaluate ~spec ~capacity:10. ())));
+             ignore (assess_at Heuristics.Greedy_global.strategy spec 10)));
       Test.make ~name:"group-greedy-replica-place"
         (Staged.stage (fun () ->
              let cs = Lazy.force group in
              let spec = CS.qos_spec cs ~fraction:0.99 ~for_bounds:false () in
-             ignore (Heuristics.Greedy_replica.evaluate ~spec ~replicas:2 ())));
+             ignore (assess_at Heuristics.Greedy_replica.strategy spec 2)));
       Test.make ~name:"web-lru-simulation"
         (Staged.stage (fun () ->
              let cs = Lazy.force web in
              let spec = CS.qos_spec cs ~fraction:0.99 ~for_bounds:false () in
              ignore
-               (Sim.Runner.cache_outcome_at ~spec ~trace:cs.CS.trace
-                  ~capacity:20 ~mode:Heuristics.Event_cache.Local ())));
+               (assess_at ~trace:cs.CS.trace Heuristics.Cache_strategy.lru spec
+                  20)));
       Test.make ~name:"group-coop-cache-simulation"
         (Staged.stage (fun () ->
              let cs = Lazy.force group in
              let spec = CS.qos_spec cs ~fraction:0.99 ~for_bounds:false () in
              ignore
-               (Sim.Runner.cache_outcome_at ~spec ~trace:cs.CS.trace
-                  ~capacity:20 ~mode:Heuristics.Event_cache.Cooperative ())));
+               (assess_at ~trace:cs.CS.trace
+                  Heuristics.Cache_strategy.cooperative spec 20)));
     ]
 
 (* --- Figure 3: deployment planning -------------------------------------- *)
@@ -196,7 +206,9 @@ let run_sweep ?(deadline_s = infinity) ?obs ?(workers = []) ?timeout_s ~jobs
   in
   let deployed =
     Util.Parallel.map_values ~jobs
-      ~f:(fun q -> Sim.Runner.greedy_global ~spec:(sim_spec q) ())
+      ~f:(fun q ->
+        Sim.Runner.deploy_offline ~factory:Heuristics.Greedy_global.strategy
+          ~spec:(sim_spec q) ())
       points
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -929,7 +941,7 @@ let tree_benchmark () =
   close_out oc;
   Printf.printf "wrote BENCH_tree.json\n%!"
 
-(* --- scale: bundled + sharded Lagrangian at 200+ nodes -------------------- *)
+(* --- scale: bundled Lagrangian at 200+ nodes ------------------------------ *)
 
 module SS = Replica_select.Scale_scenario
 
@@ -941,9 +953,7 @@ module SS = Replica_select.Scale_scenario
      must be exactly 0 — any drift is a bundling bug, not float noise —
      and the wall-clock ratio is the bundling speedup;
    - the headline leg is the full fig2-style 3-point sweep at 229 nodes
-     and 10k objects;
-   - the identity leg re-runs the sweep at jobs=1 and jobs=4 and
-     requires the outcomes to agree under structural Marshal. *)
+     and 10k objects. *)
 let scale_benchmark () =
   let cores = Util.Parallel.available_cores () in
   let scen = SS.make () in
@@ -984,28 +994,15 @@ let scale_benchmark () =
     ratio_iters unbundled_s bundled_s bundling_speedup
     bundled.Bounds.Lagrangian.bundles bundle_ratio;
   let fractions = [ 0.9; 0.95; 0.99 ] in
-  let sweep_at jobs =
-    Bounds.Lagrangian.sweep ~iterations:40 ~jobs spec cls ~fractions
-  in
   let t0 = Unix.gettimeofday () in
-  let sweep1 = sweep_at 1 in
+  ignore (Bounds.Lagrangian.sweep ~iterations:40 spec cls ~fractions);
   let sweep_s = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let sweep4 = sweep_at 4 in
-  let sweep4_s = Unix.gettimeofday () -. t0 in
-  let signature s = Marshal.to_string s [ Marshal.No_sharing ] in
-  let jobs_identical = signature sweep1 = signature sweep4 in
-  if not jobs_identical then
-    failwith "scale benchmark: jobs=1 and jobs=4 sweeps differ";
-  Printf.printf
-    "sweep %d nodes x %d objects x %d points: jobs=1 %.2fs, jobs=4 %.2fs, \
-     identical outcomes\n\
-     %!"
-    nodes objects (List.length fractions) sweep_s sweep4_s;
+  Printf.printf "sweep %d nodes x %d objects x %d points: %.2fs\n%!" nodes
+    objects (List.length fractions) sweep_s;
   let oc = open_out "BENCH_scale.json" in
   Printf.fprintf oc
     {|{
-  "benchmark": "CDN scale family: bundled + sharded Lagrangian sweep",
+  "benchmark": "CDN scale family: bundled Lagrangian sweep",
   "detected_cores": %d,
   "instance": "%s",
   "scale_nodes": %d,
@@ -1020,15 +1017,12 @@ let scale_benchmark () =
     "speedup": %.2f,
     "bound_delta": %.17g
   },
-  "scale_sweep_s": %.3f,
-  "scale_sweep_jobs4_s": %.3f,
-  "jobs_identical": %b
+  "scale_sweep_s": %.3f
 }
 |}
     cores scen.SS.name nodes objects bundled.Bounds.Lagrangian.bundles
     bundle_ratio bundled.Bounds.Lagrangian.rescaled_members ratio_iters
-    unbundled_s bundled_s bundling_speedup bound_delta sweep_s sweep4_s
-    jobs_identical;
+    unbundled_s bundled_s bundling_speedup bound_delta sweep_s;
   close_out oc;
   Printf.printf "wrote BENCH_scale.json\n%!"
 
@@ -1082,7 +1076,10 @@ let avail_benchmark () =
     (Array.length groups) (Array.length scenarios) origin_down
     tl.Avail.Scenario.steps reps;
   let deployed =
-    match Sim.Runner.greedy_global ~spec:sim_spec () with
+    match
+      Sim.Runner.deploy_offline ~factory:Heuristics.Greedy_global.strategy
+        ~spec:sim_spec ()
+    with
     | Some d -> d
     | None -> failwith "avail benchmark: greedy-global met no goal"
   in

@@ -374,16 +374,19 @@ let fig2 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
   let points = qos_sweep quick in
   let bound_spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
   let sim_spec q = CS.qos_spec cs ~fraction:q ~for_bounds:false () in
-  let chosen_cls, chosen_label, run_chosen =
+  let chosen_cls, chosen_label, chosen =
     match workload with
     | CS.Web ->
       ( Mcperf.Classes.storage_constrained,
         "Greedy global heuristic",
-        fun q -> Sim.Runner.greedy_global ~spec:(sim_spec q) () )
+        Heuristics.Greedy_global.strategy )
     | CS.Group ->
       ( Mcperf.Classes.replica_constrained_uniform,
         "Replica constrained heuristic",
-        fun q -> Sim.Runner.greedy_replica ~spec:(sim_spec q) () )
+        Heuristics.Greedy_replica.strategy )
+  in
+  let run factory q =
+    Sim.Runner.deploy_offline ~trace:cs.CS.trace ~factory ~spec:(sim_spec q) ()
   in
   Logs.app (fun f -> f "fig2 %s: class bound ..." (CS.workload_name workload));
   let bound_label =
@@ -400,12 +403,12 @@ let fig2 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
   in
   Logs.app (fun f -> f "fig2 %s: %s ..." (CS.workload_name workload) chosen_label);
   let chosen_series, chosen_raw, chosen_timing, chosen_elapsed =
-    deployed_sweep ~cell_budget_s ~jobs ~label:chosen_label points run_chosen
+    deployed_sweep ~cell_budget_s ~jobs ~label:chosen_label points (run chosen)
   in
   Logs.app (fun f -> f "fig2 %s: LRU caching ..." (CS.workload_name workload));
   let lru_series, lru_raw, lru_timing, lru_elapsed =
-    deployed_sweep ~cell_budget_s ~jobs ~label:"LRU caching" points (fun q ->
-        Sim.Runner.lru_caching ~spec:(sim_spec q) ~trace:cs.CS.trace ())
+    deployed_sweep ~cell_budget_s ~jobs ~label:"LRU caching" points
+      (run Heuristics.Cache_strategy.lru)
   in
   let series = List.concat [ bound_series; [ chosen_series; lru_series ] ] in
   Report.print_figure
@@ -496,16 +499,15 @@ let fig3 ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
           ^ "-bound")
         ~jobs bound_spec points fig3_classes
     in
-    let deployed, _, deployed_timing, deployed_elapsed =
+    let label, factory =
       match workload with
-      | CS.Web ->
-        deployed_sweep ~cell_budget_s ~jobs ~label:"Greedy global heuristic"
-          points (fun q ->
-            Sim.Runner.greedy_global ~placeable ~spec:(sim_spec q) ())
-      | CS.Group ->
-        deployed_sweep ~cell_budget_s ~jobs ~label:"LRU caching" points
-          (fun q ->
-            Sim.Runner.lru_caching ~placeable ~spec:(sim_spec q) ~trace ())
+      | CS.Web -> ("Greedy global heuristic", Heuristics.Greedy_global.strategy)
+      | CS.Group -> ("LRU caching", Heuristics.Cache_strategy.lru)
+    in
+    let deployed, _, deployed_timing, deployed_elapsed =
+      deployed_sweep ~cell_budget_s ~jobs ~label points (fun q ->
+          Sim.Runner.deploy_offline ~placeable ~trace ~factory
+            ~spec:(sim_spec q) ())
     in
     let series = bound_series @ [ deployed ] in
     Report.print_figure
@@ -751,15 +753,18 @@ let validate_tree ~seed ~count ~jobs () =
           b
       in
       let prop =
-        match Heuristics.Proportional.search ?placeable ~spec () with
+        match
+          Sim.Runner.deploy_offline ?placeable
+            ~factory:Heuristics.Proportional.strategy ~spec ()
+        with
         | None ->
           fail name "proportional search found no feasible budget";
           nan
-        | Some (_, ev) ->
-          if ev.Mcperf.Costing.total < dp -. tol dp then
+        | Some d ->
+          if d.Sim.Runner.cost < dp -. tol dp then
             fail name "proportional cost %.6f below DP optimum %.6f"
-              ev.Mcperf.Costing.total dp;
-          ev.Mcperf.Costing.total
+              d.Sim.Runner.cost dp;
+          d.Sim.Runner.cost
       in
       Printf.printf "%-22s %5d %5d %9.2f %9.2f %9.2f %9.2f %9.2f %9.2f %12s\n%!"
         name nodes sites dp lp pdhg lagr rounded prop
@@ -882,26 +887,24 @@ let validate_avail ~seed ~count ~jobs () =
   (* Placements to check the bound against: the rounded LP solution and
      the two centralized greedy heuristics, all evaluated on the same
      spec. *)
-  let placements =
-    List.filter_map
-      (fun x -> x)
-      [
-        (match
-           (Bounds.Pipeline.compute spec Mcperf.Classes.general)
-             .Bounds.Pipeline.rounded
-         with
-        | Some r -> Some ("rounded-lp", r.Rounding.Round.placement)
-        | None -> None);
-        Option.bind
-          (Sim.Runner.greedy_global ~jobs ~spec ())
-          (fun d ->
-            Option.map (fun p -> ("greedy-global", p)) d.Sim.Runner.placement);
-        Option.bind
-          (Sim.Runner.greedy_replica ~jobs ~spec ())
-          (fun d ->
-            Option.map (fun p -> ("greedy-replica", p)) d.Sim.Runner.placement);
-      ]
+  let rounded =
+    match
+      (Bounds.Pipeline.compute spec Mcperf.Classes.general)
+        .Bounds.Pipeline.rounded
+    with
+    | Some r -> [ ("rounded-lp", r.Rounding.Round.placement) ]
+    | None -> []
   in
+  let deployed =
+    List.filter_map
+      (fun factory ->
+        Option.bind
+          (Sim.Runner.deploy_offline ~jobs ~factory ~spec ())
+          (fun d ->
+            Option.map (fun p -> (d.Sim.Runner.name, p)) d.Sim.Runner.placement))
+      [ Heuristics.Greedy_global.strategy; Heuristics.Greedy_replica.strategy ]
+  in
+  let placements = rounded @ deployed in
   if placements = [] then fail "placements" "no feasible placement produced";
   Printf.printf "\n%-14s %10s %10s %10s %9s %9s %9s\n" "placement" "cost"
     "expected" "lp-bound" "fragility" "worstviol" "meanunav";
@@ -1040,9 +1043,9 @@ let figtree ?csv_dir ~seed ~jobs () =
              in
              ( q,
                Option.map
-                 (fun (_, (ev : Mcperf.Costing.evaluation)) ->
-                   ev.Mcperf.Costing.total)
-                 (Heuristics.Proportional.search ~spec ()) ))
+                 (fun (d : Sim.Runner.deployed) -> d.Sim.Runner.cost)
+                 (Sim.Runner.deploy_offline
+                    ~factory:Heuristics.Proportional.strategy ~spec ()) ))
            points)
     in
     let series = series @ [ prop ] in
@@ -1087,24 +1090,25 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
     (CS.workload_name workload) fraction (Array.length scenarios)
     (Array.length groups) seed;
   let t0 = Unix.gettimeofday () in
-  let runners =
-    [
-      (fun () -> Sim.Runner.lru_caching ~jobs ~spec:sim_spec ~trace:cs.CS.trace ());
-      (fun () ->
-        Sim.Runner.cooperative_caching ~jobs ~spec:sim_spec ~trace:cs.CS.trace ());
-      (fun () ->
-        Sim.Runner.caching_with_prefetch ~jobs ~spec:sim_spec ~trace:cs.CS.trace ());
-      (fun () ->
-        Sim.Runner.hierarchical_caching ~jobs ~spec:sim_spec ~trace:cs.CS.trace ());
-      (fun () -> Sim.Runner.greedy_global ~jobs ~spec:sim_spec ());
-      (fun () -> Sim.Runner.greedy_replica ~jobs ~spec:sim_spec ());
-    ]
+  let factories =
+    Heuristics.
+      [
+        Cache_strategy.lru;
+        Cache_strategy.cooperative;
+        Cache_strategy.prefetching;
+        Cache_strategy.hierarchical;
+        Greedy_global.strategy;
+        Greedy_replica.strategy;
+      ]
   in
   let timeline = Avail.Scenario.timeline sspec sys ~groups in
   let assessed =
     List.filter_map
-      (fun run ->
-        match run () with
+      (fun factory ->
+        match
+          Sim.Runner.deploy_offline ~jobs ~trace:cs.CS.trace ~factory
+            ~spec:sim_spec ()
+        with
         | Some (d : Sim.Runner.deployed) -> (
           match d.Sim.Runner.placement with
           | Some p ->
@@ -1125,7 +1129,7 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
             Some (d, a, survived, Array.length checks, replay)
           | None -> None)
         | None -> None)
-      runners
+      factories
   in
   (* Rank by fragility, most robust first; ties break on the name. *)
   let ranked =
@@ -1184,11 +1188,11 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
 (* --- scale figure: Lagrangian sweep on the CDN scale family --------------- *)
 
 (* Fig2-style sweep at 200+ nodes and 10k objects, far past where the
-   monolithic LP is tractable, via the bundled + sharded Lagrangian
-   decomposition. Everything printed on stdout is deterministic in the
-   inputs (timings go to stderr), so check.sh can [cmp] runs at
-   different --jobs byte for byte. *)
-let figscale ~seed ~objects ~jobs ~check () =
+   monolithic LP is tractable, via the bundled Lagrangian decomposition.
+   Everything printed on stdout is deterministic in the inputs (timings
+   go to stderr), so check.sh can [cmp] a run against a committed
+   output byte for byte. *)
+let figscale ~seed ~objects ~check () =
   let fail fmt =
     incr violations;
     Printf.printf "FAIL figscale: ";
@@ -1199,7 +1203,7 @@ let figscale ~seed ~objects ~jobs ~check () =
   let spec = SS.qos_spec scen ~fraction:(List.hd points) in
   let t0 = Unix.gettimeofday () in
   let sweep =
-    Bounds.Lagrangian.sweep ~iterations:40 ~jobs spec Mcperf.Classes.general
+    Bounds.Lagrangian.sweep ~iterations:40 spec Mcperf.Classes.general
       ~fractions:points
   in
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -1222,7 +1226,7 @@ let figscale ~seed ~objects ~jobs ~check () =
         out.Bounds.Lagrangian.subproblems_exact
         out.Bounds.Lagrangian.subproblems_bounded)
     sweep;
-  Printf.eprintf "figscale: sweep %.2fs (jobs=%d)\n%!" elapsed jobs;
+  Printf.eprintf "figscale: sweep %.2fs\n%!" elapsed;
   if check then begin
     (* Down-shifted instance where the monolithic LP is still exactly
        solvable: the Lagrangian dual must stay below the LP optimum
@@ -1233,11 +1237,10 @@ let figscale ~seed ~objects ~jobs ~check () =
       (fun q ->
         let spec = SS.qos_spec small ~fraction:q in
         let bundled =
-          Bounds.Lagrangian.bound ~iterations:40 ~jobs spec
-            Mcperf.Classes.general
+          Bounds.Lagrangian.bound ~iterations:40 spec Mcperf.Classes.general
         in
         let unbundled =
-          Bounds.Lagrangian.bound ~iterations:40 ~jobs ~bundling:false spec
+          Bounds.Lagrangian.bound ~iterations:40 ~bundling:false spec
             Mcperf.Classes.general
         in
         if
@@ -1315,7 +1318,8 @@ let ablation ~seed () =
   List.iter
     (fun policy ->
       match
-        Sim.Runner.policy_caching ~policy ~spec:sim_spec ~trace:cs.CS.trace ()
+        Sim.Runner.deploy_offline ~trace:cs.CS.trace
+          ~factory:(Heuristics.Cache_strategy.policy policy) ~spec:sim_spec ()
       with
       | Some d ->
         Printf.printf "%-10s %10d %12.0f %12.5f\n%!"
@@ -1396,177 +1400,6 @@ let baselines ~scale ~seed () =
         [ 1; 2; 4; 8 ];
       Printf.printf "(* = does not meet the 99%% QoS goal at this factor)\n")
     [ CS.Web; CS.Group ]
-
-(* --- validate --family strategy: ported heuristics vs the legacy route ---- *)
-
-(* The heuristics now reach the runner only through the Strategy
-   interface. This gate re-implements the pre-redesign deployment
-   sequence verbatim (direct Permission.compute + place + evaluate, and
-   direct Event_cache searches) and insists the strategy route produces
-   byte-identical results — parameter, cost, QoS, placement and full
-   outcome — on the seed case-study figures. *)
-
-let digest_of v = Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
-
-let validate_strategy ~seed ~scale () =
-  let module EC = Heuristics.Event_cache in
-  let worst arr = Array.fold_left Float.min 1. arr in
-  let check name legacy ported =
-    let dl = digest_of legacy and dp = digest_of ported in
-    if dl = dp then Printf.printf "  %-30s ok       %s\n" name (String.sub dl 0 12)
-    else begin
-      incr violations;
-      Printf.printf "  %-30s MISMATCH legacy=%s ported=%s\n" name
-        (String.sub dl 0 12) (String.sub dp 0 12)
-    end
-  in
-  (* Pre-redesign cache deployment: linear object-count ceiling, direct
-     Event_cache search. *)
-  let legacy_cache ?policy ~name ~mode ~prefetch ~spec ~trace () =
-    let tlat_ms = Mcperf.Spec.latency_threshold spec in
-    let outcome_at c =
-      EC.simulate ~system:spec.Mcperf.Spec.system ~trace
-        ~intervals:(Mcperf.Spec.interval_count spec)
-        ~costs:spec.Mcperf.Spec.costs ~tlat_ms ~capacity:c ~mode ~prefetch
-        ?policy ()
-    in
-    let meets (o : EC.outcome) =
-      match spec.Mcperf.Spec.goal with
-      | Mcperf.Spec.Qos { fraction; _ } -> EC.meets_qos o ~fraction
-      | Mcperf.Spec.Avg_latency { tavg_ms } ->
-        Array.for_all (fun l -> l <= tavg_ms +. 1e-9) o.EC.avg_latency
-    in
-    let objects = Workload.Trace.object_count trace in
-    match
-      Sim.Search.min_feasible_int ~lo:0 ~hi:objects (fun c ->
-          meets (outcome_at c))
-    with
-    | None -> None
-    | Some capacity ->
-      let o = outcome_at capacity in
-      Some
-        {
-          Sim.Runner.name;
-          parameter = capacity;
-          cost = o.EC.provisioned_cost;
-          worst_qos = worst o.EC.qos;
-          detail = Sim.Runner.Cache o;
-          placement = o.EC.placement;
-        }
-  in
-  let legacy_greedy_global ~spec () =
-    let total_weight =
-      Util.Vecops.sum spec.Mcperf.Spec.demand.Workload.Demand.weight
-    in
-    let hi = int_of_float (Float.ceil total_weight) in
-    let eval_at c =
-      Heuristics.Greedy_global.evaluate ~spec ~capacity:(float_of_int c) ()
-    in
-    match
-      Sim.Search.min_feasible_int ~lo:0 ~hi (fun c ->
-          (eval_at c).Mcperf.Costing.meets_goal)
-    with
-    | None -> None
-    | Some capacity ->
-      let e = eval_at capacity in
-      let perm =
-        Mcperf.Permission.compute spec Mcperf.Classes.storage_constrained
-      in
-      let p =
-        Heuristics.Greedy_global.place ~perm ~capacity:(float_of_int capacity)
-          ()
-      in
-      Some
-        {
-          Sim.Runner.name = "greedy-global";
-          parameter = capacity;
-          cost = e.Mcperf.Costing.total;
-          worst_qos = worst e.Mcperf.Costing.qos;
-          detail = Sim.Runner.Placement e;
-          placement = Some p;
-        }
-  in
-  let legacy_greedy_replica ~spec () =
-    let hi = Mcperf.Spec.node_count spec - 1 in
-    let eval_at r =
-      Heuristics.Greedy_replica.evaluate ~spec ~replicas:r ()
-    in
-    match
-      Sim.Search.min_feasible_int ~lo:0 ~hi (fun r ->
-          (eval_at r).Mcperf.Costing.meets_goal)
-    with
-    | None -> None
-    | Some replicas ->
-      let e = eval_at replicas in
-      let perm =
-        Mcperf.Permission.compute spec Mcperf.Classes.replica_constrained_uniform
-      in
-      let p = Heuristics.Greedy_replica.place ~perm ~replicas () in
-      Some
-        {
-          Sim.Runner.name = "greedy-replica";
-          parameter = replicas;
-          cost = e.Mcperf.Costing.total;
-          worst_qos = worst e.Mcperf.Costing.qos;
-          detail = Sim.Runner.Placement e;
-          placement = Some p;
-        }
-  in
-  let strip (d : Sim.Runner.deployed option) =
-    (* Compare everything except the display name (factories own their
-       names now). *)
-    Option.map
-      (fun (d : Sim.Runner.deployed) ->
-        (d.Sim.Runner.parameter, d.Sim.Runner.cost, d.Sim.Runner.worst_qos,
-         d.Sim.Runner.detail, d.Sim.Runner.placement))
-      d
-  in
-  List.iter
-    (fun w ->
-      let cs = CS.make ~seed ~scale w in
-      Printf.printf "strategy port equivalence (%s, scale %.2f):\n"
-        (CS.workload_name w) scale;
-      List.iter
-        (fun fraction ->
-          Printf.printf " fraction %.5f\n" fraction;
-          let spec = CS.qos_spec cs ~fraction ~for_bounds:false () in
-          let trace = cs.CS.trace in
-          check "greedy-global"
-            (strip (legacy_greedy_global ~spec ()))
-            (strip (Sim.Runner.greedy_global ~spec ()));
-          check "greedy-replica"
-            (strip (legacy_greedy_replica ~spec ()))
-            (strip (Sim.Runner.greedy_replica ~spec ()));
-          check "proportional"
-            (Heuristics.Proportional.search ~spec ())
-            (match
-               Sim.Runner.deploy_offline
-                 ~factory:Heuristics.Proportional.strategy ~spec ()
-             with
-            | Some
-                {
-                  Sim.Runner.parameter;
-                  detail = Sim.Runner.Placement e;
-                  _;
-                } ->
-              Some (parameter, e)
-            | _ -> None);
-          check "lru-caching"
-            (strip
-               (legacy_cache ~name:"lru-caching" ~mode:EC.Local
-                  ~prefetch:false ~spec ~trace ()))
-            (strip (Sim.Runner.lru_caching ~spec ~trace ()));
-          check "fifo-caching"
-            (strip
-               (legacy_cache ~policy:Heuristics.Policy_cache.Fifo
-                  ~name:"fifo-caching" ~mode:EC.Local ~prefetch:false ~spec
-                  ~trace ()))
-            (strip
-               (Sim.Runner.policy_caching ~policy:Heuristics.Policy_cache.Fifo
-                  ~spec ~trace ())))
-        [ 0.95; 0.999 ])
-    [ CS.Web; CS.Group ];
-  if !violations = 0 then Printf.printf "all strategy-port checks passed\n%!"
 
 (* --- serve: the epoch-driven online placement service --------------------- *)
 
@@ -2040,10 +1873,7 @@ let validate_cmd =
       value
       & opt
           (enum
-             [
-               ("default", `Default); ("tree", `Tree); ("avail", `Avail);
-               ("strategy", `Strategy);
-             ])
+             [ ("default", `Default); ("tree", `Tree); ("avail", `Avail) ])
           `Default
       & info [ "family" ] ~docv:"FAMILY"
           ~doc:
@@ -2053,11 +1883,8 @@ let validate_cmd =
              every other producer must sandwich it; $(b,avail) checks the \
              correlated-failure sampler, the survivability evaluator and \
              the expected-cost scenario LP against goal-meeting \
-             placements; $(b,strategy) replays the pre-redesign heuristic \
-             deployment sequence and insists the Strategy-interface route \
-             reproduces it byte-for-byte on the seed figures. Tree, avail \
-             and strategy output carries no wall clocks, so runs at \
-             different $(b,--jobs) compare byte-for-byte.")
+             placements. Tree and avail output carries no wall clocks, so \
+             runs at different $(b,--jobs) compare byte-for-byte.")
   in
   let count_t =
     Arg.(
@@ -2067,13 +1894,12 @@ let validate_cmd =
             "Tree-family instances, or avail-family sampled scenarios, to \
              validate.")
   in
-  let run verbose seed scale family count jobs =
+  let run verbose seed family count jobs =
     setup_logs verbose;
     (match family with
     | `Default -> validate ~seed ()
     | `Tree -> validate_tree ~seed ~count ~jobs:(resolve_jobs jobs) ()
-    | `Avail -> validate_avail ~seed ~count ~jobs:(resolve_jobs jobs) ()
-    | `Strategy -> validate_strategy ~seed ~scale ());
+    | `Avail -> validate_avail ~seed ~count ~jobs:(resolve_jobs jobs) ());
     if !violations > 0 then exit 1
   in
   Cmd.v
@@ -2082,7 +1908,7 @@ let validate_cmd =
          "Cross-check all bound producers (simplex, PDHG, Lagrangian, exact \
           IP, tree DP, rounding) on small instances; exits nonzero on any \
           violated bound ordering.")
-    Term.(const run $ verbose_t $ seed_t $ scale_t $ family_t $ count_t $ jobs_t)
+    Term.(const run $ verbose_t $ seed_t $ family_t $ count_t $ jobs_t)
 
 let serve_cmd =
   let trace_file_t =
@@ -2241,19 +2067,19 @@ let figscale_cmd =
              bound bit-identical to the forced-unbundled one. Exits \
              nonzero on any violation.")
   in
-  let run verbose seed objects jobs check =
+  let run verbose seed objects check =
     setup_logs verbose;
-    figscale ~seed ~objects ~jobs:(resolve_jobs jobs) ~check ();
+    figscale ~seed ~objects ~check ();
     if !violations > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "figscale"
        ~doc:
          "Fig2-style QoS sweep on the 200+-node / 10k-object CDN scale \
-          family via the bundled, sharded Lagrangian decomposition. \
-          Deterministic stdout (timings on stderr), so output can be \
-          compared byte-for-byte across $(b,--jobs).")
-    Term.(const run $ verbose_t $ seed_t $ objects_t $ jobs_t $ check_t)
+          family via the bundled Lagrangian decomposition. Deterministic \
+          stdout (timings on stderr), so output can be compared \
+          byte-for-byte across runs.")
+    Term.(const run $ verbose_t $ seed_t $ objects_t $ check_t)
 
 let worker_cmd =
   let port_t =

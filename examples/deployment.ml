@@ -50,7 +50,10 @@ let () =
     let trace =
       Workload.Trace.remap_nodes cs.CS.trace ~mapping:plan.M.assignment
     in
-    (match Sim.Runner.lru_caching ~placeable ~spec:sim_spec ~trace () with
+    (match
+       Sim.Runner.deploy_offline ~placeable ~trace
+         ~factory:Heuristics.Cache_strategy.lru ~spec:sim_spec ()
+     with
     | Some d ->
       Format.printf
         "@.LRU caching on the deployed nodes: capacity %d, cost %.0f, worst \

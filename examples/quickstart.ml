@@ -54,17 +54,18 @@ let () =
   Replica_select.Report.print_selection ~title:"Which heuristic?" selection;
 
   (* 5. Sanity-check the choice by deploying heuristics in simulation. *)
-  (match Sim.Runner.greedy_replica ~spec () with
+  let deploy factory = Sim.Runner.deploy_offline ~trace ~factory ~spec () in
+  (match deploy Heuristics.Greedy_replica.strategy with
   | Some d ->
     Format.printf "greedy-replica:  %d replicas/object, cost %.0f@."
       d.Sim.Runner.parameter d.Sim.Runner.cost
   | None -> Format.printf "greedy-replica cannot meet the goal@.");
-  (match Sim.Runner.greedy_global ~spec () with
+  (match deploy Heuristics.Greedy_global.strategy with
   | Some d ->
     Format.printf "greedy-global:   capacity %d/node, cost %.0f@."
       d.Sim.Runner.parameter d.Sim.Runner.cost
   | None -> Format.printf "greedy-global cannot meet the goal@.");
-  match Sim.Runner.lru_caching ~spec ~trace () with
+  match deploy Heuristics.Cache_strategy.lru with
   | Some d ->
     Format.printf "lru-caching:     capacity %d/node, cost %.0f@."
       d.Sim.Runner.parameter d.Sim.Runner.cost

@@ -40,13 +40,16 @@ let study workload =
       None
   in
   Format.printf "@.deployed heuristics at %.1f%% QoS:@." (100. *. goal);
+  let deploy factory =
+    Sim.Runner.deploy_offline ~trace:cs.CS.trace ~factory ~spec:sim_spec ()
+  in
   let chosen_cost =
     match selection.Replica_select.Methodology.chosen with
     | Some { deployable = Some "greedy-global"; _ } ->
-      describe "greedy-global (chosen)" (Sim.Runner.greedy_global ~spec:sim_spec ())
+      describe "greedy-global (chosen)" (deploy Heuristics.Greedy_global.strategy)
     | Some { deployable = Some "greedy-replica"; _ } ->
       describe "greedy-replica (chosen)"
-        (Sim.Runner.greedy_replica ~spec:sim_spec ())
+        (deploy Heuristics.Greedy_replica.strategy)
     | Some { deployable = Some other; _ } ->
       Format.printf "  chosen class maps to %s@." other;
       None
@@ -55,8 +58,7 @@ let study workload =
       None
   in
   let lru_cost =
-    describe "LRU caching (default)"
-      (Sim.Runner.lru_caching ~spec:sim_spec ~trace:cs.CS.trace ())
+    describe "LRU caching (default)" (deploy Heuristics.Cache_strategy.lru)
   in
   match (chosen_cost, lru_cost) with
   | Some c, Some l when c > 0. ->

@@ -166,9 +166,7 @@ let simplex_size_limit = 200
    objective has been set for the current lambda. Returns the bound, the
    per-cell coverage contributions of the (approximate) minimizer — one
    entry per [covered_cells] slot, in order — and how the solve was
-   settled. Contributions come back as a plain float array so a shard of
-   solves can cross a worker pipe and merge into the subgradient exactly
-   as the sequential path would. *)
+   settled. *)
 let solve_sub sub =
   if Lp.Problem.nvars sub.problem = 0 then (0., [||], `Trivial)
   else begin
@@ -228,57 +226,22 @@ let set_lambda_objective sub lambda =
       if rj >= 0 then red.Lp.Problem.objective.(rj) <- c)
     sub.covered_cells
 
-(* Contiguous [lo, hi) ranges covering [0, n), sizes differing by at most
-   one; the shard layout depends only on [shards] and [n], never on
-   timing, so dispatch is deterministic. *)
-let shard_ranges ~shards n =
-  let shards = max 1 (min shards n) in
-  let base = n / shards and extra = n mod shards in
-  let ranges = ref [] in
-  let lo = ref 0 in
-  for s = 0 to shards - 1 do
-    let len = base + if s < extra then 1 else 0 in
-    ranges := (!lo, !lo + len) :: !ranges;
-    lo := !lo + len
-  done;
-  List.rev !ranges
-
 (* One batch solve of every representative subproblem under the current
-   lambda. The parent rewrites all covered-variable objectives *before*
-   dispatching, so forked workers inherit the costed image through [fork]
-   and only shard ranges / result payloads are marshalled. Workers rebuild
-   their [Pdhg.prepare] images from scratch; [prepare] is deterministic
-   and [Marshal] preserves float bits, so shard results are bitwise those
-   of the sequential path — byte-identity at any [jobs] is the standing
-   invariant of the sweep layers. *)
-let solve_batch ~jobs subs lambda =
+   lambda, in representative order. *)
+let solve_batch subs lambda =
   Array.iter (fun sub -> set_lambda_objective sub lambda) subs;
-  let nb = Array.length subs in
-  let vals = Array.make nb (0., [||]) in
   let exact = ref 0 and bounded = ref 0 in
-  if nb > 0 then begin
-    let solve_shard (lo, hi) =
-      let e = ref 0 and bd = ref 0 in
-      let out =
-        Array.init (hi - lo) (fun i ->
-            let v, c, tag = solve_sub subs.(lo + i) in
-            (match tag with
-            | `Exact -> incr e
-            | `Bounded -> incr bd
-            | `Trivial -> ());
-            (v, c))
-      in
-      (out, !e, !bd)
-    in
-    let shards = shard_ranges ~shards:(if jobs <= 1 then 1 else jobs * 4) nb in
-    let results = Util.Parallel.map_values ~jobs ~f:solve_shard shards in
-    List.iter2
-      (fun (lo, _) (out, e, bd) ->
-        Array.blit out 0 vals lo (Array.length out);
-        exact := !exact + e;
-        bounded := !bounded + bd)
-      shards results
-  end;
+  let vals =
+    Array.map
+      (fun sub ->
+        let v, c, tag = solve_sub sub in
+        (match tag with
+        | `Exact -> incr exact
+        | `Bounded -> incr bounded
+        | `Trivial -> ());
+        (v, c))
+      subs
+  in
   (vals, !exact, !bounded)
 
 (* Fold the per-representative solves back over the member objects, in
@@ -321,7 +284,7 @@ let merge_members ~nodes ~(bundle : Mcperf.Bundle.t) ~weight ~subs vals =
 
 (* Projected subgradient ascent on the QoS multipliers for one fraction's
    requirement vector [t_n]. *)
-let ascend ~iterations ~step_scale ~step_rule ~jobs ~t_n ~(spec : Mcperf.Spec.t)
+let ascend ~iterations ~step_scale ~step_rule ~t_n ~(spec : Mcperf.Spec.t)
     ~bundle ~subs =
   let nodes = Array.length t_n in
   let weight = spec.Mcperf.Spec.demand.Workload.Demand.weight in
@@ -343,7 +306,7 @@ let ascend ~iterations ~step_scale ~step_rule ~jobs ~t_n ~(spec : Mcperf.Spec.t)
   let adaptive_step = ref (step_scale *. unit_cost) in
   let stalls = ref 0 in
   for t = 0 to iterations - 1 do
-    let vals, e, bd = solve_batch ~jobs subs lambda in
+    let vals, e, bd = solve_batch subs lambda in
     exact_total := !exact_total + e;
     bounded_total := !bounded_total + bd;
     let sub_total, coverage = merge_members ~nodes ~bundle ~weight ~subs vals in
@@ -424,7 +387,7 @@ let bundle_and_subs ~bundling perm =
   in
   (bundle, subs)
 
-let run ~iterations ~step_scale ~step_rule ~jobs ~fraction ~spec ~bundle ~subs
+let run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
     ~node_totals ~always =
   let nodes = Array.length node_totals in
   let t_n =
@@ -432,7 +395,7 @@ let run ~iterations ~step_scale ~step_rule ~jobs ~fraction ~spec ~bundle ~subs
         Float.max 0. ((fraction *. node_totals.(n)) -. always.(n)))
   in
   let best, lambda, exact, bounded =
-    ascend ~iterations ~step_scale ~step_rule ~jobs ~t_n ~spec ~bundle ~subs
+    ascend ~iterations ~step_scale ~step_rule ~t_n ~spec ~bundle ~subs
   in
   {
     bound = best;
@@ -446,7 +409,7 @@ let run ~iterations ~step_scale ~step_rule ~jobs ~fraction ~spec ~bundle ~subs
   }
 
 let bound ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
-    ?(jobs = 1) ?(bundling = true) spec cls =
+    ?(bundling = true) spec cls =
   require_qos ~who:"Lagrangian.bound" spec;
   let fraction =
     match spec.Mcperf.Spec.goal with
@@ -464,12 +427,12 @@ let bound ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
     in
     let always = always_covered spec perm in
     let bundle, subs = bundle_and_subs ~bundling perm in
-    run ~iterations ~step_scale ~step_rule ~jobs ~fraction ~spec ~bundle ~subs
+    run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
       ~node_totals ~always
   end
 
 let sweep ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
-    ?(jobs = 1) ?(bundling = true) spec cls ~fractions =
+    ?(bundling = true) spec cls ~fractions =
   require_qos ~who:"Lagrangian.sweep" spec;
   let perm = Mcperf.Permission.compute spec cls in
   let nodes = Mcperf.Spec.node_count spec in
@@ -489,7 +452,7 @@ let sweep ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
       else begin
         let bundle, subs = Lazy.force shared in
         ( fraction,
-          run ~iterations ~step_scale ~step_rule ~jobs ~fraction ~spec ~bundle
-            ~subs ~node_totals ~always )
+          run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
+            ~node_totals ~always )
       end)
     fractions

@@ -17,25 +17,28 @@
     by a short PDHG run's dual certificate when large; both compose into a
     valid overall bound.
 
-    Why this exists alongside the monolithic LP: the subproblems are
-    embarrassingly parallel and have constant size as |K| grows, so this
-    path scales to object counts where even the first-order solver's
-    per-iteration cost hurts (the paper reports 12-hour CPLEX runs at
-    K = 1000). It also cross-checks the PDHG bounds in the test suite.
+    Why this exists alongside the monolithic LP: the subproblems have
+    constant size as |K| grows, so this path scales to object counts
+    where even the first-order solver's per-iteration cost hurts (the
+    paper reports 12-hour CPLEX runs at K = 1000). It also cross-checks
+    the PDHG bounds in the test suite.
 
-    {b Scaling.} Two mechanisms push this route to 200+ nodes and 10k+
-    objects. {e Bundling} ({!Mcperf.Bundle}): objects whose permission
-    masks and read cells are identical up to the demand weight share one
-    representative subproblem; on homogeneous bundles (equal weights) the
-    merged totals are bitwise those of solving every member, so the
-    bundled bound equals the unbundled one exactly, and heterogeneous
-    members transfer the representative's optimum rescaled by
-    [w / w_rep] with a conservative downward nudge (counted in
-    [rescaled_members]) that keeps the bound valid. {e Sharding}: each
-    iteration's representative solves dispatch through {!Util.Parallel}
-    in contiguous shards; only shard ranges and result payloads cross the
-    worker pipes, the merge is in fixed object order, and the outcome is
-    byte-identical at every [jobs].
+    {b Scaling.} {e Bundling} ({!Mcperf.Bundle}) pushes this route to
+    200+ nodes and 10k+ objects: objects whose permission masks and read
+    cells are identical up to the demand weight share one representative
+    subproblem; on homogeneous bundles (equal weights) the merged totals
+    are bitwise those of solving every member, so the bundled bound
+    equals the unbundled one exactly, and heterogeneous members transfer
+    the representative's optimum rescaled by [w / w_rep] with a
+    conservative downward nudge (counted in [rescaled_members]) that
+    keeps the bound valid. Each iteration solves the representatives in
+    order in the calling process. Fanning them out over a fork pool lost
+    on a 2-vCPU machine: [experiments figscale] on the 229-node CDN
+    family (3 QoS points x 40 iterations) took 1.32–1.58 s at one worker
+    against 2.91–3.72 s at two and 4.17–5.02 s at four with 10 000
+    objects, and 0.94–1.23 s against 1.98–2.12 s and 3.01–3.32 s with
+    2 000 — the per-iteration subproblems are too small to pay for the
+    dispatch.
 
     Class support: knowledge/history/reactivity/routing properties are
     honored exactly (they live in the per-object permission masks); the
@@ -78,24 +81,21 @@ val bound :
   ?iterations:int ->
   ?step_scale:float ->
   ?step_rule:step_rule ->
-  ?jobs:int ->
   ?bundling:bool ->
   Mcperf.Spec.t ->
   Mcperf.Classes.t ->
   outcome
 (** Projected subgradient ascent on the QoS multipliers ([iterations]
     default 60, [step_scale] default 1.0, [step_rule] default
-    {!Harmonic} — the historical schedule, [jobs] default 1, [bundling]
-    default on). Requires a QoS goal. Infeasible classes (by the
-    {!Mcperf.Permission} oracle) yield [infinity]. The result is
-    independent of [jobs] to the byte, and independent of [bundling]
+    {!Harmonic} — the historical schedule, [bundling] default on).
+    Requires a QoS goal. Infeasible classes (by the {!Mcperf.Permission}
+    oracle) yield [infinity]. The result is independent of [bundling]
     whenever [rescaled_members = 0]. *)
 
 val sweep :
   ?iterations:int ->
   ?step_scale:float ->
   ?step_rule:step_rule ->
-  ?jobs:int ->
   ?bundling:bool ->
   Mcperf.Spec.t ->
   Mcperf.Classes.t ->

@@ -13,8 +13,7 @@ type config = {
   label : string;
   mode : Event_cache.mode;
   prefetch : bool;
-  policy : Policy_cache.kind option;
-  write_policy : Event_cache.write_policy option;
+  policy : Policy_cache.kind;
   cls : Mcperf.Classes.t;
 }
 
@@ -46,21 +45,12 @@ let make (cfg : config) : Strategy.factory =
           ~intervals:st.intervals ~costs:ctx.Strategy.Context.costs ~tlat_ms
           ~capacity:ctx.Strategy.Context.parameter ~mode:cfg.mode
           ~prefetch:cfg.prefetch ?placeable:ctx.Strategy.Context.placeable
-          ?policy:cfg.policy ?write_policy:cfg.write_policy ()
+          ~policy:cfg.policy ()
 
     let parameter_ceiling st =
       match st.trace with
       | None -> invalid_arg (cfg.label ^ ": no workload observed yet")
       | Some trace -> Workload.Trace.object_count trace
-
-    let place st =
-      match (outcome st).Event_cache.placement with
-      | Some p -> p
-      | None ->
-        invalid_arg
-          (cfg.label ^ ": placement view needs at most "
-          ^ string_of_int Event_cache.placement_interval_limit
-          ^ " intervals")
 
     let assess st =
       let o = outcome st in
@@ -76,27 +66,17 @@ let make (cfg : config) : Strategy.factory =
 
 let reactive = Mcperf.Classes.allow_intra_interval_reaction
 
-let lru =
-  make
-    {
-      label = "lru-caching";
-      mode = Event_cache.Local;
-      prefetch = false;
-      policy = None;
-      write_policy = None;
-      cls = reactive Mcperf.Classes.caching;
-    }
-
 let policy kind =
   make
     {
       label = Policy_cache.kind_name kind ^ "-caching";
       mode = Event_cache.Local;
       prefetch = false;
-      policy = Some kind;
-      write_policy = None;
+      policy = kind;
       cls = reactive Mcperf.Classes.caching;
     }
+
+let lru = policy Policy_cache.Lru
 
 let cooperative =
   make
@@ -104,8 +84,7 @@ let cooperative =
       label = "cooperative-caching";
       mode = Event_cache.Cooperative;
       prefetch = false;
-      policy = None;
-      write_policy = None;
+      policy = Policy_cache.Lru;
       cls = reactive Mcperf.Classes.cooperative_caching;
     }
 
@@ -115,8 +94,7 @@ let prefetching =
       label = "caching-prefetch";
       mode = Event_cache.Local;
       prefetch = true;
-      policy = None;
-      write_policy = None;
+      policy = Policy_cache.Lru;
       cls = reactive Mcperf.Classes.caching_prefetch;
     }
 
@@ -126,18 +104,16 @@ let cooperative_prefetching =
       label = "cooperative-caching-prefetch";
       mode = Event_cache.Cooperative;
       prefetch = true;
-      policy = None;
-      write_policy = None;
+      policy = Policy_cache.Lru;
       cls = reactive Mcperf.Classes.cooperative_caching_prefetch;
     }
 
-let hierarchical ?(cluster_radius_ms = 150.) () =
+let hierarchical =
   make
     {
       label = "hierarchical-caching";
-      mode = Event_cache.Hierarchical { cluster_radius_ms };
+      mode = Event_cache.Hierarchical { cluster_radius_ms = 150. };
       prefetch = false;
-      policy = None;
-      write_policy = None;
+      policy = Policy_cache.Lru;
       cls = reactive Mcperf.Classes.cooperative_caching;
     }

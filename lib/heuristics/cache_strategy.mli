@@ -1,26 +1,14 @@
-(** Strategy-object ports of the event-level caching heuristics.
+(** The event-level caching heuristics as strategy factories.
 
     The state is the cumulative event trace (caching decides on every
     access, so it consumes the event-level view, not the bucketed
     demand); [assess] replays the {!Event_cache} simulator at the
-    context's capacity parameter — the exact entry point the offline
-    runner used before the redesign, so verdicts match it bit for
-    bit. *)
-
-type config = {
-  label : string;
-  mode : Event_cache.mode;
-  prefetch : bool;
-  policy : Policy_cache.kind option;
-  write_policy : Event_cache.write_policy option;
-  cls : Mcperf.Classes.t;  (** bound class the strategy is compared to *)
-}
-
-val make : config -> Strategy.factory
-(** Context parameter = per-node cache capacity (objects). *)
+    context's capacity parameter (per-node cache capacity, in
+    objects). *)
 
 val lru : Strategy.factory
-(** Plain per-node LRU ({!Lru_cache}); class: reactive caching. *)
+(** Plain per-node LRU ({!Lru_cache}) — [policy Lru]; class: reactive
+    caching. *)
 
 val policy : Policy_cache.kind -> Strategy.factory
 (** Replacement-policy variants ({!Policy_cache}): lru/fifo/lfu. *)
@@ -28,7 +16,10 @@ val policy : Policy_cache.kind -> Strategy.factory
 val cooperative : Strategy.factory
 val prefetching : Strategy.factory
 val cooperative_prefetching : Strategy.factory
-val hierarchical : ?cluster_radius_ms:float -> unit -> Strategy.factory
+
+val hierarchical : Strategy.factory
+(** Hierarchical cooperative caching (Korupolu et al. style): clusters of
+    150 ms radius share one logical cache. *)
 
 val meets : Mcperf.Spec.goal -> Event_cache.outcome -> bool
 (** Whether the outcome meets the goal (QoS fraction at every node, or

@@ -119,14 +119,6 @@ let place ~(perm : Mcperf.Permission.t) ~capacity () =
   done;
   placement
 
-let evaluate ?placeable ~spec ~capacity () =
-  let perm =
-    Mcperf.Permission.compute ?placeable spec
-      Mcperf.Classes.storage_constrained
-  in
-  let placement = place ~perm ~capacity () in
-  Mcperf.Costing.evaluate perm placement
-
 let strategy =
   Strategy.of_placement_rule
     (module struct

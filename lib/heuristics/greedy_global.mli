@@ -24,16 +24,7 @@ val place :
     class's placement permissions, so the result can be compared with the
     storage-constrained bound. *)
 
-val evaluate :
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  capacity:float ->
-  unit ->
-  Mcperf.Costing.evaluation
-(** Convenience: place under the storage-constrained class permissions and
-    evaluate the result. *)
-
 val strategy : Strategy.factory
-(** The same heuristic behind the strategy-object API: context parameter
-    = per-node capacity (weighted object units, integer grid). Placements
-    and evaluations are identical to [evaluate] on the observed demand. *)
+(** The same heuristic behind the strategy-object API, placed and priced
+    under the storage-constrained class: context parameter = per-node
+    capacity (weighted object units, integer grid). *)

@@ -54,14 +54,6 @@ let place ~(perm : Mcperf.Permission.t) ~replicas () =
     demand.Workload.Demand.reads;
   placement
 
-let evaluate ?placeable ~spec ~replicas () =
-  let perm =
-    Mcperf.Permission.compute ?placeable spec
-      Mcperf.Classes.replica_constrained_uniform
-  in
-  let placement = place ~perm ~replicas () in
-  Mcperf.Costing.evaluate perm placement
-
 let strategy =
   Strategy.of_placement_rule
     (module struct

@@ -17,14 +17,7 @@ val place :
 (** [place ~perm ~replicas ()] picks up to [replicas] locations per object
     (fewer when no further node adds coverage). *)
 
-val evaluate :
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  replicas:int ->
-  unit ->
-  Mcperf.Costing.evaluation
-(** Place under the uniform replica-constrained class and evaluate. *)
-
 val strategy : Strategy.factory
-(** Strategy-object port: context parameter = replicas per object.
-    Placements identical to [evaluate] on the observed demand. *)
+(** The heuristic as a strategy factory, placed and priced under the
+    uniform replica-constrained class: context parameter = replicas per
+    object. *)

@@ -2,19 +2,19 @@
 
     The strategy-object API is the front door: {!Strategy} defines the
     module type, context and packed instances; {!Registry} lists the
-    built-in strategies; {!Cache_strategy} builds event-level (caching)
-    strategies from a config. The per-heuristic modules below keep their
-    original [place]/[evaluate]/[search] entry points as thin legacy
-    wrappers for one release — new callers should go through
-    {!Strategy.factory} instances instead of reaching into per-module
-    signatures. *)
+    built-in strategies; {!Cache_strategy} builds the event-level
+    (caching) strategies. The per-heuristic modules below expose their
+    placement rules and their {!Strategy.factory} instances; a deployment
+    goes through a factory, never through a per-module entry point.
+    {!Placement_baselines} only prices Qiu et al.'s fixed-replica
+    baselines for the baselines comparison. *)
 
 module Strategy = Strategy
 module Context = Strategy.Context
 module Registry = Registry
 module Cache_strategy = Cache_strategy
 
-(* Heuristic implementations (legacy entry points + [strategy] ports). *)
+(* Heuristic implementations (placement rules + [strategy] factories). *)
 module Greedy_global = Greedy_global
 module Greedy_replica = Greedy_replica
 module Proportional = Proportional

@@ -185,13 +185,6 @@ let place ~(perm : Mcperf.Permission.t) ~total_replicas () =
   done;
   placement
 
-let evaluate ?placeable ~spec ~total_replicas () =
-  let perm =
-    Mcperf.Permission.compute ?placeable spec Mcperf.Classes.general
-  in
-  let placement = place ~perm ~total_replicas () in
-  Mcperf.Costing.evaluate perm placement
-
 let budget_ceiling (perm : Mcperf.Permission.t) =
   let spec = perm.Mcperf.Permission.spec in
   let nodes = Mcperf.Spec.node_count spec in
@@ -209,25 +202,6 @@ let budget_ceiling (perm : Mcperf.Permission.t) =
     if totals.(k) > 0. then cap := !cap + sites k
   done;
   !cap
-
-let search ?placeable ?max_total ~spec () =
-  let perm =
-    Mcperf.Permission.compute ?placeable spec Mcperf.Classes.general
-  in
-  let max_total =
-    match max_total with Some m -> m | None -> budget_ceiling perm
-  in
-  let rec scan total =
-    if total > max_total then None
-    else
-      let placement = place ~perm ~total_replicas:total () in
-      let ev = Mcperf.Costing.evaluate perm placement in
-      if ev.Mcperf.Costing.meets_goal then Some (total, ev)
-      else scan (total + 1)
-  in
-  (* start at zero: when the origin already covers everything the empty
-     placement wins, and no permitted site may even exist *)
-  scan 0
 
 let strategy =
   Strategy.of_placement_rule

@@ -33,33 +33,14 @@ val place :
     site. Deterministic: ties break towards lower node and object
     ids. *)
 
-val evaluate :
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  total_replicas:int ->
-  unit ->
-  Mcperf.Costing.evaluation
-(** Place under the unconstrained general class and evaluate. *)
-
-val search :
-  ?placeable:bool array ->
-  ?max_total:int ->
-  spec:Mcperf.Spec.t ->
-  unit ->
-  (int * Mcperf.Costing.evaluation) option
-(** Smallest total budget whose proportional placement meets the spec's
-    goal: scan budgets upward from zero (the empty placement wins when
-    the origin already covers everything) and return the first
-    evaluation with [meets_goal] (with the budget that achieved it), or
-    [None] if none does by [max_total] (default: every permitted site of
-    every demanded object — beyond that the placement cannot change).
-    The scan is monotone in spirit but the split is not strictly nested,
-    so this is a heuristic search, not a proof of minimality. *)
-
 val budget_ceiling : Mcperf.Permission.t -> int
 (** Every permitted site of every demanded object — the largest budget
-    worth scanning (beyond it the placement cannot change). *)
+    worth trying (beyond it the placement cannot change). *)
 
 val strategy : Strategy.factory
-(** Strategy-object port: context parameter = total replica budget.
-    Placements identical to [evaluate] on the observed demand. *)
+(** The heuristic as a strategy factory, placed and priced under the
+    unconstrained general class: context parameter = total replica
+    budget. The offline runner bisects budgets from zero (the empty
+    placement wins when the origin already covers everything) up to
+    {!budget_ceiling}. The split is not strictly nested, so the budget
+    found is a heuristic search, not a proof of minimality. *)

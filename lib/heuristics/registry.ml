@@ -9,7 +9,7 @@ let builtin : (string * Strategy.factory) list =
     ("cooperative-caching", Cache_strategy.cooperative);
     ("caching-prefetch", Cache_strategy.prefetching);
     ("cooperative-caching-prefetch", Cache_strategy.cooperative_prefetching);
-    ("hierarchical-caching", Cache_strategy.hierarchical ());
+    ("hierarchical-caching", Cache_strategy.hierarchical);
   ]
 
 let find name = List.assoc_opt name builtin

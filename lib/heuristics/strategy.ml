@@ -7,19 +7,16 @@ module Context = struct
     parameter : int;
   }
 
-  let make ~system ?placeable ?(costs = Mcperf.Spec.default_costs) ~goal
-      ?(parameter = 0) () =
-    if parameter < 0 then
-      invalid_arg "Strategy.Context.make: parameter must be >= 0";
-    { system; costs; goal; placeable; parameter }
+  let make ~system ?placeable ?(costs = Mcperf.Spec.default_costs) ~goal () =
+    { system; costs; goal; placeable; parameter = 0 }
 
-  let of_spec ?placeable ?(parameter = 0) (spec : Mcperf.Spec.t) =
+  let of_spec ?placeable (spec : Mcperf.Spec.t) =
     {
       system = spec.Mcperf.Spec.system;
       costs = spec.Mcperf.Spec.costs;
       goal = spec.Mcperf.Spec.goal;
       placeable;
-      parameter;
+      parameter = 0;
     }
 
   let with_parameter t parameter =
@@ -67,7 +64,6 @@ module type S = sig
   val init : Context.t -> state
   val observe : state -> delta -> state
   val parameter_ceiling : state -> int
-  val place : state -> Mcperf.Costing.placement
   val assess : state -> verdict
 end
 
@@ -78,7 +74,6 @@ let name (Instance ((module M), _)) = M.name
 let heuristic_class (Instance ((module M), _)) = M.heuristic_class
 let observe (Instance ((module M), st)) d = Instance ((module M), M.observe st d)
 let parameter_ceiling (Instance ((module M), st)) = M.parameter_ceiling st
-let place (Instance ((module M), st)) = M.place st
 let assess (Instance ((module M), st)) = M.assess st
 
 let worst_qos arr = Array.fold_left Float.min 1. arr
@@ -90,9 +85,9 @@ let spec_of (ctx : Context.t) demand =
 (* Shared skeleton for the placement heuristics (greedy global / greedy
    replica / proportional): state is the context plus the latest
    cumulative demand; [assess] rebuilds the spec, computes the class
-   permissions, places, and prices the placement — exactly the sequence
-   of the pre-redesign [evaluate] entry points, so ported strategies
-   reproduce their legacy placements bit for bit. *)
+   permissions, places, and prices the placement. The digests in
+   test/fixtures/strategy_deployments.golden pin every deployment bit
+   for bit. *)
 module type PLACEMENT_RULE = sig
   val name : string
   val heuristic_class : Mcperf.Classes.t
@@ -119,8 +114,6 @@ module Of_placement_rule (R : PLACEMENT_RULE) = struct
       heuristic_class
 
   let parameter_ceiling st = R.parameter_ceiling (perm st)
-
-  let place st = R.place (perm st) ~parameter:st.ctx.Context.parameter
 
   let assess st =
     let perm = perm st in

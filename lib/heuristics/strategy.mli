@@ -5,8 +5,8 @@
     [init] builds the state from a {!Context.t} (topology, cost
     parameters, performance goal, deployment restrictions, and the
     heuristic's one provisioning parameter), [observe] folds in an epoch
-    of workload ({!delta}), and [place] / [assess] ask for the current
-    placement decision and its priced verdict. The offline runner
+    of workload ({!delta}), and [assess] prices the current placement
+    decision (the verdict's [placement]). The offline runner
     ({!Sim.Runner}) drives one observe over the whole trace; the online
     engine ([Online.Engine]) drives one observe per epoch.
 
@@ -33,13 +33,13 @@ module Context : sig
     ?placeable:bool array ->
     ?costs:Mcperf.Spec.costs ->
     goal:Mcperf.Spec.goal ->
-    ?parameter:int ->
     unit ->
     t
-  (** Defaults: the paper's case-study costs, parameter 0. *)
+  (** Defaults: the paper's case-study costs. The parameter starts at 0;
+      {!with_parameter} sets it. *)
 
-  val of_spec : ?placeable:bool array -> ?parameter:int -> Mcperf.Spec.t -> t
-  (** Context of an offline spec (same system/costs/goal). *)
+  val of_spec : ?placeable:bool array -> Mcperf.Spec.t -> t
+  (** Context of an offline spec (same system/costs/goal), parameter 0. *)
 
   val with_parameter : t -> int -> t
   (** Same context at a different provisioning parameter — how the
@@ -93,12 +93,8 @@ module type S = sig
   (** Largest provisioning parameter worth trying on the observed
       workload — the search's upper bound. *)
 
-  val place : state -> Mcperf.Costing.placement
-  (** Current placement decision. Raises [Invalid_argument] before any
-      workload is observed, or for cache strategies past the bitmask
-      interval limit. *)
-
   val assess : state -> verdict
+  (** Raises [Invalid_argument] before any workload is observed. *)
 end
 
 type instance = Instance : (module S with type state = 's) * 's -> instance
@@ -110,7 +106,6 @@ val name : instance -> string
 val heuristic_class : instance -> Mcperf.Classes.t
 val observe : instance -> delta -> instance
 val parameter_ceiling : instance -> int
-val place : instance -> Mcperf.Costing.placement
 val assess : instance -> verdict
 
 val worst_qos : float array -> float
@@ -120,8 +115,7 @@ val worst_qos : float array -> float
 (** Adapter for the interval-level placement heuristics: supply the raw
     placement rule and its class; the adapter rebuilds the spec from the
     latest cumulative demand and prices placements through
-    {!Mcperf.Costing.evaluate} — the exact sequence of the pre-redesign
-    [evaluate] entry points. *)
+    {!Mcperf.Costing.evaluate} under the rule's class. *)
 module type PLACEMENT_RULE = sig
   val name : string
   val heuristic_class : Mcperf.Classes.t

@@ -39,14 +39,6 @@ let with_run_obs name f =
     Obs.Trace.span_end sp;
     raise e
 
-let cache_outcome_at ?placeable ?policy ~spec ~trace ~capacity ~mode
-    ?(prefetch = false) () =
-  let tlat_ms = Mcperf.Spec.latency_threshold spec in
-  Heuristics.Event_cache.simulate ~system:spec.Mcperf.Spec.system ~trace
-    ~intervals:(Mcperf.Spec.interval_count spec)
-    ~costs:spec.Mcperf.Spec.costs ~tlat_ms ~capacity ~mode ~prefetch
-    ?placeable ?policy ()
-
 (* The single deployment path: every heuristic is a strategy instance,
    and a deployment is the minimal provisioning parameter whose verdict
    meets the goal. Feasibility is monotone in the parameter, so the
@@ -81,40 +73,8 @@ let deploy_offline ?jobs ?placeable ?trace ~factory ~spec () =
     ~delta:(Heuristics.Strategy.delta_of_spec ?trace spec)
     ()
 
-let lru_caching ?jobs ?placeable ~spec ~trace () =
-  deploy_offline ?jobs ?placeable ~trace
-    ~factory:Heuristics.Cache_strategy.lru ~spec ()
-
-let cooperative_caching ?jobs ?placeable ~spec ~trace () =
-  deploy_offline ?jobs ?placeable ~trace
-    ~factory:Heuristics.Cache_strategy.cooperative ~spec ()
-
-let caching_with_prefetch ?jobs ?placeable ~spec ~trace () =
-  deploy_offline ?jobs ?placeable ~trace
-    ~factory:Heuristics.Cache_strategy.prefetching ~spec ()
-
-let cooperative_caching_with_prefetch ?jobs ?placeable ~spec ~trace () =
-  deploy_offline ?jobs ?placeable ~trace
-    ~factory:Heuristics.Cache_strategy.cooperative_prefetching ~spec ()
-
-let hierarchical_caching ?jobs ?placeable ?(cluster_radius_ms = 150.) ~spec
-    ~trace () =
-  deploy_offline ?jobs ?placeable ~trace
-    ~factory:(Heuristics.Cache_strategy.hierarchical ~cluster_radius_ms ())
-    ~spec ()
-
-let policy_caching ?jobs ?placeable ~policy ~spec ~trace () =
-  deploy_offline ?jobs ?placeable ~trace
-    ~factory:(Heuristics.Cache_strategy.policy policy)
-    ~spec ()
-
-let greedy_global ?jobs ?placeable ~spec () =
-  deploy_offline ?jobs ?placeable ~factory:Heuristics.Greedy_global.strategy
-    ~spec ()
-
-let greedy_replica ?jobs ?placeable ~spec () =
-  deploy_offline ?jobs ?placeable ~factory:Heuristics.Greedy_replica.strategy
-    ~spec ()
+let greedy_replica ~spec () =
+  deploy_offline ~factory:Heuristics.Greedy_replica.strategy ~spec ()
 
 (* --- degradation replay ------------------------------------------------- *)
 

@@ -2,11 +2,14 @@
     case study, find its minimal resource parameter that meets the goal,
     and report its cost (the data of Figure 2).
 
-    Caching heuristics are simulated at event granularity on the request
-    trace; the centralized greedy heuristics place at interval granularity
-    on the bucketed demand and are costed by {!Mcperf.Costing} under their
-    class, so their costs are directly comparable to the class lower
-    bounds.
+    There is one route: {!deploy} (or {!deploy_offline} on a spec) with a
+    {!Heuristics.Strategy.factory}, taken from a heuristic module (e.g.
+    [Heuristics.Greedy_global.strategy]) or from
+    {!Heuristics.Registry.builtin}. Caching heuristics are simulated at
+    event granularity on the request trace; the centralized greedy
+    heuristics place at interval granularity on the bucketed demand and
+    are costed by {!Mcperf.Costing} under their class, so their costs are
+    directly comparable to the class lower bounds.
 
     Every search takes an optional [jobs] (default 1): with [jobs > 1] the
     minimal-parameter search probes several candidate parameters
@@ -39,11 +42,11 @@ val deploy :
   delta:Heuristics.Strategy.delta ->
   unit ->
   deployed option
-(** The generic deployment path every entry point below routes through:
-    instantiate the strategy at candidate parameters (the context's
-    [parameter] field is the knob), fold in the workload delta, and find
-    the minimal parameter whose verdict meets the goal. [None] when even
-    the strategy's own parameter ceiling fails. *)
+(** The deployment path: instantiate the strategy at candidate
+    parameters (the context's [parameter] field is the knob), fold in the
+    workload delta, and find the minimal parameter whose verdict meets
+    the goal. [None] when even the strategy's own parameter ceiling
+    fails. *)
 
 val deploy_offline :
   ?jobs:int ->
@@ -56,80 +59,12 @@ val deploy_offline :
 (** [deploy] on the offline single-epoch delta of a spec ([trace] is
     required by event-level strategies). *)
 
-val lru_caching :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  unit ->
-  deployed option
-(** Plain per-node LRU with the smallest uniform capacity meeting the
-    goal; [None] when no capacity suffices (cold misses from sites beyond
-    the threshold). [placeable] limits cache sites (Section 6.2). *)
-
-val cooperative_caching :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  unit ->
-  deployed option
-
-val caching_with_prefetch :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  unit ->
-  deployed option
-(** Oracle-prefetching LRU (the proactive caching class). *)
-
-val cooperative_caching_with_prefetch :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  unit ->
-  deployed option
-
-val hierarchical_caching :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  ?cluster_radius_ms:float ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  unit ->
-  deployed option
-(** Hierarchical cooperative caching (Korupolu et al. style): clusters of
-    the given radius share one logical cache. Default radius 150 ms. *)
-
-val policy_caching :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  policy:Heuristics.Policy_cache.kind ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  unit ->
-  deployed option
-(** Plain local caching under an arbitrary replacement policy (LRU, FIFO,
-    LFU) — same heuristic class, different distance from its bound. *)
-
-val greedy_global :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  unit ->
-  deployed option
-(** Storage-constrained greedy placement with minimal uniform capacity. *)
-
-val greedy_replica :
-  ?jobs:int ->
-  ?placeable:bool array ->
-  spec:Mcperf.Spec.t ->
-  unit ->
-  deployed option
-(** Replica-constrained greedy placement with minimal uniform replication
-    factor. *)
+val greedy_replica : spec:Mcperf.Spec.t -> unit -> deployed option
+(** [deploy_offline ~factory:Heuristics.Greedy_replica.strategy]: the
+    replica-constrained greedy placement with minimal uniform replication
+    factor. Kept only because the steady benchmark's harness
+    ([perfbench/harness.ml]) calls it; new callers use
+    {!deploy_offline}. *)
 
 type replay_step = {
   step : int;
@@ -165,15 +100,3 @@ val degradation_replay :
     ([sim.degradation_replay] span, [sim.replay_steps] counter). Steps are
     pure and order-preserved, so the replay is byte-identical at every
     [jobs] value. Raises on an empty timeline. *)
-
-val cache_outcome_at :
-  ?placeable:bool array ->
-  ?policy:Heuristics.Policy_cache.kind ->
-  spec:Mcperf.Spec.t ->
-  trace:Workload.Trace.t ->
-  capacity:int ->
-  mode:Heuristics.Event_cache.mode ->
-  ?prefetch:bool ->
-  unit ->
-  Heuristics.Event_cache.outcome
-(** Low-level escape hatch: simulate a cache at a fixed capacity. *)

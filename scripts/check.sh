@@ -82,26 +82,24 @@ grep -q 'all checks passed' "$treedir/j1.out" \
   || { echo "tree stage: bound ordering violations"; exit 1; }
 echo "tree stage OK: $(grep -c 'tree-dp' "$treedir/j1.out") DP cells, outputs identical across --jobs"
 
-# Scale stage: the bundled + sharded Lagrangian sweep (DESIGN.md §13)
-# prints no wall clocks on stdout (timings go to stderr), so runs at
-# --jobs 1 and 4 must agree to the byte — any diff is shard
-# nondeterminism. --check additionally gates the decomposition on a
-# small instance: the dual must sit below the exact simplex optimum
-# (bound sandwich) and the bundled bound must equal the
+# Scale stage: the bundled Lagrangian sweep (DESIGN.md §13) prints no
+# wall clocks on stdout (timings go to stderr), so a run must match the
+# committed output of an earlier build to the byte — any diff moved a
+# bound, a solve count or the bundling. --check additionally gates the
+# decomposition on a small instance: the dual must sit below the exact
+# simplex optimum (bound sandwich) and the bundled bound must equal the
 # forced-unbundled one bit for bit (the family is homogeneous).
-echo "== scale stage: bundled Lagrangian sweep at --jobs 1 and 4 =="
+echo "== scale stage: bundled Lagrangian sweep against the committed output =="
 scaledir=_build/scale-check
 rm -rf "$scaledir"
 mkdir -p "$scaledir"
 ./_build/default/bin/experiments.exe figscale --objects 2000 --check \
-  --jobs 1 > "$scaledir/j1.out" 2> /dev/null
-./_build/default/bin/experiments.exe figscale --objects 2000 --check \
-  --jobs 4 > "$scaledir/j4.out" 2> /dev/null
-cmp "$scaledir/j1.out" "$scaledir/j4.out" \
-  || { echo "scale stage: figscale output differs across --jobs"; exit 1; }
-grep -q 'scale checks passed' "$scaledir/j1.out" \
+  > "$scaledir/figscale.out" 2> /dev/null
+cmp test/fixtures/figscale-2000.out "$scaledir/figscale.out" \
+  || { echo "scale stage: figscale output differs from the committed fixture"; exit 1; }
+grep -q 'scale checks passed' "$scaledir/figscale.out" \
   || { echo "scale stage: bound-sandwich or bundling-exactness gate failed"; exit 1; }
-echo "scale stage OK: $(sed -n 's/^bundling: .*(\(.*\)x).*/\1/p' "$scaledir/j1.out")x bundle ratio, outputs identical across --jobs"
+echo "scale stage OK: $(sed -n 's/^bundling: .*(\(.*\)x).*/\1/p' "$scaledir/figscale.out")x bundle ratio, output identical to the fixture"
 
 # Avail stage: the availability validation family checks the sampler's
 # determinism, the all-up/monotonicity laws of the degraded re-pricer,
@@ -186,13 +184,13 @@ echo "dist stage OK: chaos CSVs identical at --jobs 1 and 4, coordinator kill+re
 # Online stage (DESIGN.md §16): the epoch-driven placement service must
 # be a pure function of (trace, epoch size, strategy set) — its stdout
 # carries no wall clocks (timings go to stderr), so runs at --jobs 1
-# and 4 must agree to the byte, every reported regret must be
-# nonnegative (serve itself exits nonzero on a negative one), and the
-# Strategy-interface route must reproduce the pre-redesign heuristic
-# deployments bit for bit on the seed figures. The footer pins how many
-# bound re-solves started from a lifted previous epoch: a lost warm
-# lift changes no number, only speed, so nothing else would catch it.
-echo "== online stage: serve at --jobs 1 and 4, strategy-port equivalence =="
+# and 4 must agree to the byte, and every reported regret must be
+# nonnegative (serve itself exits nonzero on a negative one). The
+# footer pins how many bound re-solves started from a lifted previous
+# epoch: a lost warm lift changes no number, only speed, so nothing
+# else would catch it. The offline deployments themselves are pinned by
+# digest in dune runtest (fixtures/strategy_deployments.golden).
+echo "== online stage: serve at --jobs 1 and 4 =="
 onlinedir=_build/online-check
 rm -rf "$onlinedir"
 mkdir -p "$onlinedir"
@@ -208,8 +206,4 @@ grep -q '^served ' "$onlinedir/j1.out" \
   || { echo "online stage: serve did not complete"; exit 1; }
 grep -q ' 9 bound solves (4 warm-lifted)$' "$onlinedir/j1.out" \
   || { echo "online stage: serve footer lost its warm lifts"; exit 1; }
-./_build/default/bin/experiments.exe validate --family strategy --scale 0.02 \
-  > "$onlinedir/strategy.out"
-grep -q 'all strategy-port checks passed' "$onlinedir/strategy.out" \
-  || { echo "online stage: ported strategies diverge from the legacy route"; exit 1; }
-echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs identical across --jobs, $(grep -c ' ok ' "$onlinedir/strategy.out") port checks passed"
+echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs identical across --jobs"

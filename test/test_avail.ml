@@ -28,7 +28,9 @@ let scenarios =
   Avail.Scenario.sample_all Avail.Scenario.default sys ~groups
 
 let deployed =
-  match Sim.Runner.greedy_global ~spec () with
+  match
+    Sim.Runner.deploy_offline ~factory:Heuristics.Greedy_global.strategy ~spec ()
+  with
   | Some d -> d
   | None -> Alcotest.fail "fixture: greedy-global found no feasible placement"
 

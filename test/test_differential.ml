@@ -522,18 +522,21 @@ let test_runner_determinism () =
       (d.Sim.Runner.name, d.Sim.Runner.parameter, d.Sim.Runner.cost,
        d.Sim.Runner.worst_qos))
   in
+  let deploy ?jobs factory =
+    stripped (Sim.Runner.deploy_offline ?jobs ~trace ~factory ~spec ())
+  in
   Alcotest.(check bool)
     "greedy-global same at jobs=1/3" true
-    (stripped (Sim.Runner.greedy_global ~spec ())
-    = stripped (Sim.Runner.greedy_global ~jobs:3 ~spec ()));
+    (deploy Heuristics.Greedy_global.strategy
+    = deploy ~jobs:3 Heuristics.Greedy_global.strategy);
   Alcotest.(check bool)
     "greedy-replica same at jobs=1/3" true
-    (stripped (Sim.Runner.greedy_replica ~spec ())
-    = stripped (Sim.Runner.greedy_replica ~jobs:3 ~spec ()));
+    (deploy Heuristics.Greedy_replica.strategy
+    = deploy ~jobs:3 Heuristics.Greedy_replica.strategy);
   Alcotest.(check bool)
     "lru-caching same at jobs=1/4" true
-    (stripped (Sim.Runner.lru_caching ~spec ~trace ())
-    = stripped (Sim.Runner.lru_caching ~jobs:4 ~spec ~trace ()))
+    (deploy Heuristics.Cache_strategy.lru
+    = deploy ~jobs:4 Heuristics.Cache_strategy.lru)
 
 let prop_search_jobs_equivalent =
   QCheck2.Test.make ~count:200

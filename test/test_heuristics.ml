@@ -296,9 +296,18 @@ let tail_spec ?(fraction = 1.0) () =
     ~goal:(Mcperf.Spec.Qos { tlat_ms = 150.; fraction })
     ()
 
+(* A placement strategy priced at a fixed provisioning parameter: one
+   place-and-evaluate, without the runner's minimal-parameter search. *)
+let evaluation_at factory spec parameter =
+  let module S = Heuristics.Strategy in
+  let ctx = S.Context.with_parameter (S.Context.of_spec spec) parameter in
+  match (S.assess (S.observe (factory ctx) (S.delta_of_spec spec))).S.detail with
+  | S.Evaluation e -> e
+  | S.Cache_outcome _ -> Alcotest.fail "expected an interval-level evaluation"
+
 let test_greedy_global_covers () =
   let spec = tail_spec () in
-  let e = Heuristics.Greedy_global.evaluate ~spec ~capacity:1. () in
+  let e = evaluation_at Heuristics.Greedy_global.strategy spec 1 in
   Alcotest.(check bool) "meets 100% goal" true e.Mcperf.Costing.meets_goal;
   (* One slot on every site (uniform SC): padding makes all 3 sites pay
      4 intervals each, plus the creation(s). *)
@@ -306,13 +315,13 @@ let test_greedy_global_covers () =
 
 let test_greedy_global_zero_capacity () =
   let spec = tail_spec () in
-  let e = Heuristics.Greedy_global.evaluate ~spec ~capacity:0. () in
+  let e = evaluation_at Heuristics.Greedy_global.strategy spec 0 in
   Alcotest.(check bool) "cannot meet goal" false e.Mcperf.Costing.meets_goal;
   Alcotest.(check (float 1e-9)) "zero cost" 0. e.Mcperf.Costing.total
 
 let test_greedy_replica_covers () =
   let spec = tail_spec () in
-  let e = Heuristics.Greedy_replica.evaluate ~spec ~replicas:1 () in
+  let e = evaluation_at Heuristics.Greedy_replica.strategy spec 1 in
   Alcotest.(check bool) "meets goal" true e.Mcperf.Costing.meets_goal;
   (* One replica held the full horizon: 4 storage + 1 create; the uniform
      replica constraint pads nothing else (single object). *)
@@ -430,6 +439,11 @@ let trace_for_tail_spec () =
   done;
   Workload.Trace.of_events ~nodes:4 ~objects:1 ~duration_s:14400. !events
 
+(* The one deployment route: a strategy factory through the offline
+   runner's minimal-parameter search. *)
+let deploy ?trace factory spec =
+  Sim.Runner.deploy_offline ?trace ~factory ~spec ()
+
 let test_policy_runner_entrypoint () =
   (* All policies cost at least the LRU-class bound; on this simple trace
      they find the same minimal capacity. *)
@@ -437,7 +451,7 @@ let test_policy_runner_entrypoint () =
   let trace = trace_for_tail_spec () in
   List.iter
     (fun policy ->
-      match Sim.Runner.policy_caching ~policy ~spec ~trace () with
+      match deploy ~trace (Heuristics.Cache_strategy.policy policy) spec with
       | Some d ->
         Alcotest.(check int)
           (Heuristics.Policy_cache.kind_name policy ^ " capacity")
@@ -452,12 +466,12 @@ let test_runner_lru_infeasible_at_100 () =
   let spec = tail_spec () in
   let trace = trace_for_tail_spec () in
   Alcotest.(check bool) "infeasible" true
-    (Sim.Runner.lru_caching ~spec ~trace () = None)
+    (deploy ~trace Heuristics.Cache_strategy.lru spec = None)
 
 let test_runner_lru_feasible_at_90 () =
   let spec = tail_spec ~fraction:0.9 () in
   let trace = trace_for_tail_spec () in
-  match Sim.Runner.lru_caching ~spec ~trace () with
+  match deploy ~trace Heuristics.Cache_strategy.lru spec with
   | None -> Alcotest.fail "expected feasible"
   | Some d ->
     Alcotest.(check int) "capacity 1" 1 d.Sim.Runner.parameter;
@@ -469,7 +483,7 @@ let test_runner_lru_feasible_at_90 () =
 let test_runner_prefetch_feasible_at_100 () =
   let spec = tail_spec () in
   let trace = trace_for_tail_spec () in
-  match Sim.Runner.caching_with_prefetch ~spec ~trace () with
+  match deploy ~trace Heuristics.Cache_strategy.prefetching spec with
   | None -> Alcotest.fail "prefetching should reach 100%"
   | Some d -> Alcotest.(check bool) "qos 1" true (d.Sim.Runner.worst_qos >= 1.)
 
@@ -478,7 +492,10 @@ let test_runner_greedy_cheaper_than_caching () =
      replica-constrained greedy (5) beats LRU (13) at 90%. *)
   let spec = tail_spec ~fraction:0.9 () in
   let trace = trace_for_tail_spec () in
-  match (Sim.Runner.greedy_replica ~spec (), Sim.Runner.lru_caching ~spec ~trace ()) with
+  match
+    ( deploy Heuristics.Greedy_replica.strategy spec,
+      deploy ~trace Heuristics.Cache_strategy.lru spec )
+  with
   | Some gr, Some lru ->
     Alcotest.(check bool) "greedy wins" true (gr.Sim.Runner.cost < lru.Sim.Runner.cost)
   | _ -> Alcotest.fail "both should be feasible"
@@ -491,24 +508,77 @@ let test_runner_costs_at_least_class_bound () =
     let r = Bounds.Pipeline.compute spec cls in
     r.Bounds.Pipeline.lower_bound
   in
-  (match Sim.Runner.greedy_replica ~spec () with
+  (match deploy Heuristics.Greedy_replica.strategy spec with
   | Some d ->
     Alcotest.(check bool) "greedy-replica >= RC bound" true
       (d.Sim.Runner.cost
       >= bound Mcperf.Classes.replica_constrained_uniform -. 1e-6)
   | None -> Alcotest.fail "greedy-replica infeasible");
-  (match Sim.Runner.greedy_global ~spec () with
+  (match deploy Heuristics.Greedy_global.strategy spec with
   | Some d ->
     Alcotest.(check bool) "greedy-global >= SC bound" true
       (d.Sim.Runner.cost >= bound Mcperf.Classes.storage_constrained -. 1e-6)
   | None -> Alcotest.fail "greedy-global infeasible");
-  match Sim.Runner.lru_caching ~spec ~trace () with
+  match deploy ~trace Heuristics.Cache_strategy.lru spec with
   | Some d ->
     Alcotest.(check bool) "lru >= caching bound" true
       (d.Sim.Runner.cost >= bound Mcperf.Classes.caching -. 1e-6)
   | None -> Alcotest.fail "lru infeasible"
 
 
+
+
+(* --- pinned deployments ---------------------------------------------------- *)
+
+module CS = Replica_select.Case_study
+
+(* Every registered strategy deployed on two case-study grids, one
+   "label md5" line each in fixtures/strategy_deployments.golden. The MD5
+   is over the whole [Sim.Runner.deployed option] marshaled without
+   sharing (name, parameter, cost, QoS, detail and placement), pinned
+   against an earlier build. The 20-node grid covers WEB and GROUP at two
+   goals; the 10-node GROUP grid is where hierarchical caching meets its
+   goal at all. *)
+let golden_deployments () =
+  let grid name cs fractions =
+    List.concat_map
+      (fun fraction ->
+        let spec = CS.qos_spec cs ~fraction ~for_bounds:false () in
+        List.map
+          (fun (label, factory) ->
+            ( Printf.sprintf "%s/%s@%g" name label fraction,
+              fun () -> deploy ~trace:cs.CS.trace factory spec ))
+          Heuristics.Registry.builtin)
+      fractions
+  in
+  let twenty w = CS.make ~seed:2004 ~scale:0.02 w in
+  grid "web-s0.02" (twenty CS.Web) [ 0.95; 0.999 ]
+  @ grid "group-s0.02" (twenty CS.Group) [ 0.95; 0.999 ]
+  @ grid "group-n10-s0.006-i12"
+      (CS.make ~seed:2004 ~nodes:10 ~scale:0.006 ~intervals:12 CS.Group)
+      [ 0.95 ]
+
+let test_golden_deployments () =
+  let digest v =
+    Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+  in
+  let ic = open_in "fixtures/strategy_deployments.golden" in
+  let rec read acc =
+    match input_line ic with
+    | line -> (
+      match String.split_on_char ' ' line with
+      | [ label; md5 ] -> read ((label, md5) :: acc)
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  let expected = read [] in
+  let actual =
+    List.map (fun (label, run) -> (label, digest (run ()))) (golden_deployments ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "every deployment matches its pinned digest" expected actual
 
 let test_hierarchical_no_intra_cluster_duplication () =
   (* With a 350 ms radius the whole line is one cluster; after node 2
@@ -852,5 +922,7 @@ let () =
             test_runner_greedy_cheaper_than_caching;
           Alcotest.test_case "heuristics respect bounds" `Quick
             test_runner_costs_at_least_class_bound;
+          Alcotest.test_case "deployments match pinned digests" `Quick
+            test_golden_deployments;
         ] );
     ]

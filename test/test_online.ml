@@ -90,7 +90,10 @@ let test_epoch_size_invariant_final_decisions () =
   let cs = Lazy.force cs in
   let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:false () in
   let offline =
-    match Sim.Runner.greedy_global ~spec () with
+    match
+      Sim.Runner.deploy_offline ~factory:Heuristics.Greedy_global.strategy
+        ~spec ()
+    with
     | Some d -> (d.Sim.Runner.parameter, d.Sim.Runner.cost)
     | None -> Alcotest.fail "offline greedy-global infeasible"
   in

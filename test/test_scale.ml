@@ -1,6 +1,6 @@
 (* Tests for the scale machinery: object bundling (Mcperf.Bundle), the
-   bundled + sharded Lagrangian decomposition, and the CDN scale
-   scenario family. *)
+   bundled Lagrangian decomposition, and the CDN scale scenario
+   family. *)
 
 module SS = Replica_select.Scale_scenario
 
@@ -176,20 +176,20 @@ let prop_bound_monotone_in_iterations =
           b1 <= b2 && b2 <= b3)
         [ Bounds.Lagrangian.Harmonic; Bounds.Lagrangian.Adaptive ])
 
-(* --- sharded dispatch is invisible --------------------------------------- *)
+(* --- pinned sweep ---------------------------------------------------------- *)
 
-let signature (outs : (float * Bounds.Lagrangian.outcome) list) =
-  Marshal.to_string outs [ Marshal.No_sharing ]
-
-let test_jobs_identical () =
-  let spec = small_spec () in
-  let sweep_at jobs =
-    Bounds.Lagrangian.sweep ~iterations:20 ~jobs spec Mcperf.Classes.general
-      ~fractions:[ 0.9; 0.95; 0.99 ]
+(* The sweep's outcomes (bounds, multipliers, solve counts, bundling)
+   marshaled without sharing, pinned against an earlier build: the
+   sequential batch solve must reproduce them bit for bit. *)
+let test_sweep_pinned () =
+  let sweep =
+    Bounds.Lagrangian.sweep ~iterations:20 (small_spec ())
+      Mcperf.Classes.general ~fractions:[ 0.9; 0.95; 0.99 ]
   in
-  Alcotest.(check bool)
-    "jobs=1 and jobs=4 byte-identical" true
-    (signature (sweep_at 1) = signature (sweep_at 4))
+  Alcotest.(check string)
+    "sweep digest" "756bf6bdf42d2c2bebf4e745e2eb1c92"
+    (Digest.to_hex
+       (Digest.string (Marshal.to_string sweep [ Marshal.No_sharing ])))
 
 let test_sweep_matches_pointwise_bound () =
   (* The sweep shares the bundling and subproblem models across points;
@@ -240,7 +240,8 @@ let () =
         [
           Alcotest.test_case "bundled = unbundled bit-for-bit" `Quick
             test_bundled_equals_unbundled_exactly;
-          Alcotest.test_case "jobs 1 = jobs 4" `Quick test_jobs_identical;
+          Alcotest.test_case "sweep matches pinned digest" `Quick
+            test_sweep_pinned;
           Alcotest.test_case "sweep = pointwise bounds" `Quick
             test_sweep_matches_pointwise_bound;
         ] );

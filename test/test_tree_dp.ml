@@ -362,11 +362,17 @@ let test_sandwich () =
       end;
       (* heuristics: anything that meets the goal costs at least dp *)
       (match
-         Heuristics.Proportional.search ?placeable:scen.TS.placeable
-           ~spec:scen.TS.spec ()
+         Sim.Runner.deploy_offline ?placeable:scen.TS.placeable
+           ~factory:Heuristics.Proportional.strategy ~spec:scen.TS.spec ()
        with
       | None -> Alcotest.failf "%s" (name "proportional search found nothing")
-      | Some (_, ev) ->
+      | Some d ->
+        let ev =
+          match d.Sim.Runner.detail with
+          | Sim.Runner.Placement ev -> ev
+          | Sim.Runner.Cache _ ->
+            Alcotest.failf "%s" (name "proportional deployed a cache")
+        in
         Alcotest.(check bool)
           (name "proportional meets goal")
           true ev.Mcperf.Costing.meets_goal;
