@@ -1033,8 +1033,7 @@ let scale_benchmark () =
 
    - degradation-replay throughput: the greedy-global reference
      placement replayed against the seeded outage timeline, in
-     steps/second (min of [reps] runs), with the jobs=1 and jobs=4
-     replays required to agree structurally;
+     steps/second (min of [reps] runs);
    - the fragility of that placement over the sampled scenario set (the
      figavail headline number for this fixture);
    - scenario-LP overhead: the general-class expected-cost sweep
@@ -1089,9 +1088,6 @@ let avail_benchmark () =
     | None -> failwith "avail benchmark: deployment carries no placement"
   in
   let perm = Mcperf.Permission.compute sim_spec Mcperf.Classes.general in
-  let replay jobs =
-    Sim.Runner.degradation_replay ~jobs ~perm ~placement ~timeline:tl ()
-  in
   let baseline =
     read_baseline_num ~file:"BENCH_avail.json" ~key:"replay_steps_per_s"
   in
@@ -1100,15 +1096,12 @@ let avail_benchmark () =
     Printf.printf "baseline replay_steps_per_s from BENCH_avail.json: %.0f\n%!"
       b
   | None -> Printf.printf "no BENCH_avail.json baseline found\n%!");
-  let replay_s, r1 = min_time reps (fun () -> replay 1) in
-  let _, r4 = min_time 1 (fun () -> replay 4) in
-  (* Each replay step is a pure function of (perm, placement, down mask)
-     and the pool preserves order, so the two widths must agree exactly. *)
-  if r1 <> r4 then
-    failwith "avail benchmark: replay differs between jobs=1 and jobs=4";
+  let replay_s, _ =
+    min_time reps (fun () ->
+        Sim.Runner.degradation_replay ~perm ~placement ~timeline:tl ())
+  in
   let steps_per_s = float_of_int tl.Avail.Scenario.steps /. replay_s in
-  Printf.printf "replay jobs=1: %.4fs (%.0f steps/s), jobs=4 identical\n%!"
-    replay_s steps_per_s;
+  Printf.printf "replay: %.4fs (%.0f steps/s)\n%!" replay_s steps_per_s;
   let a = Avail.Survive.assess perm placement ~scenarios in
   Printf.printf
     "greedy-global fragility %.4f (expected %.1f vs nominal %.1f over %d \
@@ -1163,7 +1156,6 @@ let avail_benchmark () =
   "replay_steps_per_s": %.0f,
   "baseline_replay_steps_per_s": %s,
   "replay_vs_baseline": %s,
-  "replay_jobs_identical": true,
   "avail_fragility": %.4f,
   "expected_degraded_cost": %.3f,
   "nominal_cost": %.3f,
@@ -1228,7 +1220,6 @@ let online_benchmark () =
         ];
       solver = Bounds.Pipeline.First_order Lp.Pdhg.default_options;
       warm;
-      jobs = 1;
     }
   in
   let solve_total epochs =

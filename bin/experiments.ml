@@ -820,11 +820,10 @@ let validate_tree ~seed ~count ~jobs () =
 
 (* --- validate --family avail: correlated failures, survivable bounds ------ *)
 
-(* Like the tree family, every number printed here is deterministic (no
-   wall clocks, order-preserving parallel maps), so scripted runs [cmp]
-   the output across --jobs settings. [count] is the sampled scenario
-   count. *)
-let validate_avail ~seed ~count ~jobs () =
+(* Every number printed here is deterministic (no wall clocks), so
+   scripted runs [cmp] the output against a committed one. [count] is the
+   sampled scenario count. *)
+let validate_avail ~seed ~count () =
   let tol x = 1e-6 *. (1. +. Float.abs x) in
   let fail name fmt =
     incr violations;
@@ -899,7 +898,7 @@ let validate_avail ~seed ~count ~jobs () =
     List.filter_map
       (fun factory ->
         Option.bind
-          (Sim.Runner.deploy_offline ~jobs ~factory ~spec ())
+          (Sim.Runner.deploy_offline ~factory ~spec ())
           (fun d ->
             Option.map (fun p -> (d.Sim.Runner.name, p)) d.Sim.Runner.placement))
       [ Heuristics.Greedy_global.strategy; Heuristics.Greedy_replica.strategy ]
@@ -936,25 +935,20 @@ let validate_avail ~seed ~count ~jobs () =
             prev := d.Avail.Survive.degraded_cost
           end)
         chain;
-      (* Assessment is identical at --jobs 1 and the requested --jobs. *)
-      let a1 = Avail.Survive.assess ~jobs:1 perm placement ~scenarios in
-      let aj = Avail.Survive.assess ~jobs perm placement ~scenarios in
-      if a1 <> aj then fail name "assessment differs across jobs";
+      let a = Avail.Survive.assess perm placement ~scenarios in
       (* The scenario LP is a valid lower bound on the expected degraded
          cost of this goal-meeting placement. *)
       if
         bound_cell.Bounds.Avail_bound.feasible
-        && aj.Avail.Survive.expected_cost
+        && a.Avail.Survive.expected_cost
            < bound_cell.Bounds.Avail_bound.expected_bound
              -. tol bound_cell.Bounds.Avail_bound.expected_bound
       then
         fail name "expected degraded cost %.6f below scenario LP %.6f"
-          aj.Avail.Survive.expected_cost
+          a.Avail.Survive.expected_cost
           bound_cell.Bounds.Avail_bound.expected_bound;
       (* k-failure checks agree with their own survives flag. *)
-      let checks =
-        Bounds.Avail_bound.k_failure_check perm placement ~groups ()
-      in
+      let checks = Bounds.Avail_bound.k_failure_check perm placement ~groups in
       let survived =
         Array.fold_left
           (fun acc (c : Bounds.Avail_bound.group_check) ->
@@ -968,12 +962,12 @@ let validate_avail ~seed ~count ~jobs () =
           0 checks
       in
       Printf.printf "%-14s %10.2f %10.2f %10.2f %9.4f %9.4f %9.4f  k2:%d/%d\n"
-        name base.Mcperf.Costing.total aj.Avail.Survive.expected_cost
+        name base.Mcperf.Costing.total a.Avail.Survive.expected_cost
         bound_cell.Bounds.Avail_bound.expected_bound
-        aj.Avail.Survive.fragility aj.Avail.Survive.worst_violation
-        aj.Avail.Survive.mean_unavailable survived (Array.length checks))
+        a.Avail.Survive.fragility a.Avail.Survive.worst_violation
+        a.Avail.Survive.mean_unavailable survived (Array.length checks))
     placements;
-  (* Timeline: deterministic regeneration and jobs-invariant replay. *)
+  (* Timeline: deterministic regeneration and a replay over it. *)
   let tl = Avail.Scenario.timeline sspec sys ~groups in
   let tl2 = Avail.Scenario.timeline sspec sys ~groups in
   if
@@ -991,17 +985,11 @@ let validate_avail ~seed ~count ~jobs () =
     tl.Avail.Scenario.steps down_steps;
   (match placements with
   | (name, placement) :: _ ->
-    let r1 =
-      Sim.Runner.degradation_replay ~jobs:1 ~perm ~placement ~timeline:tl ()
-    in
-    let rj =
-      Sim.Runner.degradation_replay ~jobs ~perm ~placement ~timeline:tl ()
-    in
-    if r1 <> rj then fail name "replay differs across jobs";
+    let r = Sim.Runner.degradation_replay ~perm ~placement ~timeline:tl () in
     Printf.printf
       "replay %s: unavail_steps=%d worst_violation=%.4f mean_cost_ratio=%.4f\n"
-      name rj.Sim.Runner.unavail_steps rj.Sim.Runner.worst_violation
-      rj.Sim.Runner.mean_cost_ratio
+      name r.Sim.Runner.unavail_steps r.Sim.Runner.worst_violation
+      r.Sim.Runner.mean_cost_ratio
   | [] -> ());
   Printf.printf "\navail validation: %s\n%!"
     (if !violations = 0 then "all checks passed"
@@ -1067,7 +1055,9 @@ let figtree ?csv_dir ~seed ~jobs () =
    compares their expected degraded cost against the class-level scenario
    LP (a certified lower bound for every goal-meeting placement). A
    degradation replay over the failure timeline adds the temporal view.
-   Timings go to stderr; stdout is deterministic. *)
+   The command's one fan-out is over the heuristics: each task deploys,
+   assesses, k-failure-checks and replays one of them. Timings go to
+   stderr; stdout is deterministic. *)
 let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
   let cs = CS.make ~seed ~scale workload in
   let fraction = 0.95 in
@@ -1102,34 +1092,28 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
       ]
   in
   let timeline = Avail.Scenario.timeline sspec sys ~groups in
+  let assess_one factory =
+    match
+      Sim.Runner.deploy_offline ~trace:cs.CS.trace ~factory ~spec:sim_spec ()
+    with
+    | Some ({ Sim.Runner.placement = Some p; _ } as d) ->
+      let a = Avail.Survive.assess perm p ~scenarios in
+      let checks = Bounds.Avail_bound.k_failure_check perm p ~groups in
+      let survived =
+        Array.fold_left
+          (fun acc (c : Bounds.Avail_bound.group_check) ->
+            if c.Bounds.Avail_bound.survives then acc + 1 else acc)
+          0 checks
+      in
+      let replay =
+        Sim.Runner.degradation_replay ~perm ~placement:p ~timeline ()
+      in
+      Some (d, a, survived, Array.length checks, replay)
+    | Some _ | None -> None
+  in
   let assessed =
-    List.filter_map
-      (fun factory ->
-        match
-          Sim.Runner.deploy_offline ~jobs ~trace:cs.CS.trace ~factory
-            ~spec:sim_spec ()
-        with
-        | Some (d : Sim.Runner.deployed) -> (
-          match d.Sim.Runner.placement with
-          | Some p ->
-            let a = Avail.Survive.assess ~jobs perm p ~scenarios in
-            let checks =
-              Bounds.Avail_bound.k_failure_check perm p ~groups ()
-            in
-            let survived =
-              Array.fold_left
-                (fun acc (c : Bounds.Avail_bound.group_check) ->
-                  if c.Bounds.Avail_bound.survives then acc + 1 else acc)
-                0 checks
-            in
-            let replay =
-              Sim.Runner.degradation_replay ~jobs ~perm ~placement:p ~timeline
-                ()
-            in
-            Some (d, a, survived, Array.length checks, replay)
-          | None -> None)
-        | None -> None)
-      factories
+    List.filter_map Fun.id
+      (Util.Parallel.map_values ~jobs ~f:assess_one factories)
   in
   (* Rank by fragility, most robust first; ties break on the name. *)
   let ranked =
@@ -1403,7 +1387,7 @@ let baselines ~scale ~seed () =
 
 (* --- serve: the epoch-driven online placement service --------------------- *)
 
-let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm ~jobs
+let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm
     ~strategies () =
   let system, trace, label =
     match source with
@@ -1451,7 +1435,6 @@ let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm ~jobs
       strategies = factories;
       solver = Bounds.Pipeline.Auto;
       warm;
-      jobs;
     }
   in
   Printf.printf
@@ -1500,7 +1483,7 @@ let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm ~jobs
           e.Online.Engine.decisions
       end;
       (* Wall-clock lives on stderr so service output stays byte-stable
-         across hosts and --jobs. *)
+         across hosts and runs. *)
       Printf.eprintf "epoch %d timing: search %.3fs solve %.3fs\n%!"
         e.Online.Engine.index e.Online.Engine.search_s
         e.Online.Engine.solve_s)
@@ -1555,9 +1538,29 @@ let quick_t =
     value & flag
     & info [ "quick" ] ~doc:"Use 3 QoS points instead of 5 (faster).")
 
+(* Range-checked numeric flags: an out-of-range value is a usage error
+   (exit 124), like a malformed one, instead of an exception mid-run or a
+   run that checks nothing. *)
+let ranged conv ~ok ~expect =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expect s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int =
+  ranged Arg.int ~ok:(fun n -> n > 0) ~expect:"a positive integer"
+
 let scale_t =
+  let factor =
+    ranged Arg.float
+      ~ok:(fun x -> x > 0. && x <= 1.)
+      ~expect:"a factor in (0, 1]"
+  in
   Arg.(
-    value & opt float 0.1
+    value & opt factor 0.1
     & info [ "scale" ] ~docv:"FACTOR"
         ~doc:"Workload scale; 1.0 is the paper's full size.")
 
@@ -1884,11 +1887,12 @@ let validate_cmd =
              correlated-failure sampler, the survivability evaluator and \
              the expected-cost scenario LP against goal-meeting \
              placements. Tree and avail output carries no wall clocks, so \
-             runs at different $(b,--jobs) compare byte-for-byte.")
+             runs compare byte-for-byte. Only the tree family reads \
+             $(b,--jobs), and its output is identical at every setting.")
   in
   let count_t =
     Arg.(
-      value & opt int 10
+      value & opt positive_int 10
       & info [ "count" ] ~docv:"N"
           ~doc:
             "Tree-family instances, or avail-family sampled scenarios, to \
@@ -1899,7 +1903,7 @@ let validate_cmd =
     (match family with
     | `Default -> validate ~seed ()
     | `Tree -> validate_tree ~seed ~count ~jobs:(resolve_jobs jobs) ()
-    | `Avail -> validate_avail ~seed ~count ~jobs:(resolve_jobs jobs) ());
+    | `Avail -> validate_avail ~seed ~count ());
     if !violations > 0 then exit 1
   in
   Cmd.v
@@ -1934,14 +1938,24 @@ let serve_cmd =
           ~doc:"Synthetic workload to stream: web or group.")
   in
   let intervals_t =
+    let max = Mcperf.Spec.max_intervals in
+    let count =
+      ranged Arg.int
+        ~ok:(fun n -> n >= 1 && n <= max)
+        ~expect:(Printf.sprintf "an interval count in 1..%d" max)
+    in
     Arg.(
-      value & opt int 24
+      value & opt count 24
       & info [ "intervals" ] ~docv:"N"
-          ~doc:"Evaluation intervals covering the whole trace horizon.")
+          ~doc:
+            (Printf.sprintf
+               "Evaluation intervals covering the whole trace horizon \
+                (at most %d, the cost model's limit)."
+               max))
   in
   let epoch_t =
     Arg.(
-      value & opt int 6
+      value & opt positive_int 6
       & info [ "epoch-intervals" ] ~docv:"K"
           ~doc:"Intervals ingested per re-placement epoch.")
   in
@@ -1973,7 +1987,7 @@ let serve_cmd =
              representative per major class).")
   in
   let run verbose trace_file topo w scale seed intervals epoch_intervals
-      fraction tlat jobs no_warm strategies trace metrics profile =
+      fraction tlat no_warm strategies trace metrics profile =
     setup_logs verbose;
     setup_obs ~trace ~metrics ~profile;
     let source =
@@ -1984,7 +1998,7 @@ let serve_cmd =
       | None, None -> `Synthetic (w, scale, seed)
     in
     serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms:tlat
-      ~warm:(not no_warm) ~jobs:(resolve_jobs jobs) ~strategies ();
+      ~warm:(not no_warm) ~strategies ();
     Obs.Sink.flush ();
     if !violations > 0 then exit 1
   in
@@ -1997,8 +2011,8 @@ let serve_cmd =
           (deployed cost minus class bound).")
     Term.(
       const run $ verbose_t $ trace_file_t $ topo_t $ one_workload_t $ scale_t
-      $ seed_t $ intervals_t $ epoch_t $ fraction_t $ tlat_t $ jobs_t
-      $ no_warm_t $ strategies_t $ trace_t $ metrics_t $ profile_t)
+      $ seed_t $ intervals_t $ epoch_t $ fraction_t $ tlat_t $ no_warm_t
+      $ strategies_t $ trace_t $ metrics_t $ profile_t)
 
 let figtree_cmd =
   let run verbose seed csv_dir jobs =
@@ -2017,7 +2031,7 @@ let figtree_cmd =
 let figavail_cmd =
   let scenarios_t =
     Arg.(
-      value & opt int 32
+      value & opt positive_int 32
       & info [ "scenarios" ] ~docv:"N"
           ~doc:"Sampled correlated-failure scenarios (default 32).")
   in
@@ -2053,7 +2067,7 @@ let scale_cmd =
 let figscale_cmd =
   let objects_t =
     Arg.(
-      value & opt int 10_000
+      value & opt positive_int 10_000
       & info [ "objects" ] ~docv:"N"
           ~doc:"Objects in the CDN scale scenario (default 10000).")
   in

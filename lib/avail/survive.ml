@@ -122,14 +122,14 @@ type assessment = {
   fragility : float;
 }
 
-let assess ?(jobs = 1) (perm : Mcperf.Permission.t) placement ~scenarios =
+let assess (perm : Mcperf.Permission.t) placement ~scenarios =
   let count = Array.length scenarios in
   if count = 0 then invalid_arg "Survive.assess: empty scenario set";
   let base = Mcperf.Costing.evaluate perm placement in
-  let eval (s : Scenario.t) = degrade ~base perm placement ~down:s.Scenario.down in
   let results =
-    if jobs <= 1 then List.map eval (Array.to_list scenarios)
-    else Util.Parallel.map_values ~jobs ~f:eval (Array.to_list scenarios)
+    List.map
+      (fun (s : Scenario.t) -> degrade ~base perm placement ~down:s.Scenario.down)
+      (Array.to_list scenarios)
   in
   let n = float_of_int count in
   let sum f = List.fold_left (fun acc d -> acc +. f d) 0. results in

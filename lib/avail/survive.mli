@@ -66,13 +66,10 @@ type assessment = {
 }
 
 val assess :
-  ?jobs:int ->
   Mcperf.Permission.t ->
   Mcperf.Costing.placement ->
   scenarios:Scenario.t array ->
   assessment
-(** Aggregate {!degrade} over a scenario set (uniform weights). [jobs]
-    > 1 evaluates scenarios via {!Util.Parallel}; each scenario's
-    degradation is a pure function of (permission, placement, scenario),
-    so the assessment is identical at every [jobs] value. Requires a
-    non-empty scenario array. *)
+(** Aggregate {!degrade} over a scenario set (uniform weights), one
+    scenario after another in the calling process. Requires a non-empty
+    scenario array. *)

@@ -389,8 +389,11 @@ let rec combinations k items =
       List.map (fun c -> x :: c) (combinations (k - 1) rest)
       @ combinations k rest
 
-let k_failure_check ?(k = 2) ?max_violation (perm : Mcperf.Permission.t)
-    placement ~(groups : Avail.Groups.t array) () =
+(* Failures per group in the worst-case check. *)
+let failures_per_group = 2
+
+let k_failure_check (perm : Mcperf.Permission.t) placement
+    ~(groups : Avail.Groups.t array) =
   let spec = perm.Mcperf.Permission.spec in
   let nodes = Mcperf.Spec.node_count spec in
   let weight = spec.Mcperf.Spec.demand.Workload.Demand.weight in
@@ -398,12 +401,9 @@ let k_failure_check ?(k = 2) ?max_violation (perm : Mcperf.Permission.t)
     Workload.Demand.node_read_totals spec.Mcperf.Spec.demand
   in
   let max_violation =
-    match max_violation with
-    | Some v -> v
-    | None -> (
-      match spec.Mcperf.Spec.goal with
-      | Mcperf.Spec.Qos { fraction; _ } -> 1. -. fraction
-      | Mcperf.Spec.Avg_latency _ -> 0.)
+    match spec.Mcperf.Spec.goal with
+    | Mcperf.Spec.Qos { fraction; _ } -> 1. -. fraction
+    | Mcperf.Spec.Avg_latency _ -> 0.
   in
   let base = Mcperf.Costing.evaluate perm placement in
   (* Severity of failing one node: the demand it sources plus the replica
@@ -426,7 +426,7 @@ let k_failure_check ?(k = 2) ?max_violation (perm : Mcperf.Permission.t)
     (fun (g : Avail.Groups.t) ->
       let members = Array.to_list g.Avail.Groups.members in
       let size = List.length members in
-      let kk = min k size in
+      let kk = min failures_per_group size in
       let candidates =
         if choose_capped size kk subset_limit <= subset_limit then
           combinations kk members

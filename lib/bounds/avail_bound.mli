@@ -24,7 +24,7 @@
     iterates, exactly like the nominal sweep cache.
 
     {b Worst-case k-failure check.} For each failure group, fail its
-    worst [k] members (exhaustively for small groups, by demand-severity
+    worst [k = 2] members (exhaustively for small groups, by demand-severity
     otherwise) and re-price the placement; a placement "survives" a
     group when the worst-case QoS-violation fraction stays within the
     goal's allowance. *)
@@ -74,21 +74,18 @@ type group_check = {
   violation : float;  (** QoS-violation fraction under that failure *)
   unavail_fraction : float;
   cost_ratio : float;  (** degraded cost / nominal cost *)
-  survives : bool;  (** [violation <= max_violation] *)
+  survives : bool;  (** [violation] within the goal's allowance *)
 }
 
 val k_failure_check :
-  ?k:int ->
-  ?max_violation:float ->
   Mcperf.Permission.t ->
   Mcperf.Costing.placement ->
   groups:Avail.Groups.t array ->
-  unit ->
   group_check array
-(** Worst-case [k]-failure (default 2) per group, one entry per group in
-    group order. Subsets are enumerated exhaustively while [size choose
-    k] stays small (<= 2048) and otherwise seeded greedily from the
-    members hosting the most weighted demand and replica mass; either
-    way the choice is deterministic. [max_violation] defaults to the
+(** Worst-case 2-failure per group, one entry per group in group order.
+    Subsets are enumerated exhaustively while [size choose 2] stays small
+    (<= 2048) and otherwise seeded greedily from the members hosting the
+    most weighted demand and replica mass; either way the choice is
+    deterministic. A group survives when its violation stays within the
     goal's own allowance ([1 - fraction] for QoS goals, 0 for
     average-latency goals). *)

@@ -1202,12 +1202,9 @@ module Sweep_config = struct
 
   let with_jobs jobs t = { t with jobs }
   let with_solver solver t = { t with solver }
-  let with_placeable placeable t = { t with placeable = Some placeable }
   let with_timeout timeout_s t = { t with timeout_s = Some timeout_s }
   let with_deadline deadline_s t = { t with deadline_s }
   let with_cell_budget cell_budget_s t = { t with cell_budget_s }
-  let with_journal journal t = { t with journal = Some journal }
-  let with_progress progress t = { t with progress = Some progress }
   let with_obs obs t = { t with obs = Some obs }
   let with_workers workers t = { t with workers }
 end

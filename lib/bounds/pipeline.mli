@@ -278,7 +278,8 @@ val quality_counts : sweep -> (quality * int) list
     [Exact] or [Converged]. *)
 
 (** Sweep configuration as one value; build from {!Sweep_config.default}
-    with the [with_*] builders:
+    with the [with_*] builders, and set [placeable], [journal] and
+    [progress] with record syntax:
 
     {[
       Pipeline.(
@@ -316,12 +317,9 @@ module Sweep_config : sig
 
   val with_jobs : int -> t -> t
   val with_solver : solver -> t -> t
-  val with_placeable : bool array -> t -> t
   val with_timeout : float -> t -> t
   val with_deadline : float -> t -> t
   val with_cell_budget : float -> t -> t
-  val with_journal : string -> t -> t
-  val with_progress : (completed:int -> total:int -> unit) -> t -> t
   val with_obs : Obs.Config.t -> t -> t
   val with_workers : (string * int) list -> t -> t
 end

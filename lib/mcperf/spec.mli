@@ -31,6 +31,10 @@ type t = {
   goal : goal;
 }
 
+val max_intervals : int
+(** 62: the most evaluation intervals a spec may have, since permissions
+    and placements keep one bit per interval in an OCaml [int]. *)
+
 val make :
   system:Topology.System.t ->
   demand:Workload.Demand.t ->
@@ -41,7 +45,7 @@ val make :
 (** Validates: node counts agree, demand has at least one read, costs are
     non-negative with [alpha > 0. || beta > 0.], goal parameters are in
     range, and the interval count fits the bitset-based permission
-    machinery (at most 62 intervals). *)
+    machinery (at most {!max_intervals}). *)
 
 val latency_threshold : t -> float
 (** The [tlat_ms] of a QoS goal; for an average-latency goal, the [tavg_ms]

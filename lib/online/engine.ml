@@ -8,7 +8,6 @@ type config = {
   strategies : (string * Heuristics.Strategy.factory) list;
   solver : Bounds.Pipeline.solver;
   warm : bool;
-  jobs : int;
 }
 
 let default_strategies =
@@ -36,7 +35,6 @@ let default ?placeable ?(costs = Mcperf.Spec.default_costs) ~system ~interval_s
     strategies = default_strategies;
     solver = Bounds.Pipeline.Auto;
     warm = true;
-    jobs = 1;
   }
 
 type decision = {
@@ -73,7 +71,6 @@ type t = {
 let create config =
   if config.epoch_intervals <= 0 then
     invalid_arg "Engine.create: epoch_intervals must be positive";
-  if config.jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   if config.strategies = [] then
     invalid_arg "Engine.create: need at least one strategy";
   {
@@ -100,9 +97,7 @@ let m_solves = lazy (Obs.Metrics.counter "online.bound_solves")
 let m_regret = lazy (Obs.Metrics.histogram "online.regret")
 
 (* One strategy's minimal-feasible deployment on everything observed so
-   far. Pure function of (factory, deltas, ctx): safe to fan out across
-   a worker pool, and order-preserving collection keeps the epoch report
-   byte-identical at every [jobs]. *)
+   far: a pure function of (factory, deltas, ctx). *)
 let search_one (cfg : config) deltas (label, factory) =
   let module S = Heuristics.Strategy in
   let ctx =
@@ -220,18 +215,10 @@ let feed t chunk =
           ~goal:cfg.goal ()
       in
       let t0 = Unix.gettimeofday () in
-      let deltas = t.deltas in
-      let searches =
-        if cfg.jobs <= 1 then List.map (search_one cfg deltas) cfg.strategies
-        else
-          Util.Parallel.map_values ~jobs:cfg.jobs
-            ~f:(search_one cfg deltas)
-            cfg.strategies
-      in
+      let searches = List.map (search_one cfg t.deltas) cfg.strategies in
       let t1 = Unix.gettimeofday () in
-      (* Class bounds re-solve in the parent, warm-started from the
-         previous epoch, one per distinct class among the strategies —
-         byte-identical at every [jobs] by construction. *)
+      (* Class bounds re-solve warm-started from the previous epoch, one
+         per distinct class among the strategies. *)
       let classes =
         List.fold_left
           (fun acc (_, factory) ->

@@ -17,9 +17,10 @@
       duality), so warm starts change solve time, never validity, and
       regret is nonnegative for every feasible decision.
 
-    Determinism: strategy searches fan out over an order-preserving
-    worker pool and the bound solves run sequentially in the parent, so
-    the epoch reports are byte-identical at every [jobs]. *)
+    Determinism: the strategy searches and the bound solves run one
+    after another in the calling process, so an epoch report is a pure
+    function of the chunks fed so far and the configuration. Only the
+    wall-clock fields ([search_s], [solve_s]) vary between runs. *)
 
 type config = {
   system : Topology.System.t;
@@ -31,7 +32,6 @@ type config = {
   strategies : (string * Heuristics.Strategy.factory) list;
   solver : Bounds.Pipeline.solver;
   warm : bool;  (** warm-start epoch-over-epoch bound re-solves *)
-  jobs : int;  (** worker processes for the per-epoch strategy searches *)
 }
 
 val default_strategies : (string * Heuristics.Strategy.factory) list
@@ -47,8 +47,7 @@ val default :
   goal:Mcperf.Spec.goal ->
   unit ->
   config
-(** Config with {!default_strategies}, [Auto] solver, warm starts on,
-    [jobs = 1]. *)
+(** Config with {!default_strategies}, [Auto] solver, warm starts on. *)
 
 type decision = {
   strategy : string;

@@ -41,16 +41,15 @@ let with_run_obs name f =
 
 (* The single deployment path: every heuristic is a strategy instance,
    and a deployment is the minimal provisioning parameter whose verdict
-   meets the goal. Feasibility is monotone in the parameter, so the
-   parallel search settles on the same parameter at every [jobs]. *)
-let deploy ?jobs ~(factory : Heuristics.Strategy.factory) ~ctx ~delta () =
+   meets the goal. *)
+let deploy ~(factory : Heuristics.Strategy.factory) ~ctx ~delta () =
   let module S = Heuristics.Strategy in
   let at p = S.observe (factory (S.Context.with_parameter ctx p)) delta in
   let name = S.name (factory ctx) in
   with_run_obs name @@ fun () ->
   let hi = S.parameter_ceiling (at 0) in
   let feasible p = (S.assess (at p)).S.meets_goal in
-  match Search.min_feasible_int ?jobs ~lo:0 ~hi feasible with
+  match Search.min_feasible_int ~lo:0 ~hi feasible with
   | None -> None
   | Some parameter ->
     let v = S.assess (at parameter) in
@@ -67,8 +66,8 @@ let deploy ?jobs ~(factory : Heuristics.Strategy.factory) ~ctx ~delta () =
         placement = v.S.placement;
       }
 
-let deploy_offline ?jobs ?placeable ?trace ~factory ~spec () =
-  deploy ?jobs ~factory
+let deploy_offline ?placeable ?trace ~factory ~spec () =
+  deploy ~factory
     ~ctx:(Heuristics.Strategy.Context.of_spec ?placeable spec)
     ~delta:(Heuristics.Strategy.delta_of_spec ?trace spec)
     ()
@@ -99,7 +98,7 @@ type replay = {
 
 let m_replay_steps = lazy (Obs.Metrics.counter "sim.replay_steps")
 
-let degradation_replay ?(jobs = 1) ~(perm : Mcperf.Permission.t) ~placement
+let degradation_replay ~(perm : Mcperf.Permission.t) ~placement
     ~(timeline : Avail.Scenario.timeline) () =
   let nsteps = timeline.Avail.Scenario.steps in
   if nsteps = 0 then invalid_arg "Runner.degradation_replay: empty timeline";
@@ -108,26 +107,18 @@ let degradation_replay ?(jobs = 1) ~(perm : Mcperf.Permission.t) ~placement
       ~attrs:[ ("steps", Obs.Trace.Int nsteps) ]
   in
   let base = Mcperf.Costing.evaluate perm placement in
-  let eval (t, down) =
-    let d = Avail.Survive.degrade ~base perm placement ~down in
-    {
-      step = t;
-      down_count = d.Avail.Survive.down_count;
-      violation = d.Avail.Survive.violation;
-      unavail_fraction = d.Avail.Survive.unavail_fraction;
-      degraded_cost = d.Avail.Survive.degraded_cost;
-    }
-  in
-  let tasks =
-    Array.to_list (Array.mapi (fun t down -> (t, down)) timeline.Avail.Scenario.down)
-  in
-  (* Each step is a pure function of (perm, placement, down mask), and
-     Parallel.map_values preserves order — replays are byte-identical at
-     every [jobs]. *)
   let steps =
-    Array.of_list
-      (if jobs <= 1 then List.map eval tasks
-       else Util.Parallel.map_values ~jobs ~f:eval tasks)
+    Array.mapi
+      (fun t down ->
+        let d = Avail.Survive.degrade ~base perm placement ~down in
+        {
+          step = t;
+          down_count = d.Avail.Survive.down_count;
+          violation = d.Avail.Survive.violation;
+          unavail_fraction = d.Avail.Survive.unavail_fraction;
+          degraded_cost = d.Avail.Survive.degraded_cost;
+        })
+      timeline.Avail.Scenario.down
   in
   Obs.Metrics.incr ~by:nsteps (Lazy.force m_replay_steps);
   let n = float_of_int nsteps in

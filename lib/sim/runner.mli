@@ -11,11 +11,11 @@
     are costed by {!Mcperf.Costing} under their class, so their costs are
     directly comparable to the class lower bounds.
 
-    Every search takes an optional [jobs] (default 1): with [jobs > 1] the
-    minimal-parameter search probes several candidate parameters
-    concurrently via {!Search} and {!Util.Parallel}. Feasibility is
-    monotone in the parameter, so the chosen parameter — and hence the
-    reported deployment — is identical at every [jobs] value. *)
+    Every entry point runs sequentially in the calling process: one
+    deployment is one bisection ({!Search}), and one replay one pass over
+    the timeline. Callers that want parallelism fan out over whole
+    deployments — a figure's QoS points, or one task per heuristic — with
+    {!Util.Parallel}. *)
 
 type detail =
   | Cache of Heuristics.Event_cache.outcome
@@ -36,7 +36,6 @@ type deployed = {
 }
 
 val deploy :
-  ?jobs:int ->
   factory:Heuristics.Strategy.factory ->
   ctx:Heuristics.Strategy.Context.t ->
   delta:Heuristics.Strategy.delta ->
@@ -49,7 +48,6 @@ val deploy :
     fails. *)
 
 val deploy_offline :
-  ?jobs:int ->
   ?placeable:bool array ->
   ?trace:Workload.Trace.t ->
   factory:Heuristics.Strategy.factory ->
@@ -86,7 +84,6 @@ type replay = {
 }
 
 val degradation_replay :
-  ?jobs:int ->
   perm:Mcperf.Permission.t ->
   placement:Mcperf.Costing.placement ->
   timeline:Avail.Scenario.timeline ->
@@ -97,6 +94,5 @@ val degradation_replay :
     {!Avail.Survive.degrade} (closest {e surviving} replica, unavailability
     mass on origin loss), emitting per-step violation/unavailability and
     the aggregate fragility picture over the {!Obs} pipe
-    ([sim.degradation_replay] span, [sim.replay_steps] counter). Steps are
-    pure and order-preserved, so the replay is byte-identical at every
-    [jobs] value. Raises on an empty timeline. *)
+    ([sim.degradation_replay] span, [sim.replay_steps] counter). Raises
+    on an empty timeline. *)

@@ -1,60 +1,11 @@
-(* Bracket invariant throughout: feasible hi, not (feasible lo). With
-   [jobs] parallel probes at interior points m_1 < ... < m_k, monotonicity
-   means the flags form a 0*1* pattern; the bracket narrows to the segment
-   around the flip. The first feasible probe (or [hi] when none is
-   feasible) is exactly what adaptive bisection would converge to, so the
-   integer search returns the same parameter at every [jobs]. *)
-
-let interior_points ~lo ~hi k =
-  (* Up to [k] distinct evenly spaced integers strictly inside (lo, hi). *)
-  let span = hi - lo in
-  let k = min k (span - 1) in
-  let rec build i acc =
-    if i < 1 then acc
-    else
-      let p = lo + (span * i / (k + 1)) in
-      let acc = match acc with q :: _ when q = p -> acc | _ -> p :: acc in
-      build (i - 1) acc
-  in
-  build k []
-
-(* Deterministic fault-injection points for the probe workers: inert
-   unless a Util.Faults spec is installed, and even then they only fire
-   inside a pool worker on a probe's first attempt, so the supervisor's
-   retry always completes the round with the same flags. *)
-let probe_int ~feasible p =
-  let key = Printf.sprintf "probe-int|%d" p in
-  Util.Faults.crash_point ~key;
-  Util.Faults.stall_point ~key;
-  feasible p
-
-let probe_float ~feasible p =
-  let key = Printf.sprintf "probe-float|%.17g" p in
-  Util.Faults.crash_point ~key;
-  Util.Faults.stall_point ~key;
-  feasible p
-
-let narrow_int ~jobs ~feasible lo hi =
-  let probes = interior_points ~lo ~hi jobs in
-  let flags =
-    Util.Parallel.map_values ~jobs ~f:(probe_int ~feasible) probes
-  in
-  let rec scan lo = function
-    | [], [] -> (lo, hi)
-    | p :: _, true :: _ -> (lo, p)
-    | p :: ps, false :: fs -> scan p (ps, fs)
-    | _ -> assert false
-  in
-  scan lo (probes, flags)
-
-(* Both searches maintain "[hi] is known feasible" as their invariant, so
-   they can stop refining at any moment and still return a valid (merely
+(* The search maintains "[hi] is known feasible" as its invariant, so it
+   can stop refining at any moment and still return a valid (merely
    non-minimal) parameter. When the ambient task budget expires
-   ({!Util.Parallel.task_expired}) they do exactly that — the bisection
+   ({!Util.Parallel.task_expired}) it does exactly that — the bisection
    analogue of an anytime LP bound. Unbudgeted runs never read the clock
    and keep their deterministic narrowing sequence. *)
 
-let min_feasible_int ?(jobs = 1) ~lo ~hi feasible =
+let min_feasible_int ~lo ~hi feasible =
   if lo > hi then invalid_arg "Search.min_feasible_int: lo > hi";
   if not (feasible hi) then None
   else if feasible lo then Some lo
@@ -62,51 +13,8 @@ let min_feasible_int ?(jobs = 1) ~lo ~hi feasible =
     (* Invariant: feasible hi, not (feasible lo). *)
     let lo = ref lo and hi = ref hi in
     while !hi - !lo > 1 && not (Util.Parallel.task_expired ()) do
-      if jobs <= 1 then begin
-        let mid = !lo + ((!hi - !lo) / 2) in
-        if feasible mid then hi := mid else lo := mid
-      end
-      else begin
-        let lo', hi' = narrow_int ~jobs ~feasible !lo !hi in
-        lo := lo';
-        hi := hi'
-      end
-    done;
-    Some !hi
-  end
-
-let min_feasible_float ?(jobs = 1) ~lo ~hi ~tol feasible =
-  if lo > hi then invalid_arg "Search.min_feasible_float: lo > hi";
-  if tol <= 0. then invalid_arg "Search.min_feasible_float: tol must be positive";
-  if not (feasible hi) then None
-  else if feasible lo then Some lo
-  else begin
-    let lo = ref lo and hi = ref hi in
-    while !hi -. !lo > tol && not (Util.Parallel.task_expired ()) do
-      if jobs <= 1 then begin
-        let mid = 0.5 *. (!lo +. !hi) in
-        if feasible mid then hi := mid else lo := mid
-      end
-      else begin
-        let span = !hi -. !lo in
-        let k = jobs in
-        let probes =
-          List.init k (fun i ->
-              !lo +. (span *. float_of_int (i + 1) /. float_of_int (k + 1)))
-        in
-        let flags =
-          Util.Parallel.map_values ~jobs ~f:(probe_float ~feasible) probes
-        in
-        let rec scan l = function
-          | [], [] -> (l, !hi)
-          | p :: _, true :: _ -> (l, p)
-          | p :: ps, false :: fs -> scan p (ps, fs)
-          | _ -> assert false
-        in
-        let lo', hi' = scan !lo (probes, flags) in
-        lo := lo';
-        hi := hi'
-      end
+      let mid = !lo + ((!hi - !lo) / 2) in
+      if feasible mid then hi := mid else lo := mid
     done;
     Some !hi
   end

@@ -1,35 +1,20 @@
-(** Minimal-parameter searches for deployed heuristics.
+(** Minimal-parameter search for deployed heuristics.
 
     Heuristic families are parameterized by a scalar knob — cache capacity,
     replication factor — and the designer wants the smallest knob value
     that meets the performance goal (storage cost grows with the knob).
     Feasibility is monotone for these families (LRU contents satisfy the
     inclusion property; the greedy placements only grow with their
-    budget), so binary search applies.
+    budget), so one sequential bisection applies.
 
-    With [jobs > 1] the bisection becomes a [jobs]-section: each round
-    probes up to [jobs] evenly spaced interior points concurrently
-    (through {!Util.Parallel}) and narrows the bracket to the segment
-    where feasibility flips. For a monotone predicate the answer is
-    identical to plain bisection — only the probe schedule changes — so
-    parallel and sequential searches return the same parameter.
-
-    Both searches are {e anytime}: the upper bracket end is feasible by
+    The search is {e anytime}: the upper bracket end is feasible by
     invariant, so when the ambient per-task budget expires
     ({!Util.Parallel.task_expired}) the search stops refining and returns
     the current feasible end — a valid, merely non-minimal, parameter.
     Unbudgeted runs never consult the clock. *)
 
-val min_feasible_int :
-  ?jobs:int -> lo:int -> hi:int -> (int -> bool) -> int option
+val min_feasible_int : lo:int -> hi:int -> (int -> bool) -> int option
 (** [min_feasible_int ~lo ~hi feasible] is the smallest [p] in
     [\[lo, hi\]] with [feasible p], assuming monotonicity
     ([feasible p] implies [feasible (p+1)]). [None] when even [hi] fails.
-    [feasible] is invoked O(log (hi - lo)) times ([jobs] probes per round
-    when parallel). [jobs] defaults to 1 (sequential). Requires
-    [lo <= hi]. *)
-
-val min_feasible_float :
-  ?jobs:int -> lo:float -> hi:float -> tol:float -> (float -> bool) -> float option
-(** Continuous counterpart, narrowing until the bracket is tighter than
-    [tol] and returning the feasible end. *)
+    [feasible] is invoked O(log (hi - lo)) times. Requires [lo <= hi]. *)

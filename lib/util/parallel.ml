@@ -3,7 +3,7 @@ type 'a result = { value : 'a; wall_s : float }
 exception Task_failed of { index : int; message : string }
 exception Task_timeout of { index : int; timeout_s : float }
 
-type task_error = { index : int; message : string; attempts : int }
+type task_error = { index : int; message : string }
 
 type pool_stats = {
   worker_deaths : int;
@@ -202,7 +202,7 @@ let sequential ?budget_of ?on_result ~f tasks =
         (match on_result with Some g -> g index r | None -> ());
         Ok r
       | exception e ->
-        Error { index; message = Printexc.to_string e; attempts = 1 })
+        Error { index; message = Printexc.to_string e })
     tasks
 
 (* --- worker pool --------------------------------------------------------- *)
@@ -434,9 +434,9 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
       match on_result with Some g -> g index r | None -> ()
     end
   in
-  let complete_err index message attempts =
+  let complete_err index message =
     if results.(index) = None && failures.(index) = None then begin
-      failures.(index) <- Some { index; message; attempts };
+      failures.(index) <- Some { index; message };
       incr completed
     end
   in
@@ -452,7 +452,7 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
       complete_ok index
         { value; wall_s = Float.max 0. (Unix.gettimeofday () -. t0) }
     | exception e ->
-      complete_err index (Printexc.to_string e) (attempt + 1)
+      complete_err index (Printexc.to_string e)
   in
   (* Slot plan: [jobs] local fork slots — none when [jobs <= 1], so with
      remote endpoints configured [--jobs 1] means coordinator-only — plus
@@ -653,7 +653,6 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
         ->
         on_death slot
       | index, res, wall, payload -> (
-        let attempt = match slot.sl_task with Some (_, a) -> a | None -> 0 in
         slot.sl_task <- None;
         slot.sl_deadline <- infinity;
         slot.sl_idle_since <- Unix.gettimeofday ();
@@ -667,9 +666,8 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
         | Error message ->
           (* A raising task is a structured failure, not a pool teardown:
              the worker survives and keeps serving, the other cells
-             finish, and [map]/[map_results] report the failure at the
-             end. *)
-          complete_err index message (attempt + 1)))
+             finish, and [map] reports the failure at the end. *)
+          complete_err index message))
   in
   (* A stalled task: kill its endpoint and retry on a fresh one
      (transient stalls recover); once the attempt budget is spent, the
@@ -852,9 +850,6 @@ let run ?jobs ?timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
   else
     Array.to_list
       (run_pool ~jobs ~timeout_s ?budget_of ~remote ?on_result ~f arr)
-
-let map_results ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks =
-  run ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks
 
 let map ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks =
   let outcomes = run ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks in

@@ -1,13 +1,13 @@
 (** Supervised process-level parallel map for the sweep layers.
 
-    The methodology's sweeps (heuristic class x goal point, bisection
-    probes over resource parameters) are embarrassingly parallel but
-    CPU-bound, so parallelism is process-level: [map] forks a pool of
-    workers, streams task {e indices} to them over pipes (the task array
-    itself is inherited through [fork], so only indices and results are
-    [Marshal]-framed), and collects results {e in task order} regardless
-    of completion order — callers observe exactly the sequential result
-    list.
+    The methodology's sweeps (heuristic class x goal point for the
+    bounds; goal points, or heuristics, for the deployments) are
+    embarrassingly parallel but CPU-bound, so parallelism is
+    process-level: [map] forks a pool of workers, streams task {e
+    indices} to them over pipes (the task array itself is inherited
+    through [fork], so only indices and results are [Marshal]-framed),
+    and collects results {e in task order} regardless of completion
+    order — callers observe exactly the sequential result list.
 
     The pool is supervised — a long sweep survives partial failure:
 
@@ -19,7 +19,7 @@
     - a task that raises in a worker is a {e structured} failure: the
       worker survives, every other task still runs to completion, and the
       failure is reported at the end — {!map} raises {!Task_failed} for
-      the lowest failing index, {!map_results} returns it in place;
+      the lowest failing index;
     - a task that exceeds [timeout_s] gets its worker killed and is
       retried on a fresh worker (transient stalls recover); when the
       attempt budget is spent, {!Task_timeout} is raised;
@@ -59,12 +59,6 @@ exception Task_failed of { index : int; message : string }
 
 exception Task_timeout of { index : int; timeout_s : float }
 
-type task_error = {
-  index : int;
-  message : string;  (** printed exception from the last attempt *)
-  attempts : int;  (** attempts consumed when the task was given up *)
-}
-
 type pool_stats = {
   worker_deaths : int;  (** local fork workers that died while the pool was live *)
   respawns : int;  (** replacement workers forked *)
@@ -82,8 +76,8 @@ type pool_stats = {
 val zero_stats : pool_stats
 
 val last_pool_stats : unit -> pool_stats
-(** Counters of the most recent {!map}/{!map_results} call in this
-    process (all-zero after a sequential-path run). *)
+(** Counters of the most recent {!map} call in this process (all-zero
+    after a sequential-path run). *)
 
 val max_task_attempts : int
 (** Worker attempts per task before the parent computes it inline (or,
@@ -230,19 +224,6 @@ val map :
     Pass [timeout_s] whenever remote endpoints are configured: a dropped
     dispatch frame produces no response and only the task timeout can
     reclaim it. *)
-
-val map_results :
-  ?jobs:int ->
-  ?timeout_s:float ->
-  ?budget_of:(int -> float) ->
-  ?remote:'b remote_factory list ->
-  ?on_result:(int -> 'b result -> unit) ->
-  f:('a -> 'b) ->
-  'a list ->
-  ('b result, task_error) Stdlib.result list
-(** Like {!map} but task failures are returned in place instead of
-    raised, so one poisoned cell cannot void a sweep's other results.
-    {!Task_timeout} still raises. *)
 
 val map_values :
   ?jobs:int ->

@@ -104,23 +104,55 @@ echo "scale stage OK: $(sed -n 's/^bundling: .*(\(.*\)x).*/\1/p' "$scaledir/figs
 # Avail stage: the availability validation family checks the sampler's
 # determinism, the all-up/monotonicity laws of the degraded re-pricer,
 # the scenario LP's lower-bound validity against every evaluated
-# placement, and the k-failure survival flags — and its output prints no
-# wall clocks, so the sequential and four-worker runs must agree to the
-# byte (scenario sampling, assessment and replay are all seeded FNV
-# decisions, never scheduling).
-echo "== avail stage: availability validation at --jobs 1 and 4 =="
+# placement, and the k-failure survival flags. It runs sequentially and
+# prints no wall clocks (scenario sampling, assessment and replay are
+# all seeded FNV decisions), so a run must match the committed output of
+# an earlier build to the byte.
+echo "== avail stage: availability validation against the committed output =="
 availdir=_build/avail-check
 rm -rf "$availdir"
 mkdir -p "$availdir"
 ./_build/default/bin/experiments.exe validate --family avail --count 6 \
-  --jobs 1 > "$availdir/j1.out"
-./_build/default/bin/experiments.exe validate --family avail --count 6 \
-  --jobs 4 > "$availdir/j4.out"
-cmp "$availdir/j1.out" "$availdir/j4.out" \
-  || { echo "avail stage: validate output differs across --jobs"; exit 1; }
-grep -q 'all checks passed' "$availdir/j1.out" \
+  > "$availdir/avail.out"
+cmp test/fixtures/validate-avail-6.out "$availdir/avail.out" \
+  || { echo "avail stage: validate output differs from the committed fixture"; exit 1; }
+grep -q 'all checks passed' "$availdir/avail.out" \
   || { echo "avail stage: availability law violations"; exit 1; }
-echo "avail stage OK: $(grep -c 'k2:' "$availdir/j1.out") placements checked, outputs identical across --jobs"
+echo "avail stage OK: $(grep -c 'k2:' "$availdir/avail.out") placements checked, output identical to the fixture"
+
+# Figavail stage: the availability figure fans out once, one task per
+# deployed heuristic. Its stdout carries no wall clocks (timings go to
+# stderr), so the sequential and four-worker runs must both match the
+# committed output of an earlier build to the byte — this is what checks
+# that the per-heuristic map keeps its order.
+echo "== figavail stage: fragility frontier at --jobs 1 and 4 =="
+figavaildir=_build/figavail-check
+rm -rf "$figavaildir"
+mkdir -p "$figavaildir"
+for j in 1 4; do
+  ./_build/default/bin/experiments.exe figavail --scale 0.01 -w both \
+    --jobs "$j" > "$figavaildir/j$j.out" 2> /dev/null
+  cmp test/fixtures/figavail-quick.out "$figavaildir/j$j.out" \
+    || { echo "figavail stage: output at --jobs $j differs from the committed fixture"; exit 1; }
+done
+echo "figavail stage OK: $(grep -c ' steps$' "$figavaildir/j1.out") heuristics ranked, outputs identical to the fixture at --jobs 1 and 4"
+
+# Usage stage: out-of-range numeric flags are rejected at parse time
+# with cmdliner's usage-error status (124), not an uncaught exception
+# mid-run (125) or a run that checks nothing and passes. serve has no
+# --jobs: its epochs run in one process.
+echo "== usage stage: out-of-range flags are usage errors =="
+expect_usage_error() {
+  status=0
+  ./_build/default/bin/experiments.exe "$@" > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 124 ] \
+    || { echo "usage stage: '$*' exited $status, want 124"; exit 1; }
+}
+expect_usage_error figavail --scenarios 0
+expect_usage_error serve --intervals 100
+expect_usage_error validate --family tree --count 0
+expect_usage_error serve --jobs 2
+echo "usage stage OK: out-of-range flags exit 124"
 
 # Dist stage (DESIGN.md §15): a fig2 sweep dispatched to two loopback
 # TCP workers under injected network chaos — session crashes, dropped
@@ -183,27 +215,25 @@ echo "dist stage OK: chaos CSVs identical at --jobs 1 and 4, coordinator kill+re
 
 # Online stage (DESIGN.md §16): the epoch-driven placement service must
 # be a pure function of (trace, epoch size, strategy set) — its stdout
-# carries no wall clocks (timings go to stderr), so runs at --jobs 1
-# and 4 must agree to the byte, and every reported regret must be
-# nonnegative (serve itself exits nonzero on a negative one). The
-# footer pins how many bound re-solves started from a lifted previous
-# epoch: a lost warm lift changes no number, only speed, so nothing
-# else would catch it. The offline deployments themselves are pinned by
-# digest in dune runtest (fixtures/strategy_deployments.golden).
-echo "== online stage: serve at --jobs 1 and 4 =="
+# carries no wall clocks (timings go to stderr), so a run must match the
+# committed output of an earlier build to the byte, and every reported
+# regret must be nonnegative (serve itself exits nonzero on a negative
+# one). The footer pins how many bound re-solves started from a lifted
+# previous epoch: a lost warm lift changes no number, only speed, so
+# nothing else would catch it. The offline deployments themselves are
+# pinned by digest in dune runtest (fixtures/strategy_deployments.golden).
+echo "== online stage: serve against the committed output =="
 onlinedir=_build/online-check
 rm -rf "$onlinedir"
 mkdir -p "$onlinedir"
-for j in 1 4; do
-  ./_build/default/bin/experiments.exe serve -w web --scale 0.01 \
-    --intervals 12 --epoch-intervals 4 \
-    --strategies greedy-global,greedy-replica,lru-caching \
-    --jobs "$j" > "$onlinedir/j$j.out" 2> /dev/null
-done
-cmp "$onlinedir/j1.out" "$onlinedir/j4.out" \
-  || { echo "online stage: serve output differs across --jobs"; exit 1; }
-grep -q '^served ' "$onlinedir/j1.out" \
+./_build/default/bin/experiments.exe serve -w web --scale 0.01 \
+  --intervals 12 --epoch-intervals 4 \
+  --strategies greedy-global,greedy-replica,lru-caching \
+  > "$onlinedir/serve.out" 2> /dev/null
+cmp test/fixtures/serve-web-quick.out "$onlinedir/serve.out" \
+  || { echo "online stage: serve output differs from the committed fixture"; exit 1; }
+grep -q '^served ' "$onlinedir/serve.out" \
   || { echo "online stage: serve did not complete"; exit 1; }
-grep -q ' 9 bound solves (4 warm-lifted)$' "$onlinedir/j1.out" \
+grep -q ' 9 bound solves (4 warm-lifted)$' "$onlinedir/serve.out" \
   || { echo "online stage: serve footer lost its warm lifts"; exit 1; }
-echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/j1.out") epochs identical across --jobs"
+echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/serve.out") epochs identical to the fixture"

@@ -7,7 +7,7 @@
      mask and is monotone in the failure set (failing more nodes can
      never make a placement cheaper — the miss penalty is priced at
      least as high as the worst late service);
-   - assessments and replays are identical at every jobs value;
+   - a replay reports one step per timeline step;
    - the scenario LP is a valid lower bound on the measured expected
      degraded cost of a goal-meeting placement;
    - Util.Faults surfaces structured Parse_error values with the legacy
@@ -136,23 +136,12 @@ let prop_degraded_cost_monotone =
       d_big.Avail.Survive.degraded_cost
       >= d_small.Avail.Survive.degraded_cost -. tol)
 
-let test_assess_jobs_invariant () =
-  let a1 = Avail.Survive.assess ~jobs:1 perm placement ~scenarios in
-  let a4 = Avail.Survive.assess ~jobs:4 perm placement ~scenarios in
-  Alcotest.(check bool) "assessment identical at jobs 1 and 4" true (a1 = a4)
-
-let test_replay_jobs_invariant () =
+let test_replay_one_step_per_timeline_step () =
   let tl = Avail.Scenario.timeline golden_timeline_spec sys ~groups in
-  let r1 =
-    Sim.Runner.degradation_replay ~jobs:1 ~perm ~placement ~timeline:tl ()
-  in
-  let r4 =
-    Sim.Runner.degradation_replay ~jobs:4 ~perm ~placement ~timeline:tl ()
-  in
-  Alcotest.(check bool) "replay identical at jobs 1 and 4" true (r1 = r4);
+  let r = Sim.Runner.degradation_replay ~perm ~placement ~timeline:tl () in
   Alcotest.(check int) "one step per timeline step"
     tl.Avail.Scenario.steps
-    (Array.length r1.Sim.Runner.steps)
+    (Array.length r.Sim.Runner.steps)
 
 (* --- scenario LP validity ------------------------------------------------- *)
 
@@ -175,7 +164,7 @@ let test_scenario_lp_bounds_expected_cost () =
            +. (1e-6 *. (1. +. Float.abs a.Avail.Survive.expected_cost)))
 
 let test_k_failure_flags_consistent () =
-  let checks = Bounds.Avail_bound.k_failure_check perm placement ~groups () in
+  let checks = Bounds.Avail_bound.k_failure_check perm placement ~groups in
   Alcotest.(check int) "one check per group" (Array.length groups)
     (Array.length checks);
   Array.iter
@@ -235,10 +224,8 @@ let () =
           Alcotest.test_case "all-up equals nominal" `Quick
             test_all_up_equals_nominal;
           QCheck_alcotest.to_alcotest prop_degraded_cost_monotone;
-          Alcotest.test_case "assess jobs-invariant" `Quick
-            test_assess_jobs_invariant;
-          Alcotest.test_case "replay jobs-invariant" `Quick
-            test_replay_jobs_invariant;
+          Alcotest.test_case "replay has one step per timeline step" `Quick
+            test_replay_one_step_per_timeline_step;
         ] );
       ( "bounds",
         [

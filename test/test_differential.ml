@@ -265,12 +265,9 @@ let quickstart_spec () =
       }
   in
   let demand = Workload.Demand.of_trace ~intervals:12 trace in
-  let spec =
-    Mcperf.Spec.make ~system ~demand
-      ~goal:(Mcperf.Spec.Qos { tlat_ms = 150.; fraction = 0.99 })
-      ()
-  in
-  (spec, trace)
+  Mcperf.Spec.make ~system ~demand
+    ~goal:(Mcperf.Spec.Qos { tlat_ms = 150.; fraction = 0.99 })
+    ()
 
 let sweep_fixture =
   [
@@ -301,7 +298,7 @@ let strip_walls (sweep : Bounds.Pipeline.sweep) =
       sweep.Bounds.Pipeline.stats )
 
 let test_sweep_determinism () =
-  let spec, _ = quickstart_spec () in
+  let spec = quickstart_spec () in
   let fractions = [ 0.95; 0.99; 0.999 ] in
   let cfg jobs = Bounds.Pipeline.Sweep_config.(default |> with_jobs jobs) in
   let seq = Bounds.Pipeline.sweep_classes (cfg 1) spec ~fractions sweep_fixture in
@@ -322,7 +319,7 @@ let test_sweep_determinism () =
    new fraction: same problem (hence byte-identical solver behaviour) and
    same derived tables. The sweep fast path rests on this. *)
 let test_with_fraction_identity () =
-  let spec, _ = quickstart_spec () in
+  let spec = quickstart_spec () in
   let goal fraction = Mcperf.Spec.Qos { tlat_ms = 150.; fraction } in
   List.iter
     (fun (label, cls) ->
@@ -421,7 +418,7 @@ let test_sweep_matches_percell_compute () =
            paths cells)
          classes sweep.Bounds.Pipeline.per_class)
   in
-  let spec, _ = quickstart_spec () in
+  let spec = quickstart_spec () in
   Alcotest.(check (list string))
     "quickstart sweep paths"
     (List.init 10 (fun _ -> "pdhg") @ [ "infeasible"; "infeasible" ])
@@ -457,7 +454,7 @@ let test_sweep_matches_percell_compute () =
    goals, the oracle-infeasible Farkas branch (caching at 0.99 and
    0.999), the exact tree DP and the average-latency rounding. *)
 let golden_cells () =
-  let spec, _ = quickstart_spec () in
+  let spec = quickstart_spec () in
   let qos =
     List.concat_map
       (fun (cls : Mcperf.Classes.t) ->
@@ -516,38 +513,6 @@ let test_golden_cells () =
   Alcotest.(check (list (pair string string)))
     "every cell matches its pinned digest" expected actual
 
-let test_runner_determinism () =
-  let spec, trace = quickstart_spec () in
-  let stripped = Option.map (fun (d : Sim.Runner.deployed) ->
-      (d.Sim.Runner.name, d.Sim.Runner.parameter, d.Sim.Runner.cost,
-       d.Sim.Runner.worst_qos))
-  in
-  let deploy ?jobs factory =
-    stripped (Sim.Runner.deploy_offline ?jobs ~trace ~factory ~spec ())
-  in
-  Alcotest.(check bool)
-    "greedy-global same at jobs=1/3" true
-    (deploy Heuristics.Greedy_global.strategy
-    = deploy ~jobs:3 Heuristics.Greedy_global.strategy);
-  Alcotest.(check bool)
-    "greedy-replica same at jobs=1/3" true
-    (deploy Heuristics.Greedy_replica.strategy
-    = deploy ~jobs:3 Heuristics.Greedy_replica.strategy);
-  Alcotest.(check bool)
-    "lru-caching same at jobs=1/4" true
-    (deploy Heuristics.Cache_strategy.lru
-    = deploy ~jobs:4 Heuristics.Cache_strategy.lru)
-
-let prop_search_jobs_equivalent =
-  QCheck2.Test.make ~count:200
-    ~name:"k-section search equals bisection on monotone predicates"
-    QCheck2.Gen.(
-      tup3 (int_range 0 500) (int_range 0 500) (int_range 2 8))
-    (fun (threshold, hi, jobs) ->
-      let feasible p = p >= threshold in
-      Sim.Search.min_feasible_int ~lo:0 ~hi feasible
-      = Sim.Search.min_feasible_int ~jobs ~lo:0 ~hi feasible)
-
 let () =
   Alcotest.run "differential"
     [
@@ -574,8 +539,5 @@ let () =
         [
           Alcotest.test_case "parallel sweep byte-identical to sequential"
             `Quick test_sweep_determinism;
-          Alcotest.test_case "parallel runner searches identical" `Quick
-            test_runner_determinism;
-          QCheck_alcotest.to_alcotest prop_search_jobs_equivalent;
         ] );
     ]

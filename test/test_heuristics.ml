@@ -411,16 +411,6 @@ let test_min_feasible_int () =
   Alcotest.(check (option int)) "lo immediately" (Some 5)
     (Sim.Search.min_feasible_int ~lo:5 ~hi:10 (fun _ -> true))
 
-let test_min_feasible_float () =
-  match
-    Sim.Search.min_feasible_float ~lo:0. ~hi:100. ~tol:1e-3 (fun x ->
-        x >= Float.pi)
-  with
-  | Some v ->
-    Alcotest.(check bool) "close to pi" true
-      (v >= Float.pi && v < Float.pi +. 1e-2)
-  | None -> Alcotest.fail "expected a value"
-
 (* --- runner ---------------------------------------------------------------------- *)
 
 let trace_for_tail_spec () =
@@ -902,7 +892,6 @@ let () =
       ( "search",
         [
           Alcotest.test_case "int" `Quick test_min_feasible_int;
-          Alcotest.test_case "float" `Quick test_min_feasible_float;
         ] );
       ( "properties",
         [

@@ -1,4 +1,4 @@
-(* Online engine: chunk-size invariance, jobs byte-identity, regret sign.
+(* Online engine: chunk-size invariance, pinned epoch reports, regret sign.
 
    The engine's contract is that epoching is an observation schedule,
    not a workload transformation — the same trace chunked at any epoch
@@ -18,7 +18,7 @@ let interval_s () =
   Workload.Trace.duration_s (Lazy.force cs).CS.trace /. float_of_int intervals
 
 let config ?(strategies = [ ("greedy-global", Heuristics.Greedy_global.strategy) ])
-    ?(jobs = 1) ~epoch_intervals () =
+    ~epoch_intervals () =
   let cs = Lazy.force cs in
   {
     E.system = cs.CS.system;
@@ -30,7 +30,6 @@ let config ?(strategies = [ ("greedy-global", Heuristics.Greedy_global.strategy)
     strategies;
     solver = Bounds.Pipeline.Auto;
     warm = true;
-    jobs;
   }
 
 (* A deterministic fingerprint of an epoch: everything except the wall
@@ -120,9 +119,12 @@ let test_epoch_size_invariant_final_decisions () =
       Alcotest.(check (float 0.)) (Printf.sprintf "cost run %d" i) (snd offline) c)
     finals
 
-(* --- jobs byte-identity --------------------------------------------------- *)
+(* --- pinned epoch reports ------------------------------------------------- *)
 
-let test_jobs_identity () =
+(* Every deterministic field of every epoch (decisions, bounds, event
+   counts) for three strategies at epoch size 4, pinned by digest: any
+   change to a search, a strategy or a bound re-solve moves it. *)
+let test_epoch_reports_pinned () =
   let cs = Lazy.force cs in
   let strategies =
     [
@@ -131,13 +133,12 @@ let test_jobs_identity () =
       ("lru-caching", Heuristics.Cache_strategy.lru);
     ]
   in
-  let run jobs =
-    let _, epochs =
-      E.run (config ~strategies ~jobs ~epoch_intervals:4 ()) ~trace:cs.CS.trace
-    in
-    digest (List.map epoch_view epochs)
+  let _, epochs =
+    E.run (config ~strategies ~epoch_intervals:4 ()) ~trace:cs.CS.trace
   in
-  Alcotest.(check string) "jobs 1 = jobs 4" (run 1) (run 4)
+  Alcotest.(check string) "epoch reports digest"
+    "850580b9010665b37230a27a3f42b23f"
+    (digest (List.map epoch_view epochs))
 
 (* --- regret --------------------------------------------------------------- *)
 
@@ -223,8 +224,8 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "jobs 1 vs 4 byte-identical" `Quick
-            test_jobs_identity;
+          Alcotest.test_case "epoch reports match pinned digest" `Quick
+            test_epoch_reports_pinned;
           Alcotest.test_case "warm vs cold deployments agree" `Quick
             test_warm_vs_cold_decisions_agree;
         ] );
