@@ -181,8 +181,7 @@ let sweep_classes_fixture =
     ("Decentral local routing", Mcperf.Classes.decentralized_local_routing);
   ]
 
-let run_sweep ?(deadline_s = infinity) ?obs ?(workers = []) ?timeout_s ~jobs
-    () =
+let run_sweep ?(deadline_s = infinity) ?obs ~jobs () =
   let cs = Lazy.force web in
   let points = [ 0.95; 0.99; 0.999; 0.9999; 0.99999 ] in
   let bound_spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
@@ -191,18 +190,8 @@ let run_sweep ?(deadline_s = infinity) ?obs ?(workers = []) ?timeout_s ~jobs
   let bounds =
     Bounds.Pipeline.(
       sweep_classes
-        Sweep_config.(
-          let base =
-            default |> with_jobs jobs |> with_deadline deadline_s
-            |> with_workers workers
-          in
-          let base =
-            match timeout_s with
-            | Some t -> with_timeout t base
-            | None -> base
-          in
-          match obs with Some o -> with_obs o base | None -> base))
-      bound_spec ~fractions:points sweep_classes_fixture
+        { Sweep_config.default with jobs; deadline_s; obs }
+        bound_spec ~fractions:points sweep_classes_fixture)
   in
   let deployed =
     Util.Parallel.map_values ~jobs
@@ -251,14 +240,11 @@ let json_of_pool (p : Util.Parallel.pool_stats) =
   Printf.sprintf
     "\"worker_deaths\": %d, \"respawns\": %d, \"task_retries\": %d, \
      \"inline_recoveries\": %d, \"timeouts\": %d, \"fork_failures\": %d, \
-     \"degraded\": %b, \"remote_workers\": %d, \"remote_deaths\": %d, \
-     \"reconnects\": %d, \"blacklisted\": %d"
+     \"degraded\": %b"
     p.Util.Parallel.worker_deaths p.Util.Parallel.respawns
     p.Util.Parallel.task_retries p.Util.Parallel.inline_recoveries
     p.Util.Parallel.timeouts p.Util.Parallel.fork_failures
-    p.Util.Parallel.degraded p.Util.Parallel.remote_workers
-    p.Util.Parallel.remote_deaths p.Util.Parallel.reconnects
-    p.Util.Parallel.blacklisted
+    p.Util.Parallel.degraded
 
 (* A baseline file is best-effort state from a previous revision: it
    may be absent (fresh checkout), torn (a crash mid-write), or carry a
@@ -449,84 +435,6 @@ let sweep_benchmark () =
     dl_grace within_budget bounds_dominated (json_of_qualities dl_bounds);
   close_out oc;
   Printf.printf "wrote BENCH_sweep.json\n%!"
-
-(* --- dist: the distributed-backend performance evidence -------------------- *)
-
-(* `main.exe dist` runs the same fig2-style sweep once sequentially and
-   once dispatched to two loopback TCP workers under injected network
-   faults (session disconnects, garbled frames, refused connects). The
-   faulted distributed run must produce results identical to the
-   sequential one; BENCH_dist.json records its wall-clock next to the
-   sequential time plus the supervision counters, so the recovery
-   machinery's price under fire is tracked revision over revision. Drop
-   faults are deliberately absent: they recover only through the full
-   per-task timeout, which would measure the timeout constant, not the
-   backend. *)
-let bench_dist_fault_spec = "seed=7,disconnect=0.3,garble=0.2,partition=0.25"
-
-let spawn_loopback_worker () =
-  let lfd = Dist.Server.bind_listener ~port:0 () in
-  let port = Dist.Server.bound_port lfd in
-  match Unix.fork () with
-  | 0 -> ( try Dist.Server.accept_loop lfd with _ -> Unix._exit 1)
-  | pid ->
-    Unix.close lfd;
-    (port, pid)
-
-let dist_benchmark () =
-  let cores = Util.Parallel.available_cores () in
-  Printf.printf "dist benchmark: 2 loopback workers, %d detected core(s)\n%!"
-    cores;
-  let seq_s, seq_sig, _ = run_sweep ~jobs:1 () in
-  Printf.printf "jobs=1 local: %.2fs\n%!" seq_s;
-  let p1, w1 = spawn_loopback_worker () in
-  let p2, w2 = spawn_loopback_worker () in
-  let kill_workers () =
-    List.iter
-      (fun pid ->
-        (try Unix.kill pid Sys.sigkill with _ -> ());
-        try ignore (Unix.waitpid [] pid) with _ -> ())
-      [ w1; w2 ]
-  in
-  Fun.protect ~finally:kill_workers @@ fun () ->
-  let workers = [ ("127.0.0.1", p1); ("127.0.0.1", p2) ] in
-  (match Util.Faults.parse_result bench_dist_fault_spec with
-  | Ok s -> Util.Faults.install s
-  | Error e -> failwith (Util.Parse_error.to_string e));
-  let dist_s, dist_sig, dist_bounds =
-    run_sweep ~jobs:1 ~workers ~timeout_s:300. ()
-  in
-  Util.Faults.install Util.Faults.none;
-  if dist_sig <> seq_sig then
-    failwith "dist benchmark: faulted distributed run changed the results";
-  let pool = dist_bounds.Bounds.Pipeline.pool in
-  let recoveries =
-    pool.Util.Parallel.task_retries + pool.Util.Parallel.reconnects
-    + pool.Util.Parallel.inline_recoveries + pool.Util.Parallel.timeouts
-  in
-  Printf.printf
-    "2 workers with '%s': %.2fs, identical results, %d recovery events\n%!"
-    bench_dist_fault_spec dist_s recoveries;
-  let oc = open_out "BENCH_dist.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "fig2-style sweep dispatched to loopback TCP workers under network faults",
-  "detected_cores": %d,
-  "sequential_s": %.3f,
-  "dist_workers": %d,
-  "dist_sweep_s": %.3f,
-  "dist_recoveries": %d,
-  "overhead_ratio": %.3f,
-  "results_identical": true,
-  "fault_spec": "%s",
-  "pool": { %s }
-}
-|}
-    cores seq_s (List.length workers) dist_s recoveries
-    (if seq_s > 0. then dist_s /. seq_s else 1.)
-    bench_dist_fault_spec (json_of_pool pool);
-  close_out oc;
-  Printf.printf "wrote BENCH_dist.json\n%!"
 
 (* --- lp: the LP-substrate performance evidence ---------------------------- *)
 
@@ -1345,8 +1253,6 @@ let () =
     tree_benchmark ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "avail" then
     avail_benchmark ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "dist" then
-    dist_benchmark ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "online" then
     online_benchmark ()
   else

@@ -46,19 +46,13 @@ let pool_nontrivial (p : Util.Parallel.pool_stats) =
   || p.Util.Parallel.timeouts > 0
   || p.Util.Parallel.fork_failures > 0
   || p.Util.Parallel.degraded
-  || p.Util.Parallel.remote_deaths > 0
-  || p.Util.Parallel.reconnects > 0
-  || p.Util.Parallel.blacklisted > 0
 
 let pool_summary (p : Util.Parallel.pool_stats) =
   Printf.sprintf
-    "deaths=%d respawns=%d retries=%d inline=%d timeouts=%d fork_failures=%d \
-     remote_workers=%d remote_deaths=%d reconnects=%d blacklisted=%d%s"
+    "deaths=%d respawns=%d retries=%d inline=%d timeouts=%d fork_failures=%d%s"
     p.Util.Parallel.worker_deaths p.Util.Parallel.respawns
     p.Util.Parallel.task_retries p.Util.Parallel.inline_recoveries
     p.Util.Parallel.timeouts p.Util.Parallel.fork_failures
-    p.Util.Parallel.remote_workers p.Util.Parallel.remote_deaths
-    p.Util.Parallel.reconnects p.Util.Parallel.blacklisted
     (if p.Util.Parallel.degraded then " degraded" else "")
 
 (* Acceptance violations (deadline overruns, failed certificate rechecks)
@@ -66,12 +60,10 @@ let pool_summary (p : Util.Parallel.pool_stats) =
    scripted runs can gate on them. *)
 let violations = ref 0
 
-(* Distributed-sweep configuration, installed ambiently by the CLI (like
-   the fault spec): remote worker addresses and the per-task timeout that
-   makes dropped dispatch frames recoverable. Every bound sweep in the
-   process picks them up through [sweep_figure]. *)
-let dist_workers : (string * int) list ref = ref []
-let dist_task_timeout_s : float option ref = ref None
+(* The pool's per-task timeout (--task-timeout), installed ambiently by
+   the CLI like the fault spec; every bound sweep in the process picks it
+   up through [sweep_figure]. *)
+let task_timeout_s : float option ref = ref None
 
 (* --- observability ------------------------------------------------------- *)
 
@@ -260,8 +252,7 @@ let sweep_figure ?placeable ?journal_dir ?(deadline_s = infinity)
       deadline_s;
       cell_budget_s;
       journal;
-      workers = !dist_workers;
-      timeout_s = !dist_task_timeout_s;
+      timeout_s = !task_timeout_s;
     }
   in
   let sweep =
@@ -1605,8 +1596,10 @@ let inject_t =
           "Deterministic fault injection, e.g. \
            'seed=42,crash=0.2,diverge=0.1' or 'crash_every=3,stall=0.05'. \
            Injected faults exercise worker supervision and the solver \
-           fallback chain without changing any reported number. Defaults \
-           to the $(b,REPLICA_FAULTS) environment variable.")
+           fallback chain without changing any reported number; \
+           'ckill_after=N' exits with status 96 after the Nth journal \
+           checkpoint, for $(b,--journal) kill-and-resume. Defaults to \
+           the $(b,REPLICA_FAULTS) environment variable.")
 
 let journal_t =
   Arg.(
@@ -1685,58 +1678,17 @@ let profile_t =
            Implies the per-sweep metrics summary; combine with \
            $(b,--trace) to keep the timed trace.")
 
-let workers_conv =
-  let parse s =
-    match Dist.Client.parse_workers s with
-    | Ok ws -> Ok ws
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf ws =
-    Format.pp_print_string ppf
-      (String.concat ","
-         (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) ws))
-  in
-  Arg.conv (parse, print)
-
-let workers_t =
-  Arg.(
-    value & opt workers_conv []
-    & info [ "workers" ] ~docv:"HOST:PORT,..."
-        ~doc:
-          "Remote sweep workers (each started with $(b,experiments worker \
-           --listen PORT)). Every address becomes one extra pool slot \
-           alongside the $(b,--jobs) local workers; $(b,--jobs 1) with a \
-           worker list means no local workers at all. Dead workers are \
-           reconnected with exponential backoff and blacklisted after \
-           repeated failures; the sweep degrades to the survivors and \
-           its output stays byte-identical to a local run. Pair with \
-           $(b,--task-timeout).")
-
 let task_timeout_t =
   Arg.(
     value
     & opt (some float) None
     & info [ "task-timeout" ] ~docv:"SECONDS"
         ~doc:
-          "Per-task supervision deadline for the sweep pool: a cell that \
-           produces no response within $(docv) has its worker killed (or \
-           its connection torn down) and is retried. Required in practice \
-           with $(b,--workers): a dropped dispatch frame is only ever \
-           reclaimed by this timeout.")
-
-let setup_dist workers task_timeout =
-  dist_workers := workers;
-  (dist_task_timeout_s :=
-     match task_timeout with Some s when s > 0. -> Some s | _ -> None);
-  if workers <> [] then
-    Logs.app (fun f ->
-        f "distributed sweep: %d remote worker%s (%s)%s" (List.length workers)
-          (if List.length workers = 1 then "" else "s")
-          (String.concat ", "
-             (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) workers))
-          (match !dist_task_timeout_s with
-          | Some s -> Printf.sprintf ", task timeout %gs" s
-          | None -> ", no task timeout (drop faults would hang!)"))
+          "Turn on the worker pool's timeout supervision for bound sweeps: \
+           a cell with no result after $(docv) has its worker killed and \
+           is retried on a fresh one, and a cell that times out on three \
+           attempts fails the run. Unset (or non-positive), a stalled \
+           cell is waited for.")
 
 let setup_faults inject =
   let spec =
@@ -1767,12 +1719,13 @@ let resolve_jobs jobs = if jobs <= 0 then Util.Parallel.default_jobs () else job
 
 let run_figure f =
   let run verbose quick scale seed zeta csv_dir jobs inject journal_dir
-      deadline cell_budget certify trace metrics profile workers task_timeout
+      deadline cell_budget certify trace metrics profile task_timeout
       workloads =
     setup_logs verbose;
     setup_faults inject;
     setup_obs ~trace ~metrics ~profile;
-    setup_dist workers task_timeout;
+    (task_timeout_s :=
+       match task_timeout with Some s when s > 0. -> Some s | _ -> None);
     let jobs = resolve_jobs jobs in
     (* Non-positive budgets mean "no budget", matching sweep_classes —
        the overrun check must not treat them as already blown. *)
@@ -1799,8 +1752,7 @@ let run_figure f =
   Term.(
     const run $ verbose_t $ quick_t $ scale_t $ seed_t $ zeta_t $ csv_t
     $ jobs_t $ inject_t $ journal_t $ deadline_t $ cell_budget_t $ certify_t
-    $ trace_t $ metrics_t $ profile_t $ workers_t $ task_timeout_t
-    $ workload_t)
+    $ trace_t $ metrics_t $ profile_t $ task_timeout_t $ workload_t)
 
 let fig1_cmd =
   Cmd.v (Cmd.info "fig1" ~doc:"Lower bounds per class vs QoS (Figure 1).")
@@ -2095,39 +2047,6 @@ let figscale_cmd =
           byte-for-byte across runs.")
     Term.(const run $ verbose_t $ seed_t $ objects_t $ check_t)
 
-let worker_cmd =
-  let port_t =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "listen" ] ~docv:"PORT"
-          ~doc:
-            "TCP port to listen on (0 binds an ephemeral port; the \
-             stderr banner reports the bound one).")
-  in
-  let host_t =
-    Arg.(
-      value & opt string "127.0.0.1"
-      & info [ "host" ] ~docv:"HOST"
-          ~doc:"Address to bind (default loopback only).")
-  in
-  let run verbose port host =
-    setup_logs verbose;
-    (* No --inject here on purpose: each coordinator session ships its
-       own fault spec (and obs config, and pool phase) in its handshake,
-       so a chaos run controls every process from one flag. *)
-    Dist.Server.serve ~host ~port ()
-  in
-  Cmd.v
-    (Cmd.info "worker"
-       ~doc:
-         "Run as a distributed sweep worker: accept coordinator sessions \
-          on $(b,--listen) and solve the cells they dispatch. One session \
-          child is forked per connection, so injected crashes kill a \
-          session, never the listener. Point a coordinator at it with \
-          $(b,--workers HOST:PORT).")
-    Term.(const run $ verbose_t $ port_t $ host_t)
-
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment (fig1, fig2, fig3, scale).")
@@ -2157,7 +2076,6 @@ let main =
       fig1_cmd; fig2_cmd; fig3_cmd; figtree_cmd; figscale_cmd; figavail_cmd;
       select_cmd; scale_cmd;
       validate_cmd; serve_cmd; ablation_cmd; workload_cmd; baselines_cmd;
-      worker_cmd;
       all_cmd;
     ]
 

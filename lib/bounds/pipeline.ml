@@ -896,14 +896,16 @@ let quality_counts sweep = count_cells sweep (fun r -> r.quality) all_qualities
 (* --- checkpoint journal -------------------------------------------------- *)
 
 (* A sweep journal is a plain text file: a header line carrying a
-   fingerprint of the sweep's identity (labels, class names, fractions,
-   latency threshold), then one line per completed cell. Each record is
-   the MD5 digest of its payload followed by the hex-encoded marshaled
-   [(key, (result, wall_s))] triple, so a torn tail from a crash is
-   detected and dropped rather than crashing the loader. The whole file
-   is rewritten to a temp path and [rename]d on every completion — the
-   journal on disk is always a complete, self-consistent prefix of the
-   sweep. It is deleted when the sweep finishes. *)
+   fingerprint of the sweep's identity (the spec's system, demand and
+   costs, the solver, the placement restriction, labels, class names,
+   fractions, latency threshold and time budgets), then one line per
+   completed cell. Each record is the MD5 digest of its payload followed
+   by the hex-encoded marshaled [(key, (result, wall_s))] triple, so a
+   torn tail from a crash is detected and dropped rather than crashing
+   the loader. The whole file is rewritten to a temp path and [rename]d
+   on every completion — the journal on disk is always a complete,
+   self-consistent prefix of the sweep. It is deleted when the sweep
+   finishes. *)
 
 let cell_key label fraction = Printf.sprintf "%s|%.17g" label fraction
 
@@ -916,13 +918,27 @@ let cell_key label fraction = Printf.sprintf "%s|%.17g" label fraction
    deserialize into the wrong path, so v2 journals are discarded. *)
 let journal_magic = "# replica-select sweep journal v3"
 
-let sweep_fingerprint ?(deadline_s = infinity) ?(cell_budget_s = infinity)
-    ~tlat_ms ~fractions classes =
+let sweep_fingerprint ~deadline_s ~cell_budget_s ~solver ?placeable ~tlat_ms
+    ~fractions spec classes =
   let b = Buffer.create 256 in
   Buffer.add_string b (Printf.sprintf "tlat=%.17g" tlat_ms);
   Buffer.add_string b
     (Printf.sprintf ";deadline=%.17g;cell-budget=%.17g" deadline_s
        cell_budget_s);
+  (* The instance and how it is solved: every cell is a function of
+     these. The goal stays out — the sweep sets its fraction per cell and
+     its threshold is [tlat] above. *)
+  Buffer.add_string b
+    (";instance="
+    ^ Digest.to_hex
+        (Digest.string
+           (Marshal.to_string
+              ( spec.Mcperf.Spec.system,
+                spec.Mcperf.Spec.demand,
+                spec.Mcperf.Spec.costs,
+                solver,
+                placeable )
+              [ Marshal.No_sharing ])));
   List.iter (fun x -> Buffer.add_string b (Printf.sprintf ";%.17g" x)) fractions;
   List.iter
     (fun (label, cls) ->
@@ -1037,7 +1053,8 @@ let load_journal_result ~fingerprint path :
         line = 1;
         msg =
           "journal header does not match this sweep's fingerprint \
-           (different classes, fractions, threshold or journal version)";
+           (different instance, solver, classes, fractions, threshold or \
+           journal version)";
       }
   | Scan_bad_record (line, msg) ->
     Error
@@ -1058,8 +1075,8 @@ let load_journal ~fingerprint path : (string, t * float) Hashtbl.t =
   | Scan_header_mismatch ->
     Log.warn (fun f ->
         f
-          "journal %s does not match this sweep (different classes, \
-           fractions or threshold): ignoring it"
+          "journal %s does not match this sweep (different instance, \
+           solver, classes, fractions or threshold): ignoring it"
           path)
   | Scan_bad_record _ ->
     Log.warn (fun f ->
@@ -1090,10 +1107,9 @@ let write_journal ~fingerprint path entries =
 
 (* --- cell solver ---------------------------------------------------------- *)
 
-(* The per-cell solve of [sweep_classes], factored to toplevel so the
-   same code runs behind every transport: the sequential path, local
-   fork workers, and remote TCP worker sessions (the [Dist.Registry]
-   entry below). Each call keeps fresh per-process state for each class:
+(* The per-cell solve of [sweep_classes], run by the sequential path and
+   by every fork worker alike. Each call keeps fresh per-process state
+   for each class:
    the first LP cell of a class builds the model, later cells of the same
    class (in the same process) patch only the QoS rhs and reuse the
    latest prepared constraint matrix. Because a patched model is
@@ -1144,33 +1160,8 @@ let make_cell_solver ~solver ?placeable ~tlat_ms spec =
       Obs.Trace.span_end sp;
       raise e
 
-(* --- distributed dispatch ------------------------------------------------- *)
-
-(* Everything a remote worker session needs to solve any pending cell of
-   one sweep: plain data only (specs, class tables, the pending cell
-   array), marshaled once into the session handshake. The task protocol
-   then ships bare indices into [dc_cells]. *)
-type dist_cell_ctx = {
-  dc_spec : Mcperf.Spec.t;
-  dc_tlat_ms : float;
-  dc_placeable : bool array option;
-  dc_solver : solver;
-  dc_cells : (string * string * Mcperf.Classes.t * float) array;
-}
-
-let dist_fn = "pipeline.sweep-cell"
-
-let () =
-  Dist.Registry.register dist_fn (fun blob ->
-      let ctx = (Marshal.from_string blob 0 : dist_cell_ctx) in
-      let solve =
-        make_cell_solver ~solver:ctx.dc_solver ?placeable:ctx.dc_placeable
-          ~tlat_ms:ctx.dc_tlat_ms ctx.dc_spec
-      in
-      fun index -> Marshal.to_string (solve ctx.dc_cells.(index) : t) [])
-
-(* Sweep knobs as one record with [with_*] builders: call sites stay
-   readable and new knobs ride along without touching every caller. *)
+(* Sweep knobs as one record: build it from [default] with record
+   syntax, so new knobs ride along without touching every caller. *)
 module Sweep_config = struct
   type t = {
     jobs : int;
@@ -1182,8 +1173,6 @@ module Sweep_config = struct
     journal : string option;
     progress : (completed:int -> total:int -> unit) option;
     obs : Obs.Config.t option;
-    workers : (string * int) list;
-        (* remote TCP workers ([host, port]); [] = local-only sweep *)
   }
 
   let default =
@@ -1197,16 +1186,7 @@ module Sweep_config = struct
       journal = None;
       progress = None;
       obs = None;
-      workers = [];
     }
-
-  let with_jobs jobs t = { t with jobs }
-  let with_solver solver t = { t with solver }
-  let with_timeout timeout_s t = { t with timeout_s = Some timeout_s }
-  let with_deadline deadline_s t = { t with deadline_s }
-  let with_cell_budget cell_budget_s t = { t with cell_budget_s }
-  let with_obs obs t = { t with obs = Some obs }
-  let with_workers workers t = { t with workers }
 end
 
 let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
@@ -1220,7 +1200,6 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     journal;
     progress;
     obs;
-    workers;
   } =
     cfg
   in
@@ -1248,7 +1227,8 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
       classes
   in
   let fingerprint =
-    sweep_fingerprint ~deadline_s ~cell_budget_s ~tlat_ms ~fractions classes
+    sweep_fingerprint ~deadline_s ~cell_budget_s ~solver ?placeable ~tlat_ms
+      ~fractions spec classes
   in
   let done_tbl =
     match journal with
@@ -1289,29 +1269,6 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     | Some f -> f ~completed:!completed_count ~total
     | None -> ()
   in
-  (* Remote endpoint factories: each worker address becomes one pool
-     slot feeding the same pending-cell array by index. The context blob
-     is marshaled once per sweep and shipped in each session handshake;
-     reconnect/backoff/blacklist policy lives in [Dist.Client]. *)
-  let remote =
-    match workers with
-    | [] -> []
-    | ws ->
-      let ctx =
-        Marshal.to_string
-          {
-            dc_spec = spec;
-            dc_tlat_ms = tlat_ms;
-            dc_placeable = placeable;
-            dc_solver = solver;
-            dc_cells = pending_arr;
-          }
-          []
-      in
-      List.map
-        (fun (host, port) -> Dist.Client.factory ~host ~port ~fn:dist_fn ~ctx)
-        ws
-  in
   let sweep_sp =
     Obs.Trace.span_begin "pipeline.sweep"
       ~attrs:
@@ -1335,10 +1292,7 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
   let budget_of =
     if not budgeted then None
     else begin
-      let width =
-        (if jobs <= 1 then 1 else jobs) + List.length workers
-      in
-      let eff_jobs = max 1 (min width (List.length pending)) in
+      let eff_jobs = max 1 (min jobs (List.length pending)) in
       Some
         (fun _index ->
           let remaining = deadline_s -. (Unix.gettimeofday () -. t0) in
@@ -1352,8 +1306,7 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     end
   in
   let outcomes =
-    Util.Parallel.map ~jobs ?timeout_s ?budget_of ~remote ~on_result ~f:solve
-      pending
+    Util.Parallel.map ~jobs ?timeout_s ?budget_of ~on_result ~f:solve pending
   in
   let elapsed_s = Unix.gettimeofday () -. t0 in
   Obs.Trace.span_end sweep_sp

@@ -277,14 +277,13 @@ val quality_counts : sweep -> (quality * int) list
     (zero entries included). A budget-free sweep reports every cell
     [Exact] or [Converged]. *)
 
-(** Sweep configuration as one value; build from {!Sweep_config.default}
-    with the [with_*] builders, and set [placeable], [journal] and
-    [progress] with record syntax:
+(** Sweep configuration as one value; build it from
+    {!Sweep_config.default} with record syntax:
 
     {[
       Pipeline.(
         sweep_classes
-          Sweep_config.(default |> with_jobs 4 |> with_deadline 30.)
+          { Sweep_config.default with jobs = 4; deadline_s = 30. }
           spec ~fractions classes)
     ]} *)
 module Sweep_config : sig
@@ -302,33 +301,12 @@ module Sweep_config : sig
     obs : Obs.Config.t option;
         (** observability view to install for the sweep (and inherit into
             its workers); [None] keeps the ambient {!Obs.Config} *)
-    workers : (string * int) list;
-        (** remote TCP worker addresses ([host, port]); each becomes one
-            extra pool slot fed through {!Dist.Client} alongside the
-            [jobs] local fork workers ([jobs <= 1] with a non-empty list
-            means {e no} local workers — coordinator plus remotes only).
-            Pair with [timeout_s]: a dropped dispatch frame is only
-            reclaimed by the per-task timeout. [[]] = local-only. *)
   }
 
   val default : t
   (** Sequential, [Auto] solver, unbudgeted, no journal, ambient
       observability — the old defaults, as one value. *)
-
-  val with_jobs : int -> t -> t
-  val with_solver : solver -> t -> t
-  val with_timeout : float -> t -> t
-  val with_deadline : float -> t -> t
-  val with_cell_budget : float -> t -> t
-  val with_obs : Obs.Config.t -> t -> t
-  val with_workers : (string * int) list -> t -> t
 end
-
-val dist_fn : string
-(** ["pipeline.sweep-cell"] — the {!Dist.Registry} name under which this
-    module registers its cell solver at module-init time. A worker
-    process serving this function must link this module (coordinator and
-    workers are the same binary, so they always do). *)
 
 val load_journal_result :
   fingerprint:string ->
@@ -379,9 +357,16 @@ val sweep_classes :
     same arguments skips the recorded cells and — because each cell's
     result is a pure function of (spec, class, fraction) — produces
     output byte-identical to an uninterrupted run at any [jobs]. The
-    journal carries a fingerprint of the sweep's identity (a journal from
-    a different sweep is ignored), tolerates a torn tail from a crash
-    mid-write, and is deleted when the sweep completes.
+    journal's header carries a fingerprint of everything a cell depends
+    on: the spec's system, demand and costs, the latency threshold, the
+    solver, [placeable], the time budgets, the fractions, and the class
+    labels and names. A journal whose fingerprint differs — another
+    instance, scale or seed, say — is ignored with a warning, never
+    resumed. The journal tolerates a torn tail from a crash mid-write and
+    is deleted when the sweep completes. With {!Util.Faults}'
+    [ckill_after = n] the parent exits (status 96) right after its
+    [n]-th checkpoint, so a kill-and-resume can be driven
+    deterministically.
 
     [progress] is invoked in the parent after each cell completes.
 

@@ -174,12 +174,6 @@ let row t i =
       let p = t.row_ptr.(i) + k in
       (t.col_idx.(p), t.values.(p)))
 
-let iter_row t i f =
-  if i < 0 || i >= t.nrows then invalid_arg "Sparse.iter_row: index out of range";
-  for p = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    f t.col_idx.(p) t.values.(p)
-  done
-
 let row_abs_sums t =
   Array.init t.nrows (fun i ->
       let acc = ref 0. in

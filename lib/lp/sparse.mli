@@ -36,6 +36,3 @@ val row_abs_sums : t -> float array
 
 val col_abs_sums : t -> float array
 (** Per-column sums of absolute values. *)
-
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-(** Iterate the nonzeros of a row without allocating. *)

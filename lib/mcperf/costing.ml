@@ -3,8 +3,6 @@ type placement = int array array
 let empty_placement spec =
   Array.make_matrix (Spec.node_count spec) (Spec.object_count spec) 0
 
-let copy_placement p = Array.map Array.copy p
-
 type evaluation = {
   storage : float;
   creation : float;

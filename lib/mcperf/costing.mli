@@ -18,8 +18,6 @@ type placement = int array array
 
 val empty_placement : Spec.t -> placement
 
-val copy_placement : placement -> placement
-
 type evaluation = {
   storage : float;  (** alpha * weighted object-intervals stored *)
   creation : float;  (** beta * weighted replica creations *)

@@ -415,8 +415,6 @@ let store_var t ~node ~interval ~object_id =
   Hashtbl.find_opt t.store_index
     (pack ~intervals ~objects ~node ~interval ~object_id)
 
-let cost_of t x = Lp.Problem.objective_value t.problem x +. t.objective_offset
-
 let store_placement t x =
   let spec = t.permission.Permission.spec in
   let nodes = Spec.node_count spec in

@@ -74,9 +74,6 @@ val store_var : t -> node:int -> interval:int -> object_id:int -> int option
 (** Index of a store variable, when it exists (i.e. inside the pruned
     support). *)
 
-val cost_of : t -> float array -> float
-(** Objective value plus the constant offset. *)
-
 val store_placement : t -> float array -> float array array array
 (** [store_placement m x] expands a solution vector into a dense
     [node][object] -> per-interval fractional store array (entries outside

@@ -42,11 +42,6 @@ let make ~system ~demand ?(costs = default_costs) ~goal () =
     if tavg_ms < 0. then invalid_arg "Spec.make: negative average-latency goal");
   { system; demand; costs; goal }
 
-let latency_threshold t =
-  match t.goal with
-  | Qos { tlat_ms; _ } -> tlat_ms
-  | Avg_latency { tavg_ms } -> tavg_ms
-
 let node_count t = Topology.System.node_count t.system
 let interval_count t = t.demand.Workload.Demand.intervals
 let object_count t = t.demand.Workload.Demand.objects

@@ -47,10 +47,6 @@ val make :
     range, and the interval count fits the bitset-based permission
     machinery (at most {!max_intervals}). *)
 
-val latency_threshold : t -> float
-(** The [tlat_ms] of a QoS goal; for an average-latency goal, the [tavg_ms]
-    value (used only for reporting and for coverage diagnostics). *)
-
 val node_count : t -> int
 val interval_count : t -> int
 val object_count : t -> int

@@ -86,7 +86,6 @@ let observe h v =
   end
 
 let counter_value c = c.c
-let gauge_value g = g.g
 let histogram_stats h = (h.count, h.sum, h.minv, h.maxv)
 
 let histogram_buckets h =

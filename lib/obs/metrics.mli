@@ -32,7 +32,6 @@ val observe : histogram -> float -> unit
     bucket. *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
 
 val histogram_stats : histogram -> int * float * float * float
 (** [(count, sum, min, max)]; min/max are [nan] when empty. *)

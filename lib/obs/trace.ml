@@ -109,16 +109,6 @@ let event ?(attrs = []) name =
     emit !current_scope st ~kind:Point ~name ~id:0 ~parent ~attrs
   end
 
-let with_span ?attrs name f =
-  let sp = span_begin ?attrs name in
-  match f () with
-  | v ->
-    span_end sp;
-    v
-  | exception e ->
-    span_end sp;
-    raise e
-
 let drain () =
   let evs = List.rev !buffer in
   buffer := [];

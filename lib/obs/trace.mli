@@ -51,10 +51,6 @@ val span_end : ?attrs:(string * attr) list -> span -> unit
 val event : ?attrs:(string * attr) list -> string -> unit
 (** Emit a point event parented to the innermost open span. *)
 
-val with_span : ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] brackets [f] in a span; the span is closed on
-    both normal return and exception. *)
-
 val drain : unit -> event list
 (** Remove and return every buffered event (worker side, before
     shipping to the parent).  Order is emission order. *)

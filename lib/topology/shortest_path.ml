@@ -50,15 +50,3 @@ let floyd_warshall g =
     done
   done;
   d
-
-let eccentricity m u =
-  Array.fold_left
-    (fun acc d -> if Float.is_finite d && d > acc then d else acc)
-    0. m.(u)
-
-let diameter m =
-  Array.fold_left (fun acc row ->
-      Array.fold_left
-        (fun acc d -> if Float.is_finite d && d > acc then d else acc)
-        acc row)
-    0. m

@@ -16,9 +16,3 @@ val all_pairs : Graph.t -> float array array
 val floyd_warshall : Graph.t -> float array array
 (** Same contract as {!all_pairs}, computed by Floyd–Warshall. Used as a
     cross-check in tests; O(n^3). *)
-
-val eccentricity : float array array -> int -> float
-(** Largest finite latency from a node; [0.] if the node reaches nothing. *)
-
-val diameter : float array array -> float
-(** Largest finite entry of the matrix. *)

@@ -5,12 +5,6 @@ type spec = {
   stall_prob : float;
   stall_s : float;
   diverge_prob : float;
-  drop_prob : float;
-  delay_prob : float;
-  delay_s : float;
-  garble_prob : float;
-  disconnect_prob : float;
-  partition_prob : float;
   ckill_after : int;
 }
 
@@ -22,20 +16,12 @@ let none =
     stall_prob = 0.;
     stall_s = 0.5;
     diverge_prob = 0.;
-    drop_prob = 0.;
-    delay_prob = 0.;
-    delay_s = 0.05;
-    garble_prob = 0.;
-    disconnect_prob = 0.;
-    partition_prob = 0.;
     ckill_after = 0;
   }
 
 let is_none s =
   s.crash_prob = 0. && s.crash_every = 0 && s.stall_prob = 0.
-  && s.diverge_prob = 0. && s.drop_prob = 0. && s.delay_prob = 0.
-  && s.garble_prob = 0. && s.disconnect_prob = 0. && s.partition_prob = 0.
-  && s.ckill_after = 0
+  && s.diverge_prob = 0. && s.ckill_after = 0
 
 type error = Parse_error.t = { file : string; line : int; msg : string }
 
@@ -83,12 +69,6 @@ let parse_result ?(file = default_file) text =
               | "stall" -> prob (fun p -> { s with stall_prob = p })
               | "stall_s" -> nonneg_float (fun x -> { s with stall_s = x })
               | "diverge" -> prob (fun p -> { s with diverge_prob = p })
-              | "drop" -> prob (fun p -> { s with drop_prob = p })
-              | "delay" -> prob (fun p -> { s with delay_prob = p })
-              | "delay_s" -> nonneg_float (fun x -> { s with delay_s = x })
-              | "garble" -> prob (fun p -> { s with garble_prob = p })
-              | "disconnect" -> prob (fun p -> { s with disconnect_prob = p })
-              | "partition" -> prob (fun p -> { s with partition_prob = p })
               | "ckill_after" -> nonneg_int (fun n -> { s with ckill_after = n })
               | _ -> fail "unknown key %S" key)
     in
@@ -101,13 +81,6 @@ let to_string s =
     let addf name v = if v <> 0. then fields := Printf.sprintf "%s=%g" name v :: !fields in
     let addi name v = if v <> 0 then fields := Printf.sprintf "%s=%d" name v :: !fields in
     addi "ckill_after" s.ckill_after;
-    addf "partition" s.partition_prob;
-    addf "disconnect" s.disconnect_prob;
-    addf "garble" s.garble_prob;
-    if s.delay_s <> none.delay_s then
-      fields := Printf.sprintf "delay_s=%g" s.delay_s :: !fields;
-    addf "delay" s.delay_prob;
-    addf "drop" s.drop_prob;
     addf "diverge" s.diverge_prob;
     if s.stall_s <> none.stall_s then
       fields := Printf.sprintf "stall_s=%g" s.stall_s :: !fields;
@@ -179,33 +152,6 @@ let crash_point ~key =
 let stall_point ~key =
   if first_attempt_in_worker () && stall_requested ~key then
     Unix.sleepf (current ()).stall_s
-
-(* --- network faults ------------------------------------------------------ *)
-
-(* Transport-layer faults are decided by the same FNV scheme but gated on
-   the message's [attempt] explicitly (the distributed transport knows
-   the attempt it is sending; it is not "inside a worker"), so a dropped
-   or garbled first dispatch always recovers on the retry. *)
-
-let drop_requested ~key ~attempt =
-  let s = !state in
-  attempt = 0 && decide s ~kind:"net-drop" ~key ~prob:s.drop_prob
-
-let delay_requested ~key ~attempt =
-  let s = !state in
-  attempt = 0 && decide s ~kind:"net-delay" ~key ~prob:s.delay_prob
-
-let garble_requested ~key ~attempt =
-  let s = !state in
-  attempt = 0 && decide s ~kind:"net-garble" ~key ~prob:s.garble_prob
-
-let disconnect_requested ~key ~attempt =
-  let s = !state in
-  attempt = 0 && decide s ~kind:"net-disconnect" ~key ~prob:s.disconnect_prob
-
-let partition_requested ~key =
-  let s = !state in
-  decide s ~kind:"net-partition" ~key ~prob:s.partition_prob
 
 (* Coordinator kill: exit the coordinator after its [ckill_after]-th
    checkpoint this run, as if the driving process had been SIGKILLed

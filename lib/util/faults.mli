@@ -27,6 +27,11 @@
       decision is made here; the poisoning and its attempt-gating live in
       the pipeline.
 
+    One more knob, [ckill_after], kills the parent process itself after
+    its [n]-th checkpoint write ({!coordinator_kill_point}), so that
+    [--journal] kill-and-resume can be driven without a timed
+    [kill -9].
+
     The ambient spec is installed per process ({!install}) and inherited
     by pool workers through [fork]; separate processes pick it up from
     the [REPLICA_FAULTS] environment variable ({!of_env_result}). *)
@@ -38,24 +43,8 @@ type spec = {
   stall_prob : float;  (** per-task probability of an artificial stall *)
   stall_s : float;  (** stall duration in seconds (default 0.5) *)
   diverge_prob : float;  (** per-cell probability of solver-input poisoning *)
-  drop_prob : float;
-      (** per-task probability that the coordinator's dispatch frame is
-          silently dropped (first attempt only; recovers via the task
-          timeout) *)
-  delay_prob : float;  (** per-task probability of delaying the dispatch *)
-  delay_s : float;  (** dispatch delay in seconds (default 0.05) *)
-  garble_prob : float;
-      (** per-task probability that the dispatch frame is corrupted in
-          flight (first attempt only; caught by the frame digest, the
-          connection is torn down and the task retried) *)
-  disconnect_prob : float;
-      (** per-task probability that the remote worker drops the
-          connection instead of replying (first attempt only) *)
-  partition_prob : float;
-      (** per-connection probability that a connect attempt is refused,
-          as if the worker host were partitioned away *)
   ckill_after : int;
-      (** kill the coordinator after its [n]-th checkpoint write this
+      (** kill the parent process after its [n]-th checkpoint write this
           run (0 = off); the next run resumes from the journal *)
 }
 
@@ -72,9 +61,8 @@ type error = Parse_error.t = { file : string; line : int; msg : string }
 val parse_result : ?file:string -> string -> (spec, error) Stdlib.result
 (** Parse a comma-separated [key=value] spec, e.g.
     ["seed=42,crash=0.2,diverge=0.1"] or ["crash_every=3,stall=0.05,stall_s=1"].
-    Keys: [seed], [crash], [crash_every], [stall], [stall_s], [diverge],
-    and the network kinds [drop], [delay], [delay_s], [garble],
-    [disconnect], [partition], [ckill_after].
+    Keys: [seed], [crash], [crash_every], [stall], [stall_s], [diverge]
+    and [ckill_after]; any other key is an error.
     Probabilities must lie in [\[0, 1\]]. The empty string parses to
     {!none}. [file] labels the error's [file] field (default
     ["<faults>"]; CLI and env callers pass their own source label). *)
@@ -93,8 +81,6 @@ val install : spec -> unit
 (** Set the ambient spec for this process (and, through [fork], for any
     pool workers spawned afterwards). *)
 
-val current : unit -> spec
-
 val active : unit -> bool
 (** [not (is_none (current ()))]. *)
 
@@ -110,18 +96,9 @@ val decide : spec -> kind:string -> key:string -> prob:float -> bool
     [key]) with success probability [prob]. Same inputs, same answer, in
     any process. *)
 
-val crash_requested : key:string -> bool
-(** Whether the ambient spec asks for a crash on this key (combining
-    [crash_prob] and [crash_every]); ignores execution context. *)
-
-val stall_requested : key:string -> bool
-
 val diverge_requested : key:string -> bool
 (** Whether the ambient spec asks for solver-input poisoning on this
     cell. Callers must apply it on the first solve attempt only. *)
-
-val crash_exit_code : int
-(** Exit status used by injected crashes (distinguishable in waitpid). *)
 
 val crash_point : key:string -> unit
 (** Kill this process via [Unix._exit] if (a) the ambient spec requests
@@ -132,41 +109,9 @@ val crash_point : key:string -> unit
 val stall_point : key:string -> unit
 (** Sleep [stall_s] under the same worker/first-attempt gating. *)
 
-(** {2 Network faults}
-
-    Deterministic transport faults for the distributed sweep backend.
-    Unlike the worker-process kinds above they are gated on the frame's
-    [attempt] number {e explicitly} — the transport code sending a task
-    knows which attempt it is dispatching — so a faulted first dispatch
-    always recovers on the supervisor's retry and chaos runs terminate.
-    All decisions use the same FNV scheme as {!decide}: a function of
-    (seed, kind, key) only, identical in every process and at every
-    [--jobs]/worker mix. *)
-
-val drop_requested : key:string -> attempt:int -> bool
-(** Drop the dispatch frame (the worker never sees the task; recovery
-    relies on the pool's per-task timeout). First attempt only. *)
-
-val delay_requested : key:string -> attempt:int -> bool
-(** Delay the dispatch frame by [delay_s]. First attempt only. *)
-
-val garble_requested : key:string -> attempt:int -> bool
-(** Corrupt the dispatch frame in flight. The frame digest catches it on
-    the receiving side, which tears the connection down rather than
-    unmarshaling garbage. First attempt only. *)
-
-val disconnect_requested : key:string -> attempt:int -> bool
-(** The remote worker session drops the connection instead of replying.
-    First attempt only. *)
-
-val partition_requested : key:string -> bool
-(** Refuse this connect attempt, as if the worker host were partitioned
-    away. Keyed by worker address and connection ordinal, so a partition
-    heals deterministically on a later reconnect. *)
-
 val coordinator_kill_point : nth:int -> unit
-(** Kill this process via [Unix._exit] once [nth] (the checkpoint count
-    of the current run) reaches the ambient spec's [ckill_after]
-    (0 = never). Fires only in the coordinator — never inside a pool
-    worker — so it models the driving process dying mid-sweep with a
-    complete journal prefix on disk. *)
+(** Kill this process via [Unix._exit] with status 96 once [nth] (the
+    checkpoint count of the current run) reaches the ambient spec's
+    [ckill_after] (0 = never). Fires only in the parent — never inside a
+    pool worker — so it models the driving process dying mid-sweep with
+    a complete journal prefix on disk. *)

@@ -13,10 +13,6 @@ type pool_stats = {
   timeouts : int;
   fork_failures : int;
   degraded : bool;
-  remote_workers : int;
-  remote_deaths : int;
-  reconnects : int;
-  blacklisted : int;
 }
 
 let zero_stats =
@@ -28,10 +24,6 @@ let zero_stats =
     timeouts = 0;
     fork_failures = 0;
     degraded = false;
-    remote_workers = 0;
-    remote_deaths = 0;
-    reconnects = 0;
-    blacklisted = 0;
   }
 
 let stats_ref = ref zero_stats
@@ -93,14 +85,6 @@ let with_task_deadline budget body =
    stay identical. *)
 let phase = ref 0
 let () = Obs.Config.on_install (fun () -> phase := 0)
-
-(* Remote worker sessions must agree with the coordinator on the phase
-   (their task scopes would otherwise collide or diverge in the merged
-   trace), so the coordinator ships its phase in the session handshake
-   and the session installs it here — after installing the obs config,
-   which resets the counter. *)
-let current_phase () = !phase
-let set_phase p = phase := p
 
 let with_task_obs index ~attempt body =
   if not (Obs.Config.tracing ()) then body ()
@@ -213,6 +197,8 @@ type worker = {
   req_oc : out_channel;
   resp_fd : Unix.file_descr;
   resp_ic : in_channel;
+  mutable task : (int * int) option;  (** (index, attempt) in flight *)
+  mutable deadline : float;
   mutable alive : bool;
 }
 
@@ -223,23 +209,6 @@ type worker = {
    metric deltas, Marshal-framed by [Obs.Sink.payload]); it is [""] — and
    costs one length word on the pipe — whenever observability is off. *)
 type 'b response = int * ('b, string) Stdlib.result * float * string
-
-(* One task execution under the full worker discipline — ambient attempt
-   context, per-task deadline, per-task trace scope, wall clamp, drained
-   obs payload. Shared by the forked serve loop below and by remote
-   worker sessions (lib/dist), so a task behaves identically whichever
-   transport delivered it. *)
-let run_task ~f ~index ~attempt ~budget_s =
-  let t0 = Unix.gettimeofday () in
-  worker_ctx := Some attempt;
-  let res =
-    try Ok (with_task_deadline budget_s (fun () -> with_task_obs index ~attempt f))
-    with e -> Error (Printexc.to_string e)
-  in
-  worker_ctx := None;
-  let wall = Float.max 0. (Unix.gettimeofday () -. t0) in
-  let payload = Obs.Sink.payload () in
-  (res, wall, payload)
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -276,9 +245,18 @@ let spawn ~inherited ~tasks ~f =
       match (Marshal.from_channel ic : int * int * float) with
       | exception (End_of_file | Failure _) -> ()
       | index, attempt, budget_s ->
-        let res, wall, payload =
-          run_task ~f:(fun () -> f tasks.(index)) ~index ~attempt ~budget_s
+        let t0 = Unix.gettimeofday () in
+        worker_ctx := Some attempt;
+        let res =
+          try
+            Ok
+              (with_task_deadline budget_s (fun () ->
+                   with_task_obs index ~attempt (fun () -> f tasks.(index))))
+          with e -> Error (Printexc.to_string e)
         in
+        worker_ctx := None;
+        let wall = Float.max 0. (Unix.gettimeofday () -. t0) in
+        let payload = Obs.Sink.payload () in
         (Marshal.to_channel oc (index, res, wall, payload : _ response) [];
          flush oc);
         serve ()
@@ -297,6 +275,8 @@ let spawn ~inherited ~tasks ~f =
       req_oc = Unix.out_channel_of_descr req_w;
       resp_fd = resp_r;
       resp_ic = Unix.in_channel_of_descr resp_r;
+      task = None;
+      deadline = infinity;
       alive = true;
     }
 
@@ -348,65 +328,7 @@ let rec select_eintr fds timeout =
   try Unix.select fds [] [] timeout
   with Unix.Unix_error (Unix.EINTR, _, _) -> select_eintr fds timeout
 
-(* --- endpoints ----------------------------------------------------------- *)
-
-(* A worker the pool can feed, abstracted over its transport: a forked
-   child behind a pipe pair, or a remote TCP session (lib/dist). The pool
-   only ever (a) sends one [(index, attempt, budget_s)] dispatch, (b)
-   selects on [ep_fd] for exactly one response per dispatch, (c) pings an
-   idle link before reusing it, and (d) closes. Any exception out of
-   send/recv/ping means the endpoint is dead; supervision requeues its
-   in-flight task and asks the slot's factory for a replacement. *)
-type 'b endpoint = {
-  ep_descr : string;  (** for supervision traces, e.g. ["fork:4711"] *)
-  ep_fd : Unix.file_descr;  (** select handle; readable = response coming *)
-  ep_fds : Unix.file_descr list;
-      (** every parent-side fd of this endpoint — freshly forked local
-          workers close these so a dead endpoint shows up as EOF *)
-  ep_send : int * int * float -> unit;
-  ep_recv : unit -> 'b response;
-  ep_ping : unit -> unit;  (** liveness round trip; no-op for local forks *)
-  ep_close : kill:bool -> unit;
-}
-
-type 'b remote_acquire =
-  | Remote_ok of 'b endpoint
-  | Remote_unavailable
-  | Remote_blacklisted
-
-type 'b remote_factory = unit -> 'b remote_acquire
-
-let endpoint_of_worker w =
-  {
-    ep_descr = Printf.sprintf "fork:%d" w.pid;
-    ep_fd = w.resp_fd;
-    ep_fds = [ w.req_fd; w.resp_fd ];
-    ep_send =
-      (fun (msg : int * int * float) ->
-        Marshal.to_channel w.req_oc msg [];
-        flush w.req_oc);
-    ep_recv = (fun () -> (Marshal.from_channel w.resp_ic : _ response));
-    ep_ping = (fun () -> ());
-    ep_close = (fun ~kill -> ignore (reap w ~kill));
-  }
-
-let heartbeat_idle_s = 1.0
-
-(* A pool slot: the supervision unit. Local slots respawn through [fork]
-   against the shared respawn budget; remote slots reacquire through
-   their factory, which owns the reconnect-backoff and blacklist policy. *)
-type 'b slot = {
-  sl_remote : bool;
-  sl_factory : respawn:bool -> 'b remote_acquire;
-  mutable sl_conn : 'b endpoint option;
-  mutable sl_task : (int * int) option;
-  mutable sl_deadline : float;
-  mutable sl_idle_since : float;
-  mutable sl_ever : bool;  (** acquired at least once (later ones count) *)
-  mutable sl_retired : bool;  (** blacklisted / budget spent: never refilled *)
-}
-
-let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
+let run_pool ~jobs ~timeout_s ?budget_of ?on_result ~f tasks =
   let budget_for index =
     match budget_of with Some g -> g index | None -> infinity
   in
@@ -422,10 +344,7 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
   and inline_recoveries = ref 0
   and timeouts = ref 0
   and fork_failures = ref 0
-  and degraded = ref false
-  and remote_deaths = ref 0
-  and reconnects = ref 0
-  and blacklisted = ref 0 in
+  and degraded = ref false in
   let complete_ok index r =
     if results.(index) = None && failures.(index) = None then begin
       results.(index) <- Some r;
@@ -454,25 +373,23 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
     | exception e ->
       complete_err index (Printexc.to_string e)
   in
-  (* Slot plan: [jobs] local fork slots — none when [jobs <= 1], so with
-     remote endpoints configured [--jobs 1] means coordinator-only — plus
-     one slot per remote endpoint factory, both capped at the task
-     count. *)
-  let local_slots = if fork_available && jobs > 1 then min jobs n else 0 in
-  let remote_facs = List.filteri (fun i _ -> i < n) remote in
-  let respawn_budget = ref (max 4 (2 * local_slots)) in
-  let slots = ref [||] in
-  let child_close_fds () =
+  (* One slot per worker process, capped at the task count. An empty slot
+     (fork failed, or the respawn budget is spent) is never refilled. *)
+  let workers : worker option array = Array.make (min jobs n) None in
+  let respawn_budget = ref (max 4 (2 * Array.length workers)) in
+  let live_parent_fds () =
     Array.fold_left
-      (fun acc s ->
-        match s.sl_conn with Some ep -> ep.ep_fds @ acc | None -> acc)
-      [] !slots
+      (fun acc w ->
+        match w with
+        | Some w when w.alive -> w.req_fd :: w.resp_fd :: acc
+        | Some _ | None -> acc)
+      [] workers
   in
   (* Fork with bounded retries and exponential backoff; [None] after the
      budget means the pool runs narrower (and, once empty, sequentially). *)
   let try_fork () =
     let rec go attempt =
-      match spawn ~inherited:(child_close_fds ()) ~tasks ~f with
+      match spawn ~inherited:(live_parent_fds ()) ~tasks ~f with
       | w -> Some w
       | exception (Unix.Unix_error _ | Sys_error _) ->
         incr fork_failures;
@@ -484,113 +401,59 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
     in
     go 0
   in
-  let local_factory ~respawn =
-    if respawn && !respawn_budget <= 0 then Remote_blacklisted
-    else begin
-      if respawn then decr respawn_budget;
+  let respawn_slot slot =
+    workers.(slot) <- None;
+    if !respawn_budget > 0 then begin
+      decr respawn_budget;
       match try_fork () with
-      | Some w -> Remote_ok (endpoint_of_worker w)
-      | None ->
-        if respawn then degraded := true;
-        Remote_blacklisted
+      | Some w ->
+        incr respawns;
+        Obs.Metrics.incr (Lazy.force m_respawns);
+        pool_event "respawn"
+          [ ("slot", Obs.Trace.Int slot); ("pid", Obs.Trace.Int w.pid) ];
+        workers.(slot) <- Some w
+      | None -> degraded := true
     end
   in
-  let fresh_slot ~remote factory =
-    {
-      sl_remote = remote;
-      sl_factory = factory;
-      sl_conn = None;
-      sl_task = None;
-      sl_deadline = infinity;
-      sl_idle_since = 0.;
-      sl_ever = false;
-      sl_retired = false;
-    }
+  (* Requeue a task whose attempt [attempt - 1] was lost, after a backoff
+     sleep. *)
+  let requeue (index, attempt) =
+    incr task_retries;
+    Obs.Metrics.incr (Lazy.force m_retries);
+    Obs.Metrics.incr (Lazy.force m_backoff);
+    pool_event "backoff"
+      [
+        ("index", Obs.Trace.Int index);
+        ("attempt", Obs.Trace.Int attempt);
+        ("wall_sleep_s", Obs.Trace.Float (backoff_delay (attempt - 1)));
+      ];
+    Unix.sleepf (backoff_delay (attempt - 1));
+    Queue.push (index, attempt) retries
   in
-  slots :=
-    Array.of_list
-      (List.init local_slots (fun _ -> fresh_slot ~remote:false local_factory)
-      @ List.map
-          (fun fac -> fresh_slot ~remote:true (fun ~respawn:_ -> fac ()))
-          remote_facs);
-  let acquire slot =
-    match slot.sl_conn with
-    | Some _ -> ()
-    | None ->
-      if not slot.sl_retired then begin
-        match slot.sl_factory ~respawn:slot.sl_ever with
-        | Remote_ok ep ->
-          if slot.sl_ever then begin
-            if slot.sl_remote then incr reconnects
-            else begin
-              incr respawns;
-              Obs.Metrics.incr (Lazy.force m_respawns)
-            end;
-            pool_event
-              (if slot.sl_remote then "reconnect" else "respawn")
-              [ ("endpoint", Obs.Trace.Str ep.ep_descr) ]
-          end;
-          slot.sl_ever <- true;
-          slot.sl_conn <- Some ep;
-          slot.sl_task <- None;
-          slot.sl_deadline <- infinity;
-          slot.sl_idle_since <- Unix.gettimeofday ()
-        | Remote_unavailable ->
-          (* The factory already slept through its reconnect backoff;
-             leave the slot empty and let a later dispatch round retry.
-             Repeated failures end in [Remote_blacklisted]. *)
-          ()
-        | Remote_blacklisted ->
-          slot.sl_retired <- true;
-          if slot.sl_remote then begin
-            incr blacklisted;
-            pool_event "blacklist" []
-          end
+  (* A worker died (EOF on its pipe, or EPIPE at dispatch). Reap it,
+     requeue its in-flight task with backoff — bounded attempts, then the
+     parent computes it inline — and respawn the slot. *)
+  let on_death slot w =
+    incr worker_deaths;
+    Obs.Metrics.incr (Lazy.force m_deaths);
+    pool_event "worker_death" [ ("pid", Obs.Trace.Int w.pid) ];
+    ignore (reap w ~kill:false);
+    (match w.task with
+    | Some (index, attempt) ->
+      w.task <- None;
+      let attempt = attempt + 1 in
+      if attempt >= max_task_attempts then begin
+        incr inline_recoveries;
+        Obs.Metrics.incr (Lazy.force m_inline);
+        pool_event "inline_recovery" [ ("index", Obs.Trace.Int index) ];
+        run_inline (index, attempt)
       end
+      else requeue (index, attempt)
+    | None -> ());
+    respawn_slot slot
   in
-  (* An endpoint died (EOF / ECONNRESET on its link, or EPIPE at
-     dispatch). Close it, requeue its in-flight task with backoff —
-     bounded attempts, then the parent computes it inline — and ask the
-     slot's factory for a replacement. *)
-  let on_death slot =
-    match slot.sl_conn with
-    | None -> ()
-    | Some ep ->
-      if slot.sl_remote then incr remote_deaths else incr worker_deaths;
-      Obs.Metrics.incr (Lazy.force m_deaths);
-      pool_event "worker_death" [ ("endpoint", Obs.Trace.Str ep.ep_descr) ];
-      ep.ep_close ~kill:false;
-      slot.sl_conn <- None;
-      (match slot.sl_task with
-      | Some (index, attempt) ->
-        slot.sl_task <- None;
-        let attempt = attempt + 1 in
-        if attempt >= max_task_attempts then begin
-          incr inline_recoveries;
-          Obs.Metrics.incr (Lazy.force m_inline);
-          pool_event "inline_recovery" [ ("index", Obs.Trace.Int index) ];
-          run_inline (index, attempt)
-        end
-        else begin
-          incr task_retries;
-          Obs.Metrics.incr (Lazy.force m_retries);
-          Obs.Metrics.incr (Lazy.force m_backoff);
-          pool_event "backoff"
-            [
-              ("index", Obs.Trace.Int index);
-              ("attempt", Obs.Trace.Int attempt);
-              ("wall_sleep_s", Obs.Trace.Float (backoff_delay (attempt - 1)));
-            ];
-          Unix.sleepf (backoff_delay (attempt - 1));
-          Queue.push (index, attempt) retries
-        end
-      | None -> ());
-      acquire slot
-  in
-  let dispatch slot =
-    (match slot.sl_conn with None -> acquire slot | Some _ -> ());
-    match slot.sl_conn with
-    | Some ep when slot.sl_task = None -> (
+  let dispatch slot w =
+    if w.task = None then begin
       let job =
         if not (Queue.is_empty retries) then Some (Queue.pop retries)
         else if !next < n then begin
@@ -602,120 +465,81 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
       in
       match job with
       | None -> ()
-      | Some (index, attempt) ->
-        (* Heartbeat: a remote link that has sat idle may be half-open
-           (peer rebooted, connection silently dropped); validate it with
-           a ping round trip before committing a task to it. *)
-        let healthy =
-          (not slot.sl_remote)
-          || Unix.gettimeofday () -. slot.sl_idle_since <= heartbeat_idle_s
-          ||
-          match ep.ep_ping () with
-          | () ->
-            slot.sl_idle_since <- Unix.gettimeofday ();
-            true
-          | exception _ -> false
-        in
-        if not healthy then begin
+      | Some (index, attempt) -> (
+        match
+          Marshal.to_channel w.req_oc
+            ((index, attempt, budget_for index) : int * int * float)
+            [];
+          flush w.req_oc
+        with
+        | () ->
+          Obs.Metrics.incr (Lazy.force m_dispatched);
+          pool_event "dispatch"
+            [
+              ("index", Obs.Trace.Int index);
+              ("attempt", Obs.Trace.Int attempt);
+              ("slot", Obs.Trace.Int slot);
+            ];
+          w.task <- Some (index, attempt);
+          w.deadline <-
+            (match timeout_s with
+            | Some t -> Unix.gettimeofday () +. t
+            | None -> infinity)
+        | exception (Sys_error _ | Unix.Unix_error _) ->
+          (* The worker died before we could feed it; the task never ran,
+             so requeue it at the same attempt and supervise the death. *)
           Queue.push (index, attempt) retries;
-          on_death slot
-        end
-        else begin
-          match ep.ep_send (index, attempt, budget_for index) with
-          | () ->
-            Obs.Metrics.incr (Lazy.force m_dispatched);
-            pool_event "dispatch"
-              [
-                ("index", Obs.Trace.Int index);
-                ("attempt", Obs.Trace.Int attempt);
-                ("endpoint", Obs.Trace.Str ep.ep_descr);
-              ];
-            slot.sl_task <- Some (index, attempt);
-            slot.sl_deadline <-
-              (match timeout_s with
-              | Some t -> Unix.gettimeofday () +. t
-              | None -> infinity)
-          | exception (Sys_error _ | Unix.Unix_error _ | End_of_file) ->
-            (* The endpoint died before we could feed it; the task never
-               ran, so requeue it at the same attempt and supervise the
-               death. *)
-            Queue.push (index, attempt) retries;
-            on_death slot
-        end)
-    | Some _ | None -> ()
+          on_death slot w)
+    end
   in
-  let on_response slot =
-    match slot.sl_conn with
-    | None -> ()
-    | Some ep -> (
-      match ep.ep_recv () with
-      | exception (End_of_file | Failure _ | Sys_error _ | Unix.Unix_error _)
-        ->
-        on_death slot
-      | index, res, wall, payload -> (
-        slot.sl_task <- None;
-        slot.sl_deadline <- infinity;
-        slot.sl_idle_since <- Unix.gettimeofday ();
-        (* Absorb the worker's trace/metrics buffer only for the attempt
-           that is actually accepted, so a retried task can never be
-           double-counted in the merged trace. *)
-        if results.(index) = None && failures.(index) = None then
-          Obs.Sink.absorb_payload payload;
-        match res with
-        | Ok value -> complete_ok index { value; wall_s = wall }
-        | Error message ->
-          (* A raising task is a structured failure, not a pool teardown:
-             the worker survives and keeps serving, the other cells
-             finish, and [map] reports the failure at the end. *)
-          complete_err index message))
+  let on_response slot w =
+    match (Marshal.from_channel w.resp_ic : _ response) with
+    | exception (End_of_file | Failure _ | Sys_error _) -> on_death slot w
+    | index, res, wall, payload -> (
+      w.task <- None;
+      w.deadline <- infinity;
+      (* Absorb the worker's trace/metrics buffer only for the attempt
+         that is actually accepted, so a retried task can never be
+         double-counted in the merged trace. *)
+      if results.(index) = None && failures.(index) = None then
+        Obs.Sink.absorb_payload payload;
+      match res with
+      | Ok value -> complete_ok index { value; wall_s = wall }
+      | Error message ->
+        (* A raising task is a structured failure, not a pool teardown:
+           the worker survives and keeps serving, the other cells finish,
+           and [map] reports the failure at the end. *)
+        complete_err index message)
   in
-  (* A stalled task: kill its endpoint and retry on a fresh one
-     (transient stalls recover); once the attempt budget is spent, the
-     task is genuinely stuck — raise rather than hang the parent on an
-     inline run. *)
-  let on_timeout slot =
-    match slot.sl_conn with
-    | None -> ()
-    | Some ep ->
-      incr timeouts;
-      Obs.Metrics.incr (Lazy.force m_timeouts);
-      pool_event "timeout"
-        [
-          ("endpoint", Obs.Trace.Str ep.ep_descr);
-          ( "index",
-            Obs.Trace.Int
-              (match slot.sl_task with Some (i, _) -> i | None -> -1) );
-        ];
-      let pending = slot.sl_task in
-      slot.sl_task <- None;
-      ep.ep_close ~kill:true;
-      slot.sl_conn <- None;
-      (match pending with
-      | Some (index, attempt) ->
-        let attempt = attempt + 1 in
-        if attempt >= max_task_attempts then
-          raise
-            (Task_timeout
-               { index; timeout_s = Option.value timeout_s ~default:0. })
-        else begin
-          incr task_retries;
-          Obs.Metrics.incr (Lazy.force m_retries);
-          Obs.Metrics.incr (Lazy.force m_backoff);
-          Unix.sleepf (backoff_delay (attempt - 1));
-          Queue.push (index, attempt) retries
-        end
-      | None -> ());
-      acquire slot
+  (* A stalled task: kill its worker and retry on a fresh one (transient
+     stalls recover); once the attempt budget is spent, the task is
+     genuinely stuck — raise rather than hang the parent on an inline
+     run. *)
+  let on_timeout slot w =
+    incr timeouts;
+    Obs.Metrics.incr (Lazy.force m_timeouts);
+    pool_event "timeout"
+      [
+        ("pid", Obs.Trace.Int w.pid);
+        ( "index",
+          Obs.Trace.Int (match w.task with Some (i, _) -> i | None -> -1) );
+      ];
+    let pending = w.task in
+    w.task <- None;
+    ignore (reap w ~kill:true);
+    (match pending with
+    | Some (index, attempt) ->
+      let attempt = attempt + 1 in
+      if attempt >= max_task_attempts then
+        raise
+          (Task_timeout
+             { index; timeout_s = Option.value timeout_s ~default:0. })
+      else requeue (index, attempt)
+    | None -> ());
+    respawn_slot slot
   in
   let cleanup ~kill =
-    Array.iter
-      (fun s ->
-        match s.sl_conn with
-        | Some ep ->
-          ep.ep_close ~kill;
-          s.sl_conn <- None
-        | None -> ())
-      !slots
+    Array.iter (function Some w -> ignore (reap w ~kill) | None -> ()) workers
   in
   let record_stats () =
     stats_ref :=
@@ -727,10 +551,6 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
         timeouts = !timeouts;
         fork_failures = !fork_failures;
         degraded = !degraded;
-        remote_workers = List.length remote_facs;
-        remote_deaths = !remote_deaths;
-        reconnects = !reconnects;
-        blacklisted = !blacklisted;
       }
   in
   let finally_cleanup body =
@@ -742,6 +562,15 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
       cleanup ~kill:true;
       record_stats ();
       raise e
+  in
+  (* Every worker holding a task, with its slot. *)
+  let in_flight () =
+    List.filter_map
+      (fun slot ->
+        match workers.(slot) with
+        | Some w when w.task <> None -> Some (slot, w)
+        | Some _ | None -> None)
+      (List.init (Array.length workers) Fun.id)
   in
   (* A dead worker turns the next dispatch into EPIPE; take the error, not
      the signal. *)
@@ -757,20 +586,16 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
       | None -> ())
     (fun () ->
       finally_cleanup (fun () ->
-          Array.iter acquire !slots;
+          Array.iteri (fun i _ -> workers.(i) <- try_fork ()) workers;
           while !completed < n do
-            Array.iter dispatch !slots;
-            let in_flight =
-              Array.to_list !slots
-              |> List.filter_map (fun s ->
-                     match s.sl_conn with
-                     | Some ep when s.sl_task <> None -> Some (s, ep)
-                     | Some _ | None -> None)
-            in
-            match in_flight with
+            Array.iteri
+              (fun slot w ->
+                match w with Some w -> dispatch slot w | None -> ())
+              workers;
+            match in_flight () with
             | [] ->
-              (* Every worker is gone (or fork/connect never succeeded):
-                 degrade to sequential execution in the parent. *)
+              (* Every worker is gone (or fork never succeeded): degrade
+                 to sequential execution in the parent. *)
               if !completed < n then degraded := true;
               while not (Queue.is_empty retries) do
                 run_inline (Queue.pop retries)
@@ -780,7 +605,7 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
                 incr next;
                 run_inline (index, 0)
               done
-            | _ :: _ ->
+            | busy ->
               let now = Unix.gettimeofday () in
               (* A backwards clock step (NTP) would leave absolute
                  deadlines far in the future and stretch the select
@@ -790,42 +615,34 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
               (match timeout_s with
               | Some t ->
                 List.iter
-                  (fun (s, _) ->
-                    if s.sl_deadline > now +. t then s.sl_deadline <- now +. t)
-                  in_flight
+                  (fun (_, w) ->
+                    if w.deadline > now +. t then w.deadline <- now +. t)
+                  busy
               | None -> ());
               let horizon =
                 List.fold_left
-                  (fun acc (s, _) -> Float.min acc s.sl_deadline)
-                  infinity in_flight
+                  (fun acc (_, w) -> Float.min acc w.deadline)
+                  infinity busy
               in
               let select_timeout =
                 if horizon = infinity then -1. else Float.max 0. (horizon -. now)
               in
               let readable, _, _ =
                 select_eintr
-                  (List.map (fun (_, ep) -> ep.ep_fd) in_flight)
+                  (List.map (fun (_, w) -> w.resp_fd) busy)
                   select_timeout
               in
               if readable = [] then begin
                 let now = Unix.gettimeofday () in
-                Array.iter
-                  (fun s ->
-                    match s.sl_conn with
-                    | Some _ when s.sl_task <> None && s.sl_deadline <= now ->
-                      on_timeout s
-                    | Some _ | None -> ())
-                  !slots
+                List.iter
+                  (fun (slot, w) -> if w.deadline <= now then on_timeout slot w)
+                  busy
               end
               else
-                Array.iter
-                  (fun s ->
-                    match s.sl_conn with
-                    | Some ep
-                      when s.sl_task <> None && List.mem ep.ep_fd readable ->
-                      on_response s
-                    | Some _ | None -> ())
-                  !slots
+                List.iter
+                  (fun (slot, w) ->
+                    if List.mem w.resp_fd readable then on_response slot w)
+                  busy
           done));
   Array.init n (fun i ->
       match (results.(i), failures.(i)) with
@@ -835,24 +652,18 @@ let run_pool ~jobs ~timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
 
 (* --- public maps --------------------------------------------------------- *)
 
-let run ?jobs ?timeout_s ?budget_of ?(remote = []) ?on_result ~f tasks =
+let run ?jobs ?timeout_s ?budget_of ?on_result ~f tasks =
   incr phase;
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let arr = Array.of_list tasks in
-  let no_remote = match remote with [] -> true | _ :: _ -> false in
-  if
-    no_remote
-    && ((not fork_available) || jobs <= 1 || Array.length arr <= 1)
-  then begin
+  if (not fork_available) || jobs <= 1 || Array.length arr <= 1 then begin
     stats_ref := zero_stats;
     sequential ?budget_of ?on_result ~f tasks
   end
-  else
-    Array.to_list
-      (run_pool ~jobs ~timeout_s ?budget_of ~remote ?on_result ~f arr)
+  else Array.to_list (run_pool ~jobs ~timeout_s ?budget_of ?on_result ~f arr)
 
-let map ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks =
-  let outcomes = run ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks in
+let map ?jobs ?timeout_s ?budget_of ?on_result ~f tasks =
+  let outcomes = run ?jobs ?timeout_s ?budget_of ?on_result ~f tasks in
   (* Report the lowest-index failure, matching the sequential order a
      plain [List.map] would have surfaced it in. *)
   List.iter
@@ -863,6 +674,5 @@ let map ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks =
     outcomes;
   List.map (function Ok r -> r | Error _ -> assert false) outcomes
 
-let map_values ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks =
-  List.map (fun r -> r.value)
-    (map ?jobs ?timeout_s ?budget_of ?remote ?on_result ~f tasks)
+let map_values ?jobs ?timeout_s ?budget_of ?on_result ~f tasks =
+  List.map (fun r -> r.value) (map ?jobs ?timeout_s ?budget_of ?on_result ~f tasks)

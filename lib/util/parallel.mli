@@ -13,15 +13,16 @@
 
     - a worker that dies (segfault, [kill], [_exit]) is detected by EOF
       on its result pipe and reaped via [waitpid]; a replacement worker
-      is forked and the in-flight task is re-dispatched with exponential
-      backoff. After {!max_task_attempts} worker attempts the task is
-      computed inline in the parent, so every task still yields a result;
+      is forked into its slot (at most [max 4 (2 * slots)] respawns per
+      map) and the in-flight task is re-dispatched with exponential
+      backoff. After three worker attempts the task is computed inline
+      in the parent, so every task still yields a result;
     - a task that raises in a worker is a {e structured} failure: the
       worker survives, every other task still runs to completion, and the
       failure is reported at the end — {!map} raises {!Task_failed} for
       the lowest failing index;
-    - a task that exceeds [timeout_s] gets its worker killed and is
-      retried on a fresh worker (transient stalls recover); when the
+    - with [timeout_s] set, a task that exceeds it gets its worker killed
+      and is retried on a fresh worker (transient stalls recover); when the
       attempt budget is spent, {!Task_timeout} is raised;
     - when [fork] fails repeatedly (bounded retries with backoff), the
       pool degrades gracefully: it runs narrower, and with no workers
@@ -39,7 +40,7 @@
     records of those — qualifies.
 
     {b Observability.} When [Obs] is enabled, each task body runs under
-    a per-task trace scope ([task:<index>]) with fresh logical counters
+    a per-task trace scope ([task:<phase>.<index>]) with fresh logical counters
     on every execution path, and workers ship their drained trace /
     metrics buffers back on the result pipe; the parent absorbs a
     buffer only for the attempt it accepts. Supervision events
@@ -60,28 +61,18 @@ exception Task_failed of { index : int; message : string }
 exception Task_timeout of { index : int; timeout_s : float }
 
 type pool_stats = {
-  worker_deaths : int;  (** local fork workers that died while the pool was live *)
+  worker_deaths : int;  (** workers that died while the pool was live *)
   respawns : int;  (** replacement workers forked *)
   task_retries : int;  (** in-flight tasks re-dispatched to a worker *)
   inline_recoveries : int;  (** tasks computed in the parent as last resort *)
   timeouts : int;  (** deadline expiries (the task may have recovered) *)
   fork_failures : int;  (** failed [fork]/[pipe] attempts *)
   degraded : bool;  (** the pool fell back to sequential execution *)
-  remote_workers : int;  (** remote endpoints configured for this map *)
-  remote_deaths : int;  (** remote endpoints that died mid-pool *)
-  reconnects : int;  (** successful remote re-acquisitions after a death *)
-  blacklisted : int;  (** remote endpoints retired after repeated failures *)
 }
-
-val zero_stats : pool_stats
 
 val last_pool_stats : unit -> pool_stats
 (** Counters of the most recent {!map} call in this process (all-zero
     after a sequential-path run). *)
-
-val max_task_attempts : int
-(** Worker attempts per task before the parent computes it inline (or,
-    for timeouts, raises). *)
 
 val backoff_delay : ?base_s:float -> ?cap_s:float -> int -> float
 (** [backoff_delay attempt] is the supervisor's sleep before retry number
@@ -118,87 +109,10 @@ val default_jobs : unit -> int
 val fork_available : bool
 (** Whether the process-pool path can run at all (Unix only). *)
 
-(** {2 Remote endpoints}
-
-    The pool is generalized over its transport: besides forked local
-    workers it can feed {e remote endpoints} — live connections to worker
-    processes elsewhere, created by factories the caller passes via
-    [?remote] (the TCP implementation lives in [Dist]). Each factory owns
-    one pool slot; the pool asks it for a connection at startup and after
-    every death, so reconnect-backoff and blacklist policy live in the
-    factory while requeue/retry/inline-recovery supervision stays here.
-    A dead endpoint (exception out of send/recv/ping) has its in-flight
-    task requeued exactly like a dead local worker; when every endpoint
-    and worker is gone the pool degrades to sequential execution in the
-    parent, so a sweep always completes. *)
-
-type 'b response = int * ('b, string) Stdlib.result * float * string
-(** One task response: (index, result-or-printed-exception, task
-    wall-clock, drained observability payload — [""] when obs is off). *)
-
-type 'b endpoint = {
-  ep_descr : string;  (** for supervision traces, e.g. ["dist:host:9070"] *)
-  ep_fd : Unix.file_descr;
-      (** select handle; readable must mean a full response is coming —
-          endpoints exchange exactly one response per dispatched task and
-          keep no buffered partial frames between exchanges *)
-  ep_fds : Unix.file_descr list;
-      (** every parent-side fd of the endpoint; freshly forked local
-          workers close them so endpoint death surfaces as EOF *)
-  ep_send : int * int * float -> unit;
-      (** dispatch [(index, attempt, budget_s)]; raising marks the
-          endpoint dead and requeues the task at the same attempt *)
-  ep_recv : unit -> 'b response;
-      (** read the one pending response; raising marks the endpoint dead *)
-  ep_ping : unit -> unit;
-      (** synchronous liveness round trip, called only while no task is
-          in flight on this endpoint; no-op for local forks *)
-  ep_close : kill:bool -> unit;
-      (** release the endpoint; [kill] skips graceful shutdown *)
-}
-
-type 'b remote_acquire =
-  | Remote_ok of 'b endpoint
-  | Remote_unavailable
-      (** connect failed after the factory's bounded backoff retries;
-          the pool retries the factory at a later dispatch round *)
-  | Remote_blacklisted
-      (** the factory gave up on this endpoint for good; its slot is
-          retired and never refilled *)
-
-type 'b remote_factory = unit -> 'b remote_acquire
-
-val heartbeat_idle_s : float
-(** A remote endpoint idle longer than this is pinged (one synchronous
-    round trip) before the next task is committed to it, so a silently
-    half-open connection costs a reconnect, not a task timeout. *)
-
-val current_phase : unit -> int
-(** The pool phase counter (bumped once per {!map} call, reset by
-    [Obs.Config.install]). Remote sessions receive the coordinator's
-    phase in their handshake so merged traces agree on task scopes. *)
-
-val set_phase : int -> unit
-(** Install a phase received from a coordinator (remote worker sessions
-    only; call {e after} installing the obs config, which resets it). *)
-
-val run_task :
-  f:(unit -> 'b) ->
-  index:int ->
-  attempt:int ->
-  budget_s:float ->
-  ('b, string) Stdlib.result * float * string
-(** Execute one task body under the full worker discipline — ambient
-    {!task_attempt} context, {!task_deadline}, per-task trace scope,
-    clamped wall clock, drained obs payload — exactly as the forked
-    serve loop does. Remote worker servers use it so a task behaves
-    identically whichever transport delivered it. *)
-
 val map :
   ?jobs:int ->
   ?timeout_s:float ->
   ?budget_of:(int -> float) ->
-  ?remote:'b remote_factory list ->
   ?on_result:(int -> 'b result -> unit) ->
   f:('a -> 'b) ->
   'a list ->
@@ -216,20 +130,12 @@ val map :
     body observes it via {!task_deadline}/{!task_expired}. [infinity]
     (and any non-finite value) means unbudgeted. Unlike [timeout_s] —
     which is enforced by killing the worker — a budget is advisory: only
-    bodies that poll it degrade.
-
-    [remote] adds one pool slot per endpoint factory. With [remote]
-    non-empty the pool always runs (even at [jobs <= 1], which then
-    means {e no local fork workers} — coordinator plus remotes only).
-    Pass [timeout_s] whenever remote endpoints are configured: a dropped
-    dispatch frame produces no response and only the task timeout can
-    reclaim it. *)
+    bodies that poll it degrade. *)
 
 val map_values :
   ?jobs:int ->
   ?timeout_s:float ->
   ?budget_of:(int -> float) ->
-  ?remote:'b remote_factory list ->
   ?on_result:(int -> 'b result -> unit) ->
   f:('a -> 'b) ->
   'a list ->

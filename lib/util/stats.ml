@@ -42,18 +42,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else Vecops.sum xs /. float_of_int n
 
-let weighted_mean ~values ~weights =
-  let n = Array.length values in
-  if n <> Array.length weights then
-    invalid_arg "Stats.weighted_mean: length mismatch";
-  let num = ref 0. and den = ref 0. in
-  for i = 0 to n - 1 do
-    num := !num +. (values.(i) *. weights.(i));
-    den := !den +. weights.(i)
-  done;
-  if !den <= 0. then invalid_arg "Stats.weighted_mean: non-positive total weight";
-  !num /. !den
-
 let fraction_within xs ~threshold =
   let n = Array.length xs in
   if n = 0 then 1.

@@ -23,10 +23,6 @@ val percentile : float array -> float -> float
 val mean : float array -> float
 (** Arithmetic mean; [0.] for the empty array. *)
 
-val weighted_mean : values:float array -> weights:float array -> float
-(** Weighted arithmetic mean. Requires equal lengths and positive total
-    weight. *)
-
 val fraction_within : float array -> threshold:float -> float
 (** Fraction of samples [<= threshold]; [1.] for the empty array (an empty
     demand trivially meets any latency goal). *)

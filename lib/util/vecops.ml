@@ -14,18 +14,6 @@ let dot x y =
   done;
   !acc
 
-let dot2 x y z =
-  let n = Array.length x in
-  if n <> Array.length y || n <> Array.length z then
-    invalid_arg "Vecops.dot2: length mismatch";
-  let a = ref 0. and b = ref 0. in
-  for i = 0 to n - 1 do
-    let xi = Array.unsafe_get x i in
-    a := !a +. (xi *. Array.unsafe_get y i);
-    b := !b +. (xi *. Array.unsafe_get z i)
-  done;
-  (!a, !b)
-
 let axpy a x y =
   let n = Array.length x in
   if n <> Array.length y then invalid_arg "Vecops.axpy: length mismatch";
@@ -48,43 +36,9 @@ let scale a x =
     Array.unsafe_set x i (a *. Array.unsafe_get x i)
   done
 
-let norm2 x = sqrt (dot x x)
-
 let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. x
 
-let sub_into x y dst =
-  let n = Array.length x in
-  if n <> Array.length y || n <> Array.length dst then
-    invalid_arg "Vecops.sub_into: length mismatch";
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i (Array.unsafe_get x i -. Array.unsafe_get y i)
-  done
-
 let clamp v ~lo ~hi = if v < lo then lo else if v > hi then hi else v
-
-let clamp_into x ~lo ~hi =
-  let n = Array.length x in
-  if n <> Array.length lo || n <> Array.length hi then
-    invalid_arg "Vecops.clamp_into: length mismatch";
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get x i in
-    let l = Array.unsafe_get lo i and h = Array.unsafe_get hi i in
-    Array.unsafe_set x i (if v < l then l else if v > h then h else v)
-  done
-
-let step_clamp_into x g step ~lo ~hi dst =
-  let n = Array.length x in
-  if
-    n <> Array.length g || n <> Array.length step || n <> Array.length lo
-    || n <> Array.length hi || n <> Array.length dst
-  then invalid_arg "Vecops.step_clamp_into: length mismatch";
-  for i = 0 to n - 1 do
-    let v =
-      Array.unsafe_get x i -. (Array.unsafe_get step i *. Array.unsafe_get g i)
-    in
-    let l = Array.unsafe_get lo i and h = Array.unsafe_get hi i in
-    Array.unsafe_set dst i (if v < l then l else if v > h then h else v)
-  done
 
 let approx_equal ?(eps = 1e-9) a b =
   Float.abs (a -. b) <= eps *. (1. +. Float.max (Float.abs a) (Float.abs b))

@@ -7,9 +7,6 @@
 val dot : float array -> float array -> float
 (** Inner product. Requires equal lengths. *)
 
-val dot2 : float array -> float array -> float array -> float * float
-(** [dot2 x y z] returns [(dot x y, dot x z)], streaming [x] once. *)
-
 val axpy : float -> float array -> float array -> unit
 (** [axpy a x y] performs [y <- a*x + y] in place. *)
 
@@ -21,33 +18,11 @@ val axpby_into :
 val scale : float -> float array -> unit
 (** In-place multiply by a scalar. *)
 
-val norm2 : float array -> float
-(** Euclidean norm. *)
-
 val norm_inf : float array -> float
 (** Max absolute entry; [0.] for the empty vector. *)
 
-val sub_into : float array -> float array -> float array -> unit
-(** [sub_into x y dst] writes [x - y] into [dst]. *)
-
 val clamp : float -> lo:float -> hi:float -> float
 (** Clamp a scalar into an interval. *)
-
-val clamp_into : float array -> lo:float array -> hi:float array -> unit
-(** In-place box projection: [x.(i) <- clamp x.(i) lo.(i) hi.(i)]. *)
-
-val step_clamp_into :
-  float array ->
-  float array ->
-  float array ->
-  lo:float array ->
-  hi:float array ->
-  float array ->
-  unit
-(** [step_clamp_into x g step ~lo ~hi dst] performs the clamped gradient
-    update [dst.(i) <- clamp (x.(i) - step.(i) * g.(i))] in one pass —
-    the projected (preconditioned) descent step of the first-order
-    solvers. [dst] may alias [x]. *)
 
 val approx_equal : ?eps:float -> float -> float -> bool
 (** Absolute-plus-relative comparison used throughout the tests:

@@ -43,18 +43,24 @@ let fit_mandelbrot ~n ~total ~max_count ~min_count =
     !acc
   in
   let q_min = 1e-9 and q_max = 1e12 in
-  let t_min = total_of q_min and t_max = total_of q_max in
-  if total <= t_min then params q_min
-  else if total >= t_max then params q_max
+  (* At n = 2 the two marginals fix the law for every q, so the total
+     cannot move; bisecting would only drift q toward q_max, where
+     [log (1 + q) - log (n + q)] cancels catastrophically. *)
+  if n = 2 then params q_min
   else begin
-    let lo = ref q_min and hi = ref q_max in
-    for _ = 1 to 200 do
-      (* Bisect in log space: the interesting scale of q spans many orders
-         of magnitude. *)
-      let mid = exp (0.5 *. (log !lo +. log !hi)) in
-      if total_of mid < total then lo := mid else hi := mid
-    done;
-    params !lo
+    let t_min = total_of q_min and t_max = total_of q_max in
+    if total <= t_min then params q_min
+    else if total >= t_max then params q_max
+    else begin
+      let lo = ref q_min and hi = ref q_max in
+      for _ = 1 to 200 do
+        (* Bisect in log space: the interesting scale of q spans many
+           orders of magnitude. *)
+        let mid = exp (0.5 *. (log !lo +. log !hi)) in
+        if total_of mid < total then lo := mid else hi := mid
+      done;
+      params !lo
+    end
   end
 
 let counts m ~n =

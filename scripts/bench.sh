@@ -13,11 +13,7 @@
 # the same cells, so the third producer's speedup claim stays measured.
 # The avail benchmark prices the availability layer: degradation-replay
 # throughput, the reference placement's fragility, and the scenario LP's
-# overhead over a plain nominal sweep. The dist benchmark dispatches the
-# sweep to two loopback TCP workers under injected network faults and
-# records the distributed wall-clock and recovery-event count, so the
-# distributed backend's overhead under fire is tracked alongside the
-# local pool's. The online benchmark runs the epoch-driven placement
+# overhead over a plain nominal sweep. The online benchmark runs the epoch-driven placement
 # service twice (warm-started vs cold class-bound re-solves, PDHG
 # forced) and records the sustained epoch rate and the warm-start
 # speedup, so the online service's responsiveness claim stays measured.
@@ -31,7 +27,6 @@ dune build bench/main.exe
 ./_build/default/bench/main.exe tree
 ./_build/default/bench/main.exe scale
 ./_build/default/bench/main.exe avail
-./_build/default/bench/main.exe dist
 ./_build/default/bench/main.exe online
 
 # One summary row: pull the headline numbers out of the two JSON files.
@@ -66,7 +61,7 @@ json_qcount_deadline() { # json_qcount_deadline FILE KEY
 }
 
 log=BENCH_LOG.tsv
-header='timestamp\tcommit\tpdhg_iters_per_s\tper_iteration_speedup\tsweep_sequential_s\tend_to_end_speedup\tsweep_parallel_s\tfaulted_parallel_s\tfault_overhead_ratio\tfault_pdhg_retries\tfault_simplex_fallbacks\tfault_worker_deaths\tfault_respawns\tdeadline_budget_s\tdeadline_elapsed_s\tdeadline_within_budget\tdeadline_time_budget_cells\tdeadline_iter_budget_cells\tobs_null_overhead_ratio\tobs_jsonl_overhead_ratio\ttree_dp_s\ttree_lp_s\ttree_dp_speedup\tscale_nodes\tscale_objects\tscale_sweep_s\tscale_bundle_ratio\tavail_scenarios\tavail_replay_s\tavail_fragility\tdist_workers\tdist_sweep_s\tdist_recoveries\tonline_epochs_s\tonline_warm_speedup'
+header='timestamp\tcommit\tpdhg_iters_per_s\tper_iteration_speedup\tsweep_sequential_s\tend_to_end_speedup\tsweep_parallel_s\tfaulted_parallel_s\tfault_overhead_ratio\tfault_pdhg_retries\tfault_simplex_fallbacks\tfault_worker_deaths\tfault_respawns\tdeadline_budget_s\tdeadline_elapsed_s\tdeadline_within_budget\tdeadline_time_budget_cells\tdeadline_iter_budget_cells\tobs_null_overhead_ratio\tobs_jsonl_overhead_ratio\ttree_dp_s\ttree_lp_s\ttree_dp_speedup\tscale_nodes\tscale_objects\tscale_sweep_s\tscale_bundle_ratio\tavail_scenarios\tavail_replay_s\tavail_fragility\tonline_epochs_s\tonline_warm_speedup'
 # An early bench.sh rotated to an unnumbered "$log.old", which the next
 # rotation would clobber. Fold any such straggler into the numbered
 # scheme before rotating.
@@ -89,7 +84,7 @@ if [ ! -f "$log" ]; then
   printf "$header\n" > "$log"
 fi
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' \
+printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' \
   "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
   "$commit" \
   "$(json_num BENCH_lp.json fused_iters_per_s)" \
@@ -120,9 +115,6 @@ printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t
   "$(json_num BENCH_avail.json avail_scenarios)" \
   "$(json_num BENCH_avail.json avail_replay_s)" \
   "$(json_num BENCH_avail.json avail_fragility)" \
-  "$(json_num BENCH_dist.json dist_workers)" \
-  "$(json_num BENCH_dist.json dist_sweep_s)" \
-  "$(json_num BENCH_dist.json dist_recoveries)" \
   "$(json_num BENCH_online.json online_epochs_s)" \
   "$(json_num BENCH_online.json online_warm_speedup)" \
   >> "$log"

@@ -140,7 +140,9 @@ echo "figavail stage OK: $(grep -c ' steps$' "$figavaildir/j1.out") heuristics r
 # Usage stage: out-of-range numeric flags are rejected at parse time
 # with cmdliner's usage-error status (124), not an uncaught exception
 # mid-run (125) or a run that checks nothing and passes. serve has no
-# --jobs: its epochs run in one process.
+# --jobs: its epochs run in one process. There is no worker subcommand,
+# no flag naming remote workers and no network fault kind: the pool is
+# local only.
 echo "== usage stage: out-of-range flags are usage errors =="
 expect_usage_error() {
   status=0
@@ -152,68 +154,53 @@ expect_usage_error figavail --scenarios 0
 expect_usage_error serve --intervals 100
 expect_usage_error validate --family tree --count 0
 expect_usage_error serve --jobs 2
+expect_usage_error worker --listen 0
+expect_usage_error fig2 --workers 127.0.0.1:1
+expect_usage_error fig2 --inject drop=0.1
 echo "usage stage OK: out-of-range flags exit 124"
 
-# Dist stage (DESIGN.md §15): a fig2 sweep dispatched to two loopback
-# TCP workers under injected network chaos — session crashes, dropped
-# and garbled dispatch frames, refused connects, delayed sends — must
-# produce a CSV byte-identical to the local sequential run, at both
-# pool widths. Then the coordinator itself is killed after its second
-# checkpoint (ckill_after=2, exit 96) and resumed from the journal;
-# the resumed run must also match to the byte. The fault decisions are
-# keyed by (seed, kind, task key) only, so this chaos schedule is the
-# same one every time.
-echo "== dist stage: fault-injected sweep on 2 loopback TCP workers =="
-distdir=_build/dist-check
-rm -rf "$distdir"
-mkdir -p "$distdir/seq" "$distdir/j1" "$distdir/j4" "$distdir/resume" "$distdir/journal"
-./_build/default/bin/experiments.exe worker --listen 0 2> "$distdir/w1.err" &
-W1=$!
-./_build/default/bin/experiments.exe worker --listen 0 2> "$distdir/w2.err" &
-W2=$!
-trap 'kill $W1 $W2 2>/dev/null || true' EXIT
-sleep 1
-port1=$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' "$distdir/w1.err")
-port2=$(sed -n 's/.*listening on [^:]*:\([0-9]*\).*/\1/p' "$distdir/w2.err")
-[ -n "$port1" ] && [ -n "$port2" ] \
-  || { echo "dist stage: workers failed to start"; exit 1; }
-DIST_FAULTS="seed=11,crash=0.15,drop=0.2,garble=0.2,disconnect=0.2,partition=0.3,delay=0.3,delay_s=0.01"
+# Journal stage (DESIGN.md §9): crash recovery and kill-and-resume on
+# local fork workers. A four-worker fig2 sweep in which every cell's
+# first attempt crashes its worker must print the CSV of the sequential
+# run, and its robustness line must show the deaths. Then the parent
+# itself is killed right after its second checkpoint (ckill_after=2,
+# exit 96); a re-run with the same journal must restore the recorded
+# cells and again print the sequential CSV to the byte. The fault
+# decisions are keyed by (seed, kind, cell key) only, so the schedule is
+# the same every time.
+echo "== journal stage: crash recovery and kill-and-resume on local workers =="
+journaldir=_build/journal-check
+rm -rf "$journaldir"
+mkdir -p "$journaldir/seq" "$journaldir/crash" "$journaldir/resume" "$journaldir/journal"
 ./_build/default/bin/experiments.exe fig2 --quick --scale 0.01 \
-  --jobs 1 -w web --csv "$distdir/seq" > /dev/null
-for j in 1 4; do
-  ./_build/default/bin/experiments.exe fig2 --quick --scale 0.01 \
-    --jobs "$j" -w web --workers "127.0.0.1:$port1,127.0.0.1:$port2" \
-    --task-timeout 20 --inject "$DIST_FAULTS" \
-    --csv "$distdir/j$j" > "$distdir/j$j.out"
-  cmp "$distdir/seq/fig2-web.csv" "$distdir/j$j/fig2-web.csv" \
-    || { echo "dist stage: chaos run differs from sequential at --jobs $j"; exit 1; }
-done
-# Coordinator crash and journal recovery: the killed run must exit with
-# the injected-kill status and leave a resumable journal behind.
+  --jobs 1 -w web --csv "$journaldir/seq" > /dev/null
+./_build/default/bin/experiments.exe fig2 --quick --scale 0.01 \
+  --jobs 4 -w web --inject seed=11,crash=1 \
+  --csv "$journaldir/crash" > "$journaldir/crash.out"
+cmp "$journaldir/seq/fig2-web.csv" "$journaldir/crash/fig2-web.csv" \
+  || { echo "journal stage: crash-recovered run differs from sequential"; exit 1; }
+grep -q '^robustness .*deaths=[1-9]' "$journaldir/crash.out" \
+  || { echo "journal stage: no worker deaths recorded under crash=1"; exit 1; }
 kill_status=0
 ./_build/default/bin/experiments.exe fig2 --quick --scale 0.01 \
-  --jobs 1 -w web --workers "127.0.0.1:$port1,127.0.0.1:$port2" \
-  --task-timeout 20 --inject "$DIST_FAULTS,ckill_after=2" \
-  --journal "$distdir/journal" --csv "$distdir/resume" \
+  --jobs 4 -w web --inject seed=11,crash=1,ckill_after=2 \
+  --journal "$journaldir/journal" --csv "$journaldir/resume" \
   > /dev/null 2>&1 || kill_status=$?
 [ "$kill_status" -eq 96 ] \
-  || { echo "dist stage: coordinator kill exited $kill_status, want 96"; exit 1; }
-[ -n "$(ls "$distdir/journal")" ] \
-  || { echo "dist stage: no journal left by the killed coordinator"; exit 1; }
+  || { echo "journal stage: injected kill exited $kill_status, want 96"; exit 1; }
+[ -n "$(ls "$journaldir/journal")" ] \
+  || { echo "journal stage: no journal left by the killed run"; exit 1; }
 ./_build/default/bin/experiments.exe fig2 --quick --scale 0.01 \
-  --jobs 1 -w web --workers "127.0.0.1:$port1,127.0.0.1:$port2" \
-  --task-timeout 20 --inject "$DIST_FAULTS" \
-  --journal "$distdir/journal" --csv "$distdir/resume" > "$distdir/resume.out"
-cmp "$distdir/seq/fig2-web.csv" "$distdir/resume/fig2-web.csv" \
-  || { echo "dist stage: resumed run differs from sequential"; exit 1; }
-grep -q 'resuming sweep' "$distdir/resume.out" \
-  || grep -q 'resumed=[1-9]' "$distdir/resume.out" \
-  || { echo "dist stage: resume did not restore cells from the journal"; exit 1; }
-kill $W1 $W2 2>/dev/null || true
-trap - EXIT
-echo "dist stage OK: chaos CSVs identical at --jobs 1 and 4, coordinator kill+resume identical"
+  --jobs 4 -w web --inject seed=11,crash=1 \
+  --journal "$journaldir/journal" --csv "$journaldir/resume" \
+  > "$journaldir/resume.out"
+cmp "$journaldir/seq/fig2-web.csv" "$journaldir/resume/fig2-web.csv" \
+  || { echo "journal stage: resumed run differs from sequential"; exit 1; }
+grep -q 'resumed=[1-9]' "$journaldir/resume.out" \
+  || { echo "journal stage: resume did not restore cells from the journal"; exit 1; }
+echo "journal stage OK: crash-recovered and resumed CSVs identical to the sequential run"
 
-# Online stage (DESIGN.md §16): the epoch-driven placement service must
+# Online stage (DESIGN.md §15): the epoch-driven placement service must
 # be a pure function of (trace, epoch size, strategy set) — its stdout
 # carries no wall clocks (timings go to stderr), so a run must match the
 # committed output of an earlier build to the byte, and every reported

@@ -314,13 +314,16 @@ let test_budgeted_sweep_bounds_dominated () =
   let spec = qos_spec () in
   let free =
     Bounds.Pipeline.sweep_classes
-      Bounds.Pipeline.Sweep_config.(default |> with_solver fo_solver)
+      { Bounds.Pipeline.Sweep_config.default with solver = fo_solver }
       spec ~fractions:sweep_fractions sweep_fixture
   in
   let tight =
     Bounds.Pipeline.sweep_classes
-      Bounds.Pipeline.Sweep_config.(
-        default |> with_solver fo_solver |> with_cell_budget 1e-4)
+      {
+        Bounds.Pipeline.Sweep_config.default with
+        solver = fo_solver;
+        cell_budget_s = 1e-4;
+      }
       spec ~fractions:sweep_fractions sweep_fixture
   in
   List.iter2
@@ -356,8 +359,11 @@ let test_budgeted_sweep_certificates_verify () =
      alike — must recheck from scratch. *)
   let sweep =
     Bounds.Pipeline.sweep_classes
-      Bounds.Pipeline.Sweep_config.(
-        default |> with_solver fo_solver |> with_cell_budget 1e-4)
+      {
+        Bounds.Pipeline.Sweep_config.default with
+        solver = fo_solver;
+        cell_budget_s = 1e-4;
+      }
       (qos_spec ()) ~fractions:sweep_fractions sweep_fixture
   in
   List.iter

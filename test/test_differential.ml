@@ -300,7 +300,7 @@ let strip_walls (sweep : Bounds.Pipeline.sweep) =
 let test_sweep_determinism () =
   let spec = quickstart_spec () in
   let fractions = [ 0.95; 0.99; 0.999 ] in
-  let cfg jobs = Bounds.Pipeline.Sweep_config.(default |> with_jobs jobs) in
+  let cfg jobs = { Bounds.Pipeline.Sweep_config.default with jobs } in
   let seq = Bounds.Pipeline.sweep_classes (cfg 1) spec ~fractions sweep_fixture in
   let par = Bounds.Pipeline.sweep_classes (cfg 4) spec ~fractions sweep_fixture in
   (* The rendered report must be byte-identical, and so must everything

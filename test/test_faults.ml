@@ -1,7 +1,9 @@
 (* Fault-injection suite: drives the worker supervisor, the solver
    fallback chain, and the checkpoint journal through deterministic
    injected failures (Util.Faults) and checks that every recovered sweep
-   is byte-identical to an unfaulted golden run.
+   is byte-identical to an unfaulted golden run. The journal group also
+   checks that a journal is never resumed into another instance's sweep
+   and that the strict loader names each kind of defect.
 
    By default each scenario runs at jobs=1 and jobs=4; setting
    FAULTS_JOBS=<n> pins the pool width (scripts/check.sh uses this to
@@ -33,8 +35,8 @@ let tail_demand () =
     ~reads:[| [| cell 3 0 10.; cell 3 1 10.; cell 3 2 10.; cell 3 3 10. |] |]
     ()
 
-let qos_spec () =
-  Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ())
+let qos_spec ?costs () =
+  Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ()) ?costs
     ~goal:(Mcperf.Spec.Qos { tlat_ms = 150.; fraction = 1.0 })
     ()
 
@@ -48,7 +50,7 @@ let classes =
   ]
 
 let run_sweep ?jobs ?solver ?timeout_s ?journal ?progress
-    ?(fractions = std_fractions) () =
+    ?(fractions = std_fractions) ?(spec = qos_spec ()) () =
   let cfg =
     {
       P.Sweep_config.default with
@@ -59,7 +61,7 @@ let run_sweep ?jobs ?solver ?timeout_s ?journal ?progress
       progress;
     }
   in
-  P.sweep_classes cfg (qos_spec ()) ~fractions classes
+  P.sweep_classes cfg spec ~fractions classes
 
 (* Everything a sweep reports except wall-clock and the solve-path tags:
    recovery may change *how* a cell was solved, never *what* it found.
@@ -200,9 +202,39 @@ let test_pool_crash_bookkeeping () =
         let st = Util.Parallel.last_pool_stats () in
         Alcotest.(check bool) "deaths recorded" true
           (st.Util.Parallel.worker_deaths >= 1);
+        Alcotest.(check bool) "dead workers respawned" true
+          (st.Util.Parallel.respawns >= 1);
         Alcotest.(check bool) "deaths were recovered" true
           (st.Util.Parallel.task_retries + st.Util.Parallel.inline_recoveries
           >= 1))
+
+let test_pool_mixed_deaths () =
+  (* Every first attempt dies: the worker [_exit]s mid-task. Supervision
+     must retry everything to completion with the sequential answer,
+     while the counters show the deaths, the respawns that replaced the
+     dead workers and the retries. Six tasks on three slots stay within
+     the respawn budget (max 4 (2 * slots) = 6), so the pool never
+     degrades to running in the parent. *)
+  if Util.Parallel.fork_available then begin
+    F.install F.none;
+    let tasks = [ 0; 1; 2; 3; 4; 5 ] in
+    let f x =
+      if Util.Parallel.in_worker () && Util.Parallel.task_attempt () = 0 then
+        Unix._exit 97;
+      x * x
+    in
+    let vs = Util.Parallel.map_values ~jobs:3 ~timeout_s:30. ~f tasks in
+    Alcotest.(check (list int)) "values survive the deaths"
+      (List.map (fun x -> x * x) tasks)
+      vs;
+    let st = Util.Parallel.last_pool_stats () in
+    Alcotest.(check bool) "deaths seen" true
+      (st.Util.Parallel.worker_deaths >= 1);
+    Alcotest.(check bool) "respawns" true (st.Util.Parallel.respawns >= 1);
+    Alcotest.(check bool) "tasks were retried" true
+      (st.Util.Parallel.task_retries >= 1);
+    Alcotest.(check bool) "not degraded" false st.Util.Parallel.degraded
+  end
 
 let test_pool_stats_clean () =
   let _ =
@@ -237,9 +269,9 @@ let fresh_journal () =
   Sys.remove path;
   path
 
-let interrupt_after n ?fractions ~journal () =
+let interrupt_after n ?fractions ?spec ~journal () =
   match
-    run_sweep ~jobs:1 ~journal ?fractions
+    run_sweep ~jobs:1 ~journal ?fractions ?spec
       ~progress:(fun ~completed ~total:_ ->
         if completed >= n then raise Interrupted)
       ()
@@ -304,6 +336,72 @@ let test_journal_stale_fingerprint () =
   Alcotest.(check string) "identical to uninterrupted run" clean (signature sw);
   check_journal_gone journal
 
+let test_journal_other_instance () =
+  (* Same system, classes and fractions, but storage costs twice as much:
+     every cell changes, so cells journaled for the standard spec must
+     not be resumed into the alpha = 2 sweep. *)
+  let alpha2 () =
+    qos_spec ~costs:{ Mcperf.Spec.default_costs with Mcperf.Spec.alpha = 2. } ()
+  in
+  let clean = signature (run_sweep ~jobs:1 ~spec:(alpha2 ()) ()) in
+  let journal = fresh_journal () in
+  interrupt_after 4 ~journal ();
+  let sw = run_sweep ~jobs:1 ~spec:(alpha2 ()) ~journal () in
+  Alcotest.(check int) "other instance's journal ignored" 0 sw.P.resumed;
+  Alcotest.(check string) "identical to a clean alpha = 2 run" clean
+    (signature sw);
+  check_journal_gone journal
+
+let journal_header fp = "# replica-select sweep journal v3 fingerprint=" ^ fp
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+let test_journal_loader_errors () =
+  let fp = String.make 32 'a' in
+  let path = Filename.temp_file "loader" ".journal" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
+  @@ fun () ->
+  Sys.remove path;
+  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  | Error { Util.Parse_error.file; line = 0; msg = "no such journal" } ->
+    Alcotest.(check string) "missing: file" path file
+  | Error e -> Alcotest.fail ("missing: " ^ Util.Parse_error.to_string e)
+  | Ok _ -> Alcotest.fail "missing journal loaded");
+  write_file path "";
+  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  | Error { Util.Parse_error.line = 1; msg = "missing journal header"; _ } ->
+    ()
+  | Error e -> Alcotest.fail ("empty: " ^ Util.Parse_error.to_string e)
+  | Ok _ -> Alcotest.fail "empty journal loaded");
+  write_file path (journal_header (String.make 32 'b') ^ "\n");
+  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  | Error { Util.Parse_error.line = 1; msg; _ } ->
+    Alcotest.(check bool) "mismatch named" true
+      (String.length msg >= 6 && String.sub msg 0 6 = "journa")
+  | Error e -> Alcotest.fail ("mismatch: " ^ Util.Parse_error.to_string e)
+  | Ok _ -> Alcotest.fail "mismatched journal loaded");
+  write_file path (journal_header fp ^ "\nnot-a-record\n");
+  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  | Error { Util.Parse_error.line = 2; msg; _ } ->
+    Alcotest.(check bool) "corrupt named" true
+      (String.length msg >= 22
+      && String.sub msg 0 22 = "corrupt journal record")
+  | Error e -> Alcotest.fail ("corrupt: " ^ Util.Parse_error.to_string e)
+  | Ok _ -> Alcotest.fail "corrupt record loaded");
+  write_file path (journal_header fp ^ "\ndeadbeef zz\n");
+  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  | Error { Util.Parse_error.line = 2; _ } -> ()
+  | Error e -> Alcotest.fail ("bad hex: " ^ Util.Parse_error.to_string e)
+  | Ok _ -> Alcotest.fail "non-hex payload loaded");
+  write_file path (journal_header fp ^ "\n");
+  match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  | Ok [] -> ()
+  | Ok _ -> Alcotest.fail "phantom entries"
+  | Error e -> Alcotest.fail ("header-only: " ^ Util.Parse_error.to_string e)
+
 (* --- retry/backoff bookkeeping ------------------------------------------- *)
 
 let prop_backoff_bounded_monotone =
@@ -322,7 +420,35 @@ let test_backoff_defaults () =
   Alcotest.(check (float 1e-12)) "doubles" 0.002
     (Util.Parallel.backoff_delay 1);
   Alcotest.(check (float 1e-12)) "caps" 0.25
-    (Util.Parallel.backoff_delay 30)
+    (Util.Parallel.backoff_delay 30);
+  Alcotest.(check (float 1e-12)) "custom base and cap" 0.5
+    (Util.Parallel.backoff_delay ~base_s:0.125 ~cap_s:0.5 4)
+
+let test_backoff_schedule () =
+  (* Deterministic: same attempt, same delay, every call. *)
+  for a = 0 to 12 do
+    Alcotest.(check (float 0.))
+      (Printf.sprintf "deterministic at %d" a)
+      (Util.Parallel.backoff_delay a)
+      (Util.Parallel.backoff_delay a)
+  done;
+  (* Non-negative, monotone non-decreasing, never above the cap. *)
+  let prev = ref 0. in
+  for a = 0 to 12 do
+    let d = Util.Parallel.backoff_delay a in
+    Alcotest.(check bool) "non-negative" true (d >= 0.);
+    Alcotest.(check bool) "monotone" true (d >= !prev);
+    Alcotest.(check bool) "capped" true (d <= 0.25);
+    prev := d
+  done;
+  Alcotest.(check (float 1e-12)) "base at attempt 0" 0.001
+    (Util.Parallel.backoff_delay 0);
+  Alcotest.(check (float 1e-12)) "doubles" 0.004
+    (Util.Parallel.backoff_delay 2);
+  Alcotest.(check (float 1e-12)) "saturates at cap" 0.25
+    (Util.Parallel.backoff_delay 20);
+  Alcotest.(check (float 1e-12)) "custom base and cap" 0.5
+    (Util.Parallel.backoff_delay ~base_s:0.125 ~cap_s:0.5 4)
 
 let () =
   let per_jobs name f =
@@ -350,6 +476,11 @@ let () =
             Alcotest.test_case "clean run leaves zero stats" `Quick
               test_pool_stats_clean;
           ] );
+      ( "pool",
+        [
+          Alcotest.test_case "mixed deaths recover" `Quick
+            test_pool_mixed_deaths;
+        ] );
       ("fallback", per_jobs "forced divergence recovers" test_diverge_fallback);
       ( "journal",
         [
@@ -360,10 +491,15 @@ let () =
             test_journal_garbage_tail;
           Alcotest.test_case "stale fingerprint ignored" `Quick
             test_journal_stale_fingerprint;
+          Alcotest.test_case "other instance ignored" `Quick
+            test_journal_other_instance;
+          Alcotest.test_case "strict loader errors" `Quick
+            test_journal_loader_errors;
         ] );
       ( "backoff",
         [
           QCheck_alcotest.to_alcotest prop_backoff_bounded_monotone;
           Alcotest.test_case "default schedule" `Quick test_backoff_defaults;
+          Alcotest.test_case "schedule" `Quick test_backoff_schedule;
         ] );
     ]

@@ -40,12 +40,7 @@ let sweep_fixture =
 let sweep_fractions = [ 0.7; 0.9; 1.0 ]
 
 let run_sweep ?obs ~jobs () =
-  let cfg =
-    let base = Bounds.Pipeline.Sweep_config.(default |> with_jobs jobs) in
-    match obs with
-    | Some o -> Bounds.Pipeline.Sweep_config.with_obs o base
-    | None -> base
-  in
+  let cfg = { Bounds.Pipeline.Sweep_config.default with jobs; obs } in
   Bounds.Pipeline.sweep_classes cfg (qos_spec ()) ~fractions:sweep_fractions
     sweep_fixture
 

@@ -521,11 +521,7 @@ let sweep_signature (sweep : Bounds.Pipeline.sweep) =
 
 let tree_sweep ?obs ~jobs () =
   let scen = TS.make ~seed:77 (TS.Random { nodes = 14 }) in
-  let cfg =
-    Bounds.Pipeline.Sweep_config.(
-      let c = default |> with_jobs jobs in
-      match obs with Some o -> with_obs o c | None -> c)
-  in
+  let cfg = { Bounds.Pipeline.Sweep_config.default with jobs; obs } in
   let sweep =
     Bounds.Pipeline.sweep_classes cfg scen.TS.spec
       ~fractions:TS.default_fractions
