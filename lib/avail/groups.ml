@@ -1,10 +1,5 @@
 type t = { name : string; members : int array }
 
-let pp ppf g =
-  Format.fprintf ppf "%s{%s}" g.name
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int g.members)))
-
 (* BFS tree from the origin with neighbours visited in ascending node id,
    so the parent/children structure — and hence every subtree group — is
    a pure function of the graph. *)

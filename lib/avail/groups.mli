@@ -31,5 +31,3 @@ val derive : Topology.System.t -> t array
     group has at least two members; singleton failures are covered by the
     sampler's independent per-node rates. May be empty (e.g. a 2-node
     system). *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,10 +34,6 @@ val default : spec
 (** [seed 7], 32 scenarios, group probability 0.08, node probability
     0.02, origin failable, 48 steps, repairs within 4 steps. *)
 
-val validate : spec -> unit
-(** Raises [Invalid_argument] on non-probabilities or non-positive
-    counts/steps. *)
-
 type t = {
   index : int;  (** scenario number within its spec, [0 <= index] *)
   down : bool array;  (** per-node failure flags *)
@@ -51,13 +47,10 @@ val signature : t -> string
     first), stable across processes — used by validate output and golden
     tests. *)
 
-val sample : spec -> Topology.System.t -> groups:Groups.t array -> int -> t
-(** The scenario with the given index: group coins keyed
-    ["<group>#<index>"], node coins keyed ["n<node>#<index>"]. Pure in
-    (spec, system, groups, index). *)
-
 val sample_all : spec -> Topology.System.t -> groups:Groups.t array -> t array
-(** Scenarios [0 .. count-1]. Scenarios are weighted uniformly
+(** Scenarios [0 .. count-1]; scenario [i] draws its group coins keyed
+    ["<group>#<i>"] and its node coins keyed ["n<node>#<i>"], so it is
+    pure in (spec, system, groups, i). Scenarios are weighted uniformly
     ([1/count]) by every consumer. *)
 
 type timeline = {

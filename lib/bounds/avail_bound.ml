@@ -8,7 +8,6 @@ type cell = {
   rows : int;
   exact : bool;
   iterations : int;
-  reused : bool;
 }
 
 (* The scenario model shares Model.build's store/create skeleton and QoS
@@ -20,21 +19,13 @@ type cell = {
    padding and node-opening fees are likewise omitted — every placement
    pays at least the bare [alpha]/[beta]/[delta] resource terms, so
    dropping the extras only loosens the minimum. *)
-type built = {
-  problem : Lp.Problem.t;
-  offset : float;
-  node_totals : float array;
-  always_covered : float array;
-  qos_rows : int array;
-  qos_has_terms : bool array;
-  nominal_vars : int;
-}
+type built = { problem : Lp.Problem.t; offset : float; nominal_vars : int }
 
 (* Same packing as Mcperf.Model (not exported there). *)
 let pack ~intervals ~objects ~node ~interval ~object_id =
   ((node * objects) + object_id) * intervals + interval
 
-let build_scenario_model (perm : Mcperf.Permission.t)
+let build_scenario_model ~tlat_ms ~fraction (perm : Mcperf.Permission.t)
     (scenarios : Avail.Scenario.t array) =
   let spec = perm.Mcperf.Permission.spec in
   let sys = spec.Mcperf.Spec.system in
@@ -45,12 +36,6 @@ let build_scenario_model (perm : Mcperf.Permission.t)
   let origin = sys.Topology.System.origin in
   let weight = demand.Workload.Demand.weight in
   let costs = spec.Mcperf.Spec.costs in
-  let tlat_ms, fraction =
-    match spec.Mcperf.Spec.goal with
-    | Mcperf.Spec.Qos { tlat_ms; fraction } -> (tlat_ms, fraction)
-    | Mcperf.Spec.Avg_latency _ ->
-      invalid_arg "Avail_bound: expected-cost LP needs a QoS goal"
-  in
   if Array.length scenarios = 0 then
     invalid_arg "Avail_bound: empty scenario set";
   let miss = Avail.Survive.miss_penalty spec in
@@ -154,19 +139,10 @@ let build_scenario_model (perm : Mcperf.Permission.t)
           end)
         cells)
     demand.Workload.Demand.reads;
-  let qos_rows = Array.make nodes (-1) in
-  let qos_has_terms = Array.make nodes false in
   for n = 0 to nodes - 1 do
     let rhs = (fraction *. node_totals.(n)) -. always_covered.(n) in
-    if qos_terms.(n) <> [] then begin
-      qos_has_terms.(n) <- true;
-      qos_rows.(n) <- Lp.Problem.Builder.row_count b;
+    if qos_terms.(n) <> [] || rhs > 1e-9 then
       Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs qos_terms.(n)
-    end
-    else if rhs > 1e-9 then begin
-      qos_rows.(n) <- Lp.Problem.Builder.row_count b;
-      Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs []
-    end
   done;
   let nominal_vars = Lp.Problem.Builder.var_count b in
   (* Scenario terms: each read cell priced at its degraded fallback,
@@ -225,138 +201,54 @@ let build_scenario_model (perm : Mcperf.Permission.t)
             cells)
         demand.Workload.Demand.reads)
     scenarios;
-  {
-    problem = Lp.Problem.Builder.build b;
-    offset = !offset;
-    node_totals;
-    always_covered;
-    qos_rows;
-    qos_has_terms;
-    nominal_vars;
-  }
+  { problem = Lp.Problem.Builder.build b; offset = !offset; nominal_vars }
 
-(* Same re-targeting contract as Model.with_fraction: only the QoS rows
-   read the fraction, so a sweep is an rhs patch — unless a node with no
-   coverage options flips its explicit-infeasibility row, which forces a
-   rebuild. Returns [None] on a shape flip. *)
-let retarget built ~node_count ~fraction =
-  let shape_ok = ref true in
-  let patches = ref [] in
-  for n = 0 to node_count - 1 do
-    let rhs = (fraction *. built.node_totals.(n)) -. built.always_covered.(n) in
-    if built.qos_has_terms.(n) then
-      patches := (built.qos_rows.(n), rhs) :: !patches
-    else begin
-      let emitted = built.qos_rows.(n) >= 0 in
-      if emitted <> (rhs > 1e-9) then shape_ok := false
-      else if emitted then patches := (built.qos_rows.(n), rhs) :: !patches
-    end
-  done;
-  if not !shape_ok then None
-  else Some { built with problem = Lp.Problem.with_rhs built.problem !patches }
-
-let expected_cost_cells ?(solver = Pipeline.Auto) ?placeable
-    (spec : Mcperf.Spec.t) (cls : Mcperf.Classes.t) ~scenarios ~fractions =
-  let perm0 = Mcperf.Permission.compute ?placeable spec cls in
-  let nodes = Mcperf.Spec.node_count spec in
-  let built0 = build_scenario_model perm0 scenarios in
-  (* Warm-start state threaded through the sweep. *)
-  let prepared = ref None in
-  let warm = ref None in
-  let solve_one fraction =
-    let perm = Mcperf.Permission.with_fraction perm0 fraction in
-    let infeasible reused =
-      {
-        class_name = cls.Mcperf.Classes.name;
-        fraction;
-        feasible = false;
-        expected_bound = infinity;
-        nominal_vars = built0.nominal_vars;
-        vars = Lp.Problem.nvars built0.problem;
-        rows = Lp.Problem.nrows built0.problem;
-        exact = false;
-        iterations = 0;
-        reused;
-      }
-    in
-    if not (Mcperf.Permission.feasible perm) then begin
-      (* The oracle already knows no class placement can reach the goal;
-         keep the warm-start chain untouched for the next fraction. *)
-      infeasible (!prepared <> None)
-    end
-    else begin
-      let built, fresh =
-        match retarget built0 ~node_count:nodes ~fraction with
-        | Some b -> (b, false)
-        | None ->
-          (build_scenario_model (Mcperf.Permission.with_fraction perm0 fraction)
-             scenarios,
-           true)
-      in
-      if fresh then begin
-        prepared := None;
-        warm := None
-      end;
-      let problem = built.problem in
-      let nvars = Lp.Problem.nvars problem in
-      let nrows = Lp.Problem.nrows problem in
-      let cell ~feasible ~bound ~exact ~iterations ~reused =
-        {
-          class_name = cls.Mcperf.Classes.name;
-          fraction;
-          feasible;
-          expected_bound = (if feasible then bound +. built.offset else infinity);
-          nominal_vars = built.nominal_vars;
-          vars = nvars;
-          rows = nrows;
-          exact;
-          iterations;
-          reused;
-        }
-      in
-      match Pipeline.route solver ~vars:nvars ~rows:nrows with
-      | Pipeline.Simplex -> (
-        match Lp.Simplex.solve problem with
-        | Lp.Simplex.Optimal { objective; _ } ->
-          cell ~feasible:true ~bound:objective ~exact:true ~iterations:0
-            ~reused:false
-        | Lp.Simplex.Infeasible ->
-          cell ~feasible:false ~bound:infinity ~exact:true ~iterations:0
-            ~reused:false
-        | Lp.Simplex.Unbounded ->
-          (* Impossible for a box-bounded minimization; treat as no bound. *)
-          cell ~feasible:true ~bound:neg_infinity ~exact:false ~iterations:0
-            ~reused:false)
-      | Pipeline.Pdhg options ->
-        let reused = !prepared <> None in
-        let prep = Lp.Pdhg.prepare ?reuse:!prepared problem in
-        prepared := Some prep;
-        let x0, y0 =
-          match !warm with
-          | Some (x, y) -> (Some x, Some y)
-          | None -> (None, None)
-        in
-        let outcome = Lp.Pdhg.solve_prepared ~options ?x0 ?y0 prep in
-        warm := Some (outcome.Lp.Pdhg.x, outcome.Lp.Pdhg.y);
-        cell ~feasible:true ~bound:outcome.Lp.Pdhg.best_bound ~exact:false
-          ~iterations:outcome.Lp.Pdhg.iterations ~reused
-    end
-  in
-  List.map solve_one fractions
-
-let expected_cost_bound ?solver ?placeable spec cls ~scenarios =
-  let fraction =
+(* One cold cell: build the scenario model at the spec's own goal and
+   solve it on the solver [Pipeline.route] picks for its dimensions. *)
+let expected_cost_bound ?(solver = Pipeline.Auto) ?placeable
+    (spec : Mcperf.Spec.t) (cls : Mcperf.Classes.t) ~scenarios =
+  let tlat_ms, fraction =
     match spec.Mcperf.Spec.goal with
-    | Mcperf.Spec.Qos { fraction; _ } -> fraction
+    | Mcperf.Spec.Qos { tlat_ms; fraction } -> (tlat_ms, fraction)
     | Mcperf.Spec.Avg_latency _ ->
       invalid_arg "Avail_bound: expected-cost LP needs a QoS goal"
   in
-  match
-    expected_cost_cells ?solver ?placeable spec cls ~scenarios
-      ~fractions:[ fraction ]
-  with
-  | [ c ] -> c
-  | _ -> assert false
+  let perm = Mcperf.Permission.compute ?placeable spec cls in
+  let built = build_scenario_model ~tlat_ms ~fraction perm scenarios in
+  let problem = built.problem in
+  let nvars = Lp.Problem.nvars problem in
+  let nrows = Lp.Problem.nrows problem in
+  let cell ~feasible ~bound ~exact ~iterations =
+    {
+      class_name = cls.Mcperf.Classes.name;
+      fraction;
+      feasible;
+      expected_bound = (if feasible then bound +. built.offset else infinity);
+      nominal_vars = built.nominal_vars;
+      vars = nvars;
+      rows = nrows;
+      exact;
+      iterations;
+    }
+  in
+  if not (Mcperf.Permission.feasible perm) then
+    (* The oracle already knows no class placement can reach the goal. *)
+    cell ~feasible:false ~bound:infinity ~exact:false ~iterations:0
+  else
+    match Pipeline.route solver ~vars:nvars ~rows:nrows with
+    | Pipeline.Simplex -> (
+      match Lp.Simplex.solve problem with
+      | Lp.Simplex.Optimal { objective; _ } ->
+        cell ~feasible:true ~bound:objective ~exact:true ~iterations:0
+      | Lp.Simplex.Infeasible ->
+        cell ~feasible:false ~bound:infinity ~exact:true ~iterations:0
+      | Lp.Simplex.Unbounded ->
+        (* Impossible for a box-bounded minimization; treat as no bound. *)
+        cell ~feasible:true ~bound:neg_infinity ~exact:false ~iterations:0)
+    | Pipeline.Pdhg options ->
+      let outcome = Lp.Pdhg.solve ~options problem in
+      cell ~feasible:true ~bound:outcome.Lp.Pdhg.best_bound ~exact:false
+        ~iterations:outcome.Lp.Pdhg.iterations
 
 type group_check = {
   group : string;

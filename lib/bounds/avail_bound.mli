@@ -17,11 +17,7 @@
     relaxed (padding is not charged), so the optimum is a valid — if
     slightly loose — lower bound for every placement of the class, and
     for the general class a bound on {e every} evaluated placement.
-
-    Only the QoS rows read the target fraction, so a fraction sweep
-    patches their rhs ({!Lp.Problem.with_rhs}) and reuses the prepared
-    PDHG image ({!Lp.Pdhg.prepare}[ ?reuse]) plus the previous
-    iterates, exactly like the nominal sweep cache.
+    Each call builds and solves one model, cold.
 
     {b Worst-case k-failure check.} For each failure group, fail its
     worst [k = 2] members (exhaustively for small groups, by demand-severity
@@ -41,22 +37,7 @@ type cell = {
   rows : int;
   exact : bool;  (** solved by the exact simplex *)
   iterations : int;  (** PDHG iterations (0 for simplex) *)
-  reused : bool;  (** prepared image + warm start carried over *)
 }
-
-val expected_cost_cells :
-  ?solver:Pipeline.solver ->
-  ?placeable:bool array ->
-  Mcperf.Spec.t ->
-  Mcperf.Classes.t ->
-  scenarios:Avail.Scenario.t array ->
-  fractions:float list ->
-  cell list
-(** One cell per fraction, in input order (sweep ascending to profit
-    from warm starts). Requires a QoS-goal spec and a non-empty
-    scenario set. Results are a pure function of
-    (spec, class, scenarios, fraction) — byte-identical at any
-    parallelism level of the caller. *)
 
 val expected_cost_bound :
   ?solver:Pipeline.solver ->
@@ -65,7 +46,11 @@ val expected_cost_bound :
   Mcperf.Classes.t ->
   scenarios:Avail.Scenario.t array ->
   cell
-(** The single-fraction convenience: the spec's own goal fraction. *)
+(** The cell at the spec's own goal, on the solver {!Pipeline.route}
+    picks for the model's dimensions. Requires a QoS-goal spec and a
+    non-empty scenario set. The result is a pure function of (spec,
+    class, scenarios) — byte-identical at any parallelism level of the
+    caller. *)
 
 type group_check = {
   group : string;

@@ -144,8 +144,8 @@ let farkas_of problem =
    reduced problem, and map the point and the certified bound back
    through [restore]/[offset].
    [reuse] threads a prepared PDHG image across structurally identical
-   sweep models; [warm] carries reduced-space iterates between consecutive
-   QoS fractions.
+   sweep models; [warm_full] is a primal starting point in the model's
+   own space.
 
    The PDHG leg is a supervised fallback chain. A solve is *healthy* when
    every reported quantity is finite and an independent re-evaluation of
@@ -175,7 +175,6 @@ type solution = {
 type relaxation = {
   outcome : solution option;  (* [None] when the LP is infeasible *)
   prep : Lp.Pdhg.prepared option;  (* for the next cell's [reuse] *)
-  warm : (float array * float array) option;  (* reduced-space iterates *)
   path : solve_path;
   infeasible_ray : float array option;
       (* verified Farkas ray on the normalized full problem when the LP
@@ -186,7 +185,6 @@ let no_solution ?ray () =
   {
     outcome = None;
     prep = None;
-    warm = None;
     path = Path_infeasible;
     infeasible_ray = ray;
   }
@@ -211,7 +209,7 @@ let pdhg_healthy prep (out : Lp.Pdhg.outcome) =
   && Float.abs (recheck -. out.Lp.Pdhg.best_bound)
      <= 1e-9 *. (1. +. Float.abs out.Lp.Pdhg.best_bound)
 
-let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
+let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
     ?(inject_nan = false) ?deadline_s problem =
   let vars = Lp.Problem.nvars problem and rows = Lp.Problem.nrows problem in
   let pre = Lp.Presolve.run problem in
@@ -237,7 +235,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
               dual = Some (Array.make (Lp.Problem.nrows red) 0.);
             };
         prep = None;
-        warm = None;
         path = Path_presolve;
         infeasible_ray = None;
       }
@@ -260,7 +257,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
           {
             outcome = Some (simplex_solution x objective dual);
             prep = None;
-            warm = None;
             path = Path_simplex;
             infeasible_ray = None;
           }
@@ -285,27 +281,21 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
             }
           | Some _ | None -> options
         in
-        let x0, y0 =
-          match warm with
-          | Some (x0, y0)
-            when Array.length x0 = Lp.Problem.nvars red
-                 && Array.length y0 = Lp.Problem.nrows red ->
-            (Some x0, Some y0)
-          | Some _ | None -> (
-            (* A full-space primal warm start (e.g. last epoch's solution
-               lifted onto this epoch's model) projects through the
-               presolve variable map; eliminated variables drop out, new
-               ones start at the box corner like a cold start. The dual
-               starts cold — any dual iterate certifies a valid bound, so
-               warm starts can only change speed, never validity. *)
-            match warm_full with
-            | Some xf when Array.length xf = Lp.Problem.nvars problem ->
-              let x0 = Array.make (Lp.Problem.nvars red) 0. in
-              Array.iteri
-                (fun j rj -> if rj >= 0 then x0.(rj) <- xf.(j))
-                pre.Lp.Presolve.var_map;
-              (Some x0, None)
-            | Some _ | None -> (None, None))
+        (* A full-space primal warm start (e.g. last epoch's solution
+           lifted onto this epoch's model) projects through the presolve
+           variable map; eliminated variables drop out, new ones start at
+           the box corner like a cold start. The dual starts cold — any
+           dual iterate certifies a valid bound, so warm starts can only
+           change speed, never validity. *)
+        let x0 =
+          match warm_full with
+          | Some xf when Array.length xf = Lp.Problem.nvars problem ->
+            let x0 = Array.make (Lp.Problem.nvars red) 0. in
+            Array.iteri
+              (fun j rj -> if rj >= 0 then x0.(rj) <- xf.(j))
+              pre.Lp.Presolve.var_map;
+            Some x0
+          | Some _ | None -> None
         in
         let attempt ~poisoned =
           let target =
@@ -314,7 +304,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
             else red
           in
           let prep = Lp.Pdhg.prepare ?reuse target in
-          (prep, Lp.Pdhg.solve_prepared ~options ?x0 ?y0 prep)
+          (prep, Lp.Pdhg.solve_prepared ~options ?x0 prep)
         in
         let accept path prep (out : Lp.Pdhg.outcome) =
           {
@@ -334,7 +324,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
                   dual = Some out.Lp.Pdhg.best_y;
                 };
             prep = Some prep;
-            warm = Some (out.Lp.Pdhg.x, out.Lp.Pdhg.y);
             path;
             infeasible_ray = None;
           }
@@ -378,7 +367,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
               {
                 outcome = Some (simplex_solution x objective dual);
                 prep = Some prep2;
-                warm = None;
                 path = Path_simplex_fallback;
                 infeasible_ray = None;
               }
@@ -395,7 +383,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm ?warm_full
    tagged with the leg that finally produced the bound. The span and
    path counters never touch the numbers — the raw chain above is the
    entire computation. *)
-let solve_relaxation ?solver ?reuse ?warm ?warm_full ?inject_nan ?deadline_s
+let solve_relaxation ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
     problem =
   let sp =
     Obs.Trace.span_begin "pipeline.solve_relaxation"
@@ -406,8 +394,8 @@ let solve_relaxation ?solver ?reuse ?warm ?warm_full ?inject_nan ?deadline_s
         ]
   in
   match
-    solve_relaxation_raw ?solver ?reuse ?warm ?warm_full ?inject_nan
-      ?deadline_s problem
+    solve_relaxation_raw ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
+      problem
   with
   | r ->
     count_path r.path;
@@ -545,28 +533,26 @@ let tree_cell ?placeable spec cls perm worst_qos =
 
 (* What a cell's LP leg leaves behind for the next cell of the same
    entry point: the model it solved (a later fraction patches it instead
-   of rebuilding), the prepared PDHG image, the reduced-space iterates
-   and the solution point in the model's own space. Oracle-infeasible
-   and tree-DP cells build no LP and leave [nothing], so a series that
-   mixes tree and LP cells (atomicity can hold at one fraction and fail
-   at another) threads the same state as a pure LP series. *)
+   of rebuilding), the prepared PDHG image and the solution point in the
+   model's own space. Oracle-infeasible and tree-DP cells build no LP and
+   leave [nothing], so a series that mixes tree and LP cells (atomicity
+   can hold at one fraction and fail at another) threads the same state
+   as a pure LP series. *)
 type leftover = {
   model : Mcperf.Model.t option;
   prep : Lp.Pdhg.prepared option;
-  iterates : (float array * float array) option;
   point : float array option;
 }
 
-let nothing = { model = None; prep = None; iterates = None; point = None }
+let nothing = { model = None; prep = None; point = None }
 
 (* An entry point's running state after one more cell: the first model
-   stays (later fractions patch it), the latest prep and iterates win. *)
+   stays (later fractions patch it), the latest prep wins. *)
 let carry state left =
   let latest a b = match a with Some _ -> a | None -> b in
   {
     model = latest state.model left.model;
     prep = latest left.prep state.prep;
-    iterates = latest left.iterates state.iterates;
     point = left.point;
   }
 
@@ -574,8 +560,8 @@ let carry state left =
    the exact tree DP under [Auto], then the LP — built, or patched from
    [base], a model of the same spec at another QoS fraction
    ([with_fraction] is value-identical to a fresh build) — solved from
-   [reuse]/[warm]/[lift], and rounding chosen by the goal. *)
-let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?warm ?lift
+   [reuse]/[lift], and rounding chosen by the goal. *)
+let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?lift
     ?inject_nan spec cls =
   let perm, model_of =
     match base with
@@ -632,12 +618,10 @@ let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?warm ?lift
         if Float.is_finite d then Some (d -. Unix.gettimeofday ()) else None
       in
       let r =
-        solve_relaxation ~solver ?reuse ?warm ?warm_full ?inject_nan
-          ?deadline_s model.Mcperf.Model.problem
+        solve_relaxation ~solver ?reuse ?warm_full ?inject_nan ?deadline_s
+          model.Mcperf.Model.problem
       in
-      let left =
-        { model = Some model; prep = r.prep; iterates = r.warm; point = None }
-      in
+      let left = { model = Some model; prep = r.prep; point = None } in
       match r.outcome with
       | None ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
@@ -973,22 +957,29 @@ let journal_header fingerprint =
 type journal_scan_stop =
   | Scan_complete
   | Scan_missing  (** no file at the path *)
+  | Scan_unreadable of string  (** the path cannot be read, e.g. a directory *)
   | Scan_no_header  (** empty file: not even a header line *)
   | Scan_header_mismatch  (** wrong magic or fingerprint on line 1 *)
   | Scan_bad_record of int * string  (** 1-based line number, defect *)
 
+let read_lines path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let lines = ref [] in
+      (try
+         while true do
+           lines := input_line ic :: !lines
+         done
+       with End_of_file -> ());
+      List.rev !lines)
+
 let scan_journal ~fingerprint path =
   if not (Sys.file_exists path) then ([], Scan_missing)
   else begin
-    let ic = open_in_bin path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    match List.rev !lines with
+    match read_lines path with
+    | exception Sys_error msg -> ([], Scan_unreadable msg)
     | [] -> ([], Scan_no_header)
     | header :: records ->
       if not (String.equal header (journal_header fingerprint)) then
@@ -1043,6 +1034,7 @@ let load_journal_result ~fingerprint path :
   | Scan_complete -> Ok entries
   | Scan_missing ->
     Error { Util.Parse_error.file = path; line = 0; msg = "no such journal" }
+  | Scan_unreadable msg -> Error { Util.Parse_error.file = path; line = 0; msg }
   | Scan_no_header ->
     Error
       { Util.Parse_error.file = path; line = 1; msg = "missing journal header" }
@@ -1072,6 +1064,10 @@ let load_journal ~fingerprint path : (string, t * float) Hashtbl.t =
   let entries, stop = scan_journal ~fingerprint path in
   (match stop with
   | Scan_complete | Scan_missing | Scan_no_header -> ()
+  | Scan_unreadable msg ->
+    Log.warn (fun f ->
+        f "journal %s is unreadable (%s): starting with no cached cells" path
+          msg)
   | Scan_header_mismatch ->
     Log.warn (fun f ->
         f
@@ -1172,7 +1168,6 @@ module Sweep_config = struct
     cell_budget_s : float;
     journal : string option;
     progress : (completed:int -> total:int -> unit) option;
-    obs : Obs.Config.t option;
   }
 
   let default =
@@ -1185,7 +1180,6 @@ module Sweep_config = struct
       cell_budget_s = infinity;
       journal = None;
       progress = None;
-      obs = None;
     }
 end
 
@@ -1199,14 +1193,9 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     cell_budget_s;
     journal;
     progress;
-    obs;
   } =
     cfg
   in
-  (* Install the sweep's observability view before any instrumentation
-     fires (and before workers fork, so they inherit it). [None] keeps
-     whatever the caller installed ambiently. *)
-  (match obs with Some o -> Obs.Config.install o | None -> ());
   let tlat_ms =
     match spec.Mcperf.Spec.goal with
     | Mcperf.Spec.Qos { tlat_ms; _ } -> tlat_ms
@@ -1360,24 +1349,3 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     pool = Util.Parallel.last_pool_stats ();
     resumed;
   }
-
-let sweep_qos ?(solver = Auto) ?placeable spec fractions cls =
-  let tlat_ms =
-    match spec.Mcperf.Spec.goal with
-    | Mcperf.Spec.Qos { tlat_ms; _ } -> tlat_ms
-    | Mcperf.Spec.Avg_latency _ ->
-      invalid_arg "Pipeline.sweep_qos: requires a QoS goal"
-  in
-  let state = ref nothing in
-  List.map
-    (fun fraction ->
-      let s = !state in
-      let cell, left =
-        solve_cell ~solver ?placeable ?base:s.model ?reuse:s.prep
-          ?warm:s.iterates
-          { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
-          cls
-      in
-      state := carry s left;
-      (fraction, cell))
-    fractions

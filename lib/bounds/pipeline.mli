@@ -26,10 +26,8 @@
     The entry points differ only in what each cell's LP leg leaves for
     the next one: {!compute} keeps nothing; {!sweep_classes} keeps, per
     class and worker process, the first model and the latest prepared
-    PDHG image, and starts every solve cold; {!sweep_qos} also carries
-    the solver iterates from fraction to fraction; an {!Online} handle
-    keeps, per class, the last solution, lifted onto the next epoch's
-    model.
+    PDHG image, and starts every solve cold; an {!Online} handle keeps,
+    per class, the last solution, lifted onto the next epoch's model.
 
     The designer then compares classes on [lower_bound] (Figure 1) and
     checks deployed heuristics against them (Figure 2). *)
@@ -222,20 +220,6 @@ val certify :
     {!certify} replays {!Tree_dp.of_spec} + {!Tree_dp.solve} and checks
     that the re-evaluated optimum reproduces the recorded bound. *)
 
-val sweep_qos :
-  ?solver:solver ->
-  ?placeable:bool array ->
-  Mcperf.Spec.t ->
-  float list ->
-  Mcperf.Classes.t ->
-  (float * t) list
-(** Compute the class's bound at each QoS fraction (the spec's goal
-    supplies the latency threshold; its fraction is replaced per point).
-    Sweep the fractions in ascending order: the first-order solver warm
-    starts each point from the previous solution, which typically cuts
-    iteration counts by an order of magnitude. Requires a QoS-goal
-    spec. *)
-
 (** {2 Parallel class x goal-point sweeps}
 
     The figure sweeps evaluate every heuristic class at every QoS point —
@@ -298,14 +282,12 @@ module Sweep_config : sig
     cell_budget_s : float;  (** per-cell budget cap; [infinity] = none *)
     journal : string option;  (** checkpoint journal path *)
     progress : (completed:int -> total:int -> unit) option;
-    obs : Obs.Config.t option;
-        (** observability view to install for the sweep (and inherit into
-            its workers); [None] keeps the ambient {!Obs.Config} *)
   }
 
   val default : t
-  (** Sequential, [Auto] solver, unbudgeted, no journal, ambient
-      observability — the old defaults, as one value. *)
+  (** Sequential, [Auto] solver, unbudgeted, no journal — the old
+      defaults, as one value. The sweep and its workers run under the
+      ambient {!Obs.Config}, so install one first to trace a sweep. *)
 end
 
 val load_journal_result :
@@ -314,10 +296,11 @@ val load_journal_result :
   ((string * (t * float)) list, Util.Parse_error.t) result
 (** Strict checkpoint-journal loader: parse the journal at the path and
     return its completed cells in file order, or a structured error
-    naming the first defect — missing file, missing header ([line 1]),
-    fingerprint mismatch ([line 1]), or a corrupt record (its 1-based
-    line). The sweep itself uses the tolerant salvage semantics instead
-    (ignore a mismatched journal, keep the valid prefix of a torn one);
+    naming the first defect — missing or unreadable file ([line 0]),
+    missing header ([line 1]), fingerprint mismatch ([line 1]), or a
+    corrupt record (its 1-based line). The sweep itself uses the tolerant
+    salvage semantics instead (ignore a mismatched or unreadable journal,
+    keep the valid prefix of a torn one);
     this is the result-first API for tools that must distinguish "no
     journal" from "journal damaged". *)
 

@@ -10,7 +10,7 @@
     the structure {!Mcperf.Bundle} collapses. All demand weights are 1,
     so the family is {e homogeneous}: the bundled Lagrangian bound equals
     the unbundled one exactly (bit for bit), which the scale gates in
-    [scripts/check.sh] and [bench scale] assert. *)
+    [scripts/check.sh] and the [bundling] bench leg assert. *)
 
 type t = {
   name : string;

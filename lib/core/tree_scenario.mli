@@ -21,8 +21,6 @@ type shape =
   | Random of { nodes : int }
   | Cdn of { fanouts : int list }
 
-val shape_name : shape -> string
-
 type t = {
   name : string;  (** stable identifier: shape, seed, site restriction *)
   shape : shape;
@@ -31,13 +29,6 @@ type t = {
   placeable : bool array option;
       (** permitted replica sites; [None] = everywhere *)
 }
-
-val default_tlat_ms : float
-(** 250 ms: one 100–200 ms hop is always covered by the origin, two
-    usually are not, so instances mix origin-covered and replica-needing
-    demand. *)
-
-val default_fraction : float
 
 val default_fractions : float list
 (** Sweep fractions at which the family's atomicity margin holds. *)

@@ -50,11 +50,6 @@ val held : snapshots -> node:int -> object_id:int -> interval:int -> bool
 (** Whether the node held the object when the interval closed. Raises
     [Invalid_argument] on out-of-bounds indices. *)
 
-val placement_interval_limit : int
-(** Largest interval count for which the int-bitmask
-    {!Mcperf.Costing.placement} view of the snapshots exists (62: the
-    costing layer packs interval sets into a native int). *)
-
 type outcome = {
   capacity : int;
   hits_local : int;
@@ -70,9 +65,9 @@ type outcome = {
       (** end-of-interval cache contents as MC-PERF placement bitmasks
           ([placement.(n).(k)] bit [i]: node [n] held object [k] when
           interval [i] closed) — what the availability layer re-prices
-          under failure scenarios. [Some] iff the run used at most
-          {!placement_interval_limit} intervals; longer traces only have
-          the wide {!snapshots} view. *)
+          under failure scenarios. [Some] iff the run used at most 62
+          intervals (the costing layer packs interval sets into a native
+          int); longer traces only have the wide {!snapshots} view. *)
   snapshots : snapshots;
       (** the same end-of-interval contents, wide bit-packed — present at
           every interval count; query with {!held} *)
@@ -97,7 +92,7 @@ val simulate :
     [Invalid_argument] otherwise. Any positive interval count is
     supported: snapshots are wide bit-packed, and the int-bitmask
     [placement] view is additionally produced when the count is at most
-    {!placement_interval_limit}. [placeable] limits which sites run a
+    62. [placeable] limits which sites run a
     cache (deployment scenario); non-placeable sites forward every access
     and pay no provisioned storage. [policy] selects the replacement
     policy (default [Lru]); all policies belong to the same heuristic

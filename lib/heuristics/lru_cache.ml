@@ -82,19 +82,3 @@ let contents t =
     | Some n -> walk (n.key :: acc) n.next
   in
   walk [] t.head
-
-let iter f t =
-  let rec walk = function
-    | None -> ()
-    | Some n ->
-      let next = n.next in
-      f n.key;
-      walk next
-  in
-  walk t.head
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  t.count <- 0

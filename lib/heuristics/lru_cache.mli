@@ -28,13 +28,5 @@ val insert : t -> int -> int option
 val remove : t -> int -> bool
 (** Remove a specific object; returns whether it was present. *)
 
-val evict_lru : t -> int option
-(** Remove and return the least-recently-used entry. *)
-
 val contents : t -> int list
 (** Cached objects, most-recent first. O(size). *)
-
-val iter : (int -> unit) -> t -> unit
-(** Iterate cached objects (most-recent first). *)
-
-val clear : t -> unit

@@ -26,10 +26,6 @@ let create kind ~capacity =
   | Fifo | Lfu ->
     Table { kind; cap = capacity; entries = Hashtbl.create 64; next_sequence = 0 }
 
-let capacity = function
-  | Lru_impl c -> Lru_cache.capacity c
-  | Table t -> t.cap
-
 let size = function
   | Lru_impl c -> Lru_cache.size c
   | Table t -> Hashtbl.length t.entries

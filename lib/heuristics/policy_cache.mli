@@ -19,7 +19,6 @@ val kind_name : kind -> string
 type t
 
 val create : kind -> capacity:int -> t
-val capacity : t -> int
 val size : t -> int
 
 val mem : t -> int -> bool

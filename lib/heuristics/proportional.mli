@@ -33,14 +33,11 @@ val place :
     site. Deterministic: ties break towards lower node and object
     ids. *)
 
-val budget_ceiling : Mcperf.Permission.t -> int
-(** Every permitted site of every demanded object — the largest budget
-    worth trying (beyond it the placement cannot change). *)
-
 val strategy : Strategy.factory
 (** The heuristic as a strategy factory, placed and priced under the
     unconstrained general class: context parameter = total replica
     budget. The offline runner bisects budgets from zero (the empty
     placement wins when the origin already covers everything) up to
-    {!budget_ceiling}. The split is not strictly nested, so the budget
-    found is a heuristic search, not a proof of minimality. *)
+    every permitted site of every demanded object (beyond that budget
+    the placement cannot change). The split is not strictly nested, so
+    the budget found is a heuristic search, not a proof of minimality. *)

@@ -24,11 +24,6 @@ val dual_bound : Problem.t -> y:float array -> float
     Negative entries of [y] on Ge rows are clamped to 0 (which preserves
     validity), so any real vector is accepted. *)
 
-val dual_bound_parts :
-  Problem.t -> y:float array -> float * float array
-(** Bound together with the reduced-cost vector [r] (useful for tests and
-    diagnostics). *)
-
 (** {2 Farkas infeasibility certificates}
 
     Dropping the objective from the weak-duality bound turns a dual
@@ -43,13 +38,11 @@ val dual_bound_parts :
     certificate — checkable by pure arithmetic, independent of whichever
     solver produced the ray. *)
 
-val farkas_margin : Problem.t -> ray:float array -> float
-(** The margin above. The problem must be Ge-normalized; negative Ge
-    entries of [ray] are clamped to 0 (preserving the guarantee). *)
-
 val check_farkas : ?tol:float -> Problem.t -> ray:float array -> bool
 (** [check_farkas p ~ray] accepts iff [ray] has the right dimension, is
-    everywhere finite, and its margin strictly exceeds
+    everywhere finite, and its margin on the Ge-normalized [p] (negative
+    Ge entries of [ray] clamped to 0, which preserves the guarantee)
+    strictly exceeds
     [tol * (1 + sum_i |ray_i * b_i|)] (default [tol = 1e-9]) — i.e. the
     infeasibility proof survives a conservative rounding-error allowance.
     Never raises: malformed input is simply rejected. *)

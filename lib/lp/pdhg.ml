@@ -129,7 +129,7 @@ let prepared_problem r = r.norm
    together. Keeping the per-element arithmetic in the same order and
    association makes the fused path bit-identical, not merely close. *)
 
-let solve_prepared ?(options = default_options) ?x0 ?y0 pr =
+let solve_prepared ?(options = default_options) ?x0 pr =
   let p = pr.norm in
   let n = Problem.nvars p and m = Problem.nrows p in
   let a = pr.a in
@@ -147,13 +147,7 @@ let solve_prepared ?(options = default_options) ?x0 ?y0 pr =
         (fun j v -> Util.Vecops.clamp v ~lo:lower.(j) ~hi:upper.(j))
         x0
   in
-  let y =
-    match y0 with
-    | None -> Array.make m 0.
-    | Some y0 ->
-      if Array.length y0 <> m then invalid_arg "Pdhg.solve: y0 dimension";
-      Array.copy y0
-  in
+  let y = Array.make m 0. in
   let aty = Array.make n 0. in
   let ax_bar = Array.make m 0. in
   let x_bar = Array.make n 0. in
@@ -319,8 +313,7 @@ let solve_prepared ?(options = default_options) ?x0 ?y0 pr =
     rel_gap;
   }
 
-let solve ?options ?x0 ?y0 problem =
-  solve_prepared ?options ?x0 ?y0 (prepare problem)
+let solve ?options ?x0 problem = solve_prepared ?options ?x0 (prepare problem)
 
 (* --- reference implementation -------------------------------------------- *)
 
@@ -329,7 +322,7 @@ let solve ?options ?x0 ?y0 problem =
    dual, matvec, two average accumulations). Any divergence between this
    and [solve_prepared] beyond float-noise is a kernel bug. *)
 
-let solve_reference ?(options = default_options) ?x0 ?y0 problem =
+let solve_reference ?(options = default_options) ?x0 problem =
   let pr = prepare problem in
   let p = pr.norm in
   let n = Problem.nvars p and m = Problem.nrows p in
@@ -347,13 +340,7 @@ let solve_reference ?(options = default_options) ?x0 ?y0 problem =
         (fun j v -> Util.Vecops.clamp v ~lo:p.lower.(j) ~hi:p.upper.(j))
         x0
   in
-  let y =
-    match y0 with
-    | None -> Array.make m 0.
-    | Some y0 ->
-      if Array.length y0 <> m then invalid_arg "Pdhg.solve: y0 dimension";
-      Array.copy y0
-  in
+  let y = Array.make m 0. in
   let x_prev = Array.make n 0. in
   let aty = Array.make n 0. in
   let ax_bar = Array.make m 0. in

@@ -81,7 +81,6 @@ val prepared_problem : prepared -> Problem.t
 val solve_prepared :
   ?options:options ->
   ?x0:float array ->
-  ?y0:float array ->
   prepared ->
   outcome
 (** Run the solver on a prepared image. The per-iteration work is fused
@@ -92,21 +91,18 @@ val solve_prepared :
 val solve :
   ?options:options ->
   ?x0:float array ->
-  ?y0:float array ->
   Problem.t ->
   outcome
 (** [solve p] normalizes [p] with {!Problem.normalize_ge} and runs PDHG
-    from the lower-bound corner, or from the warm-start iterates [x0]/[y0]
-    when given (box-projected; a QoS sweep over similar models converges
-    much faster from the previous point). Every variable must have finite
-    lower and upper bounds (the MC-PERF builder guarantees this);
-    otherwise [Invalid_argument] is raised. Equivalent to
-    [solve_prepared (prepare p)]. *)
+    from the lower-bound corner, or from the primal warm start [x0] when
+    given (box-projected); the dual always starts at zero. Every variable
+    must have finite lower and upper bounds (the MC-PERF builder
+    guarantees this); otherwise [Invalid_argument] is raised. Equivalent
+    to [solve_prepared (prepare p)]. *)
 
 val solve_reference :
   ?options:options ->
   ?x0:float array ->
-  ?y0:float array ->
   Problem.t ->
   outcome
 (** The pre-fusion iteration — one pass per conceptual step — kept as the

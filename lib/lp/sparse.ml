@@ -12,7 +12,6 @@ type t = {
 }
 
 let rows t = t.nrows
-let cols t = t.ncols
 let nnz t = Array.length t.values
 
 (* Construction is a chain of counting sorts — no hashing, no polymorphic

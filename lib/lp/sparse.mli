@@ -8,7 +8,6 @@
 type t
 
 val rows : t -> int
-val cols : t -> int
 val nnz : t -> int
 
 val of_row_list : rows:int -> cols:int -> (int * float) list array -> t

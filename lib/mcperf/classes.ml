@@ -103,8 +103,6 @@ let catalogue =
     reactive_general;
   ]
 
-let find name = List.find_opt (fun c -> c.name = name) catalogue
-
 let allow_intra_interval_reaction c =
   if c.intra_interval then c
   else { c with name = c.name ^ "@access"; intra_interval = true }

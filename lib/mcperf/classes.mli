@@ -93,9 +93,6 @@ val catalogue : t list
 (** Table 3's classes (plus the general and reactive-general bounds), in
     presentation order. *)
 
-val find : string -> t option
-(** Look up a catalogue class by name. *)
-
 val allow_intra_interval_reaction : t -> t
 (** Enable the per-access reactive refinement (no effect on proactive
     classes). The name is suffixed with ["@access"]. *)

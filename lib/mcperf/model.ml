@@ -11,7 +11,6 @@ type t = {
   permission : Permission.t;
   problem : Lp.Problem.t;
   kinds : var_kind array;
-  store_index : (int, int) Hashtbl.t;
   objective_offset : float;
   node_totals : float array;
   always_covered : float array;
@@ -371,7 +370,6 @@ let build (perm : Permission.t) =
     permission = perm;
     problem;
     kinds = Array.of_list (List.rev !kinds);
-    store_index = store_tbl;
     objective_offset = !objective_offset;
     node_totals;
     always_covered;
@@ -407,13 +405,6 @@ let with_fraction t fraction =
     { t with
       permission = perm;
       problem = Lp.Problem.with_rhs t.problem !patches }
-
-let store_var t ~node ~interval ~object_id =
-  let spec = t.permission.Permission.spec in
-  let intervals = Spec.interval_count spec in
-  let objects = Spec.object_count spec in
-  Hashtbl.find_opt t.store_index
-    (pack ~intervals ~objects ~node ~interval ~object_id)
 
 let store_placement t x =
   let spec = t.permission.Permission.spec in

@@ -39,9 +39,6 @@ type t = private {
   permission : Permission.t;
   problem : Lp.Problem.t;
   kinds : var_kind array;
-  store_index : (int, int) Hashtbl.t;
-      (** packed (node, interval, object) -> store-variable index; use
-          {!store_var} rather than this directly *)
   objective_offset : float;
       (** constant term (from the penalty extension); the true cost of a
           solution [x] is [objective_value problem x + objective_offset] *)
@@ -69,10 +66,6 @@ val with_fraction : t -> float -> t
     rebuild when the set of emitted rows would change (only possible via
     the explicit infeasibility rows of uncoverable nodes). Raises
     [Invalid_argument] on an average-latency model. *)
-
-val store_var : t -> node:int -> interval:int -> object_id:int -> int option
-(** Index of a store variable, when it exists (i.e. inside the pruned
-    support). *)
 
 val store_placement : t -> float array -> float array array array
 (** [store_placement m x] expands a solution vector into a dense

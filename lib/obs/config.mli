@@ -21,7 +21,7 @@ type sink_spec =
 
 type t = {
   trace : bool;  (** collect spans and point events *)
-  metrics : bool;  (** collect counters / gauges / histograms *)
+  metrics : bool;  (** collect counters / histograms *)
   wall_clock : bool;
       (** attach wall-clock attributes; [false] keeps logical mode *)
   sink : sink_spec;  (** where {!Sink.flush} sends the trace *)

@@ -1,5 +1,4 @@
 type counter = { mutable c : int }
-type gauge = { mutable g : float; mutable present : bool }
 
 let n_buckets = 64
 
@@ -12,18 +11,12 @@ type histogram = {
 }
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let reset () =
   (* Zero in place rather than dropping the tables: call sites cache
      instrument handles, and those must survive a Config.install. *)
   Hashtbl.iter (fun _ c -> c.c <- 0) counters;
-  Hashtbl.iter
-    (fun _ g ->
-      g.g <- 0.;
-      g.present <- false)
-    gauges;
   Hashtbl.iter
     (fun _ h ->
       Array.fill h.buckets 0 n_buckets 0;
@@ -44,19 +37,12 @@ let find_or_add tbl name mk =
     v
 
 let counter name = find_or_add counters name (fun () -> { c = 0 })
-let gauge name = find_or_add gauges name (fun () -> { g = 0.; present = false })
 
 let new_hist () =
   { buckets = Array.make n_buckets 0; count = 0; sum = 0.; minv = nan; maxv = nan }
 
 let histogram name = find_or_add histograms name new_hist
 let incr ?(by = 1) c = if Config.metering () then c.c <- c.c + by
-
-let set g v =
-  if Config.metering () then begin
-    g.g <- v;
-    g.present <- true
-  end
 
 (* Log-spaced bucket bounds: bound i = 1e-9 * 2^i, so buckets cover
    one nanosecond up to ~2^62 ns with one bucket per octave.  The last
@@ -107,15 +93,12 @@ type hist_data = {
 
 type delta = {
   d_counters : (string * int) list;
-  d_gauges : (string * float) list;
   d_histograms : (string * hist_data) list;
 }
 
 let drain () =
   let d_counters =
     Hashtbl.fold (fun k c acc -> if c.c <> 0 then (k, c.c) :: acc else acc) counters []
-  and d_gauges =
-    Hashtbl.fold (fun k g acc -> if g.present then (k, g.g) :: acc else acc) gauges []
   and d_histograms =
     Hashtbl.fold
       (fun k h acc ->
@@ -133,16 +116,10 @@ let drain () =
       histograms []
   in
   reset ();
-  { d_counters; d_gauges; d_histograms }
+  { d_counters; d_histograms }
 
 let absorb d =
   List.iter (fun (k, v) -> (counter k).c <- (counter k).c + v) d.d_counters;
-  List.iter
-    (fun (k, v) ->
-      let g = gauge k in
-      g.g <- v;
-      g.present <- true)
-    d.d_gauges;
   List.iter
     (fun (k, hd) ->
       let h = histogram k in
@@ -193,17 +170,6 @@ let snapshot_json () =
           (Printf.sprintf "\n    \"%s\": %d" (json_escape k) c.c)
       end)
     (sorted_bindings counters);
-  Buffer.add_string b "\n  },\n  \"gauges\": {";
-  first := true;
-  List.iter
-    (fun (k, g) ->
-      if g.present then begin
-        if not !first then Buffer.add_char b ',';
-        first := false;
-        Buffer.add_string b
-          (Printf.sprintf "\n    \"%s\": %s" (json_escape k) (float_json g.g))
-      end)
-    (sorted_bindings gauges);
   Buffer.add_string b "\n  },\n  \"histograms\": {";
   first := true;
   List.iter

@@ -1,4 +1,4 @@
-(** Counters, gauges, and log-bucketed histograms.
+(** Counters and log-bucketed histograms.
 
     Instruments are registered by name in a process-global registry and
     are cheap to look up once and cache.  All recording calls are
@@ -6,24 +6,20 @@
 
     Worker processes accumulate into their own registry copy; {!drain}
     ships the accumulated values to the parent, whose {!absorb} merges
-    them (counters and histogram buckets add, gauges take the incoming
-    value if newer).  Because counter merge is commutative and the
-    snapshot sorts by name, the merged snapshot does not depend on
-    worker scheduling. *)
+    them (counters and histogram buckets add).  Because the merge is
+    commutative and the snapshot sorts by name, the merged snapshot does
+    not depend on worker scheduling. *)
 
 type counter
-type gauge
 type histogram
 
 val counter : string -> counter
 (** Find-or-create.  Registering the same name twice returns the same
     instrument. *)
 
-val gauge : string -> gauge
 val histogram : string -> histogram
 
 val incr : ?by:int -> counter -> unit
-val set : gauge -> float -> unit
 
 val observe : histogram -> float -> unit
 (** Record a sample.  Buckets are logarithmic (powers of two from
@@ -50,7 +46,7 @@ val absorb : delta -> unit
 
 val snapshot_json : unit -> string
 (** The whole registry as one JSON object, instruments sorted by name:
-    [{"counters":{...},"gauges":{...},"histograms":{...}}]. *)
+    [{"counters":{...},"histograms":{...}}]. *)
 
 val reset : unit -> unit
 (** Clear the registry (also run by {!Config.install}). *)

@@ -65,6 +65,12 @@ let header_field line key =
     in
     Some (String.sub line start (stop - start))
 
+(* The largest node count a header may declare. The graph's adjacency
+   array is allocated from the header alone, before any edge is read, so
+   an absurd count must be refused here; no command can use more nodes
+   anyway, since System.make builds an n x n latency matrix. *)
+let max_nodes = 1 lsl 20
+
 (* Scanner parse: lines and fields are (lo, hi) ranges of the input
    (Util.Scan), so a 500-node topology loads without materializing every
    line, field, and trimmed copy as separate strings. Validation order,
@@ -83,7 +89,7 @@ let parse_exn s =
     match header_field header "nodes" with
     | Some v -> (
       match int_of_string_opt v with
-      | Some n when n >= 0 -> n
+      | Some n when n >= 0 && n <= max_nodes -> n
       | Some _ | None -> err 1 "bad nodes")
     | None -> err 1 "missing nodes field"
   in

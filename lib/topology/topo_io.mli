@@ -16,7 +16,9 @@
     The reading entry points never raise on malformed input, and every
     field is validated at the boundary — non-finite or negative
     latencies are rejected as an {!error} carrying the offending line,
-    before they can corrupt any downstream shortest path. *)
+    before they can corrupt any downstream shortest path, and a header
+    declaring more than 2{^20} nodes is rejected at line 1 before any
+    graph is allocated. *)
 
 (** {1 Writing} *)
 

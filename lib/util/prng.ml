@@ -46,11 +46,6 @@ let uniform t ~lo ~hi =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let exponential t ~rate =
-  if rate <= 0. then invalid_arg "Prng.exponential: rate must be positive";
-  let u = 1.0 -. unit_float t in
-  -.log u /. rate
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -58,10 +53,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
-  a.(int t (Array.length a))
 
 let pick_weighted t ~weights =
   let total = Array.fold_left (fun acc w ->

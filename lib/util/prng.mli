@@ -38,14 +38,8 @@ val uniform : t -> lo:float -> hi:float -> float
 val bool : t -> bool
 (** Fair coin. *)
 
-val exponential : t -> rate:float -> float
-(** Exponentially distributed value with the given rate (mean [1/rate]). *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element. Requires a non-empty array. *)
 
 val pick_weighted : t -> weights:float array -> int
 (** [pick_weighted t ~weights] returns index [i] with probability

@@ -38,10 +38,6 @@ let percentile xs p =
     let frac = rank -. float_of_int lo in
     sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
 
-let mean xs =
-  let n = Array.length xs in
-  if n = 0 then 0. else Vecops.sum xs /. float_of_int n
-
 let fraction_within xs ~threshold =
   let n = Array.length xs in
   if n = 0 then 1.

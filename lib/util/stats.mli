@@ -20,9 +20,6 @@ val percentile : float array -> float -> float
     interpolated p-th percentile. Sorts a copy; the input is untouched.
     Requires a non-empty array. *)
 
-val mean : float array -> float
-(** Arithmetic mean; [0.] for the empty array. *)
-
 val fraction_within : float array -> threshold:float -> float
 (** Fraction of samples [<= threshold]; [1.] for the empty array (an empty
     demand trivially meets any latency goal). *)

@@ -31,11 +31,6 @@ let axpby_into a x b y dst =
       ((a *. Array.unsafe_get x i) +. (b *. Array.unsafe_get y i))
   done
 
-let scale a x =
-  for i = 0 to Array.length x - 1 do
-    Array.unsafe_set x i (a *. Array.unsafe_get x i)
-  done
-
 let norm_inf x = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. x
 
 let clamp v ~lo ~hi = if v < lo then lo else if v > hi then hi else v

@@ -15,9 +15,6 @@ val axpby_into :
 (** [axpby_into a x b y dst] writes [a*x + b*y] into [dst] in one pass.
     [dst] may alias [x] or [y]. *)
 
-val scale : float -> float array -> unit
-(** In-place multiply by a scalar. *)
-
 val norm_inf : float array -> float
 (** Max absolute entry; [0.] for the empty vector. *)
 

@@ -42,9 +42,7 @@ let chunks t = t.chunks
 let events t = t.events
 let reads t = t.reads
 let writes t = t.writes
-let node_reads t = Array.copy t.node_reads
 let object_count t = Array.length t.object_reads
-let object_reads t k = t.object_reads.(k)
 
 let last_read_interval t k =
   if t.last_read.(k) < 0 then None else Some t.last_read.(k)

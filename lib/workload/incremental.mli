@@ -32,11 +32,7 @@ val events : t -> int
 val reads : t -> int
 val writes : t -> int
 
-val node_reads : t -> float array
-(** Per-node cumulative read counts (copy). *)
-
 val object_count : t -> int
-val object_reads : t -> int -> float
 
 val first_read_interval : t -> int -> int option
 val last_read_interval : t -> int -> int option

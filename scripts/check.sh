@@ -11,6 +11,21 @@ dune build
 dune build bench/main.exe
 dune runtest
 
+# Bench stage: the tree and pdhg legs of bench/main.ml take seconds and
+# exit nonzero on a broken check (tree-DP routing, LP bound <= DP
+# optimum, fused PDHG bound within 1e-9 of the reference). They run from
+# a scratch directory, so no committed BENCH file or BENCH_LOG.tsv is
+# written.
+echo "== bench stage: tree and pdhg legs =="
+benchdir=_build/bench-check
+rm -rf "$benchdir"
+mkdir -p "$benchdir"
+(cd "$benchdir" && ../default/bench/main.exe tree && ../default/bench/main.exe pdhg) \
+  > "$benchdir/bench.out"
+[ -s "$benchdir/BENCH_tree.json" ] && [ -s "$benchdir/BENCH_pdhg.json" ] \
+  || { echo "bench stage: a leg wrote no report"; exit 1; }
+echo "bench stage OK: $(grep -c ' ok: ' "$benchdir/bench.out") checks held"
+
 echo "== faults stage: injection suite at --jobs 1 =="
 FAULTS_JOBS=1 ./_build/default/test/test_faults.exe
 echo "== faults stage: injection suite at --jobs 4 =="

@@ -163,6 +163,78 @@ let test_scenario_lp_bounds_expected_cost () =
     (lb <= a.Avail.Survive.expected_cost
            +. (1e-6 *. (1. +. Float.abs a.Avail.Survive.expected_cost)))
 
+(* Scenario-LP cells pinned against an earlier build, one "label md5" line
+   each in fixtures/avail_bound_cells.golden. The MD5 is taken over every
+   reported field marshaled without sharing, so a last-bit drift in a
+   bound shows — the printed fixtures round to %.4f and %.1f. Under
+   [Auto] every pinned model is past the simplex limit and routes to
+   PDHG: the small fixture above and the validate --family avail instance
+   (seed 2004, six scenarios), for three classes each. One more cell
+   forces the fixture's general class through the simplex. *)
+let pinned_cells () =
+  let validate_cs = CS.make ~seed:2004 ~nodes:8 ~scale:0.01 ~intervals:8 CS.Web in
+  let validate_scenarios =
+    let sys = validate_cs.CS.system in
+    Avail.Scenario.sample_all
+      { Avail.Scenario.default with Avail.Scenario.seed = 2004; count = 6 }
+      sys ~groups:(Avail.Groups.derive sys)
+  in
+  List.concat_map
+    (fun (name, cs, scenarios) ->
+      let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
+      List.map
+        (fun (cls : Mcperf.Classes.t) ->
+          ( Printf.sprintf "%s/%s@0.95" name cls.Mcperf.Classes.name,
+            Bounds.Avail_bound.expected_cost_bound spec cls ~scenarios ))
+        Mcperf.Classes.
+          [ general; storage_constrained; replica_constrained_uniform ])
+    [
+      ("test-fixture", cs, scenarios);
+      ("validate-avail-seed2004", validate_cs, validate_scenarios);
+    ]
+  @ [
+      ( "test-fixture/general@0.95/simplex",
+        Bounds.Avail_bound.expected_cost_bound
+          ~solver:Bounds.Pipeline.Exact_simplex
+          (CS.qos_spec cs ~fraction:0.95 ~for_bounds:true ())
+          Mcperf.Classes.general ~scenarios );
+    ]
+
+let cell_digest (c : Bounds.Avail_bound.cell) =
+  let open Bounds.Avail_bound in
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          ( c.class_name,
+            c.fraction,
+            c.feasible,
+            c.expected_bound,
+            c.nominal_vars,
+            c.vars,
+            c.rows,
+            c.exact,
+            c.iterations )
+          [ Marshal.No_sharing ]))
+
+let test_scenario_lp_pinned () =
+  let expected =
+    read_file "fixtures/avail_bound_cells.golden"
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ label; md5 ] -> (label, md5)
+           | _ -> Alcotest.failf "malformed golden line %S" line)
+  in
+  let cells = pinned_cells () in
+  Alcotest.(check (list (pair string string)))
+    "every cell matches its pinned digest" expected
+    (List.map (fun (label, c) -> (label, cell_digest c)) cells);
+  Alcotest.(check (list bool))
+    "both routes pinned" [ false; true ]
+    (List.sort_uniq compare
+       (List.map (fun (_, c) -> c.Bounds.Avail_bound.exact) cells))
+
 let test_k_failure_flags_consistent () =
   let checks = Bounds.Avail_bound.k_failure_check perm placement ~groups in
   Alcotest.(check int) "one check per group" (Array.length groups)
@@ -231,6 +303,8 @@ let () =
         [
           Alcotest.test_case "scenario LP bounds expected cost" `Quick
             test_scenario_lp_bounds_expected_cost;
+          Alcotest.test_case "scenario LP cells match pinned digests" `Quick
+            test_scenario_lp_pinned;
           Alcotest.test_case "k-failure flags consistent" `Quick
             test_k_failure_flags_consistent;
         ] );

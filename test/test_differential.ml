@@ -375,10 +375,9 @@ let at_fraction spec fraction =
 
 (* Every entry point runs the same cell chain, so each must produce
    exactly what per-cell [compute] produces from scratch: the cached
-   sweep (shared model + prepared matrix per class), a cold online
-   handle, and — on the exact simplex, where carried iterates cannot
-   change the answer — the warm-started [sweep_qos]. The path tags show
-   the LP, Farkas and tree-DP branches all ran. *)
+   sweep (shared model + prepared matrix per class) and a cold online
+   handle. The path tags show the LP, Farkas and tree-DP branches all
+   ran. *)
 let test_sweep_matches_percell_compute () =
   let fractions = [ 0.95; 0.99; 0.999 ] in
   let paths cells =
@@ -387,14 +386,14 @@ let test_sweep_matches_percell_compute () =
         Bounds.Pipeline.path_label r.Bounds.Pipeline.solve_path)
       cells
   in
-  let same_as_compute ?solver spec what (label, cls) cells =
+  let same_as_compute spec what (label, cls) cells =
     List.iter
       (fun (fraction, (r : Bounds.Pipeline.t)) ->
         Alcotest.(check bool)
           (Printf.sprintf "%s @ %g: %s cell equals direct compute" label
              fraction what)
           true
-          (r = Bounds.Pipeline.compute ?solver (at_fraction spec fraction) cls))
+          (r = Bounds.Pipeline.compute (at_fraction spec fraction) cls))
       cells
   in
   let sweep_and_online spec classes =
@@ -426,23 +425,7 @@ let test_sweep_matches_percell_compute () =
        (sweep_fixture @ [ ("caching", Mcperf.Classes.caching) ]));
   Alcotest.(check (list string))
     "tree sweep paths" [ "tree-dp"; "tree-dp"; "tree-dp" ]
-    (sweep_and_online (tree_spec ()) [ ("general", Mcperf.Classes.general) ]);
-  let exact = Bounds.Pipeline.Exact_simplex in
-  Alcotest.(check (list string))
-    "exact sweep_qos paths"
-    [ "simplex"; "simplex"; "simplex"; "simplex"; "infeasible"; "infeasible" ]
-    (List.concat_map
-       (fun (label, cls) ->
-         let cells =
-           Bounds.Pipeline.sweep_qos ~solver:exact spec fractions cls
-         in
-         same_as_compute ~solver:exact spec "exact sweep_qos" (label, cls)
-           cells;
-         paths cells)
-       [
-         ("general", Mcperf.Classes.general);
-         ("caching", Mcperf.Classes.caching);
-       ])
+    (sweep_and_online (tree_spec ()) [ ("general", Mcperf.Classes.general) ])
 
 (* --- golden cells -------------------------------------------------------- *)
 

@@ -397,10 +397,16 @@ let test_journal_loader_errors () =
   | Error e -> Alcotest.fail ("bad hex: " ^ Util.Parse_error.to_string e)
   | Ok _ -> Alcotest.fail "non-hex payload loaded");
   write_file path (journal_header fp ^ "\n");
-  match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
+  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
   | Ok [] -> ()
   | Ok _ -> Alcotest.fail "phantom entries"
-  | Error e -> Alcotest.fail ("header-only: " ^ Util.Parse_error.to_string e)
+  | Error e -> Alcotest.fail ("header-only: " ^ Util.Parse_error.to_string e));
+  let dir = Filename.dirname path in
+  match Bounds.Pipeline.load_journal_result ~fingerprint:fp dir with
+  | Error { Util.Parse_error.file; line = 0; _ } ->
+    Alcotest.(check string) "directory: file" dir file
+  | Error e -> Alcotest.fail ("directory: " ^ Util.Parse_error.to_string e)
+  | Ok _ -> Alcotest.fail "a directory loaded as a journal"
 
 (* --- retry/backoff bookkeeping ------------------------------------------- *)
 

@@ -40,9 +40,10 @@ let sweep_fixture =
 let sweep_fractions = [ 0.7; 0.9; 1.0 ]
 
 let run_sweep ?obs ~jobs () =
-  let cfg = { Bounds.Pipeline.Sweep_config.default with jobs; obs } in
-  Bounds.Pipeline.sweep_classes cfg (qos_spec ()) ~fractions:sweep_fractions
-    sweep_fixture
+  Option.iter Obs.Config.install obs;
+  Bounds.Pipeline.sweep_classes
+    { Bounds.Pipeline.Sweep_config.default with jobs }
+    (qos_spec ()) ~fractions:sweep_fractions sweep_fixture
 
 (* Everything a cell *computed*, stripped of wall-clock bookkeeping:
    this must not move when instrumentation is switched on. *)

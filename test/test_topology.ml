@@ -267,6 +267,16 @@ let test_topo_io_structured_errors () =
   (match Topology.Topo_io.parse (topo_header ^ "0,1,inf\n") with
   | Error e -> Alcotest.(check int) "inf latency line" 3 e.Topology.Topo_io.line
   | Ok _ -> Alcotest.fail "infinite latency must be rejected");
+  (match
+     Topology.Topo_io.parse
+       "# replica-select topology v1 nodes=1000000000000000000\n\
+        u,v,latency_ms\n"
+   with
+  | Error e ->
+    Alcotest.(check (pair int string))
+      "huge node count" (1, "bad nodes")
+      (e.Topology.Topo_io.line, e.Topology.Topo_io.msg)
+  | Ok _ -> Alcotest.fail "a huge node count must be rejected");
   (match Topology.Topo_io.parse (topo_header ^ "0,1,-5\n") with
   | Error e ->
     Alcotest.(check string) "negative latency" "negative latency"

@@ -521,9 +521,11 @@ let sweep_signature (sweep : Bounds.Pipeline.sweep) =
 
 let tree_sweep ?obs ~jobs () =
   let scen = TS.make ~seed:77 (TS.Random { nodes = 14 }) in
-  let cfg = { Bounds.Pipeline.Sweep_config.default with jobs; obs } in
+  Option.iter Obs.Config.install obs;
   let sweep =
-    Bounds.Pipeline.sweep_classes cfg scen.TS.spec
+    Bounds.Pipeline.sweep_classes
+      { Bounds.Pipeline.Sweep_config.default with jobs }
+      scen.TS.spec
       ~fractions:TS.default_fractions
       [
         ("general", Mcperf.Classes.general);
