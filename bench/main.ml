@@ -1,11 +1,10 @@
-(* Ratio benchmarks: six legs, one for each measured ratio that no other
+(* Ratio benchmarks: five legs, one for each measured ratio that no other
    harness carries.
 
      pdhg      fused vs reference PDHG iteration throughput
      tree      exact tree DP vs the same cells forced through an LP
      bundling  bundled vs unbundled Lagrangian bound on the CDN family
      avail     scenario-LP cell vs nominal cell, plus the replay rate
-     online    warm vs cold epoch-over-epoch bound re-solves
      faults    clean vs fault-injected class sweep at jobs = 4
 
    Usage: [main.exe LEG]. Every side of a leg runs [reps] times, the
@@ -340,71 +339,6 @@ let avail () =
           lb expected (Array.length scenarios);
       ]
 
-(* Warm vs cold epoch-over-epoch bound re-solves in the online engine.
-   PDHG is forced so a warm start has iterations to save (under Auto these
-   instances route to the simplex). A side's sample is the engine's own
-   solve seconds summed over the epochs. Regret must stay nonnegative
-   both ways; the cold handle must never lift a prior solution and the
-   warm one must. *)
-let online () =
-  let leg = "online" in
-  let cs = Lazy.force web in
-  let config warm =
-    {
-      Online.Engine.system = cs.CS.system;
-      interval_s = Workload.Trace.duration_s cs.CS.trace /. 12.;
-      epoch_intervals = 2;
-      costs = Mcperf.Spec.default_costs;
-      goal = Mcperf.Spec.Qos { tlat_ms = 150.; fraction = 0.95 };
-      placeable = None;
-      strategies =
-        [
-          ("greedy-global", Heuristics.Greedy_global.strategy);
-          ("proportional", Heuristics.Proportional.strategy);
-        ];
-      solver = Bounds.Pipeline.First_order Lp.Pdhg.default_options;
-      warm;
-    }
-  in
-  let warm_run = ref None and cold_run = ref None in
-  let solve_s run warm () =
-    let t, epochs = Online.Engine.run (config warm) ~trace:cs.CS.trace in
-    run := Some (t, epochs);
-    List.fold_left
-      (fun acc (e : Online.Engine.epoch) -> acc +. e.Online.Engine.solve_s)
-      0. epochs
-  in
-  let sides =
-    interleave
-      [
-        ("warm-solve", "s", solve_s warm_run true);
-        ("cold-solve", "s", solve_s cold_run false);
-      ]
-  in
-  let min_regret run =
-    List.fold_left
-      (fun acc (e : Online.Engine.epoch) ->
-        List.fold_left
-          (fun acc (d : Online.Engine.decision) ->
-            Option.fold ~none:acc ~some:(Float.min acc) d.Online.Engine.regret)
-          acc e.Online.Engine.decisions)
-      infinity
-      (snd (Option.get !run))
-  in
-  let regret = Float.min (min_regret warm_run) (min_regret cold_run) in
-  let handle run = fst (Option.get !run) in
-  let lifts run = Online.Engine.warm_lifts (handle run) in
-  report ~leg ~sides ~ratios:[ ("cold-solve", "warm-solve") ]
-    ~checks:
-      [
-        check leg (regret >= -1e-9)
-          "regret >= 0 in every epoch, warm and cold (least %.6g)" regret;
-        check leg (lifts cold_run = 0) "the cold handle lifts no solution";
-        check leg (lifts warm_run > 0)
-          "the warm handle lifts %d of %d bound solves" (lifts warm_run)
-          (Online.Engine.bound_solves (handle warm_run));
-      ]
-
 (* The price of fault recovery: one class sweep at jobs = 4, clean and
    with a worker crash on every third cell's first attempt and ~10% of
    first PDHG attempts poisoned. Recovery may change how a cell was
@@ -485,7 +419,6 @@ let legs =
     ("tree", tree);
     ("bundling", bundling);
     ("avail", avail);
-    ("online", online);
     ("faults", faults);
   ]
 

@@ -1378,8 +1378,8 @@ let baselines ~scale ~seed () =
 
 (* --- serve: the epoch-driven online placement service --------------------- *)
 
-let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm
-    ~strategies () =
+let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~strategies
+    () =
   let system, trace, label =
     match source with
     | `Synthetic (w, scale, seed) ->
@@ -1420,12 +1420,8 @@ let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm
       Online.Engine.system;
       interval_s;
       epoch_intervals;
-      costs = Mcperf.Spec.default_costs;
       goal = Mcperf.Spec.Qos { tlat_ms; fraction };
-      placeable = None;
       strategies = factories;
-      solver = Bounds.Pipeline.Auto;
-      warm;
     }
   in
   Printf.printf
@@ -1506,11 +1502,9 @@ let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~warm
     incr violations;
     Printf.printf "NEGATIVE REGRET: a deployed cost undercut its class bound\n"
   end;
-  Printf.printf
-    "served %d epochs: %d deployments, %d bound solves (%d warm-lifted)\n%!"
+  Printf.printf "served %d epochs: %d deployments, %d bound solves\n%!"
     (List.length epochs) decided
     (Online.Engine.bound_solves engine)
-    (Online.Engine.warm_lifts engine)
 
 (* --- command line ---------------------------------------------------------- *)
 
@@ -1911,23 +1905,25 @@ let serve_cmd =
       & info [ "epoch-intervals" ] ~docv:"K"
           ~doc:"Intervals ingested per re-placement epoch.")
   in
+  (* Exactly the goal values [Mcperf.Spec.make] accepts; NaN fails both
+     comparisons. *)
   let fraction_t =
+    let fraction =
+      ranged Arg.float
+        ~ok:(fun q -> q >= 0. && q <= 1.)
+        ~expect:"a fraction in [0, 1]"
+    in
     Arg.(
-      value & opt float 0.95
+      value & opt fraction 0.95
       & info [ "fraction" ] ~docv:"Q" ~doc:"QoS fraction of the goal.")
   in
   let tlat_t =
+    let threshold =
+      ranged Arg.float ~ok:(fun ms -> ms >= 0.) ~expect:"a latency >= 0"
+    in
     Arg.(
-      value & opt float 150.
+      value & opt threshold 150.
       & info [ "tlat" ] ~docv:"MS" ~doc:"QoS latency threshold, ms.")
-  in
-  let no_warm_t =
-    Arg.(
-      value & flag
-      & info [ "no-warm" ]
-          ~doc:
-            "Solve every epoch's class bounds cold instead of warm-starting \
-             from the previous epoch (same bounds, more iterations).")
   in
   let strategies_t =
     Arg.(
@@ -1939,7 +1935,7 @@ let serve_cmd =
              representative per major class).")
   in
   let run verbose trace_file topo w scale seed intervals epoch_intervals
-      fraction tlat no_warm strategies trace metrics profile =
+      fraction tlat strategies trace metrics profile =
     setup_logs verbose;
     setup_obs ~trace ~metrics ~profile;
     let source =
@@ -1950,7 +1946,7 @@ let serve_cmd =
       | None, None -> `Synthetic (w, scale, seed)
     in
     serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms:tlat
-      ~warm:(not no_warm) ~strategies ();
+      ~strategies ();
     Obs.Sink.flush ();
     if !violations > 0 then exit 1
   in
@@ -1959,12 +1955,12 @@ let serve_cmd =
        ~doc:
          "Run the epoch-driven online placement service: stream a trace in \
           epoch-sized chunks, re-deploy every registered strategy per \
-          epoch, warm-start the class bounds, and report per-epoch regret \
-          (deployed cost minus class bound).")
+          epoch, bound each class on everything observed so far, and \
+          report per-epoch regret (deployed cost minus class bound).")
     Term.(
       const run $ verbose_t $ trace_file_t $ topo_t $ one_workload_t $ scale_t
-      $ seed_t $ intervals_t $ epoch_t $ fraction_t $ tlat_t $ no_warm_t
-      $ strategies_t $ trace_t $ metrics_t $ profile_t)
+      $ seed_t $ intervals_t $ epoch_t $ fraction_t $ tlat_t $ strategies_t
+      $ trace_t $ metrics_t $ profile_t)
 
 let figtree_cmd =
   let run verbose seed csv_dir jobs =

@@ -139,13 +139,10 @@ let farkas_of problem =
 (* --- shared LP-relaxation solve ----------------------------------------- *)
 
 (* One solve of a model's LP relaxation, the LP leg of the cell chain
-   ([solve_cell] below): presolve, pick the solver on the *original*
+   ([compute_cell] below): presolve, pick the solver on the *original*
    dimensions (so the choice is stable across reductions), solve the
-   reduced problem, and map the point and the certified bound back
-   through [restore]/[offset].
-   [reuse] threads a prepared PDHG image across structurally identical
-   sweep models; [warm_full] is a primal starting point in the model's
-   own space.
+   reduced problem from a cold start, and map the point and the certified
+   bound back through [restore]/[offset].
 
    The PDHG leg is a supervised fallback chain. A solve is *healthy* when
    every reported quantity is finite and an independent re-evaluation of
@@ -153,10 +150,10 @@ let farkas_of problem =
    the solver claims — anything else (NaN-poisoned inputs, a diverged
    iterate, a cap-hit that produced no usable certificate) triggers a
    clean cold re-solve of the unpoisoned problem, and if that is unhealthy
-   too, an exact simplex rescue. The first attempt and the clean retry run
-   from the same prepared structure and the same warm start, so whenever
-   the input itself was sound the retry reproduces the primary attempt's
-   iterates exactly and recovery is invisible in the results. *)
+   too, an exact simplex rescue. The first attempt and the clean retry
+   both start cold on the same reduced problem, so whenever the input
+   itself was sound the retry reproduces the primary attempt's iterates
+   exactly and recovery is invisible in the results. *)
 (* A feasible solve's payload: the original-space point, the certified
    bound (presolve offset folded in), how it was obtained and its
    witness. [dual] is the certificate on the Ge-normalized presolve-
@@ -174,7 +171,6 @@ type solution = {
 
 type relaxation = {
   outcome : solution option;  (* [None] when the LP is infeasible *)
-  prep : Lp.Pdhg.prepared option;  (* for the next cell's [reuse] *)
   path : solve_path;
   infeasible_ray : float array option;
       (* verified Farkas ray on the normalized full problem when the LP
@@ -182,12 +178,7 @@ type relaxation = {
 }
 
 let no_solution ?ray () =
-  {
-    outcome = None;
-    prep = None;
-    path = Path_infeasible;
-    infeasible_ray = ray;
-  }
+  { outcome = None; path = Path_infeasible; infeasible_ray = ray }
 
 (* Independent health check of a PDHG outcome: all reported scalars and
    the primal point finite, and the certified bound reproducible from the
@@ -209,8 +200,8 @@ let pdhg_healthy prep (out : Lp.Pdhg.outcome) =
   && Float.abs (recheck -. out.Lp.Pdhg.best_bound)
      <= 1e-9 *. (1. +. Float.abs out.Lp.Pdhg.best_bound)
 
-let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
-    ?(inject_nan = false) ?deadline_s problem =
+let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
+    problem =
   let vars = Lp.Problem.nvars problem and rows = Lp.Problem.nrows problem in
   let pre = Lp.Presolve.run problem in
   match pre.Lp.Presolve.status with
@@ -234,7 +225,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
               sol_rel_gap = 0.;
               dual = Some (Array.make (Lp.Problem.nrows red) 0.);
             };
-        prep = None;
         path = Path_presolve;
         infeasible_ray = None;
       }
@@ -256,7 +246,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
         | Lp.Simplex.Cert_optimal { x; objective; dual } ->
           {
             outcome = Some (simplex_solution x objective dual);
-            prep = None;
             path = Path_simplex;
             infeasible_ray = None;
           }
@@ -281,32 +270,16 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
             }
           | Some _ | None -> options
         in
-        (* A full-space primal warm start (e.g. last epoch's solution
-           lifted onto this epoch's model) projects through the presolve
-           variable map; eliminated variables drop out, new ones start at
-           the box corner like a cold start. The dual starts cold — any
-           dual iterate certifies a valid bound, so warm starts can only
-           change speed, never validity. *)
-        let x0 =
-          match warm_full with
-          | Some xf when Array.length xf = Lp.Problem.nvars problem ->
-            let x0 = Array.make (Lp.Problem.nvars red) 0. in
-            Array.iteri
-              (fun j rj -> if rj >= 0 then x0.(rj) <- xf.(j))
-              pre.Lp.Presolve.var_map;
-            Some x0
-          | Some _ | None -> None
-        in
         let attempt ~poisoned =
           let target =
             if poisoned && Lp.Problem.nrows red > 0 then
               Lp.Problem.with_rhs red [ (0, Float.nan) ]
             else red
           in
-          let prep = Lp.Pdhg.prepare ?reuse target in
-          (prep, Lp.Pdhg.solve_prepared ~options ?x0 prep)
+          let prep = Lp.Pdhg.prepare target in
+          (prep, Lp.Pdhg.solve_prepared ~options prep)
         in
-        let accept path prep (out : Lp.Pdhg.outcome) =
+        let accept path (out : Lp.Pdhg.outcome) =
           {
             outcome =
               Some
@@ -323,13 +296,12 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
                   sol_rel_gap = out.Lp.Pdhg.rel_gap;
                   dual = Some out.Lp.Pdhg.best_y;
                 };
-            prep = Some prep;
             path;
             infeasible_ray = None;
           }
         in
         let prep1, out1 = attempt ~poisoned:inject_nan in
-        if pdhg_healthy prep1 out1 then accept Path_pdhg prep1 out1
+        if pdhg_healthy prep1 out1 then accept Path_pdhg out1
         else begin
           Log.warn (fun f ->
               f
@@ -348,7 +320,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
                   ("iters", Obs.Trace.Int out1.Lp.Pdhg.iterations);
                 ];
           let prep2, out2 = attempt ~poisoned:false in
-          if pdhg_healthy prep2 out2 then accept Path_pdhg_retry prep2 out2
+          if pdhg_healthy prep2 out2 then accept Path_pdhg_retry out2
           else begin
             Log.warn (fun f ->
                 f "pdhg retry unhealthy: rescuing with exact simplex");
@@ -366,7 +338,6 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
             | Lp.Simplex.Cert_optimal { x; objective; dual } ->
               {
                 outcome = Some (simplex_solution x objective dual);
-                prep = Some prep2;
                 path = Path_simplex_fallback;
                 infeasible_ray = None;
               }
@@ -383,8 +354,7 @@ let solve_relaxation_raw ?(solver = Auto) ?reuse ?warm_full
    tagged with the leg that finally produced the bound. The span and
    path counters never touch the numbers — the raw chain above is the
    entire computation. *)
-let solve_relaxation ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
-    problem =
+let solve_relaxation ?solver ?inject_nan ?deadline_s problem =
   let sp =
     Obs.Trace.span_begin "pipeline.solve_relaxation"
       ~attrs:
@@ -394,8 +364,7 @@ let solve_relaxation ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
         ]
   in
   match
-    solve_relaxation_raw ?solver ?reuse ?warm_full ?inject_nan ?deadline_s
-      problem
+    solve_relaxation_raw ?solver ?inject_nan ?deadline_s problem
   with
   | r ->
     count_path r.path;
@@ -531,53 +500,14 @@ let tree_cell ?placeable spec cls perm worst_qos =
 
 (* --- the cell chain ------------------------------------------------------ *)
 
-(* What a cell's LP leg leaves behind for the next cell of the same
-   entry point: the model it solved (a later fraction patches it instead
-   of rebuilding), the prepared PDHG image and the solution point in the
-   model's own space. Oracle-infeasible and tree-DP cells build no LP and
-   leave [nothing], so a series that mixes tree and LP cells (atomicity
-   can hold at one fraction and fail at another) threads the same state
-   as a pure LP series. *)
-type leftover = {
-  model : Mcperf.Model.t option;
-  prep : Lp.Pdhg.prepared option;
-  point : float array option;
-}
-
-let nothing = { model = None; prep = None; point = None }
-
-(* An entry point's running state after one more cell: the first model
-   stays (later fractions patch it), the latest prep wins. *)
-let carry state left =
-  let latest a b = match a with Some _ -> a | None -> b in
-  {
-    model = latest state.model left.model;
-    prep = latest left.prep state.prep;
-    point = left.point;
-  }
-
 (* The one cell chain behind every entry point: the permission oracle,
-   the exact tree DP under [Auto], then the LP — built, or patched from
-   [base], a model of the same spec at another QoS fraction
-   ([with_fraction] is value-identical to a fresh build) — solved from
-   [reuse]/[lift], and rounding chosen by the goal. *)
-let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?lift
-    ?inject_nan spec cls =
-  let perm, model_of =
-    match base with
-    | None ->
-      let perm = Mcperf.Permission.compute ?placeable spec cls in
-      (perm, fun () -> Mcperf.Model.build perm)
-    | Some (base : Mcperf.Model.t) ->
-      let fraction =
-        match spec.Mcperf.Spec.goal with
-        | Mcperf.Spec.Qos { fraction; _ } -> fraction
-        | Mcperf.Spec.Avg_latency _ ->
-          invalid_arg "Pipeline: patching a base model needs a QoS goal"
-      in
-      ( Mcperf.Permission.with_fraction base.Mcperf.Model.permission fraction,
-        fun () -> Mcperf.Model.with_fraction base fraction )
-  in
+   the exact tree DP under [Auto], then the LP, built fresh and solved
+   cold, with rounding chosen by the goal. [inject_nan] poisons the first
+   PDHG attempt (the sweep's [diverge] fault); nothing else differs
+   between callers, so every cell is a pure function of
+   [(solver, placeable, spec, class)]. *)
+let compute_cell ?(solver = Auto) ?placeable ?inject_nan spec cls =
+  let perm = Mcperf.Permission.compute ?placeable spec cls in
   let worst_qos =
     match spec.Mcperf.Spec.goal with
     | Mcperf.Spec.Qos _ ->
@@ -588,10 +518,9 @@ let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?lift
     (* Even oracle-detected infeasibility gets a checkable witness: the
        model builder emits the unsatisfiable QoS rows verbatim, so a
        single-row Farkas scan certifies the ceiling independently. *)
-    ( infeasible_result
-        ?ray:(farkas_of (model_of ()).Mcperf.Model.problem)
-        cls worst_qos,
-      nothing )
+    infeasible_result
+      ?ray:(farkas_of (Mcperf.Model.build perm).Mcperf.Model.problem)
+      cls worst_qos
   else
     let dp =
       match solver with
@@ -599,9 +528,9 @@ let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?lift
       | Exact_simplex | First_order _ -> None
     in
     match dp with
-    | Some cell -> (cell, nothing)
+    | Some cell -> cell
     | None -> (
-      let model = model_of () in
+      let model = Mcperf.Model.build perm in
       Log.info (fun f ->
           f "class %s: %a" cls.Mcperf.Classes.name Mcperf.Model.pp_stats model);
       let round =
@@ -609,7 +538,6 @@ let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?lift
         | Mcperf.Spec.Qos _ -> Rounding.Round.round
         | Mcperf.Spec.Avg_latency _ -> Rounding.Round_avg.round
       in
-      let warm_full = Option.bind lift (fun f -> f model) in
       (* Remaining share of a budgeted sweep cell's time, installed by the
          pool from [budget_of] at dispatch. Unbudgeted runs never read the
          clock here, preserving byte-identical output at every [--jobs]. *)
@@ -618,100 +546,17 @@ let solve_cell ?(solver = Auto) ?placeable ?base ?reuse ?lift
         if Float.is_finite d then Some (d -. Unix.gettimeofday ()) else None
       in
       let r =
-        solve_relaxation ~solver ?reuse ?warm_full ?inject_nan ?deadline_s
+        solve_relaxation ~solver ?inject_nan ?deadline_s
           model.Mcperf.Model.problem
       in
-      let left = { model = Some model; prep = r.prep; point = None } in
       match r.outcome with
       | None ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
-        (infeasible_result ?ray:r.infeasible_ray cls worst_qos, left)
-      | Some sol ->
-        ( finish ~round ~path:r.path model cls worst_qos sol,
-          { left with point = Some sol.point } ))
+        infeasible_result ?ray:r.infeasible_ray cls worst_qos
+      | Some sol -> finish ~round ~path:r.path model cls worst_qos sol)
 
 let compute ?solver ?placeable spec cls =
-  fst (solve_cell ?solver ?placeable spec cls)
-
-module Online = struct
-  type handle = {
-    solver : solver;
-    placeable : bool array option;
-    use_warm : bool;
-    last : (string, leftover) Hashtbl.t;
-        (* per class name: the leftover of its last LP solution *)
-    mutable solves : int;
-    mutable warm_lifts : int;
-    mutable lifted_vars : int;
-  }
-
-  let create ?(solver = Auto) ?placeable ?(warm = true) () =
-    {
-      solver;
-      placeable;
-      use_warm = warm;
-      last = Hashtbl.create 7;
-      solves = 0;
-      warm_lifts = 0;
-      lifted_vars = 0;
-    }
-
-  (* Kind-keyed primal lift: epoch models differ in dimension (more
-     intervals, possibly more objects), so indices do not line up —
-     variable identities do. Every (node, interval, object) variable the
-     previous model also had starts at last epoch's value; variables new
-     to this epoch start cold. *)
-  let lift prev (model : Mcperf.Model.t) =
-    match (prev.model, prev.point) with
-    | Some m, Some point ->
-      let kinds = m.Mcperf.Model.kinds in
-      let tbl = Hashtbl.create (Array.length kinds) in
-      Array.iteri (fun j k -> Hashtbl.replace tbl k point.(j)) kinds;
-      let matched = ref 0 in
-      let x =
-        Array.map
-          (fun k ->
-            match Hashtbl.find_opt tbl k with
-            | Some v ->
-              incr matched;
-              v
-            | None -> 0.)
-          model.Mcperf.Model.kinds
-      in
-      if !matched = 0 then None else Some (x, !matched)
-    | _ -> None
-
-  let solve h spec cls =
-    h.solves <- h.solves + 1;
-    let key = cls.Mcperf.Classes.name in
-    let prev = if h.use_warm then Hashtbl.find_opt h.last key else None in
-    let lifted = ref 0 in
-    let lift_fn =
-      Option.map
-        (fun prev model ->
-          match lift prev model with
-          | Some (x, m) ->
-            lifted := m;
-            Some x
-          | None -> None)
-        prev
-    in
-    let cell, left =
-      solve_cell ~solver:h.solver ?placeable:h.placeable
-        ?reuse:(Option.bind prev (fun l -> l.prep))
-        ?lift:lift_fn spec cls
-    in
-    if !lifted > 0 then begin
-      h.warm_lifts <- h.warm_lifts + 1;
-      h.lifted_vars <- h.lifted_vars + !lifted
-    end;
-    if Option.is_some left.point then Hashtbl.replace h.last key left;
-    cell
-
-  let solves h = h.solves
-  let warm_lifts h = h.warm_lifts
-  let lifted_vars h = h.lifted_vars
-end
+  compute_cell ?solver ?placeable spec cls
 
 let compare_classes ?solver ?placeable spec classes =
   List.map (fun cls -> compute ?solver ?placeable spec cls) classes
@@ -1104,32 +949,19 @@ let write_journal ~fingerprint path entries =
 (* --- cell solver ---------------------------------------------------------- *)
 
 (* The per-cell solve of [sweep_classes], run by the sequential path and
-   by every fork worker alike. Each call keeps fresh per-process state
-   for each class:
-   the first LP cell of a class builds the model, later cells of the same
-   class (in the same process) patch only the QoS rhs and reuse the
-   latest prepared constraint matrix. Because a patched model is
-   value-identical to a fresh build at its fraction, and every cell
-   starts the solver cold, the results do not depend on which cell
-   seeded which state — the sweep stays byte-identical however the
-   cells are distributed. *)
+   by every fork worker alike: [compute] at the cell's fraction, so the
+   sweep stays byte-identical however the cells are distributed. *)
 let make_cell_solver ~solver ?placeable ~tlat_ms spec =
-  let state : (string, leftover) Hashtbl.t = Hashtbl.create 8 in
-  let solve_at (key, label, cls, fraction) =
+  let solve_at (key, _, cls, fraction) =
     (* Deterministic fault-injection points: both fire only inside a pool
        worker on a task's first attempt, so the supervisor's retry always
        completes the cell. *)
     Util.Faults.crash_point ~key;
     Util.Faults.stall_point ~key;
-    let s = Option.value (Hashtbl.find_opt state label) ~default:nothing in
-    let cell, left =
-      solve_cell ~solver ?placeable ?base:s.model ?reuse:s.prep
-        ~inject_nan:(Util.Faults.diverge_requested ~key)
-        { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
-        cls
-    in
-    Hashtbl.replace state label (carry s left);
-    cell
+    compute_cell ~solver ?placeable
+      ~inject_nan:(Util.Faults.diverge_requested ~key)
+      { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
+      cls
   in
   (* Each cell gets a span in its task scope, tagged with the class and
      fraction it computed and how the solve went. *)

@@ -13,21 +13,20 @@
       [lower_bound] and [rounded] solution coincide, [quality] is [Exact],
       [solve_path] is [Path_tree_dp] and the gap is zero by construction;
       ineligible or unverified instances fall through to the LP;
-    + the MC-PERF LP relaxation ({!Mcperf.Model}), built, or patched from
-      a model of the same spec at another QoS fraction;
+    + the MC-PERF LP relaxation ({!Mcperf.Model}), built fresh for the
+      cell;
     + its solve — on the solver {!route} picks: exactly with the dense
-      simplex for small models, or with PDHG + the always-valid dual
-      certificate for large ones;
+      simplex for small models, or with PDHG from a cold start + the
+      always-valid dual certificate for large ones;
     + rounding of the fractional solution to a feasible integral
       placement ({!Rounding.Round}, or {!Rounding.Round_avg} under an
       average-latency goal), whose cost bounds the lower bound's
       tightness from above.
 
-    The entry points differ only in what each cell's LP leg leaves for
-    the next one: {!compute} keeps nothing; {!sweep_classes} keeps, per
-    class and worker process, the first model and the latest prepared
-    PDHG image, and starts every solve cold; an {!Online} handle keeps,
-    per class, the last solution, lifted onto the next epoch's model.
+    Every cell comes from {!compute}: {!compare_classes},
+    {!sweep_classes} and the online engine all call it, and no solver
+    state passes from one cell to the next, so a cell's result is a pure
+    function of [(solver, placeable, spec, class)] whoever asks for it.
 
     The designer then compares classes on [lower_bound] (Figure 1) and
     checks deployed heuristics against them (Figure 2). *)
@@ -44,10 +43,10 @@ type solver =
     re-evaluating {!Lp.Certificate.dual_bound} at the best dual iterate,
     is discarded and the cell is re-solved cold on a clean rebuild
     ([Path_pdhg_retry]); if that fails too, the exact simplex rescues the
-    cell ([Path_simplex_fallback]). Because the retry runs from the same
-    prepared structure and warm start as the primary attempt, a retry
-    after input poisoning yields exactly the values an unfaulted solve
-    produces — only this tag records that recovery happened. *)
+    cell ([Path_simplex_fallback]). Because both attempts start cold on
+    the same reduced problem, a retry after input poisoning yields
+    exactly the values an unfaulted solve produces — only this tag
+    records that recovery happened. *)
 type solve_path =
   | Path_presolve  (** presolve fixed every variable; no solver ran *)
   | Path_tree_dp
@@ -59,9 +58,6 @@ type solve_path =
   | Path_pdhg_retry  (** first PDHG attempt unhealthy; clean retry accepted *)
   | Path_simplex_fallback  (** both PDHG attempts unhealthy; simplex rescue *)
   | Path_infeasible  (** the feasibility oracle or the LP said no *)
-
-val all_paths : solve_path list
-(** Every tag, in a fixed display order. *)
 
 val path_label : solve_path -> string
 
@@ -75,9 +71,6 @@ type quality =
   | Converged  (** PDHG met its relative-gap tolerance *)
   | Iter_budget  (** PDHG hit its iteration cap before converging *)
   | Time_budget  (** a wall-clock deadline stopped PDHG early *)
-
-val all_qualities : quality list
-(** Every tag, in a fixed display order. *)
 
 val quality_label : quality -> string
 
@@ -161,41 +154,6 @@ val compare_classes :
   t list
 (** {!compute} for each class, in the given order. *)
 
-(** Warm-started class-bound re-solves for the online engine.
-
-    An epoch loop solves the same (class, goal) bound on a demand that
-    grows by a few intervals each epoch. The models differ in dimension,
-    so iterates cannot be reused by index; a handle instead keeps one
-    leftover per class — the model, solution point and prepared PDHG
-    image of that class's last LP solution — and lifts the point onto the
-    next epoch's model by matching (node, interval, object) variable
-    kinds ({!Mcperf.Model.kinds}): carried-over variables start at their
-    previous values, new ones start cold, and the projection into the
-    presolved space goes through the presolve variable map. The dual
-    always starts cold, and a PDHG bound is certified at {e any} dual
-    iterate, so warm starts affect speed only, never validity. Exact
-    (simplex / tree-DP) legs ignore the warm start and stay bit-identical
-    to {!compute}. *)
-module Online : sig
-  type handle
-
-  val create :
-    ?solver:solver -> ?placeable:bool array -> ?warm:bool -> unit -> handle
-  (** [warm:false] disables state carry-over (every solve is cold —
-      the baseline the bench compares against). *)
-
-  val solve : handle -> Mcperf.Spec.t -> Mcperf.Classes.t -> t
-  (** {!compute} with per-class warm continuation across calls. *)
-
-  val solves : handle -> int
-
-  val warm_lifts : handle -> int
-  (** Solves that started from a lifted previous point. *)
-
-  val lifted_vars : handle -> int
-  (** Total variables carried over across all lifts. *)
-end
-
 val best_class : t list -> t option
 (** The feasible class with the smallest lower bound (the methodology's
     recommendation when its bound is close to the general bound). *)
@@ -253,13 +211,13 @@ type sweep = {
 }
 
 val path_counts : sweep -> (solve_path * int) list
-(** How many cells each fallback-chain leg handled, over {!all_paths}
-    (zero entries included). *)
+(** How many cells each fallback-chain leg handled, over every tag in a
+    fixed display order (zero entries included). *)
 
 val quality_counts : sweep -> (quality * int) list
-(** How many cells stopped with each quality tag, over {!all_qualities}
-    (zero entries included). A budget-free sweep reports every cell
-    [Exact] or [Converged]. *)
+(** How many cells stopped with each quality tag, over every tag in a
+    fixed display order (zero entries included). A budget-free sweep
+    reports every cell [Exact] or [Converged]. *)
 
 (** Sweep configuration as one value; build it from
     {!Sweep_config.default} with record syntax:

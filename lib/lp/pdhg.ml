@@ -54,8 +54,7 @@ let m_deadline = lazy (Obs.Metrics.counter "pdhg.deadline_stops")
 (* --- prepared problems --------------------------------------------------- *)
 
 type prepared = {
-  source : Problem.t;
-  norm : Problem.t;  (* Ge-normalized view of [source] *)
+  norm : Problem.t;  (* Ge-normalized view of the prepared problem *)
   a : Sparse.t;
   b : float array;
   is_eq : bool array;
@@ -70,47 +69,24 @@ let validate_bounds (p : Problem.t) =
         invalid_arg "Pdhg.solve: all variable bounds must be finite")
     p.lower
 
-(* Structural match for matrix reuse: the rows must carry the very same
-   coefficient arrays (physical equality — the cheap check that holds for
-   rhs-patched problems and for problems whose objective was rewritten in
-   place) under the same kinds and box bounds. The rhs may differ freely:
-   it only enters [b]. *)
-let reusable r (p : Problem.t) =
-  let s = r.source in
-  Problem.nvars p = Problem.nvars s
-  && Problem.nrows p = Problem.nrows s
-  && p.lower == s.lower && p.upper == s.upper
-  &&
-  let rec rows_match i =
-    i >= Array.length p.rows
-    || (p.rows.(i).kind = s.rows.(i).kind
-        && p.rows.(i).coeffs == s.rows.(i).coeffs
-        && rows_match (i + 1))
-  in
-  rows_match 0
-
-let prepare ?reuse p =
+let prepare p =
   validate_bounds p;
   let norm = Problem.normalize_ge p in
-  match reuse with
-  | Some r when reusable r p ->
-    { r with source = p; norm; b = Problem.rhs_vector norm }
-  | Some _ | None ->
-    let a = Problem.constraint_matrix norm in
-    let b = Problem.rhs_vector norm in
-    let is_eq =
-      Array.map (fun (r : Problem.row) -> r.kind = Problem.Eq) norm.rows
-    in
-    (* Diagonal preconditioners: tau_j = 1 / sum_i |A_ij|, sigma_i =
-       1 / sum_j |A_ij| (alpha = 1), which satisfies the Pock-Chambolle
-       convergence condition. Empty rows/columns get a neutral step. *)
-    let tau =
-      Array.map (fun s -> if s > 0. then 1. /. s else 1.) (Sparse.col_abs_sums a)
-    in
-    let sigma =
-      Array.map (fun s -> if s > 0. then 1. /. s else 1.) (Sparse.row_abs_sums a)
-    in
-    { source = p; norm; a; b; is_eq; tau; sigma }
+  let a = Problem.constraint_matrix norm in
+  let b = Problem.rhs_vector norm in
+  let is_eq =
+    Array.map (fun (r : Problem.row) -> r.kind = Problem.Eq) norm.rows
+  in
+  (* Diagonal preconditioners: tau_j = 1 / sum_i |A_ij|, sigma_i =
+     1 / sum_j |A_ij| (alpha = 1), which satisfies the Pock-Chambolle
+     convergence condition. Empty rows/columns get a neutral step. *)
+  let tau =
+    Array.map (fun s -> if s > 0. then 1. /. s else 1.) (Sparse.col_abs_sums a)
+  in
+  let sigma =
+    Array.map (fun s -> if s > 0. then 1. /. s else 1.) (Sparse.row_abs_sums a)
+  in
+  { norm; a; b; is_eq; tau; sigma }
 
 let prepared_problem r = r.norm
 
@@ -129,7 +105,7 @@ let prepared_problem r = r.norm
    together. Keeping the per-element arithmetic in the same order and
    association makes the fused path bit-identical, not merely close. *)
 
-let solve_prepared ?(options = default_options) ?x0 pr =
+let solve_prepared ?(options = default_options) pr =
   let p = pr.norm in
   let n = Problem.nvars p and m = Problem.nrows p in
   let a = pr.a in
@@ -138,15 +114,7 @@ let solve_prepared ?(options = default_options) ?x0 pr =
   let lower = p.lower and upper = p.upper in
   let tau = pr.tau and sigma = pr.sigma in
   let is_eq = pr.is_eq in
-  let x =
-    match x0 with
-    | None -> Array.copy lower
-    | Some x0 ->
-      if Array.length x0 <> n then invalid_arg "Pdhg.solve: x0 dimension";
-      Array.mapi
-        (fun j v -> Util.Vecops.clamp v ~lo:lower.(j) ~hi:upper.(j))
-        x0
-  in
+  let x = Array.copy lower in
   let y = Array.make m 0. in
   let aty = Array.make n 0. in
   let ax_bar = Array.make m 0. in
@@ -313,7 +281,7 @@ let solve_prepared ?(options = default_options) ?x0 pr =
     rel_gap;
   }
 
-let solve ?options ?x0 problem = solve_prepared ?options ?x0 (prepare problem)
+let solve ?options problem = solve_prepared ?options (prepare problem)
 
 (* --- reference implementation -------------------------------------------- *)
 
@@ -322,7 +290,7 @@ let solve ?options ?x0 problem = solve_prepared ?options ?x0 (prepare problem)
    dual, matvec, two average accumulations). Any divergence between this
    and [solve_prepared] beyond float-noise is a kernel bug. *)
 
-let solve_reference ?(options = default_options) ?x0 problem =
+let solve_reference ?(options = default_options) problem =
   let pr = prepare problem in
   let p = pr.norm in
   let n = Problem.nvars p and m = Problem.nrows p in
@@ -331,15 +299,7 @@ let solve_reference ?(options = default_options) ?x0 problem =
   let c = p.objective in
   let tau = pr.tau and sigma = pr.sigma in
   let is_eq = pr.is_eq in
-  let x =
-    match x0 with
-    | None -> Array.copy p.lower
-    | Some x0 ->
-      if Array.length x0 <> n then invalid_arg "Pdhg.solve: x0 dimension";
-      Array.mapi
-        (fun j v -> Util.Vecops.clamp v ~lo:p.lower.(j) ~hi:p.upper.(j))
-        x0
-  in
+  let x = Array.copy p.lower in
   let y = Array.make m 0. in
   let x_prev = Array.make n 0. in
   let aty = Array.make n 0. in

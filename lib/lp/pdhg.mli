@@ -58,53 +58,32 @@ type outcome = {
 type prepared
 (** A problem together with its solver-ready image: the Ge-normalized
     rows, the CSR/CSC constraint matrix, the rhs vector and the diagonal
-    preconditioners. Building this is O(nnz); reusing it across solves of
-    structurally identical problems (same coefficient arrays, possibly
-    different rhs or objective) skips the rebuild entirely. *)
+    preconditioners. Building this is O(nnz); a caller that solves the
+    same problem many times (the Lagrangian, whose subproblem objective is
+    rewritten in place between solves) builds it once. *)
 
-val prepare : ?reuse:prepared -> Problem.t -> prepared
-(** [prepare ?reuse p] builds the solver image of [p]. When [reuse] is a
-    prepared image of a structurally identical problem — same dimensions,
-    same row kinds, the rows carry the {e physically} same coefficient
-    arrays and the same bound arrays — the sparse matrix and the
-    preconditioners are shared and only the rhs is re-read. This is the
-    fast path for rhs-patched QoS-sweep models ({!Mcperf.Model}-style
-    incremental updates) and for Lagrangian subproblems whose objective is
-    rewritten in place between solves. Falls back to a full build when the
-    structures do not match. Raises [Invalid_argument] unless every
-    variable has finite lower and upper bounds. *)
+val prepare : Problem.t -> prepared
+(** [prepare p] builds the solver image of [p]. Raises [Invalid_argument]
+    unless every variable has finite lower and upper bounds. *)
 
 val prepared_problem : prepared -> Problem.t
 (** The Ge-normalized problem underlying the prepared image (the form on
     which {!Certificate.dual_bound} certificates are valid). *)
 
-val solve_prepared :
-  ?options:options ->
-  ?x0:float array ->
-  prepared ->
-  outcome
+val solve_prepared : ?options:options -> prepared -> outcome
 (** Run the solver on a prepared image. The per-iteration work is fused
     into four streams (primal step + extrapolation + averaging; A·x_bar;
     dual step + averaging; Aᵀ·y) instead of one pass per conceptual
     operation. *)
 
-val solve :
-  ?options:options ->
-  ?x0:float array ->
-  Problem.t ->
-  outcome
+val solve : ?options:options -> Problem.t -> outcome
 (** [solve p] normalizes [p] with {!Problem.normalize_ge} and runs PDHG
-    from the lower-bound corner, or from the primal warm start [x0] when
-    given (box-projected); the dual always starts at zero. Every variable
+    from the lower-bound corner with the dual at zero. Every variable
     must have finite lower and upper bounds (the MC-PERF builder
     guarantees this); otherwise [Invalid_argument] is raised. Equivalent
     to [solve_prepared (prepare p)]. *)
 
-val solve_reference :
-  ?options:options ->
-  ?x0:float array ->
-  Problem.t ->
-  outcome
+val solve_reference : ?options:options -> Problem.t -> outcome
 (** The pre-fusion iteration — one pass per conceptual step — kept as the
     oracle for the differential tests. Produces the same iterates as
     {!solve} (bit-identical on finite data); it is only slower. *)

@@ -179,9 +179,8 @@ let run ?(max_passes = 10) ?(fix_unreferenced_vars = true) (p : Problem.t) =
         | Some v -> offset := !offset +. (p.objective.(j) *. v)
         | None ->
           new_index.(j) <-
-            Problem.Builder.add_var b
-              ~name:(if p.names.(j) = "" then "" else p.names.(j))
-              ~lo:st.lower.(j) ~hi:st.upper.(j) ~obj:p.objective.(j) ()
+            Problem.Builder.add_var b ~lo:st.lower.(j) ~hi:st.upper.(j)
+              ~obj:p.objective.(j) ()
       done;
       List.iter
         (fun (row : Problem.row) ->

@@ -12,7 +12,6 @@ type t = {
   lower : float array;
   upper : float array;
   rows : row array;
-  names : string array;
 }
 
 module Builder = struct
@@ -20,10 +19,8 @@ module Builder = struct
     mutable objs : float list;
     mutable lowers : float list;
     mutable uppers : float list;
-    mutable buf_names : string list;
     mutable nvars : int;
     mutable brows : row list;
-    mutable nrows : int;
   }
 
   type t = buf
@@ -33,18 +30,15 @@ module Builder = struct
       objs = [];
       lowers = [];
       uppers = [];
-      buf_names = [];
       nvars = 0;
       brows = [];
-      nrows = 0;
     }
 
-  let add_var b ?(name = "") ?(lo = 0.) ?(hi = infinity) ~obj () =
+  let add_var b ?(lo = 0.) ?(hi = infinity) ~obj () =
     if lo > hi then invalid_arg "Lp.Builder.add_var: lo > hi";
     b.objs <- obj :: b.objs;
     b.lowers <- lo :: b.lowers;
     b.uppers <- hi :: b.uppers;
-    b.buf_names <- name :: b.buf_names;
     let idx = b.nvars in
     b.nvars <- b.nvars + 1;
     idx
@@ -104,11 +98,9 @@ module Builder = struct
         Array.sort (fun (a, _) (b, _) -> compare a b) combined;
         combined
     in
-    b.brows <- { kind; rhs; coeffs } :: b.brows;
-    b.nrows <- b.nrows + 1
+    b.brows <- { kind; rhs; coeffs } :: b.brows
 
   let var_count b = b.nvars
-  let row_count b = b.nrows
 
   let build b =
     {
@@ -117,7 +109,6 @@ module Builder = struct
       lower = Array.of_list (List.rev b.lowers);
       upper = Array.of_list (List.rev b.uppers);
       rows = Array.of_list (List.rev b.brows);
-      names = Array.of_list (List.rev b.buf_names);
     }
 end
 
@@ -195,37 +186,3 @@ let constraint_matrix t =
   Sparse.of_row_list ~rows:(Array.length t.rows) ~cols:t.nvars per_row
 
 let rhs_vector t = Array.map (fun r -> r.rhs) t.rows
-
-let var_name t j =
-  if j < 0 || j >= t.nvars then invalid_arg "Lp.var_name: index out of range";
-  if t.names.(j) = "" then Printf.sprintf "x%d" j else t.names.(j)
-
-let pp ppf t =
-  let pp_term first ppf (j, v) =
-    if v >= 0. && not first then Format.fprintf ppf " + %g %s" v (var_name t j)
-    else if v >= 0. then Format.fprintf ppf "%g %s" v (var_name t j)
-    else Format.fprintf ppf " - %g %s" (Float.abs v) (var_name t j)
-  in
-  let pp_terms ppf coeffs =
-    Array.iteri (fun i term -> pp_term (i = 0) ppf term) coeffs
-  in
-  Format.fprintf ppf "@[<v>minimize ";
-  let obj_terms =
-    Array.to_list (Array.mapi (fun j v -> (j, v)) t.objective)
-    |> List.filter (fun (_, v) -> v <> 0.)
-    |> Array.of_list
-  in
-  pp_terms ppf obj_terms;
-  Format.fprintf ppf "@,subject to";
-  Array.iter
-    (fun r ->
-      let op = match r.kind with Ge -> ">=" | Le -> "<=" | Eq -> "=" in
-      Format.fprintf ppf "@,  %a %s %g" pp_terms r.coeffs op r.rhs)
-    t.rows;
-  Format.fprintf ppf "@,bounds";
-  Array.iteri
-    (fun j _ ->
-      Format.fprintf ppf "@,  %g <= %s <= %g" t.lower.(j) (var_name t j)
-        t.upper.(j))
-    t.objective;
-  Format.fprintf ppf "@]"

@@ -5,8 +5,7 @@
                     l_j <= x_j <= u_j              for each variable j
 
     This is the interchange type between the MC-PERF model builder and the
-    two solvers (exact dense simplex, first-order PDHG). Variables carry
-    optional names for debugging small models. *)
+    two solvers (exact dense simplex, first-order PDHG). *)
 
 type row_kind = Ge | Le | Eq
 
@@ -22,7 +21,6 @@ type t = private {
   lower : float array;
   upper : float array;  (** may be [infinity] *)
   rows : row array;
-  names : string array;  (** "" when unnamed *)
 }
 
 (** Incremental construction. *)
@@ -32,7 +30,7 @@ module Builder : sig
 
   val create : unit -> t
 
-  val add_var : t -> ?name:string -> ?lo:float -> ?hi:float -> obj:float -> unit -> int
+  val add_var : t -> ?lo:float -> ?hi:float -> obj:float -> unit -> int
   (** Returns the new variable's index. Defaults: [lo = 0.], [hi = infinity].
       Requires [lo <= hi]. *)
 
@@ -41,7 +39,6 @@ module Builder : sig
       indices must already exist. *)
 
   val var_count : t -> int
-  val row_count : t -> int
 
   val build : t -> problem
 end
@@ -61,10 +58,8 @@ val with_var_bounds : t -> int -> lo:float -> hi:float -> t
 
 val with_rhs : t -> (int * float) list -> t
 (** [with_rhs t updates] replaces the rhs of the listed rows (functional
-    update; every untouched row — and every coefficient array — is shared
-    with the original, so {!Pdhg.prepare}'s matrix reuse applies to the
-    result). Used by the incremental QoS-sweep models, where only the
-    T_qos rows change between cells. *)
+    update; every untouched row is shared with the original). The sweep's
+    [diverge] fault injection uses it to poison one row. *)
 
 val normalize_ge : t -> t
 (** Rewrite every [Le] row as a [Ge] row (negating coefficients and rhs).
@@ -75,9 +70,3 @@ val constraint_matrix : t -> Sparse.t
 (** Rows-by-vars sparse matrix of the row coefficients. *)
 
 val rhs_vector : t -> float array
-
-val var_name : t -> int -> string
-(** The given name, or ["x<i>"] when unnamed. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering; intended for small debug instances. *)

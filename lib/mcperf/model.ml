@@ -14,8 +14,6 @@ type t = {
   objective_offset : float;
   node_totals : float array;
   always_covered : float array;
-  qos_rows : int array;
-  qos_has_terms : bool array;
 }
 
 let pack ~intervals ~objects ~node ~interval ~object_id =
@@ -35,8 +33,8 @@ let build (perm : Permission.t) =
   let b = Lp.Problem.Builder.create () in
   let kinds = ref [] in
   let nkinds = ref 0 in
-  let new_var kind ?name ~lo ~hi ~obj () =
-    let idx = Lp.Problem.Builder.add_var b ?name ~lo ~hi ~obj () in
+  let new_var kind ~lo ~hi ~obj () =
+    let idx = Lp.Problem.Builder.add_var b ~lo ~hi ~obj () in
     kinds := kind :: !kinds;
     incr nkinds;
     idx
@@ -127,8 +125,6 @@ let build (perm : Permission.t) =
   let node_totals = Workload.Demand.node_read_totals demand in
   let always_covered = Array.make nodes 0. in
   let objective_offset = ref 0. in
-  let qos_rows = ref [||] in
-  let qos_has_terms = ref [||] in
   (match spec.Spec.goal with
   | Spec.Qos { tlat_ms; fraction } ->
     let qos_terms = Array.make nodes [] in
@@ -186,28 +182,19 @@ let build (perm : Permission.t) =
           cells)
       demand.Workload.Demand.reads;
     (* Constraint (2), one row per user/node. Rows are emitted whenever
-       the node has coverage options, even when trivially satisfied, so
-       the model's shape is identical across QoS sweeps (enabling PDHG
-       warm starts). *)
-    let row_of = Array.make nodes (-1) in
-    let has_terms = Array.make nodes false in
+       the node has coverage options, even when trivially satisfied: the
+       row set fixes presolve's reductions and PDHG's iterates, so every
+       pinned bound depends on this rule. *)
     for n = 0 to nodes - 1 do
       let rhs = (fraction *. node_totals.(n)) -. always_covered.(n) in
-      if qos_terms.(n) <> [] then begin
-        has_terms.(n) <- true;
-        row_of.(n) <- Lp.Problem.Builder.row_count b;
+      if qos_terms.(n) <> [] then
         Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs qos_terms.(n)
-      end
-      else if rhs > 1e-9 then begin
+      else if rhs > 1e-9 then
         (* No coverage options at all: encode the (infeasible) requirement
            explicitly so the LP reports infeasibility rather than silently
            dropping the user. *)
-        row_of.(n) <- Lp.Problem.Builder.row_count b;
         Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs []
-      end
-    done;
-    qos_rows := row_of;
-    qos_has_terms := has_terms
+    done
   | Spec.Avg_latency { tavg_ms } ->
     (* Constraints (7)-(10) with route variables restricted to nodes that
        can possibly hold the object (plus the origin, which always can). *)
@@ -275,8 +262,7 @@ let build (perm : Permission.t) =
            0 perm.Permission.placeable)
     in
     let cap =
-      new_var (Capacity { node = None }) ~name:"capacity" ~lo:0.
-        ~hi:total_weight
+      new_var (Capacity { node = None }) ~lo:0. ~hi:total_weight
         ~obj:(costs.Spec.alpha *. float_of_int intervals *. sites)
         ()
     in
@@ -291,9 +277,7 @@ let build (perm : Permission.t) =
     for m = 0 to nodes - 1 do
       if node_has_store.(m) then begin
         let cap =
-          new_var (Capacity { node = Some m })
-            ~name:(Printf.sprintf "capacity_n%d" m)
-            ~lo:0. ~hi:total_weight
+          new_var (Capacity { node = Some m }) ~lo:0. ~hi:total_weight
             ~obj:(costs.Spec.alpha *. float_of_int intervals)
             ()
         in
@@ -309,7 +293,7 @@ let build (perm : Permission.t) =
   | Classes.Rc_none -> ()
   | Classes.Rc_uniform ->
     let rep =
-      new_var (Replicas { object_id = None }) ~name:"replicas" ~lo:0.
+      new_var (Replicas { object_id = None }) ~lo:0.
         ~hi:(float_of_int (nodes - 1))
         ~obj:(costs.Spec.alpha *. float_of_int intervals *. total_weight)
         ()
@@ -329,7 +313,6 @@ let build (perm : Permission.t) =
       if has_any then begin
         let rep =
           new_var (Replicas { object_id = Some k })
-            ~name:(Printf.sprintf "replicas_k%d" k)
             ~lo:0.
             ~hi:(float_of_int (nodes - 1))
             ~obj:(costs.Spec.alpha *. float_of_int intervals *. weight.(k))
@@ -347,9 +330,7 @@ let build (perm : Permission.t) =
     for m = 0 to nodes - 1 do
       if m <> origin && node_has_store.(m) then begin
         let ov =
-          new_var (Open_node { node = m })
-            ~name:(Printf.sprintf "open_n%d" m)
-            ~lo:0. ~hi:1. ~obj:costs.Spec.zeta ()
+          new_var (Open_node { node = m }) ~lo:0. ~hi:1. ~obj:costs.Spec.zeta ()
         in
         for k = 0 to objects - 1 do
           for i = 0 to intervals - 1 do
@@ -373,38 +354,7 @@ let build (perm : Permission.t) =
     objective_offset = !objective_offset;
     node_totals;
     always_covered;
-    qos_rows = !qos_rows;
-    qos_has_terms = !qos_has_terms;
   }
-
-(* Only the QoS rows (2) read the target fraction — every variable, every
-   other row and the objective are fraction-invariant — so re-targeting a
-   built model is an rhs patch on those rows. The rhs expression below is
-   the same as in [build] (same operations, same order), so the patched
-   problem is value-identical to a fresh build at the new fraction. The
-   one shape-dependent case is a node with no coverage options, whose
-   explicit infeasibility row exists only when its requirement is
-   positive; if re-targeting flips that condition we fall back to a full
-   rebuild. *)
-let with_fraction t fraction =
-  let perm = Permission.with_fraction t.permission fraction in
-  let nodes = Array.length t.node_totals in
-  let shape_ok = ref true in
-  let patches = ref [] in
-  for n = 0 to nodes - 1 do
-    let rhs = (fraction *. t.node_totals.(n)) -. t.always_covered.(n) in
-    if t.qos_has_terms.(n) then patches := (t.qos_rows.(n), rhs) :: !patches
-    else begin
-      let emitted = t.qos_rows.(n) >= 0 in
-      if emitted <> (rhs > 1e-9) then shape_ok := false
-      else if emitted then patches := (t.qos_rows.(n), rhs) :: !patches
-    end
-  done;
-  if not !shape_ok then build perm
-  else
-    { t with
-      permission = perm;
-      problem = Lp.Problem.with_rhs t.problem !patches }
 
 let store_placement t x =
   let spec = t.permission.Permission.spec in

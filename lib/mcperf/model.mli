@@ -46,26 +46,9 @@ type t = private {
   always_covered : float array;
       (** per node: weighted reads served by the origin within the
           threshold (no placement needed) *)
-  qos_rows : int array;
-      (** per node: row index of its QoS constraint (2), or [-1] when no
-          row was emitted; [[||]] for average-latency models *)
-  qos_has_terms : bool array;
-      (** per node: the QoS row has coverage terms (such rows exist at
-          every fraction; empty infeasibility rows do not) *)
 }
 
 val build : Permission.t -> t
-
-val with_fraction : t -> float -> t
-(** [with_fraction m f] re-targets a QoS model at fraction [f] by patching
-    the rhs of the QoS rows — the only part of the model that reads the
-    fraction. The patched model is value-identical to
-    [build (Permission.with_fraction m.permission f)] but shares the
-    variables, the row coefficient arrays (so {!Lp.Pdhg.prepare} matrix
-    reuse applies) and all derived tables with [m]. Falls back to a full
-    rebuild when the set of emitted rows would change (only possible via
-    the explicit infeasibility rows of uncoverable nodes). Raises
-    [Invalid_argument] on an average-latency model. *)
 
 val store_placement : t -> float array -> float array array array
 (** [store_placement m x] expands a solution vector into a dense

@@ -29,17 +29,21 @@ let make ~system ~demand ?(costs = default_costs) ~goal () =
   if demand.Workload.Demand.intervals > max_intervals then
     invalid_arg "Spec.make: at most 62 evaluation intervals are supported";
   let { alpha; beta; gamma; delta; zeta } = costs in
-  if alpha < 0. || beta < 0. || gamma < 0. || delta < 0. || zeta < 0. then
-    invalid_arg "Spec.make: costs must be non-negative";
+  (* Every range check is written so that NaN fails it. *)
+  if
+    not (alpha >= 0. && beta >= 0. && gamma >= 0. && delta >= 0. && zeta >= 0.)
+  then invalid_arg "Spec.make: costs must be non-negative";
   if alpha = 0. && beta = 0. then
     invalid_arg "Spec.make: at least one of alpha, beta must be positive";
   (match goal with
   | Qos { tlat_ms; fraction } ->
-    if tlat_ms < 0. then invalid_arg "Spec.make: negative latency threshold";
-    if fraction < 0. || fraction > 1. then
+    if not (tlat_ms >= 0.) then
+      invalid_arg "Spec.make: latency threshold must be >= 0";
+    if not (fraction >= 0. && fraction <= 1.) then
       invalid_arg "Spec.make: QoS fraction must be in [0, 1]"
   | Avg_latency { tavg_ms } ->
-    if tavg_ms < 0. then invalid_arg "Spec.make: negative average-latency goal");
+    if not (tavg_ms >= 0.) then
+      invalid_arg "Spec.make: average-latency goal must be >= 0");
   { system; demand; costs; goal }
 
 let node_count t = Topology.System.node_count t.system

@@ -44,8 +44,9 @@ val make :
   t
 (** Validates: node counts agree, demand has at least one read, costs are
     non-negative with [alpha > 0. || beta > 0.], goal parameters are in
-    range, and the interval count fits the bitset-based permission
-    machinery (at most {!max_intervals}). *)
+    range (a NaN cost or goal parameter is rejected), and the interval
+    count fits the bitset-based permission machinery (at most
+    {!max_intervals}). *)
 
 val node_count : t -> int
 val interval_count : t -> int

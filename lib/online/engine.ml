@@ -2,12 +2,8 @@ type config = {
   system : Topology.System.t;
   interval_s : float;
   epoch_intervals : int;
-  costs : Mcperf.Spec.costs;
   goal : Mcperf.Spec.goal;
-  placeable : bool array option;
   strategies : (string * Heuristics.Strategy.factory) list;
-  solver : Bounds.Pipeline.solver;
-  warm : bool;
 }
 
 let default_strategies =
@@ -19,23 +15,12 @@ let default_strategies =
     ("cooperative-caching", Heuristics.Cache_strategy.cooperative);
   ]
 
-let default ?placeable ?(costs = Mcperf.Spec.default_costs) ~system ~interval_s
-    ~epoch_intervals ~goal () =
+let default ~system ~interval_s ~epoch_intervals ~goal () =
   if epoch_intervals <= 0 then
     invalid_arg "Engine.default: epoch_intervals must be positive";
   if interval_s <= 0. then
     invalid_arg "Engine.default: interval_s must be positive";
-  {
-    system;
-    interval_s;
-    epoch_intervals;
-    costs;
-    goal;
-    placeable;
-    strategies = default_strategies;
-    solver = Bounds.Pipeline.Auto;
-    warm = true;
-  }
+  { system; interval_s; epoch_intervals; goal; strategies = default_strategies }
 
 type decision = {
   strategy : string;
@@ -61,7 +46,6 @@ type epoch = {
 
 type t = {
   config : config;
-  handle : Bounds.Pipeline.Online.handle;
   mutable incr : Workload.Incremental.t;
   mutable trace : Workload.Trace.t option;
   mutable deltas : Heuristics.Strategy.delta list;  (** newest first *)
@@ -75,9 +59,6 @@ let create config =
     invalid_arg "Engine.create: need at least one strategy";
   {
     config;
-    handle =
-      Bounds.Pipeline.Online.create ~solver:config.solver
-        ?placeable:config.placeable ~warm:config.warm ();
     incr =
       Workload.Incremental.create
         ~nodes:(Topology.System.node_count config.system)
@@ -88,8 +69,8 @@ let create config =
   }
 
 let epochs t = List.rev t.epochs
-let warm_lifts t = Bounds.Pipeline.Online.warm_lifts t.handle
-let bound_solves t = Bounds.Pipeline.Online.solves t.handle
+let bound_solves t =
+  List.fold_left (fun n e -> n + List.length e.bounds) 0 t.epochs
 
 let m_epochs = lazy (Obs.Metrics.counter "online.epochs")
 let m_decisions = lazy (Obs.Metrics.counter "online.decisions")
@@ -100,10 +81,7 @@ let m_regret = lazy (Obs.Metrics.histogram "online.regret")
    far: a pure function of (factory, deltas, ctx). *)
 let search_one (cfg : config) deltas (label, factory) =
   let module S = Heuristics.Strategy in
-  let ctx =
-    S.Context.make ~system:cfg.system ?placeable:cfg.placeable
-      ~costs:cfg.costs ~goal:cfg.goal ()
-  in
+  let ctx = S.Context.make ~system:cfg.system ~goal:cfg.goal () in
   let at p =
     List.fold_left S.observe
       (factory (S.Context.with_parameter ctx p))
@@ -210,15 +188,12 @@ let feed t chunk =
           solve_s = 0.;
         }
     else begin
-      let spec =
-        Mcperf.Spec.make ~system:cfg.system ~demand ~costs:cfg.costs
-          ~goal:cfg.goal ()
-      in
+      let spec = Mcperf.Spec.make ~system:cfg.system ~demand ~goal:cfg.goal () in
       let t0 = Unix.gettimeofday () in
       let searches = List.map (search_one cfg t.deltas) cfg.strategies in
       let t1 = Unix.gettimeofday () in
-      (* Class bounds re-solve warm-started from the previous epoch, one
-         per distinct class among the strategies. *)
+      (* One class bound per distinct class among the strategies, each
+         the offline bound of everything observed so far. *)
       let classes =
         List.fold_left
           (fun acc (_, factory) ->
@@ -226,8 +201,7 @@ let feed t chunk =
               Heuristics.Strategy.heuristic_class
                 (factory
                    (Heuristics.Strategy.Context.make ~system:cfg.system
-                      ?placeable:cfg.placeable ~costs:cfg.costs ~goal:cfg.goal
-                      ()))
+                      ~goal:cfg.goal ()))
             in
             if List.exists (fun c -> c.Mcperf.Classes.name = cls.Mcperf.Classes.name) acc
             then acc
@@ -237,7 +211,7 @@ let feed t chunk =
       let bounds =
         List.map
           (fun cls ->
-            let r = Bounds.Pipeline.Online.solve t.handle spec cls in
+            let r = Bounds.Pipeline.compute spec cls in
             Obs.Metrics.incr (Lazy.force m_solves);
             (cls.Mcperf.Classes.name, r))
           classes

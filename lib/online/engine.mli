@@ -9,13 +9,18 @@
       minimal goal-meeting deployment over everything observed so far
       (the same minimal-parameter search {!Sim.Runner.deploy} runs
       offline);
-    + re-solves one class lower bound per distinct heuristic class
-      through a persistent {!Bounds.Pipeline.Online.handle}, warm-started
-      from the previous epoch's solution;
+    + solves one class lower bound per distinct heuristic class with
+      {!Bounds.Pipeline.compute} on the cumulative spec, from scratch —
+      no solver state passes between epochs, so an epoch's bound is the
+      offline bound of everything observed so far, and the final epoch
+      reports the same bound at every epoch size;
     + reports decisions with per-epoch regret — deployed cost minus the
-      class bound. PDHG dual bounds are valid at any iterate (weak
-      duality), so warm starts change solve time, never validity, and
-      regret is nonnegative for every feasible decision.
+      class bound. The bound is certified valid (weak duality), so regret
+      is nonnegative for every feasible decision.
+
+    The service runs under the paper's case-study costs
+    ({!Mcperf.Spec.default_costs}), with every node placeable and the
+    [Auto] solver route.
 
     Determinism: the strategy searches and the bound solves run one
     after another in the calling process, so an epoch report is a pure
@@ -26,12 +31,8 @@ type config = {
   system : Topology.System.t;
   interval_s : float;  (** evaluation-interval (bucket) width, seconds *)
   epoch_intervals : int;  (** intervals ingested per epoch *)
-  costs : Mcperf.Spec.costs;
   goal : Mcperf.Spec.goal;
-  placeable : bool array option;  (** deployment restriction, or all nodes *)
   strategies : (string * Heuristics.Strategy.factory) list;
-  solver : Bounds.Pipeline.solver;
-  warm : bool;  (** warm-start epoch-over-epoch bound re-solves *)
 }
 
 val default_strategies : (string * Heuristics.Strategy.factory) list
@@ -39,15 +40,13 @@ val default_strategies : (string * Heuristics.Strategy.factory) list
     proportional, lru-caching, cooperative-caching. *)
 
 val default :
-  ?placeable:bool array ->
-  ?costs:Mcperf.Spec.costs ->
   system:Topology.System.t ->
   interval_s:float ->
   epoch_intervals:int ->
   goal:Mcperf.Spec.goal ->
   unit ->
   config
-(** Config with {!default_strategies}, [Auto] solver, warm starts on. *)
+(** Config with {!default_strategies}. *)
 
 type decision = {
   strategy : string;
@@ -72,8 +71,7 @@ type epoch = {
 }
 
 type t
-(** A running engine: cumulative workload state plus the warm bound
-    handle. *)
+(** A running engine: cumulative workload state and the epochs so far. *)
 
 val create : config -> t
 
@@ -87,10 +85,8 @@ val feed : t -> Workload.Trace.t -> epoch
 val epochs : t -> epoch list
 (** All epochs so far, oldest first. *)
 
-val warm_lifts : t -> int
-(** Bound re-solves that were primed from a previous epoch's solution. *)
-
 val bound_solves : t -> int
+(** Class bounds solved so far, over all epochs. *)
 
 val chunks :
   interval_s:float ->

@@ -5,6 +5,6 @@
 set -e
 cd "$(dirname "$0")/.."
 dune build bench/main.exe
-for leg in pdhg tree bundling avail online faults; do
+for leg in pdhg tree bundling avail faults; do
   ./_build/default/bench/main.exe "$leg"
 done

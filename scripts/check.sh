@@ -155,7 +155,9 @@ echo "figavail stage OK: $(grep -c ' steps$' "$figavaildir/j1.out") heuristics r
 # Usage stage: out-of-range numeric flags are rejected at parse time
 # with cmdliner's usage-error status (124), not an uncaught exception
 # mid-run (125) or a run that checks nothing and passes. serve has no
-# --jobs: its epochs run in one process. There is no worker subcommand,
+# --jobs: its epochs run in one process, and no warm-start switch: every
+# epoch bound is solved cold. Its goal flags take exactly what the cost
+# model accepts, so NaN is a usage error too. There is no worker subcommand,
 # no flag naming remote workers and no network fault kind: the pool is
 # local only.
 echo "== usage stage: out-of-range flags are usage errors =="
@@ -169,6 +171,10 @@ expect_usage_error figavail --scenarios 0
 expect_usage_error serve --intervals 100
 expect_usage_error validate --family tree --count 0
 expect_usage_error serve --jobs 2
+expect_usage_error serve --no-warm
+expect_usage_error serve --fraction 1.5
+expect_usage_error serve --fraction nan
+expect_usage_error serve --tlat nan
 expect_usage_error worker --listen 0
 expect_usage_error fig2 --workers 127.0.0.1:1
 expect_usage_error fig2 --inject drop=0.1
@@ -220,22 +226,32 @@ echo "journal stage OK: crash-recovered and resumed CSVs identical to the sequen
 # carries no wall clocks (timings go to stderr), so a run must match the
 # committed output of an earlier build to the byte, and every reported
 # regret must be nonnegative (serve itself exits nonzero on a negative
-# one). The footer pins how many bound re-solves started from a lifted
-# previous epoch: a lost warm lift changes no number, only speed, so
-# nothing else would catch it. The offline deployments themselves are
-# pinned by digest in dune runtest (fixtures/strategy_deployments.golden).
+# one). Every epoch bound is the offline bound of what the epoch has
+# seen, so the final epoch must print the same lines at any epoch size:
+# a run at --epoch-intervals 12 (one epoch over the whole trace) must
+# match the final epoch of the committed run at 4. The offline
+# deployments themselves are pinned by digest in dune runtest
+# (fixtures/strategy_deployments.golden).
 echo "== online stage: serve against the committed output =="
 onlinedir=_build/online-check
 rm -rf "$onlinedir"
 mkdir -p "$onlinedir"
-./_build/default/bin/experiments.exe serve -w web --scale 0.01 \
-  --intervals 12 --epoch-intervals 4 \
-  --strategies greedy-global,greedy-replica,lru-caching \
-  > "$onlinedir/serve.out" 2> /dev/null
-cmp test/fixtures/serve-web-quick.out "$onlinedir/serve.out" \
+for k in 4 12; do
+  ./_build/default/bin/experiments.exe serve -w web --scale 0.01 \
+    --intervals 12 --epoch-intervals "$k" \
+    --strategies greedy-global,greedy-replica,lru-caching \
+    > "$onlinedir/serve-k$k.out" 2> /dev/null
+done
+cmp test/fixtures/serve-web-quick.out "$onlinedir/serve-k4.out" \
   || { echo "online stage: serve output differs from the committed fixture"; exit 1; }
-grep -q '^served ' "$onlinedir/serve.out" \
-  || { echo "online stage: serve did not complete"; exit 1; }
-grep -q ' 9 bound solves (4 warm-lifted)$' "$onlinedir/serve.out" \
-  || { echo "online stage: serve footer lost its warm lifts"; exit 1; }
-echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/serve.out") epochs identical to the fixture"
+grep -q ' 9 bound solves$' "$onlinedir/serve-k4.out" \
+  || { echo "online stage: serve did not complete its 9 bound solves"; exit 1; }
+# The indented lines of a run's last epoch.
+final_epoch() {
+  awk '/^epoch /{s=""; next} /^  /{s=s $0 "\n"} END{printf "%s", s}' "$1"
+}
+final_epoch "$onlinedir/serve-k4.out" > "$onlinedir/final-k4"
+final_epoch "$onlinedir/serve-k12.out" > "$onlinedir/final-k12"
+[ -s "$onlinedir/final-k4" ] && cmp "$onlinedir/final-k4" "$onlinedir/final-k12" \
+  || { echo "online stage: the final epoch depends on the epoch size"; exit 1; }
+echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/serve-k4.out") epochs identical to the fixture, final epoch identical at --epoch-intervals 12"

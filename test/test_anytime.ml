@@ -13,8 +13,8 @@ let check_float name ?(eps = 1e-6) expected actual =
 let build_problem vars rows =
   let b = Lp.Problem.Builder.create () in
   List.iter
-    (fun (name, lo, hi, obj) ->
-      ignore (Lp.Problem.Builder.add_var b ~name ~lo ~hi ~obj ()))
+    (fun (_label, lo, hi, obj) ->
+      ignore (Lp.Problem.Builder.add_var b ~lo ~hi ~obj ()))
     vars;
   List.iter
     (fun (kind, rhs, terms) -> Lp.Problem.Builder.add_row b kind ~rhs terms)

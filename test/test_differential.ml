@@ -313,53 +313,6 @@ let test_sweep_determinism () =
     "results identical (incl. iterations and placements)" true
     (strip_walls seq = strip_walls par)
 
-(* --- incremental model reuse --------------------------------------------- *)
-
-(* [Model.with_fraction] promises value-identity with a fresh build at the
-   new fraction: same problem (hence byte-identical solver behaviour) and
-   same derived tables. The sweep fast path rests on this. *)
-let test_with_fraction_identity () =
-  let spec = quickstart_spec () in
-  let goal fraction = Mcperf.Spec.Qos { tlat_ms = 150.; fraction } in
-  List.iter
-    (fun (label, cls) ->
-      let spec0 = { spec with Mcperf.Spec.goal = goal 0.95 } in
-      let perm0 = Mcperf.Permission.compute spec0 cls in
-      if Mcperf.Permission.feasible perm0 then begin
-        let base = Mcperf.Model.build perm0 in
-        List.iter
-          (fun fraction ->
-            let patched = Mcperf.Model.with_fraction base fraction in
-            let spec' = { spec with Mcperf.Spec.goal = goal fraction } in
-            let fresh =
-              Mcperf.Model.build (Mcperf.Permission.compute spec' cls)
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s @ %g: problem byte-identical" label fraction)
-              true
-              (patched.Mcperf.Model.problem = fresh.Mcperf.Model.problem);
-            Alcotest.(check (float 0.))
-              (Printf.sprintf "%s @ %g: same objective offset" label fraction)
-              fresh.Mcperf.Model.objective_offset
-              patched.Mcperf.Model.objective_offset;
-            (* And the solver sees the same problem: identical bounds. *)
-            let solve m =
-              let out =
-                Lp.Pdhg.solve
-                  ~options:
-                    { Lp.Pdhg.default_options with max_iters = 2_000 }
-                  m.Mcperf.Model.problem
-              in
-              (out.Lp.Pdhg.best_bound, out.Lp.Pdhg.x)
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s @ %g: identical solve output" label fraction)
-              true
-              (solve patched = solve fresh))
-          [ 0.99; 0.999; 0.9999 ]
-      end)
-    sweep_fixture
-
 (* A complete binary tree inside the tree DP's exact scope: its general
    cells take the tree-DP branch of the cell chain. *)
 let tree_spec () =
@@ -373,11 +326,10 @@ let at_fraction spec fraction =
     { spec with Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction } }
   | Mcperf.Spec.Avg_latency _ -> invalid_arg "at_fraction"
 
-(* Every entry point runs the same cell chain, so each must produce
-   exactly what per-cell [compute] produces from scratch: the cached
-   sweep (shared model + prepared matrix per class) and a cold online
-   handle. The path tags show the LP, Farkas and tree-DP branches all
-   ran. *)
+(* The sweep runs the same cell chain as [compute] and carries nothing
+   from one cell to the next, so each of its cells must equal what
+   per-cell [compute] produces from scratch. The path tags show the LP,
+   Farkas and tree-DP branches all ran. *)
 let test_sweep_matches_percell_compute () =
   let fractions = [ 0.95; 0.99; 0.999 ] in
   let paths cells =
@@ -386,34 +338,23 @@ let test_sweep_matches_percell_compute () =
         Bounds.Pipeline.path_label r.Bounds.Pipeline.solve_path)
       cells
   in
-  let same_as_compute spec what (label, cls) cells =
-    List.iter
-      (fun (fraction, (r : Bounds.Pipeline.t)) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s @ %g: %s cell equals direct compute" label
-             fraction what)
-          true
-          (r = Bounds.Pipeline.compute (at_fraction spec fraction) cls))
-      cells
-  in
-  let sweep_and_online spec classes =
+  let sweep spec classes =
     let sweep =
       Bounds.Pipeline.sweep_classes Bounds.Pipeline.Sweep_config.default spec
         ~fractions classes
     in
-    let online = Bounds.Pipeline.Online.create ~warm:false () in
     List.concat
       (List.map2
          (fun (label, cls) (label', cells) ->
            Alcotest.(check string) "class order preserved" label label';
-           same_as_compute spec "sweep" (label, cls) cells;
-           same_as_compute spec "cold online" (label, cls)
-             (List.map
-                (fun fraction ->
-                  ( fraction,
-                    Bounds.Pipeline.Online.solve online
-                      (at_fraction spec fraction) cls ))
-                fractions);
+           List.iter
+             (fun (fraction, (r : Bounds.Pipeline.t)) ->
+               Alcotest.(check bool)
+                 (Printf.sprintf "%s @ %g: sweep cell equals direct compute"
+                    label fraction)
+                 true
+                 (r = Bounds.Pipeline.compute (at_fraction spec fraction) cls))
+             cells;
            paths cells)
          classes sweep.Bounds.Pipeline.per_class)
   in
@@ -421,11 +362,10 @@ let test_sweep_matches_percell_compute () =
   Alcotest.(check (list string))
     "quickstart sweep paths"
     (List.init 10 (fun _ -> "pdhg") @ [ "infeasible"; "infeasible" ])
-    (sweep_and_online spec
-       (sweep_fixture @ [ ("caching", Mcperf.Classes.caching) ]));
+    (sweep spec (sweep_fixture @ [ ("caching", Mcperf.Classes.caching) ]));
   Alcotest.(check (list string))
     "tree sweep paths" [ "tree-dp"; "tree-dp"; "tree-dp" ]
-    (sweep_and_online (tree_spec ()) [ ("general", Mcperf.Classes.general) ])
+    (sweep (tree_spec ()) [ ("general", Mcperf.Classes.general) ])
 
 (* --- golden cells -------------------------------------------------------- *)
 
@@ -511,8 +451,6 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "with_fraction equals fresh build" `Quick
-            test_with_fraction_identity;
           Alcotest.test_case "cached sweep equals per-cell compute" `Quick
             test_sweep_matches_percell_compute;
           Alcotest.test_case "cells match pinned digests" `Quick

@@ -38,12 +38,27 @@ let test_spec_validation () =
         (Mcperf.Spec.make ~system:(line_system ()) ~demand:d
            ~goal:(Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 1. })
            ()));
+  let make ?costs goal =
+    ignore
+      (Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ())
+         ?costs ~goal ())
+  in
   Alcotest.check_raises "bad fraction"
     (Invalid_argument "Spec.make: QoS fraction must be in [0, 1]") (fun () ->
-      ignore
-        (Mcperf.Spec.make ~system:(line_system ()) ~demand:(tail_demand ())
-           ~goal:(Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 1.5 })
-           ()))
+      make (Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 1.5 }));
+  (* NaN passes a [x < 0.] test, so each check must be written to fail
+     on it. *)
+  Alcotest.check_raises "NaN fraction"
+    (Invalid_argument "Spec.make: QoS fraction must be in [0, 1]") (fun () ->
+      make (Mcperf.Spec.Qos { tlat_ms = 1.; fraction = Float.nan }));
+  Alcotest.check_raises "NaN latency threshold"
+    (Invalid_argument "Spec.make: latency threshold must be >= 0") (fun () ->
+      make (Mcperf.Spec.Qos { tlat_ms = Float.nan; fraction = 0.9 }));
+  Alcotest.check_raises "NaN cost"
+    (Invalid_argument "Spec.make: costs must be non-negative") (fun () ->
+      make
+        ~costs:{ Mcperf.Spec.default_costs with gamma = Float.nan }
+        (Mcperf.Spec.Qos { tlat_ms = 1.; fraction = 0.9 }))
 
 (* --- permission masks --------------------------------------------------- *)
 

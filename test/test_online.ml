@@ -2,8 +2,9 @@
 
    The engine's contract is that epoching is an observation schedule,
    not a workload transformation — the same trace chunked at any epoch
-   size must fold to the same cumulative state, and the final epoch's
-   deployments must match the offline ones bit for bit. *)
+   size must fold to the same cumulative state, the final epoch's
+   deployments must match the offline ones bit for bit, and every
+   epoch's class bound is the offline bound of what it has seen. *)
 
 module CS = Replica_select.Case_study
 module E = Online.Engine
@@ -24,12 +25,8 @@ let config ?(strategies = [ ("greedy-global", Heuristics.Greedy_global.strategy)
     E.system = cs.CS.system;
     interval_s = interval_s ();
     epoch_intervals;
-    costs = Mcperf.Spec.default_costs;
     goal = Mcperf.Spec.Qos { tlat_ms = 150.; fraction = 0.95 };
-    placeable = None;
     strategies;
-    solver = Bounds.Pipeline.Auto;
-    warm = true;
   }
 
 (* A deterministic fingerprint of an epoch: everything except the wall
@@ -84,7 +81,8 @@ let test_chunking_reproduces_demand () =
     [ 1; 2; 3; 4; 5; 6; 12 ]
 
 (* The final epoch sees the whole trace, so its deployments must equal
-   the offline ones — and must not depend on the epoch size. *)
+   the offline ones — and neither they nor its class bounds may depend on
+   the epoch size. *)
 let test_epoch_size_invariant_final_decisions () =
   let cs = Lazy.force cs in
   let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:false () in
@@ -104,19 +102,30 @@ let test_epoch_size_invariant_final_decisions () =
         Alcotest.(check int)
           (Printf.sprintf "final intervals k=%d" k)
           intervals last.E.intervals;
+        let bounds =
+          List.map
+            (fun (n, (r : Bounds.Pipeline.t)) ->
+              (n, r.Bounds.Pipeline.lower_bound))
+            last.E.bounds
+        in
         match last.E.decisions with
         | [ d ] ->
           ( (match d.E.parameter with
             | Some p -> p
             | None -> Alcotest.fail "final epoch infeasible"),
-            Option.get d.E.cost )
+            Option.get d.E.cost,
+            bounds )
         | _ -> Alcotest.fail "expected one decision")
       [ 4; 6; 12 ]
   in
+  let _, _, first_bounds = List.hd finals in
   List.iteri
-    (fun i (p, c) ->
+    (fun i (p, c, bounds) ->
       Alcotest.(check int) (Printf.sprintf "param run %d" i) (fst offline) p;
-      Alcotest.(check (float 0.)) (Printf.sprintf "cost run %d" i) (snd offline) c)
+      Alcotest.(check (float 0.)) (Printf.sprintf "cost run %d" i) (snd offline) c;
+      Alcotest.(check (list (pair string (float 0.))))
+        (Printf.sprintf "final bounds run %d" i)
+        first_bounds bounds)
     finals
 
 (* --- pinned epoch reports ------------------------------------------------- *)
@@ -137,7 +146,7 @@ let test_epoch_reports_pinned () =
     E.run (config ~strategies ~epoch_intervals:4 ()) ~trace:cs.CS.trace
   in
   Alcotest.(check string) "epoch reports digest"
-    "850580b9010665b37230a27a3f42b23f"
+    "0dd62781628edeafff02b52d77192389"
     (digest (List.map epoch_view epochs))
 
 (* --- regret --------------------------------------------------------------- *)
@@ -172,32 +181,77 @@ let test_regret_nonnegative () =
   Alcotest.(check bool) "some regrets reported" true (!seen > 0);
   Alcotest.(check bool) "bounds were solved" true (E.bound_solves t > 0)
 
-(* Warm starts change solve effort, never the reported bound's validity:
-   a warm run still reports nonnegative regret and the same deployments
-   as a cold run. *)
-let test_warm_vs_cold_decisions_agree () =
-  let cs = Lazy.force cs in
-  let run warm =
-    let t, epochs =
-      E.run { (config ~epoch_intervals:6 ()) with E.warm } ~trace:cs.CS.trace
-    in
-    ( List.map
-        (fun (e : E.epoch) ->
-          List.map
-            (fun (d : E.decision) -> (d.E.strategy, d.E.parameter, d.E.cost))
-            e.E.decisions)
-        epochs,
-      E.warm_lifts t )
-  in
-  let warm_decisions, warm_lifts = run true in
-  let cold_decisions, cold_lifts = run false in
-  Alcotest.(check bool)
-    "same deployments" true
-    (warm_decisions = cold_decisions);
-  (* A lost warm lift costs only speed, so the decisions above cannot
-     catch it; pin the lift count the warm chain is known to reach. *)
-  Alcotest.(check int) "warm run lifts" 1 warm_lifts;
-  Alcotest.(check int) "cold run never lifts" 0 cold_lifts
+(* The online bound is the offline bound: over a random case-study
+   seed, epoch size and QoS fraction, every epoch's class bounds equal
+   [Pipeline.compute] on that epoch's cumulative spec, rebuilt here by
+   folding the chunks through [Incremental] independently of the engine,
+   and every regret is nonnegative. *)
+let prop_online_bound_is_offline_bound =
+  let horizon = 6 in
+  QCheck2.Test.make ~count:3
+    ~name:"every epoch's bound is the offline bound of its spec"
+    QCheck2.Gen.(
+      triple (int_range 0 100_000) (int_range 1 horizon)
+        (oneofl [ 0.9; 0.95; 0.99 ]))
+    (fun (seed, k, fraction) ->
+      let cs = CS.make ~seed ~nodes:10 ~scale:0.01 ~intervals:horizon CS.Web in
+      let system = cs.CS.system in
+      let interval_s =
+        Workload.Trace.duration_s cs.CS.trace /. float_of_int horizon
+      in
+      let goal = Mcperf.Spec.Qos { tlat_ms = 150.; fraction } in
+      let strategies =
+        [
+          ("greedy-global", Heuristics.Greedy_global.strategy);
+          ("greedy-replica", Heuristics.Greedy_replica.strategy);
+        ]
+      in
+      let _, epochs =
+        E.run
+          { E.system; interval_s; epoch_intervals = k; goal; strategies }
+          ~trace:cs.CS.trace
+      in
+      let classes =
+        List.map
+          (fun (_, factory) ->
+            let cls =
+              Heuristics.Strategy.heuristic_class
+                (factory (Heuristics.Strategy.Context.make ~system ~goal ()))
+            in
+            (cls.Mcperf.Classes.name, cls))
+          strategies
+      in
+      let demands =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (incr, acc) chunk ->
+                  let incr = Workload.Incremental.extend incr chunk in
+                  (incr, Workload.Incremental.demand incr :: acc))
+                ( Workload.Incremental.create
+                    ~nodes:(Topology.System.node_count system)
+                    ~interval_s,
+                  [] )
+                (E.chunks ~interval_s ~epoch_intervals:k cs.CS.trace)))
+      in
+      List.length demands = List.length epochs
+      && List.for_all2
+           (fun (e : E.epoch) demand ->
+             if Workload.Demand.total_reads demand <= 0. then e.E.bounds = []
+             else
+               let spec = Mcperf.Spec.make ~system ~demand ~goal () in
+               List.map fst e.E.bounds = List.map fst classes
+               && List.for_all
+                    (fun (name, r) ->
+                      r = Bounds.Pipeline.compute spec (List.assoc name classes))
+                    e.E.bounds
+               && List.for_all
+                    (fun (d : E.decision) ->
+                      match d.E.regret with
+                      | Some r -> r >= -1e-9
+                      | None -> true)
+                    e.E.decisions)
+           epochs demands)
 
 (* --- engine stream edge cases --------------------------------------------- *)
 
@@ -226,13 +280,12 @@ let () =
         [
           Alcotest.test_case "epoch reports match pinned digest" `Quick
             test_epoch_reports_pinned;
-          Alcotest.test_case "warm vs cold deployments agree" `Quick
-            test_warm_vs_cold_decisions_agree;
         ] );
       ( "regret",
         [
           Alcotest.test_case "nonnegative every epoch" `Quick
             test_regret_nonnegative;
+          QCheck_alcotest.to_alcotest prop_online_bound_is_offline_bound;
         ] );
       ( "stream",
         [
