@@ -294,8 +294,8 @@ let avail () =
       Sim.Runner.deploy_offline ~factory:Heuristics.Greedy_global.strategy
         ~spec:sim_spec ()
     with
-    | Some { Sim.Runner.placement = Some p; _ } -> p
-    | Some _ | None -> failwith "bench avail: greedy-global deployed no placement"
+    | Some d -> d.Sim.Runner.placement
+    | None -> failwith "bench avail: greedy-global deployed no placement"
   in
   let perm = Mcperf.Permission.compute sim_spec Mcperf.Classes.general in
   let cell = ref None in

@@ -60,6 +60,15 @@ let pool_summary (p : Util.Parallel.pool_stats) =
    scripted runs can gate on them. *)
 let violations = ref 0
 
+(* The validation families' shared tolerance and violation report: a
+   [FAIL <name>: ...] line on stdout, counted in [violations]. *)
+let tol x = 1e-6 *. (1. +. Float.abs x)
+
+let fail name fmt =
+  incr violations;
+  Printf.printf "FAIL %s: " name;
+  Printf.kfprintf (fun oc -> output_char oc '\n') stdout fmt
+
 (* The pool's per-task timeout (--task-timeout), installed ambiently by
    the CLI like the fault spec; every bound sweep in the process picks it
    up through [sweep_figure]. *)
@@ -569,20 +578,29 @@ let selection ~scale ~seed workload =
 (* --- validate: cross-check every bound producer on small instances -------- *)
 
 let validate ~seed () =
+  (* [lo <= hi] within [tol hi]; a NaN on either side (a failed solve)
+     is a violation too. *)
+  let ordered name what lo hi =
+    if not (lo <= hi +. tol hi) then
+      fail name "%s: %.6f above %.6f" what lo hi
+  in
   Printf.printf
-    "\n=== Cross-validation: IP optimum vs LP bounds vs rounding (8 nodes, 2%% WEB) ===\n";
+    "\n=== Cross-validation: simplex LP vs PDHG and Lagrangian bounds vs \
+     rounding (8 nodes, WEB at scale 0.01) ===\n";
   Printf.printf "%-30s %12s %12s %12s %12s\n" "class" "simplex-LP"
     "pdhg-bound" "lagrangian" "rounded";
   let cs = CS.make ~seed ~nodes:8 ~scale:0.01 ~intervals:8 CS.Web in
   let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
   List.iter
     (fun (cls : Mcperf.Classes.t) ->
+      let name = cls.Mcperf.Classes.name in
       let perm = Mcperf.Permission.compute spec cls in
       if not (Mcperf.Permission.feasible perm) then
-        Printf.printf "%-30s infeasible at this goal\n" cls.Mcperf.Classes.name
+        Printf.printf "%-30s infeasible at this goal\n" name
       else begin
         let model = Mcperf.Model.build perm in
         let problem = model.Mcperf.Model.problem in
+        let offset = model.Mcperf.Model.objective_offset in
         let simplex_lp, x_exact =
           match Lp.Simplex.solve problem with
           | Lp.Simplex.Optimal { x; objective } -> (objective, Some x)
@@ -606,8 +624,13 @@ let validate ~seed () =
             | Error _ -> nan)
           | None -> nan
         in
-        Printf.printf "%-30s %12.2f %12.2f %12.2f %12.2f\n%!"
-          cls.Mcperf.Classes.name simplex_lp pdhg lagr rounded
+        Printf.printf "%-30s %12.2f %12.2f %12.2f %12.2f\n%!" name simplex_lp
+          pdhg lagr rounded;
+        (* The LP and PDHG values leave out the model's constant term;
+           the Lagrangian and the rounded cost are full costs. *)
+        ordered name "PDHG bound vs simplex LP" pdhg simplex_lp;
+        ordered name "Lagrangian vs simplex LP" lagr (simplex_lp +. offset);
+        ordered name "simplex LP vs rounded" (simplex_lp +. offset) rounded
       end)
     [
       Mcperf.Classes.general;
@@ -625,15 +648,17 @@ let validate ~seed () =
   let spec = CS.qos_spec cs ~fraction:0.9 ~for_bounds:true () in
   List.iter
     (fun (cls : Mcperf.Classes.t) ->
+      let name = cls.Mcperf.Classes.name in
       let perm = Mcperf.Permission.compute spec cls in
       if not (Mcperf.Permission.feasible perm) then
-        Printf.printf "%-30s infeasible at this goal\n" cls.Mcperf.Classes.name
+        Printf.printf "%-30s infeasible at this goal\n" name
       else begin
         let model = Mcperf.Model.build perm in
         let problem = model.Mcperf.Model.problem in
         match Lp.Simplex.solve problem with
         | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
-          Printf.printf "%-30s LP failed\n" cls.Mcperf.Classes.name
+          Printf.printf "%-30s LP failed\n" name;
+          fail name "simplex LP failed on a feasible class"
         | Lp.Simplex.Optimal { x; objective = lp } ->
           let ip =
             match Ipsolve.Branch_bound.solve ~max_nodes:20_000 problem with
@@ -647,10 +672,16 @@ let validate ~seed () =
             | Ok r -> r.Rounding.Round.evaluation.Mcperf.Costing.total
             | Error _ -> nan
           in
-          Printf.printf "%-30s %12.2f %12.2f %12.2f\n%!"
-            cls.Mcperf.Classes.name lp ip rounded
+          Printf.printf "%-30s %12.2f %12.2f %12.2f\n%!" name lp ip rounded;
+          ordered name "LP vs IP" lp ip;
+          ordered name "IP vs rounded"
+            (ip +. model.Mcperf.Model.objective_offset)
+            rounded
       end)
-    [ Mcperf.Classes.general; Mcperf.Classes.replica_constrained ]
+    [ Mcperf.Classes.general; Mcperf.Classes.replica_constrained ];
+  Printf.printf "\ncross-validation: %s\n%!"
+    (if !violations = 0 then "all checks passed"
+     else Printf.sprintf "%d violations" !violations)
 
 (* --- validate --family tree: the exact DP as ground truth ----------------- *)
 
@@ -659,12 +690,6 @@ module TS = Replica_select.Tree_scenario
 (* Every number printed here is deterministic (no wall clocks), so
    scripted runs can [cmp] the output across --jobs settings. *)
 let validate_tree ~seed ~count ~jobs () =
-  let tol x = 1e-6 *. (1. +. Float.abs x) in
-  let fail name fmt =
-    incr violations;
-    Printf.printf "FAIL %s: " name;
-    Printf.kfprintf (fun oc -> output_char oc '\n') stdout fmt
-  in
   Printf.printf
     "\n=== Tree family: exact DP vs every other producer (%d instances, seed %d) ===\n"
     count seed;
@@ -815,12 +840,6 @@ let validate_tree ~seed ~count ~jobs () =
    scripted runs [cmp] the output against a committed one. [count] is the
    sampled scenario count. *)
 let validate_avail ~seed ~count () =
-  let tol x = 1e-6 *. (1. +. Float.abs x) in
-  let fail name fmt =
-    incr violations;
-    Printf.printf "FAIL %s: " name;
-    Printf.kfprintf (fun oc -> output_char oc '\n') stdout fmt
-  in
   Printf.printf
     "\n=== Avail family: failure sampler, survivability, scenario LP (%d \
      scenarios, seed %d) ===\n"
@@ -888,10 +907,9 @@ let validate_avail ~seed ~count () =
   let deployed =
     List.filter_map
       (fun factory ->
-        Option.bind
-          (Sim.Runner.deploy_offline ~factory ~spec ())
-          (fun d ->
-            Option.map (fun p -> (d.Sim.Runner.name, p)) d.Sim.Runner.placement))
+        Option.map
+          (fun d -> (d.Sim.Runner.name, d.Sim.Runner.placement))
+          (Sim.Runner.deploy_offline ~factory ~spec ()))
       [ Heuristics.Greedy_global.strategy; Heuristics.Greedy_replica.strategy ]
   in
   let placements = rounded @ deployed in
@@ -1087,7 +1105,8 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
     match
       Sim.Runner.deploy_offline ~trace:cs.CS.trace ~factory ~spec:sim_spec ()
     with
-    | Some ({ Sim.Runner.placement = Some p; _ } as d) ->
+    | Some d ->
+      let p = d.Sim.Runner.placement in
       let a = Avail.Survive.assess perm p ~scenarios in
       let checks = Bounds.Avail_bound.k_failure_check perm p ~groups in
       let survived =
@@ -1100,7 +1119,7 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
         Sim.Runner.degradation_replay ~perm ~placement:p ~timeline ()
       in
       Some (d, a, survived, Array.length checks, replay)
-    | Some _ | None -> None
+    | None -> None
   in
   let assessed =
     List.filter_map Fun.id
@@ -1168,11 +1187,7 @@ let figavail ~seed ~scale ~scenarios:scenario_count ~jobs workload =
    go to stderr), so check.sh can [cmp] a run against a committed
    output byte for byte. *)
 let figscale ~seed ~objects ~check () =
-  let fail fmt =
-    incr violations;
-    Printf.printf "FAIL figscale: ";
-    Printf.kfprintf (fun oc -> output_char oc '\n') stdout fmt
-  in
+  let fail fmt = fail "figscale" fmt in
   let points = [ 0.9; 0.95; 0.99 ] in
   let scen = SS.make ~seed ~objects () in
   let spec = SS.qos_spec scen ~fraction:(List.hd points) in
@@ -1711,6 +1726,17 @@ let workload_t =
 
 let resolve_jobs jobs = if jobs <= 0 then Util.Parallel.default_jobs () else jobs
 
+(* Write the merged trace / metrics snapshot (no-op when neither --trace,
+   --metrics nor --profile was given). *)
+let flush_obs ~trace ~metrics =
+  Obs.Sink.flush ();
+  (match trace with
+  | Some file -> Printf.printf "wrote trace %s\n%!" file
+  | None -> ());
+  match metrics with
+  | Some file -> Printf.printf "wrote metrics %s\n%!" file
+  | None -> ()
+
 let run_figure f =
   let run verbose quick scale seed zeta csv_dir jobs inject journal_dir
       deadline cell_budget certify trace metrics profile task_timeout
@@ -1732,15 +1758,7 @@ let run_figure f =
           (f ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
              ~cell_budget_s ~certify w))
       workloads;
-    (* Write the merged trace / metrics snapshot (no-op when neither
-       --trace, --metrics nor --profile was given). *)
-    Obs.Sink.flush ();
-    (match trace with
-    | Some file -> Printf.printf "wrote trace %s\n%!" file
-    | None -> ());
-    (match metrics with
-    | Some file -> Printf.printf "wrote metrics %s\n%!" file
-    | None -> ());
+    flush_obs ~trace ~metrics;
     if !violations > 0 then exit 1
   in
   Term.(
@@ -1774,14 +1792,18 @@ let fig3_cmd =
            ~cell_budget_s ~certify w))
 
 let select_cmd =
+  let run verbose scale seed trace metrics profile workloads =
+    setup_logs verbose;
+    setup_obs ~trace ~metrics ~profile;
+    List.iter (selection ~scale ~seed) workloads;
+    flush_obs ~trace ~metrics
+  in
   Cmd.v
     (Cmd.info "select"
        ~doc:"Run the Section 6.1 selection methodology and print the ranking.")
-    (run_figure
-       (fun ?csv_dir:_ ?journal_dir:_ ~quick:_ ~scale ~seed ~zeta:_ ~jobs:_
-            ~deadline_s:_ ~cell_budget_s:_ ~certify:_ w ->
-         selection ~scale ~seed w;
-         []))
+    Term.(
+      const run $ verbose_t $ scale_t $ seed_t $ trace_t $ metrics_t
+      $ profile_t $ workload_t)
 
 let baselines_cmd =
   let run verbose scale seed =

@@ -18,51 +18,35 @@ type config = {
 }
 
 let make (cfg : config) : Strategy.factory =
-  let module M = struct
-    type state = {
-      ctx : Strategy.Context.t;
-      trace : Workload.Trace.t option;
-      intervals : int;
-    }
-
-    let name = cfg.label
-    let heuristic_class = cfg.cls
-    let init ctx = { ctx; trace = None; intervals = 0 }
-
-    let observe st (d : Strategy.delta) =
-      match d.Strategy.trace with
-      | None ->
-        invalid_arg (cfg.label ^ ": event-level strategy needs a trace")
-      | Some _ as trace -> { st with trace; intervals = d.Strategy.intervals }
-
-    let outcome st =
-      match st.trace with
-      | None -> invalid_arg (cfg.label ^ ": no workload observed yet")
-      | Some trace ->
-        let ctx = st.ctx in
-        let tlat_ms, _ = goal_parts ctx.Strategy.Context.goal in
-        Event_cache.simulate ~system:ctx.Strategy.Context.system ~trace
-          ~intervals:st.intervals ~costs:ctx.Strategy.Context.costs ~tlat_ms
-          ~capacity:ctx.Strategy.Context.parameter ~mode:cfg.mode
-          ~prefetch:cfg.prefetch ?placeable:ctx.Strategy.Context.placeable
-          ~policy:cfg.policy ()
-
-    let parameter_ceiling st =
-      match st.trace with
-      | None -> invalid_arg (cfg.label ^ ": no workload observed yet")
-      | Some trace -> Workload.Trace.object_count trace
-
-    let assess st =
-      let o = outcome st in
-      {
-        Strategy.cost = o.Event_cache.provisioned_cost;
-        worst_qos = Strategy.worst_qos o.Event_cache.qos;
-        meets_goal = meets st.ctx.Strategy.Context.goal o;
-        placement = o.Event_cache.placement;
-        detail = Strategy.Cache_outcome o;
-      }
-  end in
-  fun ctx -> Strategy.Instance ((module M), M.init ctx)
+ fun ctx ->
+  let trace (w : Strategy.workload) =
+    match w.Strategy.trace with
+    | Some trace -> trace
+    | None -> invalid_arg (cfg.label ^ ": event-level strategy needs a trace")
+  in
+  let tlat_ms, _ = goal_parts ctx.Strategy.Context.goal in
+  {
+    Strategy.name = cfg.label;
+    heuristic_class = cfg.cls;
+    parameter_ceiling = (fun w -> Workload.Trace.object_count (trace w));
+    assess =
+      (fun w ->
+        let o =
+          Event_cache.simulate ~system:ctx.Strategy.Context.system
+            ~trace:(trace w) ~intervals:w.Strategy.intervals
+            ~costs:ctx.Strategy.Context.costs ~tlat_ms
+            ~capacity:ctx.Strategy.Context.parameter ~mode:cfg.mode
+            ~prefetch:cfg.prefetch ?placeable:ctx.Strategy.Context.placeable
+            ~policy:cfg.policy ()
+        in
+        {
+          Strategy.cost = o.Event_cache.provisioned_cost;
+          worst_qos = Strategy.worst_qos o.Event_cache.qos;
+          meets_goal = meets ctx.Strategy.Context.goal o;
+          placement = o.Event_cache.placement;
+          detail = Strategy.Cache_outcome o;
+        });
+  }
 
 let reactive = Mcperf.Classes.allow_intra_interval_reaction
 

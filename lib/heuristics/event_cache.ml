@@ -39,53 +39,7 @@ let build_clusters latency ~nodes ~radius =
   loop ();
   cluster
 
-type write_policy = Update | Invalidate
-
-(* Wide end-of-interval snapshots: one bit per (node, object, interval),
-   packed node-major then object-major into a single byte string so the
-   interval count is bounded by memory, not by the word size. *)
-type snapshots = {
-  snap_nodes : int;
-  snap_objects : int;
-  snap_intervals : int;
-  snap_stride : int;  (* bytes per (node, object) row: ceil(intervals/8) *)
-  snap_bits : Bytes.t;
-}
-
-let snapshots_create ~nodes ~objects ~intervals =
-  let stride = (intervals + 7) / 8 in
-  {
-    snap_nodes = nodes;
-    snap_objects = objects;
-    snap_intervals = intervals;
-    snap_stride = stride;
-    snap_bits = Bytes.make (nodes * objects * stride) '\000';
-  }
-
-let snapshots_set s ~node ~object_id ~interval =
-  let base = ((node * s.snap_objects) + object_id) * s.snap_stride in
-  let i = base + (interval lsr 3) in
-  Bytes.unsafe_set s.snap_bits i
-    (Char.unsafe_chr
-       (Char.code (Bytes.unsafe_get s.snap_bits i) lor (1 lsl (interval land 7))))
-
-let held s ~node ~object_id ~interval =
-  if
-    node < 0 || node >= s.snap_nodes || object_id < 0
-    || object_id >= s.snap_objects || interval < 0
-    || interval >= s.snap_intervals
-  then invalid_arg "Event_cache.held: index out of bounds";
-  let base = ((node * s.snap_objects) + object_id) * s.snap_stride in
-  Char.code (Bytes.get s.snap_bits (base + (interval lsr 3)))
-  land (1 lsl (interval land 7))
-  <> 0
-
-(* The MC-PERF costing layer packs interval sets into a native int, so a
-   snapshot matrix in that form exists only up to this many intervals. *)
-let placement_interval_limit = 62
-
 type outcome = {
-  capacity : int;
   hits_local : int;
   hits_remote : int;
   misses : int;
@@ -93,23 +47,23 @@ type outcome = {
   qos : float array;
   avg_latency : float array;
   provisioned_cost : float;
-  occupancy_cost : float;
   write_messages : float;
-  placement : Mcperf.Costing.placement option;
-  snapshots : snapshots;
+  placement : Mcperf.Costing.placement;
 }
 
 let meets_qos outcome ~fraction =
   Array.for_all (fun q -> q >= fraction -. 1e-9) outcome.qos
 
 let simulate ~system ~trace ~intervals ~costs ~tlat_ms ~capacity ~mode
-    ?(prefetch = false) ?placeable ?(policy = Policy_cache.Lru)
-    ?(write_policy = Update) () =
+    ?(prefetch = false) ?placeable ?(policy = Policy_cache.Lru) () =
   let nodes = Topology.System.node_count system in
   if nodes > 62 then
     invalid_arg "Event_cache.simulate: at most 62 nodes supported";
   if capacity < 0 then invalid_arg "Event_cache.simulate: negative capacity";
-  if intervals <= 0 then invalid_arg "Event_cache.simulate: intervals must be positive";
+  if intervals <= 0 || intervals > Mcperf.Spec.max_intervals then
+    invalid_arg
+      (Printf.sprintf "Event_cache.simulate: intervals must be in 1..%d"
+         Mcperf.Spec.max_intervals);
   let origin = system.Topology.System.origin in
   let placeable =
     match placeable with
@@ -150,13 +104,11 @@ let simulate ~system ~trace ~intervals ~costs ~tlat_ms ~capacity ~mode
   let hits_local = ref 0 and hits_remote = ref 0 and misses = ref 0 in
   let covered = Array.make nodes 0 and totals = Array.make nodes 0 in
   let latency_sum = Array.make nodes 0. in
-  let occupancy = ref 0. in
   let write_messages = ref 0. in
-  (* End-of-interval snapshots of the cache contents (bit [i]: cached
-     when interval [i] closed) — the survivability layer re-prices these
-     under failure scenarios. Wide bit-packed, so long traces are not
-     bounded by the 62-interval MC-PERF placement word. *)
-  let snapshots = snapshots_create ~nodes ~objects ~intervals in
+  (* End-of-interval cache contents as an MC-PERF placement (bit [i]:
+     cached when interval [i] closed) — the survivability layer re-prices
+     it under failure scenarios. *)
+  let placement = Array.make_matrix nodes objects 0 in
   let interval_s = Workload.Trace.duration_s trace /. float_of_int intervals in
   let cache_insert n k =
     if n <> origin && placeable.(n) && capacity > 0 then begin
@@ -219,16 +171,12 @@ let simulate ~system ~trace ~intervals ~costs ~tlat_ms ~capacity ~mode
       end
     done
   in
-  (* Occupancy and placement are sampled together when an interval
-     closes. *)
   let sample_interval iv =
     for n = 0 to nodes - 1 do
-      if n <> origin then begin
-        occupancy := !occupancy +. float_of_int (Policy_cache.size caches.(n));
+      if n <> origin then
         List.iter
-          (fun k -> snapshots_set snapshots ~node:n ~object_id:k ~interval:iv)
+          (fun k -> placement.(n).(k) <- placement.(n).(k) lor (1 lsl iv))
           (Policy_cache.contents caches.(n))
-      end
     done
   in
   let current_interval = ref (-1) in
@@ -247,19 +195,11 @@ let simulate ~system ~trace ~intervals ~costs ~tlat_ms ~capacity ~mode
       enter_interval i;
       match kind with
       | Workload.Trace.Write ->
-        (* Writes reach every cached copy: either refreshing it in place
-           (update) or dropping it (invalidate). Either way one message
-           per copy is accounted when delta is charged. *)
+        (* Writes refresh every cached copy in place: one update message
+           per copy, accounted when delta is charged. *)
         let copies = ref 0 in
         for m = 0 to nodes - 1 do
-          if holders.(k) land (1 lsl m) <> 0 then begin
-            incr copies;
-            match write_policy with
-            | Invalidate ->
-              ignore (Policy_cache.remove caches.(m) k);
-              holders.(k) <- holders.(k) land lnot (1 lsl m)
-            | Update -> ()
-          end
+          if holders.(k) land (1 lsl m) <> 0 then incr copies
         done;
         write_messages := !write_messages +. float_of_int !copies
       | Workload.Trace.Read ->
@@ -329,24 +269,7 @@ let simulate ~system ~trace ~intervals ~costs ~tlat_ms ~capacity ~mode
     costs.Mcperf.Spec.beta *. float_of_int !insertions
   in
   let write_cost = costs.Mcperf.Spec.delta *. !write_messages in
-  (* The int-bitmask placement view exists only while the interval set
-     fits an MC-PERF placement word; longer traces keep the wide
-     snapshots and skip the re-pricing view. *)
-  let placement =
-    if intervals > placement_interval_limit then None
-    else
-      Some
-        (Array.init nodes (fun n ->
-             Array.init objects (fun k ->
-                 let mask = ref 0 in
-                 for iv = 0 to intervals - 1 do
-                   if held snapshots ~node:n ~object_id:k ~interval:iv then
-                     mask := !mask lor (1 lsl iv)
-                 done;
-                 !mask)))
-  in
   {
-    capacity;
     hits_local = !hits_local;
     hits_remote = !hits_remote;
     misses = !misses;
@@ -357,9 +280,6 @@ let simulate ~system ~trace ~intervals ~costs ~tlat_ms ~capacity ~mode
       (costs.Mcperf.Spec.alpha *. float_of_int capacity *. sites
       *. float_of_int intervals)
       +. creation_cost +. write_cost;
-    occupancy_cost =
-      (costs.Mcperf.Spec.alpha *. !occupancy) +. creation_cost +. write_cost;
     write_messages = !write_messages;
     placement;
-    snapshots;
   }

@@ -17,8 +17,8 @@
     Cost accounting mirrors the paper's case study: storage is the
     {e provisioned} capacity on every non-origin site for the full
     execution (α · C · sites · intervals — caching is a uniform
-    storage-constrained heuristic), creation is β per cache fill. The
-    occupancy-based storage cost is also reported for reference. *)
+    storage-constrained heuristic), creation is β per cache fill, and a
+    write refreshes every cached copy in place at δ per copy. *)
 
 type mode =
   | Local
@@ -32,26 +32,7 @@ type mode =
           cluster or the origin are cached locally. Cuts intra-cluster
           redundancy at the price of intra-cluster fetches. *)
 
-(** What a write does to existing cached copies:
-    - [Update]: every copy is refreshed in place (one message per copy —
-      the paper's update-cost term (12));
-    - [Invalidate]: copies are dropped (one invalidation message per
-      copy); subsequent reads miss and re-fetch, trading message size for
-      extra replica creations. *)
-type write_policy = Update | Invalidate
-
-type snapshots
-(** End-of-interval cache-content snapshots, bit-packed per
-    (node, object, interval). Unlike the MC-PERF placement word this
-    representation is bounded by memory, not by the native int width, so
-    long traces (any interval count) still record their placements. *)
-
-val held : snapshots -> node:int -> object_id:int -> interval:int -> bool
-(** Whether the node held the object when the interval closed. Raises
-    [Invalid_argument] on out-of-bounds indices. *)
-
 type outcome = {
-  capacity : int;
   hits_local : int;
   hits_remote : int;  (** served by a peer cache (cooperative only) *)
   misses : int;  (** served by the origin *)
@@ -59,18 +40,12 @@ type outcome = {
   qos : float array;  (** per node: fraction of reads served within tlat *)
   avg_latency : float array;  (** per node, ms *)
   provisioned_cost : float;
-  occupancy_cost : float;
   write_messages : float;  (** update messages sent to caches (delta > 0) *)
-  placement : Mcperf.Costing.placement option;
+  placement : Mcperf.Costing.placement;
       (** end-of-interval cache contents as MC-PERF placement bitmasks
           ([placement.(n).(k)] bit [i]: node [n] held object [k] when
           interval [i] closed) — what the availability layer re-prices
-          under failure scenarios. [Some] iff the run used at most 62
-          intervals (the costing layer packs interval sets into a native
-          int); longer traces only have the wide {!snapshots} view. *)
-  snapshots : snapshots;
-      (** the same end-of-interval contents, wide bit-packed — present at
-          every interval count; query with {!held} *)
+          under failure scenarios *)
 }
 
 val simulate :
@@ -84,15 +59,13 @@ val simulate :
   ?prefetch:bool ->
   ?placeable:bool array ->
   ?policy:Policy_cache.kind ->
-  ?write_policy:write_policy ->
   unit ->
   outcome
 (** Requires at most 62 nodes (the cooperative directory uses bitmask
-    holder sets), a positive interval count and [capacity >= 0] — raises
-    [Invalid_argument] otherwise. Any positive interval count is
-    supported: snapshots are wide bit-packed, and the int-bitmask
-    [placement] view is additionally produced when the count is at most
-    62. [placeable] limits which sites run a
+    holder sets), between 1 and {!Mcperf.Spec.max_intervals} intervals
+    (the placement packs an interval set into a native int, as the spec
+    does) and [capacity >= 0] — raises [Invalid_argument] otherwise.
+    [placeable] limits which sites run a
     cache (deployment scenario); non-placeable sites forward every access
     and pay no provisioned storage. [policy] selects the replacement
     policy (default [Lru]); all policies belong to the same heuristic

@@ -120,18 +120,12 @@ let place ~(perm : Mcperf.Permission.t) ~capacity () =
   placement
 
 let strategy =
-  Strategy.of_placement_rule
-    (module struct
-      let name = "greedy-global"
-      let heuristic_class = Mcperf.Classes.storage_constrained
-
-      let place perm ~parameter =
-        place ~perm ~capacity:(float_of_int parameter) ()
-
-      let parameter_ceiling (perm : Mcperf.Permission.t) =
-        let spec = perm.Mcperf.Permission.spec in
-        int_of_float
-          (Float.ceil
-             (Util.Vecops.sum
-                spec.Mcperf.Spec.demand.Workload.Demand.weight))
-    end)
+  Strategy.of_placement_rule ~name:"greedy-global"
+    ~heuristic_class:Mcperf.Classes.storage_constrained
+    ~place:(fun perm ~parameter ->
+      place ~perm ~capacity:(float_of_int parameter) ())
+    ~parameter_ceiling:(fun (perm : Mcperf.Permission.t) ->
+      let spec = perm.Mcperf.Permission.spec in
+      int_of_float
+        (Float.ceil
+           (Util.Vecops.sum spec.Mcperf.Spec.demand.Workload.Demand.weight)))

@@ -55,12 +55,8 @@ let place ~(perm : Mcperf.Permission.t) ~replicas () =
   placement
 
 let strategy =
-  Strategy.of_placement_rule
-    (module struct
-      let name = "greedy-replica"
-      let heuristic_class = Mcperf.Classes.replica_constrained_uniform
-      let place perm ~parameter = place ~perm ~replicas:parameter ()
-
-      let parameter_ceiling (perm : Mcperf.Permission.t) =
-        Mcperf.Spec.node_count perm.Mcperf.Permission.spec - 1
-    end)
+  Strategy.of_placement_rule ~name:"greedy-replica"
+    ~heuristic_class:Mcperf.Classes.replica_constrained_uniform
+    ~place:(fun perm ~parameter -> place ~perm ~replicas:parameter ())
+    ~parameter_ceiling:(fun (perm : Mcperf.Permission.t) ->
+      Mcperf.Spec.node_count perm.Mcperf.Permission.spec - 1)

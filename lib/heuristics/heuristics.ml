@@ -1,16 +1,16 @@
 (** Entry module of the heuristics library.
 
-    The strategy-object API is the front door: {!Strategy} defines the
-    module type, context and packed instances; {!Registry} lists the
-    built-in strategies; {!Cache_strategy} builds the event-level
-    (caching) strategies. The per-heuristic modules below expose their
-    placement rules and their {!Strategy.factory} instances; a deployment
-    goes through a factory, never through a per-module entry point.
+    The strategy API is the front door: {!Strategy} defines the
+    strategy record, its context and the workload it decides on;
+    {!Registry} lists the built-in strategies; {!Cache_strategy} builds
+    the event-level (caching) strategies. The per-heuristic modules
+    below expose their {!Strategy.factory} instances (the greedy ones
+    their placement rules too); a deployment goes through a factory,
+    never through a per-module entry point.
     {!Placement_baselines} only prices Qiu et al.'s fixed-replica
     baselines for the baselines comparison. *)
 
 module Strategy = Strategy
-module Context = Strategy.Context
 module Registry = Registry
 module Cache_strategy = Cache_strategy
 

@@ -18,7 +18,6 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Lru_cache.create: negative capacity";
   { cap = capacity; table = Hashtbl.create 64; head = None; tail = None; count = 0 }
 
-let capacity t = t.cap
 let size t = t.count
 let mem t k = Hashtbl.mem t.table k
 

@@ -9,7 +9,6 @@ type t
 val create : capacity:int -> t
 (** Requires [capacity >= 0]. *)
 
-val capacity : t -> int
 val size : t -> int
 
 val mem : t -> int -> bool

@@ -86,16 +86,6 @@ let insert t k =
       evicted
     end
 
-let remove t k =
-  match t with
-  | Lru_impl c -> Lru_cache.remove c k
-  | Table tb ->
-    if Hashtbl.mem tb.entries k then begin
-      Hashtbl.remove tb.entries k;
-      true
-    end
-    else false
-
 let contents = function
   | Lru_impl c -> Lru_cache.contents c
   | Table t -> Hashtbl.fold (fun k _ acc -> k :: acc) t.entries []

@@ -32,9 +32,5 @@ val insert : t -> int -> int option
     present object behaves like {!touch} and returns [None]. Capacity 0
     returns [Some k]. *)
 
-val remove : t -> int -> bool
-(** Remove a specific object (e.g. on invalidation); returns whether it
-    was present. *)
-
 val contents : t -> int list
 (** Cached objects, in an unspecified order. *)

@@ -114,6 +114,15 @@ let split_budget ~totals ~total =
     end
   end
 
+(* [place ~perm ~total_replicas ()] splits [total_replicas] across the
+   objects with demand (largest-remainder rounding of the weighted read
+   shares, at least one replica per demanded object when the budget
+   allows; with fewer replicas than demanded objects, the heaviest
+   objects win) and places each object's quota at its highest-scoring
+   permitted sites. A quota exceeding an object's permitted-site pool is
+   clamped and the surplus re-dealt to demanded objects with room left,
+   heaviest first, so a budget equal to the total pool saturates every
+   site. Deterministic: ties break towards lower node and object ids. *)
 let place ~(perm : Mcperf.Permission.t) ~total_replicas () =
   if total_replicas < 0 then
     invalid_arg "Proportional.place: negative total_replicas";
@@ -204,10 +213,7 @@ let budget_ceiling (perm : Mcperf.Permission.t) =
   !cap
 
 let strategy =
-  Strategy.of_placement_rule
-    (module struct
-      let name = "proportional"
-      let heuristic_class = Mcperf.Classes.general
-      let place perm ~parameter = place ~perm ~total_replicas:parameter ()
-      let parameter_ceiling = budget_ceiling
-    end)
+  Strategy.of_placement_rule ~name:"proportional"
+    ~heuristic_class:Mcperf.Classes.general
+    ~place:(fun perm ~parameter -> place ~perm ~total_replicas:parameter ())
+    ~parameter_ceiling:budget_ceiling

@@ -17,22 +17,6 @@
     with store support, so the heuristic respects its class's
     permissions. *)
 
-val place :
-  perm:Mcperf.Permission.t ->
-  total_replicas:int ->
-  unit ->
-  Mcperf.Costing.placement
-(** [place ~perm ~total_replicas ()] splits [total_replicas] across the
-    objects with demand (largest-remainder rounding of the weighted read
-    shares, at least one replica per demanded object when the budget
-    allows; with fewer replicas than demanded objects, the heaviest
-    objects win) and places each object's quota at its highest-scoring
-    permitted sites. A quota exceeding an object's permitted-site pool is
-    clamped and the surplus re-dealt to demanded objects with room left,
-    heaviest first, so a budget equal to the total pool saturates every
-    site. Deterministic: ties break towards lower node and object
-    ids. *)
-
 val strategy : Strategy.factory
 (** The heuristic as a strategy factory, placed and priced under the
     unconstrained general class: context parameter = total replica

@@ -1,18 +1,18 @@
-(** The strategy-object API: every deployed heuristic behind one
-    interface.
+(** The strategy API: every deployed heuristic behind one interface.
 
-    A strategy is a first-class module ({!S}) with an opaque state:
-    [init] builds the state from a {!Context.t} (topology, cost
-    parameters, performance goal, deployment restrictions, and the
-    heuristic's one provisioning parameter), [observe] folds in an epoch
-    of workload ({!delta}), and [assess] prices the current placement
-    decision (the verdict's [placement]). The offline runner
-    ({!Sim.Runner}) drives one observe over the whole trace; the online
-    engine ([Online.Engine]) drives one observe per epoch.
+    A strategy is a record of its name, its heuristic class and two pure
+    functions of the cumulative workload ({!workload}): the search
+    ceiling of its provisioning parameter and the price of its placement
+    decision (the verdict's [placement]). A {!factory} builds it from a
+    {!Context.t} (topology, cost parameters, performance goal,
+    deployment restrictions, and the heuristic's one provisioning
+    parameter). Each re-placement is a decision on the workload observed
+    so far, so a strategy keeps no state: {!Sim.Runner.deploy} searches
+    the minimal goal-meeting parameter on one workload, offline over the
+    whole trace and online once per epoch ([Online.Engine]).
 
-    Strategies are pure state machines: observing the same deltas in the
-    same order yields the same placement, which is what makes epoch
-    output byte-identical across worker counts. *)
+    The same workload and context always yield the same verdict, which
+    is what makes epoch output byte-identical across worker counts. *)
 
 module Context : sig
   type t = {
@@ -28,15 +28,9 @@ module Context : sig
             replica budget for proportional *)
   }
 
-  val make :
-    system:Topology.System.t ->
-    ?placeable:bool array ->
-    ?costs:Mcperf.Spec.costs ->
-    goal:Mcperf.Spec.goal ->
-    unit ->
-    t
-  (** Defaults: the paper's case-study costs. The parameter starts at 0;
-      {!with_parameter} sets it. *)
+  val make : system:Topology.System.t -> goal:Mcperf.Spec.goal -> unit -> t
+  (** The paper's case-study costs, every node placeable, parameter 0;
+      {!with_parameter} sets the parameter. *)
 
   val of_spec : ?placeable:bool array -> Mcperf.Spec.t -> t
   (** Context of an offline spec (same system/costs/goal), parameter 0. *)
@@ -46,21 +40,16 @@ module Context : sig
       min-feasible search explores the knob. *)
 end
 
-type delta = {
-  epoch : int;  (** 0-based epoch index *)
-  start_interval : int;  (** first interval this epoch contributes *)
-  intervals : int;  (** cumulative interval count after this epoch *)
+type workload = {
+  intervals : int;  (** cumulative interval count *)
   demand : Workload.Demand.t;  (** cumulative interval-bucketed demand *)
-  chunk : Workload.Trace.t option;
-      (** this epoch's events alone (absolute times); [None] when the
-          driver only has interval-level demand *)
   trace : Workload.Trace.t option;
       (** cumulative event trace; required by event-level (caching)
           strategies, optional for interval-level ones *)
 }
 
-val delta_of_spec : ?trace:Workload.Trace.t -> Mcperf.Spec.t -> delta
-(** The offline case as a single epoch covering the whole horizon. *)
+val workload_of_spec : ?trace:Workload.Trace.t -> Mcperf.Spec.t -> workload
+(** The offline case: the spec's whole horizon. *)
 
 type detail =
   | Evaluation of Mcperf.Costing.evaluation
@@ -72,58 +61,39 @@ type verdict = {
   cost : float;
   worst_qos : float;
   meets_goal : bool;
-  placement : Mcperf.Costing.placement option;
-      (** [None] only for cache runs past the 62-interval bitmask limit *)
+  placement : Mcperf.Costing.placement;
   detail : detail;
 }
 
-module type S = sig
-  type state
+type t = {
+  name : string;
+  heuristic_class : Mcperf.Classes.t;
+      (** The heuristic class whose lower bound this strategy is compared
+          against (the paper's Table 3 pairing). *)
+  parameter_ceiling : workload -> int;
+      (** Largest provisioning parameter worth trying on the workload —
+          the search's upper bound. *)
+  assess : workload -> verdict;
+      (** The placement decision at the context's parameter, priced. *)
+}
 
-  val name : string
+type factory = Context.t -> t
 
-  val heuristic_class : Mcperf.Classes.t
-  (** The heuristic class whose lower bound this strategy is compared
-      against (the paper's Table 3 pairing). *)
-
-  val init : Context.t -> state
-  val observe : state -> delta -> state
-
-  val parameter_ceiling : state -> int
-  (** Largest provisioning parameter worth trying on the observed
-      workload — the search's upper bound. *)
-
-  val assess : state -> verdict
-  (** Raises [Invalid_argument] before any workload is observed. *)
-end
-
-type instance = Instance : (module S with type state = 's) * 's -> instance
-(** A strategy packed with its state; the only shape drivers handle. *)
-
-type factory = Context.t -> instance
-
-val name : instance -> string
-val heuristic_class : instance -> Mcperf.Classes.t
-val observe : instance -> delta -> instance
-val parameter_ceiling : instance -> int
-val assess : instance -> verdict
+val heuristic_class : t -> Mcperf.Classes.t
 
 val worst_qos : float array -> float
 (** Minimum per-node QoS, 1. when empty (the runner's reporting
     convention). *)
 
+val of_placement_rule :
+  name:string ->
+  heuristic_class:Mcperf.Classes.t ->
+  place:(Mcperf.Permission.t -> parameter:int -> Mcperf.Costing.placement) ->
+  parameter_ceiling:(Mcperf.Permission.t -> int) ->
+  factory
 (** Adapter for the interval-level placement heuristics: supply the raw
-    placement rule and its class; the adapter rebuilds the spec from the
-    latest cumulative demand and prices placements through
-    {!Mcperf.Costing.evaluate} under the rule's class. *)
-module type PLACEMENT_RULE = sig
-  val name : string
-  val heuristic_class : Mcperf.Classes.t
-  val place : Mcperf.Permission.t -> parameter:int -> Mcperf.Costing.placement
-
-  val parameter_ceiling : Mcperf.Permission.t -> int
-  (** Search ceiling, given the class permissions on the observed
-      workload (the permission record carries the spec). *)
-end
-
-val of_placement_rule : (module PLACEMENT_RULE) -> factory
+    placement rule, its search ceiling (given the class permissions on
+    the workload; the permission record carries the spec) and its class.
+    The adapter builds the spec from the workload's demand and prices
+    placements through {!Mcperf.Costing.evaluate} under the rule's
+    class. *)

@@ -11,7 +11,6 @@ type t = {
   valuest : float array;
 }
 
-let rows t = t.nrows
 let nnz t = Array.length t.values
 
 (* Construction is a chain of counting sorts — no hashing, no polymorphic
@@ -164,14 +163,6 @@ let mul_t t x y =
     done;
     Array.unsafe_set y j !acc
   done
-
-let row t i =
-  if i < 0 || i >= t.nrows then invalid_arg "Sparse.row: index out of range";
-  Array.init
-    (t.row_ptr.(i + 1) - t.row_ptr.(i))
-    (fun k ->
-      let p = t.row_ptr.(i) + k in
-      (t.col_idx.(p), t.values.(p)))
 
 let row_abs_sums t =
   Array.init t.nrows (fun i ->

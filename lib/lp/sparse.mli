@@ -7,7 +7,6 @@
 
 type t
 
-val rows : t -> int
 val nnz : t -> int
 
 val of_row_list : rows:int -> cols:int -> (int * float) list array -> t
@@ -26,9 +25,6 @@ val mul : t -> float array -> float array -> unit
 val mul_t : t -> float array -> float array -> unit
 (** [mul_t a x y] computes [y <- A^T x]. Requires [length x = rows],
     [length y = cols]. *)
-
-val row : t -> int -> (int * float) array
-(** Entries of one row (shared, do not mutate). *)
 
 val row_abs_sums : t -> float array
 (** Per-row sums of absolute values (PDHG preconditioner). *)

@@ -106,41 +106,3 @@ let catalogue =
 let allow_intra_interval_reaction c =
   if c.intra_interval then c
   else { c with name = c.name ^ "@access"; intra_interval = true }
-
-let pp ppf c =
-  let storage =
-    match c.storage with
-    | Sc_none -> "none"
-    | Sc_uniform -> "uniform"
-    | Sc_per_node -> "per-node"
-  in
-  let replicas =
-    match c.replicas with
-    | Rc_none -> "none"
-    | Rc_uniform -> "uniform"
-    | Rc_per_object -> "per-object"
-  in
-  let routing =
-    match c.routing with
-    | Topology.System.Route_local -> "local"
-    | Topology.System.Route_global -> "global"
-    | Topology.System.Route_custom _ -> "custom"
-  in
-  let knowledge =
-    match c.knowledge with
-    | Topology.System.Know_local -> "local"
-    | Topology.System.Know_global -> "global"
-    | Topology.System.Know_custom _ -> "custom"
-  in
-  let history =
-    match c.history with
-    | All_intervals -> "all"
-    | Window w -> Printf.sprintf "window:%d" w
-  in
-  let timing =
-    match c.timing with Proactive -> "proactive" | Reactive -> "reactive"
-  in
-  Format.fprintf ppf
-    "%s (SC=%s, RC=%s, route=%s, know=%s, hist=%s, %s%s)" c.name storage
-    replicas routing knowledge history timing
-    (if c.intra_interval then ", per-access" else "")

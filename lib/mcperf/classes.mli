@@ -96,5 +96,3 @@ val catalogue : t list
 val allow_intra_interval_reaction : t -> t
 (** Enable the per-access reactive refinement (no effect on proactive
     classes). The name is suffixed with ["@access"]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,6 +56,5 @@ val store_placement : t -> float array -> float array array array
     the support are 0). Convenience for the rounding algorithm. *)
 
 val var_count : t -> int
-val row_count : t -> int
 
 val pp_stats : Format.formatter -> t -> unit

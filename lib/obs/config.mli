@@ -16,7 +16,7 @@
 
 type sink_spec =
   | Null  (** discard trace events (still counted when tracing) *)
-  | Memory  (** keep events in memory; read back with {!Sink.events} *)
+  | Memory  (** keep events in memory; read back with {!Trace.events} *)
   | Jsonl_file of string  (** append-on-flush JSONL trace file *)
 
 type t = {

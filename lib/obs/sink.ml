@@ -22,7 +22,6 @@ let absorb_payload s =
     match delta with None -> () | Some d -> Metrics.absorb d
   end
 
-let events () = Trace.events ()
 
 let write_atomic path body =
   let dir = Filename.dirname path in

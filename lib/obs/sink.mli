@@ -4,7 +4,8 @@
     - [Null] — events are buffered and then discarded on {!flush};
       recording still happens so determinism checks can compare traced
       and untraced runs.
-    - [Memory] — events stay readable via {!events} after {!flush}.
+    - [Memory] — events stay readable via {!Trace.events} after
+      {!flush}.
     - [Jsonl_file f] — {!flush} writes the merged trace to [f], one
       JSON object per line, in deterministic [(scope, seq)] order.
 
@@ -23,10 +24,6 @@ val absorb_payload : string -> unit
 (** Merge a {!payload} from a worker (parent side).  [""] is a no-op.
     Absorbing the same worker buffer twice would double-count, so the
     pool only absorbs payloads of {e accepted} task completions. *)
-
-val events : unit -> Trace.event list
-(** Merged in-memory events (see {!Trace.events}); what [Memory] keeps
-    and [Jsonl_file] writes. *)
 
 val flush : unit -> unit
 (** Send buffered data to the configured backends: the trace to

@@ -48,7 +48,6 @@ type t = {
   config : config;
   mutable incr : Workload.Incremental.t;
   mutable trace : Workload.Trace.t option;
-  mutable deltas : Heuristics.Strategy.delta list;  (** newest first *)
   mutable epochs : epoch list;  (** newest first *)
 }
 
@@ -64,7 +63,6 @@ let create config =
         ~nodes:(Topology.System.node_count config.system)
         ~interval_s:config.interval_s;
     trace = None;
-    deltas = [];
     epochs = [];
   }
 
@@ -77,43 +75,23 @@ let m_decisions = lazy (Obs.Metrics.counter "online.decisions")
 let m_solves = lazy (Obs.Metrics.counter "online.bound_solves")
 let m_regret = lazy (Obs.Metrics.histogram "online.regret")
 
-(* One strategy's minimal-feasible deployment on everything observed so
-   far: a pure function of (factory, deltas, ctx). *)
-let search_one (cfg : config) deltas (label, factory) =
-  let module S = Heuristics.Strategy in
-  let ctx = S.Context.make ~system:cfg.system ~goal:cfg.goal () in
-  let at p =
-    List.fold_left S.observe
-      (factory (S.Context.with_parameter ctx p))
-      (List.rev deltas)
-  in
+(* One strategy's minimal goal-meeting deployment on the cumulative
+   workload, through the offline runner's search. *)
+let decide ctx workload (label, factory) =
   let class_name =
-    (S.heuristic_class (factory ctx)).Mcperf.Classes.name
+    (Heuristics.Strategy.heuristic_class (factory ctx)).Mcperf.Classes.name
   in
-  let hi = S.parameter_ceiling (at 0) in
-  let feasible p = (S.assess (at p)).S.meets_goal in
-  match Sim.Search.min_feasible_int ~lo:0 ~hi feasible with
-  | None ->
-    {
-      strategy = label;
-      class_name;
-      parameter = None;
-      cost = None;
-      worst_qos = None;
-      bound = None;
-      regret = None;
-    }
-  | Some p ->
-    let v = S.assess (at p) in
-    {
-      strategy = label;
-      class_name;
-      parameter = Some p;
-      cost = Some v.S.cost;
-      worst_qos = Some v.S.worst_qos;
-      bound = None;
-      regret = None;
-    }
+  let d = Sim.Runner.deploy ~factory ~ctx ~workload () in
+  let field f = Option.map f d in
+  {
+    strategy = label;
+    class_name;
+    parameter = field (fun d -> d.Sim.Runner.parameter);
+    cost = field (fun d -> d.Sim.Runner.cost);
+    worst_qos = field (fun d -> d.Sim.Runner.worst_qos);
+    bound = None;
+    regret = None;
+  }
 
 let feed t chunk =
   let cfg = t.config in
@@ -140,7 +118,6 @@ let feed t chunk =
     epoch
   in
   match
-    let start_interval = Workload.Incremental.intervals t.incr in
     let incr = Workload.Incremental.extend t.incr chunk in
     let trace =
       match t.trace with
@@ -149,29 +126,20 @@ let feed t chunk =
     in
     t.incr <- incr;
     t.trace <- Some trace;
-    let intervals = Workload.Incremental.intervals incr in
-    let delta =
-      {
-        Heuristics.Strategy.epoch = index;
-        start_interval;
-        intervals;
-        demand = Workload.Incremental.demand incr;
-        chunk = Some chunk;
-        trace = Some trace;
-      }
-    in
-    (incr, delta)
+    {
+      Heuristics.Strategy.intervals = Workload.Incremental.intervals incr;
+      demand = Workload.Incremental.demand incr;
+      trace = Some trace;
+    }
   with
   | exception e ->
     Obs.Trace.span_end sp ~attrs:[ ("error", Obs.Trace.Bool true) ];
     raise e
-  | incr, delta ->
-    let intervals = Workload.Incremental.intervals incr in
-    let demand = Workload.Incremental.demand incr in
-    t.deltas <- delta :: t.deltas;
-    let total_events = Workload.Incremental.events incr in
+  | workload ->
+    let { Heuristics.Strategy.intervals; demand; _ } = workload in
+    let total_events = Workload.Incremental.events t.incr in
     let working_set =
-      Workload.Incremental.working_set incr ~window:cfg.epoch_intervals
+      Workload.Incremental.working_set t.incr ~window:cfg.epoch_intervals
     in
     if Workload.Demand.total_reads demand <= 0. then
       (* Nothing to place or bound yet: a warm-up epoch. *)
@@ -189,20 +157,18 @@ let feed t chunk =
         }
     else begin
       let spec = Mcperf.Spec.make ~system:cfg.system ~demand ~goal:cfg.goal () in
+      let ctx =
+        Heuristics.Strategy.Context.make ~system:cfg.system ~goal:cfg.goal ()
+      in
       let t0 = Unix.gettimeofday () in
-      let searches = List.map (search_one cfg t.deltas) cfg.strategies in
+      let searches = List.map (decide ctx workload) cfg.strategies in
       let t1 = Unix.gettimeofday () in
       (* One class bound per distinct class among the strategies, each
-         the offline bound of everything observed so far. *)
+         the offline bound of the cumulative workload. *)
       let classes =
         List.fold_left
           (fun acc (_, factory) ->
-            let cls =
-              Heuristics.Strategy.heuristic_class
-                (factory
-                   (Heuristics.Strategy.Context.make ~system:cfg.system
-                      ~goal:cfg.goal ()))
-            in
+            let cls = Heuristics.Strategy.heuristic_class (factory ctx) in
             if List.exists (fun c -> c.Mcperf.Classes.name = cls.Mcperf.Classes.name) acc
             then acc
             else acc @ [ cls ])

@@ -5,10 +5,10 @@
     folds each chunk into an incremental cumulative state
     ({!Workload.Incremental} + {!Workload.Trace.extend}), and per epoch:
 
-    + asks every registered {!Heuristics.Strategy.factory} for its
-      minimal goal-meeting deployment over everything observed so far
-      (the same minimal-parameter search {!Sim.Runner.deploy} runs
-      offline);
+    + deploys every registered {!Heuristics.Strategy.factory} with
+      {!Sim.Runner.deploy} on everything observed so far (the
+      cumulative {!Heuristics.Strategy.workload}), so each decision is
+      the offline deployment of that workload;
     + solves one class lower bound per distinct heuristic class with
       {!Bounds.Pipeline.compute} on the cumulative spec, from scratch —
       no solver state passes between epochs, so an epoch's bound is the

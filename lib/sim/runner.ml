@@ -1,14 +1,10 @@
-type detail =
-  | Cache of Heuristics.Event_cache.outcome
-  | Placement of Mcperf.Costing.evaluation
-
 type deployed = {
   name : string;
   parameter : int;
   cost : float;
   worst_qos : float;
-  detail : detail;
-  placement : Mcperf.Costing.placement option;
+  detail : Heuristics.Strategy.detail;
+  placement : Mcperf.Costing.placement;
 }
 
 (* Every heuristic run gets a span tagged with its name and, on success,
@@ -39,37 +35,35 @@ let with_run_obs name f =
     Obs.Trace.span_end sp;
     raise e
 
-(* The single deployment path: every heuristic is a strategy instance,
-   and a deployment is the minimal provisioning parameter whose verdict
-   meets the goal. *)
-let deploy ~(factory : Heuristics.Strategy.factory) ~ctx ~delta () =
+(* The single deployment path: every heuristic is a strategy, and a
+   deployment is the minimal provisioning parameter whose verdict on the
+   workload meets the goal. *)
+let deploy ~(factory : Heuristics.Strategy.factory) ~ctx ~workload () =
   let module S = Heuristics.Strategy in
-  let at p = S.observe (factory (S.Context.with_parameter ctx p)) delta in
-  let name = S.name (factory ctx) in
+  let at p = factory (S.Context.with_parameter ctx p) in
+  let name = (factory ctx).S.name in
   with_run_obs name @@ fun () ->
-  let hi = S.parameter_ceiling (at 0) in
-  let feasible p = (S.assess (at p)).S.meets_goal in
+  let hi = (at 0).S.parameter_ceiling workload in
+  let assess p = (at p).S.assess workload in
+  let feasible p = (assess p).S.meets_goal in
   match Search.min_feasible_int ~lo:0 ~hi feasible with
   | None -> None
   | Some parameter ->
-    let v = S.assess (at parameter) in
+    let v = assess parameter in
     Some
       {
         name;
         parameter;
         cost = v.S.cost;
         worst_qos = v.S.worst_qos;
-        detail =
-          (match v.S.detail with
-          | S.Evaluation e -> Placement e
-          | S.Cache_outcome o -> Cache o);
+        detail = v.S.detail;
         placement = v.S.placement;
       }
 
 let deploy_offline ?placeable ?trace ~factory ~spec () =
   deploy ~factory
     ~ctx:(Heuristics.Strategy.Context.of_spec ?placeable spec)
-    ~delta:(Heuristics.Strategy.delta_of_spec ?trace spec)
+    ~workload:(Heuristics.Strategy.workload_of_spec ?trace spec)
     ()
 
 let greedy_replica ~spec () =

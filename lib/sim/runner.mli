@@ -5,11 +5,12 @@
     There is one route: {!deploy} (or {!deploy_offline} on a spec) with a
     {!Heuristics.Strategy.factory}, taken from a heuristic module (e.g.
     [Heuristics.Greedy_global.strategy]) or from
-    {!Heuristics.Registry.builtin}. Caching heuristics are simulated at
-    event granularity on the request trace; the centralized greedy
-    heuristics place at interval granularity on the bucketed demand and
-    are costed by {!Mcperf.Costing} under their class, so their costs are
-    directly comparable to the class lower bounds.
+    {!Heuristics.Registry.builtin}; the online engine ([Online.Engine])
+    calls {!deploy} once per strategy and epoch. Caching heuristics are
+    simulated at event granularity on the request trace; the centralized
+    greedy heuristics place at interval granularity on the bucketed
+    demand and are costed by {!Mcperf.Costing} under their class, so
+    their costs are directly comparable to the class lower bounds.
 
     Every entry point runs sequentially in the calling process: one
     deployment is one bisection ({!Search}), and one replay one pass over
@@ -17,19 +18,15 @@
     deployments — a figure's QoS points, or one task per heuristic — with
     {!Util.Parallel}. *)
 
-type detail =
-  | Cache of Heuristics.Event_cache.outcome
-  | Placement of Mcperf.Costing.evaluation
-
 type deployed = {
   name : string;
   parameter : int;  (** capacity (objects) or replication factor *)
   cost : float;
   worst_qos : float;  (** min per-user QoS achieved *)
-  detail : detail;
-  placement : Mcperf.Costing.placement option;
+  detail : Heuristics.Strategy.detail;
+  placement : Mcperf.Costing.placement;
       (** the interval-granularity placement the deployment settled on —
-          cache heuristics report their end-of-interval snapshots, the
+          cache heuristics report their end-of-interval contents, the
           greedy heuristics their placed replicas — so every deployed
           heuristic can be re-priced under failure scenarios
           ({!Avail.Survive}, {!degradation_replay}) *)
@@ -38,14 +35,14 @@ type deployed = {
 val deploy :
   factory:Heuristics.Strategy.factory ->
   ctx:Heuristics.Strategy.Context.t ->
-  delta:Heuristics.Strategy.delta ->
+  workload:Heuristics.Strategy.workload ->
   unit ->
   deployed option
-(** The deployment path: instantiate the strategy at candidate
-    parameters (the context's [parameter] field is the knob), fold in the
-    workload delta, and find the minimal parameter whose verdict meets
-    the goal. [None] when even the strategy's own parameter ceiling
-    fails. *)
+(** The deployment path, offline and online alike: build the strategy at
+    candidate parameters (the context's [parameter] field is the knob),
+    assess each on the workload, and find the minimal parameter whose
+    verdict meets the goal. [None] when even the strategy's own
+    parameter ceiling fails. *)
 
 val deploy_offline :
   ?placeable:bool array ->
@@ -54,8 +51,8 @@ val deploy_offline :
   spec:Mcperf.Spec.t ->
   unit ->
   deployed option
-(** [deploy] on the offline single-epoch delta of a spec ([trace] is
-    required by event-level strategies). *)
+(** [deploy] on the spec's whole horizon ([trace] is required by
+    event-level strategies). *)
 
 val greedy_replica : spec:Mcperf.Spec.t -> unit -> deployed option
 (** [deploy_offline ~factory:Heuristics.Greedy_replica.strategy]: the

@@ -44,9 +44,6 @@ let reads t = t.reads
 let writes t = t.writes
 let object_count t = Array.length t.object_reads
 
-let last_read_interval t k =
-  if t.last_read.(k) < 0 then None else Some t.last_read.(k)
-
 let first_read_interval t k =
   if t.first_read.(k) < 0 then None else Some t.first_read.(k)
 

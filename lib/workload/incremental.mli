@@ -35,7 +35,6 @@ val writes : t -> int
 val object_count : t -> int
 
 val first_read_interval : t -> int -> int option
-val last_read_interval : t -> int -> int option
 
 val working_set : t -> window:int -> int
 (** Objects whose last read falls within the trailing [window] intervals. *)

@@ -103,21 +103,6 @@ let extend t delta =
       kinds = Array.append t.kinds delta.kinds;
     }
 
-let append t1 t2 =
-  if t2.nodes <> t1.nodes then
-    invalid_arg "Trace.append: node counts differ";
-  let shifted = Array.map (fun x -> x +. t1.duration_s) t2.times in
-  validate
-    {
-      nodes = t1.nodes;
-      objects = max t1.objects t2.objects;
-      duration_s = t1.duration_s +. t2.duration_s;
-      times = Array.append t1.times shifted;
-      event_nodes = Array.append t1.event_nodes t2.event_nodes;
-      event_objects = Array.append t1.event_objects t2.event_objects;
-      kinds = Array.append t1.kinds t2.kinds;
-    }
-
 let count_kind t k =
   Array.fold_left (fun acc kd -> if kd = k then acc + 1 else acc) 0 t.kinds
 

@@ -58,11 +58,6 @@ val extend : t -> t -> t
     new, longer horizon. Node counts must match; the object universe may
     grow. Inverse of slicing a long trace into prefix + {!sub} suffix. *)
 
-val append : t -> t -> t
-(** [append t1 t2] concatenates two standalone traces, shifting [t2]'s
-    times by [t1]'s duration. Node counts must match; the object
-    universe is the larger of the two. *)
-
 val read_count : t -> int
 val write_count : t -> int
 

@@ -39,7 +39,6 @@ let save t ~path =
 
 type error = Util.Parse_error.t = { file : string; line : int; msg : string }
 
-let pp_error = Util.Parse_error.pp
 let error_to_string = Util.Parse_error.to_string
 
 (* Internal parse abort: line 0 means the failure is not tied to a

@@ -36,7 +36,6 @@ type error = Util.Parse_error.t = {
 (** Shared structured parse failure (see {!Util.Parse_error}); the
     re-export keeps field access working without opening [Util]. *)
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val of_string_result : string -> (Trace.t, error) result

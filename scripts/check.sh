@@ -157,9 +157,10 @@ echo "figavail stage OK: $(grep -c ' steps$' "$figavaildir/j1.out") heuristics r
 # mid-run (125) or a run that checks nothing and passes. serve has no
 # --jobs: its epochs run in one process, and no warm-start switch: every
 # epoch bound is solved cold. Its goal flags take exactly what the cost
-# model accepts, so NaN is a usage error too. There is no worker subcommand,
-# no flag naming remote workers and no network fault kind: the pool is
-# local only.
+# model accepts, so NaN is a usage error too. select runs no sweep, so it
+# takes only the tracing flags, never the sweep ones. There is no worker
+# subcommand, no flag naming remote workers and no network fault kind:
+# the pool is local only.
 echo "== usage stage: out-of-range flags are usage errors =="
 expect_usage_error() {
   status=0
@@ -175,6 +176,9 @@ expect_usage_error serve --no-warm
 expect_usage_error serve --fraction 1.5
 expect_usage_error serve --fraction nan
 expect_usage_error serve --tlat nan
+expect_usage_error select --jobs 2
+expect_usage_error select --certify
+expect_usage_error select --deadline 5
 expect_usage_error worker --listen 0
 expect_usage_error fig2 --workers 127.0.0.1:1
 expect_usage_error fig2 --inject drop=0.1

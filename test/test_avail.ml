@@ -27,17 +27,12 @@ let nodes = Topology.System.node_count sys
 let scenarios =
   Avail.Scenario.sample_all Avail.Scenario.default sys ~groups
 
-let deployed =
+let placement =
   match
     Sim.Runner.deploy_offline ~factory:Heuristics.Greedy_global.strategy ~spec ()
   with
-  | Some d -> d
+  | Some d -> d.Sim.Runner.placement
   | None -> Alcotest.fail "fixture: greedy-global found no feasible placement"
-
-let placement =
-  match deployed.Sim.Runner.placement with
-  | Some p -> p
-  | None -> Alcotest.fail "fixture: deployment carries no placement"
 
 let base = lazy (Mcperf.Costing.evaluate perm placement)
 

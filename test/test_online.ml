@@ -181,10 +181,12 @@ let test_regret_nonnegative () =
   Alcotest.(check bool) "some regrets reported" true (!seen > 0);
   Alcotest.(check bool) "bounds were solved" true (E.bound_solves t > 0)
 
-(* The online bound is the offline bound: over a random case-study
+(* The online decision is the offline decision: over a random case-study
    seed, epoch size and QoS fraction, every epoch's class bounds equal
-   [Pipeline.compute] on that epoch's cumulative spec, rebuilt here by
-   folding the chunks through [Incremental] independently of the engine,
+   [Pipeline.compute] and every epoch's decisions equal
+   [Runner.deploy_offline] (parameter, cost and worst QoS) on that
+   epoch's cumulative spec and trace, rebuilt here by folding the chunks
+   through [Incremental] and [Trace.extend] independently of the engine;
    and every regret is nonnegative. *)
 let prop_online_bound_is_offline_bound =
   let horizon = 6 in
@@ -204,6 +206,7 @@ let prop_online_bound_is_offline_bound =
         [
           ("greedy-global", Heuristics.Greedy_global.strategy);
           ("greedy-replica", Heuristics.Greedy_replica.strategy);
+          ("lru-caching", Heuristics.Cache_strategy.lru);
         ]
       in
       let _, epochs =
@@ -221,23 +224,40 @@ let prop_online_bound_is_offline_bound =
             (cls.Mcperf.Classes.name, cls))
           strategies
       in
-      let demands =
+      (* (cumulative demand, cumulative trace) after each chunk *)
+      let cumulative =
         List.rev
           (snd
              (List.fold_left
-                (fun (incr, acc) chunk ->
+                (fun ((incr, trace), acc) chunk ->
                   let incr = Workload.Incremental.extend incr chunk in
-                  (incr, Workload.Incremental.demand incr :: acc))
-                ( Workload.Incremental.create
-                    ~nodes:(Topology.System.node_count system)
-                    ~interval_s,
+                  let trace =
+                    match trace with
+                    | None -> chunk
+                    | Some t -> Workload.Trace.extend t chunk
+                  in
+                  ( (incr, Some trace),
+                    (Workload.Incremental.demand incr, trace) :: acc ))
+                ( ( Workload.Incremental.create
+                      ~nodes:(Topology.System.node_count system)
+                      ~interval_s,
+                    None ),
                   [] )
                 (E.chunks ~interval_s ~epoch_intervals:k cs.CS.trace)))
       in
-      List.length demands = List.length epochs
+      let offline_matches ~trace spec (label, factory) (d : E.decision) =
+        let o = Sim.Runner.deploy_offline ~trace ~factory ~spec () in
+        let field f = Option.map f o in
+        d.E.strategy = label
+        && d.E.parameter = field (fun o -> o.Sim.Runner.parameter)
+        && d.E.cost = field (fun o -> o.Sim.Runner.cost)
+        && d.E.worst_qos = field (fun o -> o.Sim.Runner.worst_qos)
+      in
+      List.length cumulative = List.length epochs
       && List.for_all2
-           (fun (e : E.epoch) demand ->
-             if Workload.Demand.total_reads demand <= 0. then e.E.bounds = []
+           (fun (e : E.epoch) (demand, trace) ->
+             if Workload.Demand.total_reads demand <= 0. then
+               e.E.bounds = [] && e.E.decisions = []
              else
                let spec = Mcperf.Spec.make ~system ~demand ~goal () in
                List.map fst e.E.bounds = List.map fst classes
@@ -245,13 +265,17 @@ let prop_online_bound_is_offline_bound =
                     (fun (name, r) ->
                       r = Bounds.Pipeline.compute spec (List.assoc name classes))
                     e.E.bounds
+               && List.length e.E.decisions = List.length strategies
+               && List.for_all2
+                    (offline_matches ~trace spec)
+                    strategies e.E.decisions
                && List.for_all
                     (fun (d : E.decision) ->
                       match d.E.regret with
                       | Some r -> r >= -1e-9
                       | None -> true)
                     e.E.decisions)
-           epochs demands)
+           epochs cumulative)
 
 (* --- engine stream edge cases --------------------------------------------- *)
 

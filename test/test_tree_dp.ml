@@ -369,8 +369,8 @@ let test_sandwich () =
       | Some d ->
         let ev =
           match d.Sim.Runner.detail with
-          | Sim.Runner.Placement ev -> ev
-          | Sim.Runner.Cache _ ->
+          | Heuristics.Strategy.Evaluation ev -> ev
+          | Heuristics.Strategy.Cache_outcome _ ->
             Alcotest.failf "%s" (name "proportional deployed a cache")
         in
         Alcotest.(check bool)
