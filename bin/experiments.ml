@@ -1393,42 +1393,30 @@ let baselines ~scale ~seed () =
 
 (* --- serve: the epoch-driven online placement service --------------------- *)
 
-let serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms ~strategies
-    () =
-  let system, trace, label =
-    match source with
-    | `Synthetic (w, scale, seed) ->
-      let cs = CS.make ~seed ~scale w in
-      (cs.CS.system, cs.CS.trace, CS.workload_name w)
-    | `Replay (trace_file, topo_file) ->
-      let system =
-        match Topology.Topo_io.load_system_result ~path:topo_file with
-        | Ok s -> s
-        | Error e -> failwith (Util.Parse_error.to_string e)
-      in
-      let trace =
-        match Workload.Trace_io.load_result ~path:trace_file with
-        | Ok t -> t
-        | Error e -> failwith (Util.Parse_error.to_string e)
-      in
-      (system, trace, Filename.basename trace_file)
-  in
-  if Workload.Trace.node_count trace <> Topology.System.node_count system then
-    failwith "serve: trace and topology disagree on node count";
+(* The system, trace and label a replay serves, or the one-line defect of
+   the file that stops it. *)
+let load_replay ~trace_file ~topo_file =
+  match Topology.Topo_io.load_system_result ~path:topo_file with
+  | Error e -> Error (Util.Parse_error.to_string e)
+  | Ok system -> (
+    match Workload.Trace_io.load_result ~path:trace_file with
+    | Error e -> Error (Util.Parse_error.to_string e)
+    | Ok trace ->
+      let nt = Workload.Trace.node_count trace
+      and ns = Topology.System.node_count system in
+      if nt <> ns then
+        Error
+          (Printf.sprintf "%s: %d nodes, but the topology %s has %d"
+             trace_file nt topo_file ns)
+      else Ok (system, trace, Filename.basename trace_file))
+
+let serve ~system ~trace ~label ~intervals ~epoch_intervals ~fraction ~tlat_ms
+    ~strategies () =
   let interval_s = Workload.Trace.duration_s trace /. float_of_int intervals in
   let factories =
     match strategies with
     | [] -> Online.Engine.default_strategies
-    | names ->
-      List.map
-        (fun n ->
-          match Heuristics.Registry.find n with
-          | Some f -> (n, f)
-          | None ->
-            failwith
-              (Printf.sprintf "serve: unknown strategy %S (known: %s)" n
-                 (String.concat ", " (Heuristics.Registry.names ()))))
-        names
+    | named -> named
   in
   let config =
     {
@@ -1948,29 +1936,62 @@ let serve_cmd =
       & info [ "tlat" ] ~docv:"MS" ~doc:"QoS latency threshold, ms.")
   in
   let strategies_t =
+    (* A name the registry does not know is a usage error. *)
+    let strategy =
+      let parse n =
+        match Heuristics.Registry.find n with
+        | Some f -> Ok (n, f)
+        | None ->
+          Error
+            (`Msg
+              (Printf.sprintf "unknown strategy %S (known: %s)" n
+                 (String.concat ", " (Heuristics.Registry.names ()))))
+      in
+      Arg.conv (parse, fun ppf (n, _) -> Format.pp_print_string ppf n)
+    in
     Arg.(
       value
-      & opt (list string) []
+      & opt (list strategy) []
       & info [ "strategies" ] ~docv:"NAMES"
           ~doc:
             "Comma-separated strategy names from the registry (default: one \
              representative per major class).")
   in
-  let run verbose trace_file topo w scale seed intervals epoch_intervals
-      fraction tlat strategies trace metrics profile =
+  (* Either flag without the other is a usage error, found before
+     anything runs. *)
+  let source_t =
+    let pair trace_file topo w scale seed =
+      match (trace_file, topo) with
+      | Some tf, Some topo -> `Ok (`Replay (tf, topo))
+      | Some _, None | None, Some _ ->
+        `Error (true, "--trace-file and --topo go together")
+      | None, None -> `Ok (`Synthetic (w, scale, seed))
+    in
+    Term.(
+      ret
+        (const pair $ trace_file_t $ topo_t $ one_workload_t $ scale_t
+       $ seed_t))
+  in
+  let run verbose source intervals epoch_intervals fraction tlat strategies
+      trace metrics profile =
     setup_logs verbose;
     setup_obs ~trace ~metrics ~profile;
-    let source =
-      match (trace_file, topo) with
-      | Some tf, Some topo -> `Replay (tf, topo)
-      | Some _, None | None, Some _ ->
-        failwith "serve: --trace-file and --topo go together"
-      | None, None -> `Synthetic (w, scale, seed)
+    let loaded =
+      match source with
+      | `Synthetic (w, scale, seed) ->
+        let cs = CS.make ~seed ~scale w in
+        Ok (cs.CS.system, cs.CS.trace, CS.workload_name w)
+      | `Replay (trace_file, topo_file) -> load_replay ~trace_file ~topo_file
     in
-    serve ~source ~intervals ~epoch_intervals ~fraction ~tlat_ms:tlat
-      ~strategies ();
-    Obs.Sink.flush ();
-    if !violations > 0 then exit 1
+    match loaded with
+    | Error msg ->
+      prerr_endline ("serve: " ^ msg);
+      exit Cmd.Exit.some_error
+    | Ok (system, trace, label) ->
+      serve ~system ~trace ~label ~intervals ~epoch_intervals ~fraction
+        ~tlat_ms:tlat ~strategies ();
+      Obs.Sink.flush ();
+      if !violations > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1980,9 +2001,8 @@ let serve_cmd =
           epoch, bound each class on everything observed so far, and \
           report per-epoch regret (deployed cost minus class bound).")
     Term.(
-      const run $ verbose_t $ trace_file_t $ topo_t $ one_workload_t $ scale_t
-      $ seed_t $ intervals_t $ epoch_t $ fraction_t $ tlat_t $ strategies_t
-      $ trace_t $ metrics_t $ profile_t)
+      const run $ verbose_t $ source_t $ intervals_t $ epoch_t $ fraction_t
+      $ tlat_t $ strategies_t $ trace_t $ metrics_t $ profile_t)
 
 let figtree_cmd =
   let run verbose seed csv_dir jobs =

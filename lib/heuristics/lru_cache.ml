@@ -45,15 +45,6 @@ let touch t k =
     push_front t n;
     true
 
-let remove t k =
-  match Hashtbl.find_opt t.table k with
-  | None -> false
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.table k;
-    t.count <- t.count - 1;
-    true
-
 let evict_lru t =
   match t.tail with
   | None -> None

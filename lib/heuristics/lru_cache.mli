@@ -24,8 +24,5 @@ val insert : t -> int -> int option
     and returns [None]. With capacity 0, returns [Some k] immediately (the
     object cannot be retained). *)
 
-val remove : t -> int -> bool
-(** Remove a specific object; returns whether it was present. *)
-
 val contents : t -> int list
 (** Cached objects, most-recent first. O(size). *)

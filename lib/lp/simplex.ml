@@ -20,41 +20,55 @@ let m_unbounded = lazy (Obs.Metrics.counter "simplex.unbounded")
 (* Tableau layout: [tab] has one row per constraint, each of length
    [ncols + 1]; the last entry is the rhs. [basis.(i)] is the variable
    basic in row i. The reduced-cost row is recomputed from scratch at the
-   start of each phase and updated by pivots afterwards. *)
+   start of each phase and updated by pivots afterwards. During a pivot,
+   [nz] holds the columns where the pivot row is nonzero. *)
 type tableau = {
   m : int;
   ncols : int;
   tab : float array array;
   basis : int array;
   reduced : float array;  (* length ncols + 1; last entry = -objective *)
+  nz : int array;  (* length ncols + 1 *)
 }
 
+(* Eliminates only over the pivot row's nonzero columns. At a column
+   where that row holds +-0 a full sweep would subtract a signed zero,
+   which leaves every nonzero entry as it is and can change only the sign
+   of an entry that is already zero; nothing below reads that sign. So
+   the pivot sequence and every reported value are those of a full
+   sweep. *)
 let pivot t ~row ~col =
-  let piv = t.tab.(row).(col) in
-  let w = t.ncols + 1 in
   let r = t.tab.(row) in
-  for j = 0 to w - 1 do
-    r.(j) <- r.(j) /. piv
-  done;
-  for i = 0 to t.m - 1 do
-    if i <> row then begin
-      let factor = t.tab.(i).(col) in
-      if factor <> 0. then begin
-        let ri = t.tab.(i) in
-        for j = 0 to w - 1 do
-          ri.(j) <- ri.(j) -. (factor *. r.(j))
-        done;
-        ri.(col) <- 0.
-      end
+  let piv = r.(col) in
+  let nz = t.nz in
+  let k = ref 0 in
+  for j = 0 to t.ncols do
+    let v = r.(j) in
+    if v <> 0. then begin
+      r.(j) <- v /. piv;
+      nz.(!k) <- j;
+      incr k
     end
   done;
-  let factor = t.reduced.(col) in
-  if factor <> 0. then begin
-    for j = 0 to w - 1 do
-      t.reduced.(j) <- t.reduced.(j) -. (factor *. r.(j))
-    done;
-    t.reduced.(col) <- 0.
-  end;
+  let k = !k in
+  (* Every row, [reduced] included, has length [ncols + 1], and the first
+     [k] entries of [nz] are columns below that, so the inner loop skips
+     bounds checks. *)
+  let eliminate ri =
+    let factor = ri.(col) in
+    if factor <> 0. then begin
+      for q = 0 to k - 1 do
+        let j = Array.unsafe_get nz q in
+        Array.unsafe_set ri j
+          (Array.unsafe_get ri j -. (factor *. Array.unsafe_get r j))
+      done;
+      ri.(col) <- 0.
+    end
+  in
+  for i = 0 to t.m - 1 do
+    if i <> row then eliminate t.tab.(i)
+  done;
+  eliminate t.reduced;
   t.basis.(row) <- col
 
 let recompute_reduced t cost =
@@ -213,7 +227,16 @@ let solve_certified ?(max_pivots = 100_000) (p : Problem.t) =
         basis.(i) <- a;
         row_dual_col.(i) <- a))
     rows_std;
-  let t = { m; ncols; tab; basis; reduced = Array.make (ncols + 1) 0. } in
+  let t =
+    {
+      m;
+      ncols;
+      tab;
+      basis;
+      reduced = Array.make (ncols + 1) 0.;
+      nz = Array.make (ncols + 1) 0;
+    }
+  in
   (* Read the simplex multipliers for the original rows out of the current
      reduced-cost row and express them against the Ge-normalized problem.
      With duals y = c_B B^-1, a column with coefficient +-e_i and cost c

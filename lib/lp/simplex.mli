@@ -6,9 +6,13 @@
     is used throughout, so the method terminates on degenerate instances
     (set-cover relaxations are heavily degenerate).
 
-    Dense tableau: O((rows + bounded vars)^2 * vars) memory and work per
-    pivot — intended for problems with at most a few hundred rows and
-    variables. Large instances go to {!Pdhg}. *)
+    Dense tableau: one row per constraint and per finite upper bound, one
+    column per variable, slack and artificial, so O(rows * columns)
+    memory. A pivot eliminates only over the pivot row's nonzeros: its
+    work is the rows with a nonzero in the pivot column times the
+    nonzeros of the pivot row, plus one pass over that row and that
+    column. Intended for problems with at most a few hundred rows and
+    variables; large instances go to {!Pdhg}. *)
 
 type result =
   | Optimal of { x : float array; objective : float }

@@ -79,7 +79,7 @@ let m_regret = lazy (Obs.Metrics.histogram "online.regret")
    workload, through the offline runner's search. *)
 let decide ctx workload (label, factory) =
   let class_name =
-    (Heuristics.Strategy.heuristic_class (factory ctx)).Mcperf.Classes.name
+    (factory ctx).Heuristics.Strategy.heuristic_class.Mcperf.Classes.name
   in
   let d = Sim.Runner.deploy ~factory ~ctx ~workload () in
   let field f = Option.map f d in
@@ -168,7 +168,7 @@ let feed t chunk =
       let classes =
         List.fold_left
           (fun acc (_, factory) ->
-            let cls = Heuristics.Strategy.heuristic_class (factory ctx) in
+            let cls = (factory ctx).Heuristics.Strategy.heuristic_class in
             if List.exists (fun c -> c.Mcperf.Classes.name = cls.Mcperf.Classes.name) acc
             then acc
             else acc @ [ cls ])

@@ -160,7 +160,9 @@ echo "figavail stage OK: $(grep -c ' steps$' "$figavaildir/j1.out") heuristics r
 # model accepts, so NaN is a usage error too. select runs no sweep, so it
 # takes only the tracing flags, never the sweep ones. There is no worker
 # subcommand, no flag naming remote workers and no network fault kind:
-# the pool is local only.
+# the pool is local only. serve's --topo and --trace-file go together,
+# and --strategies takes registry names only. A replay whose files do
+# not parse, or disagree on the node count, is a reported error (123).
 echo "== usage stage: out-of-range flags are usage errors =="
 expect_usage_error() {
   status=0
@@ -182,7 +184,22 @@ expect_usage_error select --deadline 5
 expect_usage_error worker --listen 0
 expect_usage_error fig2 --workers 127.0.0.1:1
 expect_usage_error fig2 --inject drop=0.1
-echo "usage stage OK: out-of-range flags exit 124"
+expect_usage_error serve --topo test/fixtures/golden.topo
+expect_usage_error serve --strategies bogus
+expect_file_error() {
+  status=0
+  ./_build/default/bin/experiments.exe serve --topo "$1" --trace-file "$2" \
+    > /dev/null 2>&1 || status=$?
+  [ "$status" -eq 123 ] \
+    || { echo "usage stage: serve on $1 and $2 exited $status, want 123"; exit 1; }
+}
+usagedir=_build/usage-check
+rm -rf "$usagedir"
+mkdir -p "$usagedir"
+printf 'not a topology\n' > "$usagedir/garbage.topo"
+expect_file_error "$usagedir/garbage.topo" test/fixtures/golden.trace
+expect_file_error test/fixtures/golden.topo test/fixtures/golden.trace
+echo "usage stage OK: out-of-range flags exit 124, bad replay files 123"
 
 # Journal stage (DESIGN.md §9): crash recovery and kill-and-resume on
 # local fork workers. A four-worker fig2 sweep in which every cell's

@@ -236,6 +236,127 @@ let test_presolve_roundtrip () =
     (Printf.sprintf "enough feasible pinned instances (%d)" !solved)
     true (!solved >= 35)
 
+(* --- pinned simplex outcomes --------------------------------------------- *)
+
+(* Golden files hold one "label md5" line per pinned value. *)
+let read_golden path =
+  let ic = open_in path in
+  let rec read acc =
+    match input_line ic with
+    | line -> (
+      match String.split_on_char ' ' line with
+      | [ label; md5 ] -> read ((label, md5) :: acc)
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  read []
+
+let digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+let lp_of vars rows =
+  let b = Lp.Problem.Builder.create () in
+  List.iter
+    (fun (lo, hi, obj) -> ignore (Lp.Problem.Builder.add_var b ~lo ~hi ~obj ()))
+    vars;
+  List.iter
+    (fun (kind, rhs, terms) -> Lp.Problem.Builder.add_row b kind ~rhs terms)
+    rows;
+  Lp.Problem.Builder.build b
+
+(* LPs that reach the simplex's rarer branches, each with the verdict it
+   must reach. *)
+let hand_built_lps =
+  let open Lp.Problem in
+  [
+    (* Beale's cycling example: ratio ties at a degenerate vertex. *)
+    ( "beale",
+      `Optimal,
+      lp_of
+        [ (0., 10., -0.75); (0., 10., 150.); (0., 10., -0.02); (0., 10., 6.) ]
+        [
+          (Le, 0., [ (0, 0.25); (1, -60.); (2, -0.04); (3, 9.) ]);
+          (Le, 0., [ (0, 0.5); (1, -90.); (2, -0.02); (3, 3.) ]);
+          (Le, 1., [ (2, 1.) ]);
+        ] );
+    (* A Le and a Ge row with negative rhs, flipped before phase 1. *)
+    ( "negative-rhs",
+      `Optimal,
+      lp_of
+        [ (0., 3., 2.); (0., 10., 3.) ]
+        [
+          (Le, -4., [ (0, -1.); (1, -1.) ]);
+          (Ge, -2., [ (0, 1.); (1, -2.) ]);
+        ] );
+    (* Equality rows, one of them with a negative rhs. *)
+    ( "equality-rows",
+      `Optimal,
+      lp_of
+        [ (0., infinity, 1.); (0., infinity, -1.); (0., infinity, 2.);
+          (0., 3., -1.) ]
+        [
+          (Eq, 4., [ (0, 1.); (1, 1.); (2, 1.); (3, 1.) ]);
+          (Eq, 1., [ (0, 1.); (2, -1.) ]);
+          (Eq, -0.5, [ (0, -1.); (1, 1.) ]);
+        ] );
+    (* Variables x, y, z, v. Phase 1 enters x on a ratio tie at 0 that
+       the first row wins, and ends at value 0 with the second row's
+       artificial still basic and its row reading -y - z, so the
+       drive-out pivots on -1. *)
+    ( "drive-out-negative",
+      `Optimal,
+      lp_of
+        [ (0., 5., 1.); (0., 5., 1.); (0., 5., 1.); (0., 2., -1.) ]
+        [
+          (Eq, 0., [ (0, 1.); (1, -1.) ]);
+          (Eq, 0., [ (0, 1.); (1, -2.); (2, -1.) ]);
+          (Le, 3., [ (0, 1.); (3, 1.) ]);
+        ] );
+    (* x + y <= 1 and x + 2y >= 3 in the unit box: a Farkas ray. *)
+    ( "infeasible-ray",
+      `Infeasible,
+      lp_of
+        [ (0., 1., 1.); (0., 1., 1.) ]
+        [ (Le, 1., [ (0, 1.); (1, 1.) ]); (Ge, 3., [ (0, 1.); (1, 2.) ]) ] );
+    ( "unbounded",
+      `Unbounded,
+      lp_of
+        [ (0., infinity, -1.); (0., infinity, 0.) ]
+        [ (Le, 1., [ (0, 1.); (1, -1.) ]) ] );
+  ]
+
+let pinned_lps () =
+  let rng = Util.Prng.create ~seed:77 in
+  let dense = ref [] in
+  for index = 1 to instances do
+    dense := (Printf.sprintf "dense-lp/%d" index, random_dense_lp rng) :: !dense
+  done;
+  List.rev !dense
+  @ List.map (fun (label, _, p) -> (label, p)) hand_built_lps
+
+(* Every field of the certified outcome (x, objective, duals, Farkas ray)
+   pinned bit for bit, so a change to the pivot arithmetic that moves any
+   reported value shows. *)
+let test_pinned_simplex () =
+  List.iter
+    (fun (label, verdict, p) ->
+      let got =
+        match Lp.Simplex.solve_certified p with
+        | Lp.Simplex.Cert_optimal _ -> `Optimal
+        | Lp.Simplex.Cert_infeasible _ -> `Infeasible
+        | Lp.Simplex.Cert_unbounded -> `Unbounded
+      in
+      Alcotest.(check bool) (label ^ ": verdict") true (got = verdict))
+    hand_built_lps;
+  Alcotest.(check (list (pair string string)))
+    "every outcome matches its pinned digest"
+    (read_golden "fixtures/simplex_outcomes.golden")
+    (List.map
+       (fun (label, p) -> (label, digest (Lp.Simplex.solve_certified p)))
+       (pinned_lps ()))
+
 (* --- parallel-sweep determinism ------------------------------------------ *)
 
 (* The quickstart scenario: six sites, a Zipf workload, a 99% QoS goal. *)
@@ -372,12 +493,38 @@ let test_sweep_matches_percell_compute () =
 (* Cells pinned against an earlier build, one "label md5" line each in
    fixtures/pipeline_cells.golden; the MD5 is taken over the cell
    marshaled without sharing, so any change to any field — bound, rounded
-   placement, certificate, path, quality — shows. The set reaches every
-   branch of the cell chain: LP cells for five classes at three QoS
-   goals, the oracle-infeasible Farkas branch (caching at 0.99 and
-   0.999), the exact tree DP and the average-latency rounding. *)
+   placement, certificate, path, quality — shows. The branches of the
+   cell chain the set reaches: PDHG under [Auto] for five classes at
+   three QoS goals (caching only at 0.95), the oracle-infeasible Farkas
+   branch (caching at 0.99 and 0.999), the exact tree DP, the
+   average-latency rounding, and the exact simplex with its duals for
+   two classes at three QoS goals. The presolve-only, PDHG-retry and
+   simplex-fallback paths are not reached here. *)
 let golden_cells () =
   let spec = quickstart_spec () in
+  let exact =
+    List.concat_map
+      (fun (cls : Mcperf.Classes.t) ->
+        List.map
+          (fun fraction ->
+            let label =
+              Printf.sprintf "quickstart-exact/%s@%g" cls.Mcperf.Classes.name
+                fraction
+            in
+            ( label,
+              fun () ->
+                let cell =
+                  Bounds.Pipeline.compute
+                    ~solver:Bounds.Pipeline.Exact_simplex
+                    (at_fraction spec fraction) cls
+                in
+                Alcotest.(check string)
+                  (label ^ ": path") "simplex"
+                  (Bounds.Pipeline.path_label cell.Bounds.Pipeline.solve_path);
+                cell ))
+          [ 0.95; 0.99; 0.999 ])
+      Mcperf.Classes.[ general; decentralized_local_routing ]
+  in
   let qos =
     List.concat_map
       (fun (cls : Mcperf.Classes.t) ->
@@ -411,30 +558,13 @@ let golden_cells () =
             }
             Mcperf.Classes.general );
     ]
-
-let cell_digest (cell : Bounds.Pipeline.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string cell [ Marshal.No_sharing ]))
+  @ exact
 
 let test_golden_cells () =
-  let ic = open_in "fixtures/pipeline_cells.golden" in
-  let rec read acc =
-    match input_line ic with
-    | line -> (
-      match String.split_on_char ' ' line with
-      | [ label; md5 ] -> read ((label, md5) :: acc)
-      | _ -> Alcotest.failf "malformed golden line %S" line)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  let expected = read [] in
-  let actual =
-    List.map
-      (fun (label, cell) -> (label, cell_digest (cell ())))
-      (golden_cells ())
-  in
   Alcotest.(check (list (pair string string)))
-    "every cell matches its pinned digest" expected actual
+    "every cell matches its pinned digest"
+    (read_golden "fixtures/pipeline_cells.golden")
+    (List.map (fun (label, cell) -> (label, digest (cell ()))) (golden_cells ()))
 
 let () =
   Alcotest.run "differential"
@@ -448,6 +578,8 @@ let () =
             test_mcperf_instances;
           Alcotest.test_case "presolve round-trip on pinned random LPs" `Quick
             test_presolve_roundtrip;
+          Alcotest.test_case "simplex outcomes match pinned digests" `Quick
+            test_pinned_simplex;
         ] );
       ( "incremental",
         [

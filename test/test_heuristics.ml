@@ -213,21 +213,6 @@ let test_interval_limit () =
         (fun () -> ignore (run intervals)))
     [ 0; max + 1 ]
 
-let test_lru_remove () =
-  let c = Heuristics.Lru_cache.create ~capacity:3 in
-  ignore (Heuristics.Lru_cache.insert c 1);
-  ignore (Heuristics.Lru_cache.insert c 2);
-  Alcotest.(check bool) "removes present" true (Heuristics.Lru_cache.remove c 1);
-  Alcotest.(check bool) "absent now" false (Heuristics.Lru_cache.mem c 1);
-  Alcotest.(check int) "size" 1 (Heuristics.Lru_cache.size c);
-  Alcotest.(check bool) "removing absent" false
-    (Heuristics.Lru_cache.remove c 9);
-  (* The list structure survives removal of the head/tail. *)
-  ignore (Heuristics.Lru_cache.insert c 3);
-  ignore (Heuristics.Lru_cache.insert c 4);
-  Alcotest.(check (list int)) "order" [ 4; 3; 2 ]
-    (Heuristics.Lru_cache.contents c)
-
 (* --- greedy placements ----------------------------------------------------- *)
 
 let tail_spec ?(fraction = 1.0) () =
@@ -815,7 +800,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_lru_basic;
           Alcotest.test_case "duplicate insert" `Quick test_lru_duplicate_insert;
           Alcotest.test_case "zero capacity" `Quick test_lru_zero_capacity;
-          Alcotest.test_case "remove" `Quick test_lru_remove;
           QCheck_alcotest.to_alcotest prop_lru_never_exceeds_capacity;
         ] );
       ( "event-cache",

@@ -218,8 +218,8 @@ let prop_online_bound_is_offline_bound =
         List.map
           (fun (_, factory) ->
             let cls =
-              Heuristics.Strategy.heuristic_class
-                (factory (Heuristics.Strategy.Context.make ~system ~goal ()))
+              (factory (Heuristics.Strategy.Context.make ~system ~goal ()))
+                .Heuristics.Strategy.heuristic_class
             in
             (cls.Mcperf.Classes.name, cls))
           strategies
