@@ -139,15 +139,9 @@ let print_sweep_robustness ~name (sweep : Bounds.Pipeline.sweep) =
   let paths =
     List.filter (fun (_, n) -> n > 0) (Bounds.Pipeline.path_counts sweep)
   in
-  let fallbacks =
-    List.exists
-      (fun (p, _) ->
-        p = Bounds.Pipeline.Path_pdhg_retry
-        || p = Bounds.Pipeline.Path_simplex_fallback)
-      paths
-  in
+  let retried = List.mem_assoc Bounds.Pipeline.Path_pdhg_retry paths in
   if
-    Util.Faults.active () || fallbacks
+    Util.Faults.active () || retried
     || pool_nontrivial sweep.Bounds.Pipeline.pool
     || sweep.Bounds.Pipeline.resumed > 0
   then
@@ -1595,8 +1589,7 @@ let inject_t =
            Injected faults exercise worker supervision and the solver \
            fallback chain without changing any reported number; \
            'ckill_after=N' exits with status 96 after the Nth journal \
-           checkpoint, for $(b,--journal) kill-and-resume. Defaults to \
-           the $(b,REPLICA_FAULTS) environment variable.")
+           checkpoint, for $(b,--journal) kill-and-resume.")
 
 let journal_t =
   Arg.(
@@ -1688,16 +1681,7 @@ let task_timeout_t =
            cell is waited for.")
 
 let setup_faults inject =
-  let spec =
-    match inject with
-    | Some spec -> spec
-    | None -> (
-      match Util.Faults.of_env_result () with
-      | Ok spec -> spec
-      | Error e ->
-        Logs.warn (fun f -> f "ignoring %a" Util.Parse_error.pp e);
-        Util.Faults.none)
-  in
+  let spec = Option.value inject ~default:Util.Faults.none in
   Util.Faults.install spec;
   if Util.Faults.active () then
     Logs.app (fun f ->

@@ -205,15 +205,15 @@ let build_scenario_model ~tlat_ms ~fraction (perm : Mcperf.Permission.t)
 
 (* One cold cell: build the scenario model at the spec's own goal and
    solve it on the solver [Pipeline.route] picks for its dimensions. *)
-let expected_cost_bound ?(solver = Pipeline.Auto) ?placeable
-    (spec : Mcperf.Spec.t) (cls : Mcperf.Classes.t) ~scenarios =
+let expected_cost_bound ?(solver = Pipeline.Auto) (spec : Mcperf.Spec.t)
+    (cls : Mcperf.Classes.t) ~scenarios =
   let tlat_ms, fraction =
     match spec.Mcperf.Spec.goal with
     | Mcperf.Spec.Qos { tlat_ms; fraction } -> (tlat_ms, fraction)
     | Mcperf.Spec.Avg_latency _ ->
       invalid_arg "Avail_bound: expected-cost LP needs a QoS goal"
   in
-  let perm = Mcperf.Permission.compute ?placeable spec cls in
+  let perm = Mcperf.Permission.compute spec cls in
   let built = build_scenario_model ~tlat_ms ~fraction perm scenarios in
   let problem = built.problem in
   let nvars = Lp.Problem.nvars problem in

@@ -41,13 +41,13 @@ type cell = {
 
 val expected_cost_bound :
   ?solver:Pipeline.solver ->
-  ?placeable:bool array ->
   Mcperf.Spec.t ->
   Mcperf.Classes.t ->
   scenarios:Avail.Scenario.t array ->
   cell
-(** The cell at the spec's own goal, on the solver {!Pipeline.route}
-    picks for the model's dimensions. Requires a QoS-goal spec and a
+(** The cell at the spec's own goal, every node placeable, on the solver
+    {!Pipeline.route} picks for the model's dimensions ([solver] default
+    [Auto]). Requires a QoS-goal spec and a
     non-empty scenario set. The result is a pure function of (spec,
     class, scenarios) — byte-identical at any parallelism level of the
     caller. *)

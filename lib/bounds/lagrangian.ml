@@ -284,7 +284,7 @@ let merge_members ~nodes ~(bundle : Mcperf.Bundle.t) ~weight ~subs vals =
 
 (* Projected subgradient ascent on the QoS multipliers for one fraction's
    requirement vector [t_n]. *)
-let ascend ~iterations ~step_scale ~step_rule ~t_n ~(spec : Mcperf.Spec.t)
+let ascend ~iterations ~step_rule ~t_n ~(spec : Mcperf.Spec.t)
     ~bundle ~subs =
   let nodes = Array.length t_n in
   let weight = spec.Mcperf.Spec.demand.Workload.Demand.weight in
@@ -303,7 +303,7 @@ let ascend ~iterations ~step_scale ~step_rule ~t_n ~(spec : Mcperf.Spec.t)
      so the iterate sequence at [iterations = i] is a prefix of the one
      at [iterations = j > i] and the best bound is monotone in the
      iteration budget. *)
-  let adaptive_step = ref (step_scale *. unit_cost) in
+  let adaptive_step = ref unit_cost in
   let stalls = ref 0 in
   for t = 0 to iterations - 1 do
     let vals, e, bd = solve_batch subs lambda in
@@ -324,7 +324,7 @@ let ascend ~iterations ~step_scale ~step_rule ~t_n ~(spec : Mcperf.Spec.t)
     if gmax > 0. then begin
       let step =
         match step_rule with
-        | Harmonic -> step_scale *. unit_cost /. float_of_int (1 + t)
+        | Harmonic -> unit_cost /. float_of_int (1 + t)
         | Adaptive ->
           if improved then stalls := 0
           else begin
@@ -387,7 +387,7 @@ let bundle_and_subs ~bundling perm =
   in
   (bundle, subs)
 
-let run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
+let run ~iterations ~step_rule ~fraction ~spec ~bundle ~subs
     ~node_totals ~always =
   let nodes = Array.length node_totals in
   let t_n =
@@ -395,7 +395,7 @@ let run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
         Float.max 0. ((fraction *. node_totals.(n)) -. always.(n)))
   in
   let best, lambda, exact, bounded =
-    ascend ~iterations ~step_scale ~step_rule ~t_n ~spec ~bundle ~subs
+    ascend ~iterations ~step_rule ~t_n ~spec ~bundle ~subs
   in
   {
     bound = best;
@@ -408,31 +408,8 @@ let run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
     rescaled_members = bundle.Mcperf.Bundle.rescaled;
   }
 
-let bound ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
-    ?(bundling = true) spec cls =
-  require_qos ~who:"Lagrangian.bound" spec;
-  let fraction =
-    match spec.Mcperf.Spec.goal with
-    | Mcperf.Spec.Qos { fraction; _ } -> fraction
-    | Mcperf.Spec.Avg_latency _ -> assert false
-  in
-  let perm = Mcperf.Permission.compute spec cls in
-  let nodes = Mcperf.Spec.node_count spec in
-  let objects = Mcperf.Spec.object_count spec in
-  if not (Mcperf.Permission.feasible perm) then
-    infeasible_outcome ~nodes ~objects
-  else begin
-    let node_totals =
-      Workload.Demand.node_read_totals spec.Mcperf.Spec.demand
-    in
-    let always = always_covered spec perm in
-    let bundle, subs = bundle_and_subs ~bundling perm in
-    run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
-      ~node_totals ~always
-  end
-
-let sweep ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
-    ?(bundling = true) spec cls ~fractions =
+let sweep ?(iterations = 60) ?(step_rule = Harmonic) ?(bundling = true) spec
+    cls ~fractions =
   require_qos ~who:"Lagrangian.sweep" spec;
   let perm = Mcperf.Permission.compute spec cls in
   let nodes = Mcperf.Spec.node_count spec in
@@ -452,7 +429,19 @@ let sweep ?(iterations = 60) ?(step_scale = 1.0) ?(step_rule = Harmonic)
       else begin
         let bundle, subs = Lazy.force shared in
         ( fraction,
-          run ~iterations ~step_scale ~step_rule ~fraction ~spec ~bundle ~subs
+          run ~iterations ~step_rule ~fraction ~spec ~bundle ~subs
             ~node_totals ~always )
       end)
     fractions
+
+(* One point of [sweep]: re-targeting the analysis at the spec's own
+   fraction changes nothing, so this is the standalone bound. *)
+let bound ?iterations ?step_rule ?bundling spec cls =
+  require_qos ~who:"Lagrangian.bound" spec;
+  match spec.Mcperf.Spec.goal with
+  | Mcperf.Spec.Qos { fraction; _ } ->
+    let points =
+      sweep ?iterations ?step_rule ?bundling spec cls ~fractions:[ fraction ]
+    in
+    snd (List.hd points)
+  | Mcperf.Spec.Avg_latency _ -> assert false

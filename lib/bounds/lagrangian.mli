@@ -48,18 +48,18 @@
     constraints can only lower a minimum) but makes it no tighter than the
     corresponding unconstrained-storage bound. *)
 
-(** Step-size schedule of the projected subgradient ascent. Both rules
-    depend only on past iterations, so the trajectory at a smaller
+(** Step-size schedule of the projected subgradient ascent, in units of
+    [unit_cost = max (alpha + beta) 1e-6] from the spec's costs. Both
+    rules depend only on past iterations, so the trajectory at a smaller
     iteration budget is a prefix of the one at a larger budget and the
     best bound is monotone nondecreasing in the budget. *)
 type step_rule =
-  | Harmonic
-      (** classic divergent-series rule: [step_scale * unit_cost / (1+t)] *)
+  | Harmonic  (** classic divergent-series rule: [unit_cost / (1+t)] *)
   | Adaptive
-      (** Polyak-style geometric backoff: start at
-          [step_scale * unit_cost] and halve after three consecutive
-          non-improving iterations — typically far fewer outer iterations
-          to a given bound on large instances *)
+      (** Polyak-style geometric backoff: start at [unit_cost] and halve
+          after three consecutive non-improving iterations — typically
+          far fewer outer iterations to a given bound on large
+          instances *)
 
 type outcome = {
   bound : float;  (** best certified lower bound over all iterations *)
@@ -77,32 +77,30 @@ type outcome = {
           one) *)
 }
 
-val bound :
-  ?iterations:int ->
-  ?step_scale:float ->
-  ?step_rule:step_rule ->
-  ?bundling:bool ->
-  Mcperf.Spec.t ->
-  Mcperf.Classes.t ->
-  outcome
-(** Projected subgradient ascent on the QoS multipliers ([iterations]
-    default 60, [step_scale] default 1.0, [step_rule] default
-    {!Harmonic} — the historical schedule, [bundling] default on).
-    Requires a QoS goal. Infeasible classes (by the {!Mcperf.Permission}
-    oracle) yield [infinity]. The result is independent of [bundling]
-    whenever [rescaled_members = 0]. *)
-
 val sweep :
   ?iterations:int ->
-  ?step_scale:float ->
   ?step_rule:step_rule ->
   ?bundling:bool ->
   Mcperf.Spec.t ->
   Mcperf.Classes.t ->
   fractions:float list ->
   (float * outcome) list
-(** [sweep spec cls ~fractions] is [bound] at each QoS fraction, sharing
-    the permission analysis, the bundling, and every representative
+(** Projected subgradient ascent on the QoS multipliers at each QoS
+    fraction ([iterations] default 60, [step_rule] default {!Harmonic} —
+    the historical schedule, [bundling] default on), sharing the
+    permission analysis, the bundling, and every representative
     subproblem across the whole sweep (the masks never read the
-    fraction); multipliers restart cold at each point, so each outcome
-    equals the standalone {!bound} at that fraction. *)
+    fraction); multipliers restart cold at each point. Requires a QoS
+    goal. Points where the class is infeasible (by the
+    {!Mcperf.Permission} oracle) yield [infinity]. Each outcome is
+    independent of [bundling] whenever [rescaled_members = 0]. *)
+
+val bound :
+  ?iterations:int ->
+  ?step_rule:step_rule ->
+  ?bundling:bool ->
+  Mcperf.Spec.t ->
+  Mcperf.Classes.t ->
+  outcome
+(** {!sweep} at the spec's own QoS fraction alone. Requires a QoS
+    goal. *)

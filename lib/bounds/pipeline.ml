@@ -9,7 +9,6 @@ type solve_path =
   | Path_simplex
   | Path_pdhg
   | Path_pdhg_retry
-  | Path_simplex_fallback
   | Path_infeasible
 
 let all_paths =
@@ -19,7 +18,6 @@ let all_paths =
     Path_simplex;
     Path_pdhg;
     Path_pdhg_retry;
-    Path_simplex_fallback;
     Path_infeasible;
   ]
 
@@ -29,7 +27,6 @@ let path_label = function
   | Path_simplex -> "simplex"
   | Path_pdhg -> "pdhg"
   | Path_pdhg_retry -> "pdhg-retry"
-  | Path_simplex_fallback -> "simplex-fallback"
   | Path_infeasible -> "infeasible"
 
 type quality = Exact | Converged | Iter_budget | Time_budget
@@ -144,16 +141,17 @@ let farkas_of problem =
    reduced problem from a cold start, and map the point and the certified
    bound back through [restore]/[offset].
 
-   The PDHG leg is a supervised fallback chain. A solve is *healthy* when
-   every reported quantity is finite and an independent re-evaluation of
+   The PDHG leg is supervised. A solve is *healthy* when every reported
+   quantity is finite and an independent re-evaluation of
    [Certificate.dual_bound] at the best dual iterate reproduces the bound
    the solver claims — anything else (NaN-poisoned inputs, a diverged
-   iterate, a cap-hit that produced no usable certificate) triggers a
-   clean cold re-solve of the unpoisoned problem, and if that is unhealthy
-   too, an exact simplex rescue. The first attempt and the clean retry
-   both start cold on the same reduced problem, so whenever the input
-   itself was sound the retry reproduces the primary attempt's iterates
-   exactly and recovery is invisible in the results. *)
+   iterate, a cap-hit that produced no usable certificate) triggers one
+   clean cold re-solve of the unpoisoned problem. The first attempt and
+   the clean retry both start cold on the same reduced problem, so
+   whenever the input itself was sound the retry reproduces the primary
+   attempt's iterates exactly and recovery is invisible in the results.
+   A retry that is unhealthy too means the input itself is unsound, and
+   the cell raises [Failure]. *)
 (* A feasible solve's payload: the original-space point, the certified
    bound (presolve offset folded in), how it was obtained and its
    witness. [dual] is the certificate on the Ge-normalized presolve-
@@ -229,23 +227,22 @@ let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
         infeasible_ray = None;
       }
     else begin
-      let simplex_solution x objective dual =
-        {
-          point = pre.Lp.Presolve.restore x;
-          bound = objective +. pre.Lp.Presolve.offset;
-          exact_sol = true;
-          iterations = 0;
-          sol_quality = Exact;
-          sol_rel_gap = 0.;
-          dual = Some dual;
-        }
-      in
       match route solver ~vars ~rows with
       | Simplex -> (
         match Lp.Simplex.solve_certified red with
         | Lp.Simplex.Cert_optimal { x; objective; dual } ->
           {
-            outcome = Some (simplex_solution x objective dual);
+            outcome =
+              Some
+                {
+                  point = pre.Lp.Presolve.restore x;
+                  bound = objective +. pre.Lp.Presolve.offset;
+                  exact_sol = true;
+                  iterations = 0;
+                  sol_quality = Exact;
+                  sol_rel_gap = 0.;
+                  dual = Some dual;
+                };
             path = Path_simplex;
             infeasible_ray = None;
           }
@@ -300,52 +297,36 @@ let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
             infeasible_ray = None;
           }
         in
-        let prep1, out1 = attempt ~poisoned:inject_nan in
-        if pdhg_healthy prep1 out1 then accept Path_pdhg out1
-        else begin
-          Log.warn (fun f ->
-              f
-                "pdhg solve unhealthy (bound %g, infeas %g, %d iters): \
-                 retrying cold on a clean rebuild"
-                out1.Lp.Pdhg.best_bound out1.Lp.Pdhg.primal_infeasibility
-                out1.Lp.Pdhg.iterations);
-          Obs.Metrics.incr (Lazy.force m_fallbacks);
+        let report_unhealthy cause (out : Lp.Pdhg.outcome) =
           if Obs.Config.tracing () then
             Obs.Trace.event "pipeline.pdhg_unhealthy"
               ~attrs:
                 [
-                  ("cause", Obs.Trace.Str "primary");
-                  ("bound", Obs.Trace.Float out1.Lp.Pdhg.best_bound);
-                  ("pinf", Obs.Trace.Float out1.Lp.Pdhg.primal_infeasibility);
-                  ("iters", Obs.Trace.Int out1.Lp.Pdhg.iterations);
+                  ("cause", Obs.Trace.Str cause);
+                  ("bound", Obs.Trace.Float out.Lp.Pdhg.best_bound);
+                  ("pinf", Obs.Trace.Float out.Lp.Pdhg.primal_infeasibility);
+                  ("iters", Obs.Trace.Int out.Lp.Pdhg.iterations);
                 ];
+          Printf.sprintf "bound %g, infeas %g, %d iters" out.Lp.Pdhg.best_bound
+            out.Lp.Pdhg.primal_infeasibility out.Lp.Pdhg.iterations
+        in
+        let prep1, out1 = attempt ~poisoned:inject_nan in
+        if pdhg_healthy prep1 out1 then accept Path_pdhg out1
+        else begin
+          Obs.Metrics.incr (Lazy.force m_fallbacks);
+          let why = report_unhealthy "primary" out1 in
+          Log.warn (fun f ->
+              f "pdhg solve unhealthy (%s): retrying cold on a clean rebuild"
+                why);
           let prep2, out2 = attempt ~poisoned:false in
           if pdhg_healthy prep2 out2 then accept Path_pdhg_retry out2
-          else begin
-            Log.warn (fun f ->
-                f "pdhg retry unhealthy: rescuing with exact simplex");
-            Obs.Metrics.incr (Lazy.force m_fallbacks);
-            if Obs.Config.tracing () then
-              Obs.Trace.event "pipeline.pdhg_unhealthy"
-                ~attrs:
-                  [
-                    ("cause", Obs.Trace.Str "retry");
-                    ("bound", Obs.Trace.Float out2.Lp.Pdhg.best_bound);
-                    ("pinf", Obs.Trace.Float out2.Lp.Pdhg.primal_infeasibility);
-                    ("iters", Obs.Trace.Int out2.Lp.Pdhg.iterations);
-                  ];
-            match Lp.Simplex.solve_certified red with
-            | Lp.Simplex.Cert_optimal { x; objective; dual } ->
-              {
-                outcome = Some (simplex_solution x objective dual);
-                path = Path_simplex_fallback;
-                infeasible_ray = None;
-              }
-            | Lp.Simplex.Cert_infeasible _ ->
-              no_solution ?ray:(farkas_of problem) ()
-            | Lp.Simplex.Cert_unbounded ->
-              invalid_arg "Bounds.Pipeline: unbounded MC-PERF relaxation"
-          end
+          else
+            failwith
+              (Printf.sprintf
+                 "Bounds.Pipeline: the %s leg is unhealthy too (%s): the \
+                  cell's LP is unsound"
+                 (path_label Path_pdhg_retry)
+                 (report_unhealthy "retry" out2))
         end
       end
     end
@@ -561,16 +542,6 @@ let compute ?solver ?placeable spec cls =
 let compare_classes ?solver ?placeable spec classes =
   List.map (fun cls -> compute ?solver ?placeable spec cls) classes
 
-let best_class results =
-  List.fold_left
-    (fun acc r ->
-      if not r.feasible then acc
-      else
-        match acc with
-        | Some best when best.lower_bound <= r.lower_bound -> acc
-        | Some _ | None -> Some r)
-    None results
-
 let pp ppf t =
   if not t.feasible then
     Format.fprintf ppf "%-32s infeasible (max QoS %.5f)" t.class_name
@@ -744,8 +715,11 @@ let cell_key label fraction = Printf.sprintf "%s|%.17g" label fraction
    (degraded bounds must not masquerade as unconstrained ones).
    v3: [solve_path] gained the [Path_tree_dp] constructor, which shifts
    the Marshal tags of every later constructor — a v2 payload would
-   deserialize into the wrong path, so v2 journals are discarded. *)
-let journal_magic = "# replica-select sweep journal v3"
+   deserialize into the wrong path, so v2 journals are discarded.
+   v4: [solve_path] lost its simplex-rescue constructor, which moves
+   [Path_infeasible]'s tag from 6 to 5 — a v3 payload could decode into a
+   constructor that no longer exists, so v3 journals are discarded. *)
+let journal_magic = "# replica-select sweep journal v4"
 
 let sweep_fingerprint ~deadline_s ~cell_budget_s ~solver ?placeable ~tlat_ms
     ~fractions spec classes =
@@ -794,139 +768,56 @@ let string_of_hex h =
 let journal_header fingerprint =
   Printf.sprintf "%s fingerprint=%s" journal_magic fingerprint
 
-(* Why a journal scan stopped. One scanner backs both loader APIs: the
-   strict result-first [load_journal_result] maps every non-complete
-   stop onto a structured [Util.Parse_error.t], while the tolerant
-   [load_journal] keeps the historical never-fails contract (fewer
-   cached cells, a warning, never an error). *)
-type journal_scan_stop =
-  | Scan_complete
-  | Scan_missing  (** no file at the path *)
-  | Scan_unreadable of string  (** the path cannot be read, e.g. a directory *)
-  | Scan_no_header  (** empty file: not even a header line *)
-  | Scan_header_mismatch  (** wrong magic or fingerprint on line 1 *)
-  | Scan_bad_record of int * string  (** 1-based line number, defect *)
-
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      List.rev !lines)
-
-let scan_journal ~fingerprint path =
-  if not (Sys.file_exists path) then ([], Scan_missing)
-  else begin
-    match read_lines path with
-    | exception Sys_error msg -> ([], Scan_unreadable msg)
-    | [] -> ([], Scan_no_header)
-    | header :: records ->
-      if not (String.equal header (journal_header fingerprint)) then
-        ([], Scan_header_mismatch)
-      else begin
-        let entries = ref [] in
-        let stop = ref Scan_complete in
-        (try
-           List.iteri
-             (fun i line ->
-               let bad msg =
-                 stop := Scan_bad_record (i + 2, msg);
-                 raise Exit
-               in
-               if String.trim line = "" then bad "empty record line";
-               match String.index_opt line ' ' with
-               | None -> bad "missing digest separator"
-               | Some j -> (
-                 let digest = String.sub line 0 j in
-                 let payload_hex =
-                   String.sub line (j + 1) (String.length line - j - 1)
-                 in
-                 match string_of_hex payload_hex with
-                 | None -> bad "payload is not hex"
-                 | Some payload ->
-                   if
-                     not
-                       (String.equal
-                          (Digest.to_hex (Digest.string payload))
-                          digest)
-                   then bad "record digest mismatch"
-                   else
-                     let key, (cell, wall_s) =
-                       (Marshal.from_string payload 0
-                         : string * (t * float))
-                     in
-                     entries := (key, (cell, wall_s)) :: !entries))
-             records
-         with Exit -> ());
-        (List.rev !entries, !stop)
-      end
-  end
-
-(* Strict loader: every way the journal can be unusable is a structured
-   error ([line] pins the first bad line; 0 means the whole file). A
-   bad-record error still names the defect, but returns no prefix —
-   callers that want salvage semantics use [load_journal]. *)
-let load_journal_result ~fingerprint path :
-    ((string * (t * float)) list, Util.Parse_error.t) result =
-  let entries, stop = scan_journal ~fingerprint path in
-  match stop with
-  | Scan_complete -> Ok entries
-  | Scan_missing ->
-    Error { Util.Parse_error.file = path; line = 0; msg = "no such journal" }
-  | Scan_unreadable msg -> Error { Util.Parse_error.file = path; line = 0; msg }
-  | Scan_no_header ->
-    Error
-      { Util.Parse_error.file = path; line = 1; msg = "missing journal header" }
-  | Scan_header_mismatch ->
-    Error
-      {
-        Util.Parse_error.file = path;
-        line = 1;
-        msg =
-          "journal header does not match this sweep's fingerprint \
-           (different instance, solver, classes, fractions, threshold or \
-           journal version)";
-      }
-  | Scan_bad_record (line, msg) ->
-    Error
-      {
-        Util.Parse_error.file = path;
-        line;
-        msg = Printf.sprintf "corrupt journal record: %s" msg;
-      }
-
-(* Load the completed-cell table from a journal. Tolerant by design: a
-   missing file, a stale fingerprint, or a corrupt/truncated tail just
-   mean fewer cached cells — the sweep recomputes whatever is absent. *)
-let load_journal ~fingerprint path : (string, t * float) Hashtbl.t =
-  let tbl = Hashtbl.create 32 in
-  let entries, stop = scan_journal ~fingerprint path in
-  (match stop with
-  | Scan_complete | Scan_missing | Scan_no_header -> ()
-  | Scan_unreadable msg ->
-    Log.warn (fun f ->
-        f "journal %s is unreadable (%s): starting with no cached cells" path
-          msg)
-  | Scan_header_mismatch ->
-    Log.warn (fun f ->
-        f
-          "journal %s does not match this sweep (different instance, \
-           solver, classes, fractions or threshold): ignoring it"
-          path)
-  | Scan_bad_record _ ->
-    Log.warn (fun f ->
-        f "journal %s has a corrupt tail: dropping it (%d cells kept)" path
-          (List.length entries)));
-  (match stop with
-  | Scan_header_mismatch -> ()
-  | _ -> List.iter (fun (k, v) -> Hashtbl.replace tbl k v) entries);
-  tbl
+(* The completed cells of a journal: its valid prefix, and the first
+   defect when the scan stopped early ([line] 0 means the whole file).
+   A missing file is a fresh start, not a defect; a header that names
+   another sweep yields no cells at all. *)
+let load_journal ~fingerprint path =
+  let defect line msg = Some { Util.Parse_error.file = path; line; msg } in
+  if not (Sys.file_exists path) then ([], None)
+  else
+    match Util.Parse_error.read_file path with
+    | Error e -> ([], Some e)
+    | Ok text -> (
+      (* The newline that ends the last line leaves one empty field. *)
+      match String.split_on_char '\n' text with
+      | [] | [ "" ] -> ([], defect 1 "missing journal header")
+      | header :: records ->
+        if not (String.equal header (journal_header fingerprint)) then
+          ( [],
+            defect 1
+              "journal header does not match this sweep's fingerprint \
+               (different instance, solver, classes, fractions, threshold or \
+               journal version)" )
+        else
+          let record line =
+            if String.trim line = "" then Error "empty record line"
+            else
+              match String.index_opt line ' ' with
+              | None -> Error "missing digest separator"
+              | Some j -> (
+                let digest = String.sub line 0 j in
+                match
+                  string_of_hex
+                    (String.sub line (j + 1) (String.length line - j - 1))
+                with
+                | None -> Error "payload is not hex"
+                | Some payload ->
+                  if
+                    String.equal (Digest.to_hex (Digest.string payload)) digest
+                  then
+                    Ok (Marshal.from_string payload 0 : string * (t * float))
+                  else Error "record digest mismatch")
+          in
+          let rec scan acc i = function
+            | [] | [ "" ] -> (List.rev acc, None)
+            | line :: rest -> (
+              match record line with
+              | Ok entry -> scan (entry :: acc) (i + 1) rest
+              | Error msg ->
+                (List.rev acc, defect i ("corrupt journal record: " ^ msg)))
+          in
+          scan [] 2 records)
 
 let write_journal ~fingerprint path entries =
   let tmp = path ^ ".tmp" in
@@ -1051,11 +942,18 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
     sweep_fingerprint ~deadline_s ~cell_budget_s ~solver ?placeable ~tlat_ms
       ~fractions spec classes
   in
-  let done_tbl =
-    match journal with
-    | None -> Hashtbl.create 0
-    | Some path -> load_journal ~fingerprint path
-  in
+  let done_tbl = Hashtbl.create 32 in
+  Option.iter
+    (fun path ->
+      let entries, defect = load_journal ~fingerprint path in
+      Option.iter
+        (fun e ->
+          Log.warn (fun f ->
+              f "%s: keeping %d journaled cells" (Util.Parse_error.to_string e)
+                (List.length entries)))
+        defect;
+      List.iter (fun (k, v) -> Hashtbl.replace done_tbl k v) entries)
+    journal;
   let pending =
     List.filter (fun (k, _, _, _) -> not (Hashtbl.mem done_tbl k)) keyed_cells
   in

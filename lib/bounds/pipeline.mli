@@ -42,11 +42,12 @@ type solver =
     scalars or iterates, or whose certified bound cannot be reproduced by
     re-evaluating {!Lp.Certificate.dual_bound} at the best dual iterate,
     is discarded and the cell is re-solved cold on a clean rebuild
-    ([Path_pdhg_retry]); if that fails too, the exact simplex rescues the
-    cell ([Path_simplex_fallback]). Because both attempts start cold on
-    the same reduced problem, a retry after input poisoning yields
-    exactly the values an unfaulted solve produces — only this tag
-    records that recovery happened. *)
+    ([Path_pdhg_retry]). The chain ends there: a retry that is unhealthy
+    too means the LP itself is unsound, and {!compute} raises [Failure]
+    naming the [pdhg-retry] leg. Because both attempts start cold on the
+    same reduced problem, a retry after input poisoning yields exactly
+    the values an unfaulted solve produces — only this tag records that
+    recovery happened. *)
 type solve_path =
   | Path_presolve  (** presolve fixed every variable; no solver ran *)
   | Path_tree_dp
@@ -56,7 +57,6 @@ type solve_path =
   | Path_simplex  (** primary exact simplex (small models) *)
   | Path_pdhg  (** primary PDHG solve, numerically healthy *)
   | Path_pdhg_retry  (** first PDHG attempt unhealthy; clean retry accepted *)
-  | Path_simplex_fallback  (** both PDHG attempts unhealthy; simplex rescue *)
   | Path_infeasible  (** the feasibility oracle or the LP said no *)
 
 val path_label : solve_path -> string
@@ -142,9 +142,11 @@ val compute :
   Mcperf.Spec.t ->
   Mcperf.Classes.t ->
   t
-(** Raises [Invalid_argument] only on malformed inputs; class infeasibility
-    and solver truncation are reported in the result. [placeable]
-    restricts replica-hosting nodes (Section 6.2 phase two). *)
+(** Raises [Invalid_argument] on malformed inputs and [Failure] when both
+    PDHG attempts of the cell's LP are unhealthy (see {!solve_path});
+    class infeasibility and solver truncation are reported in the result.
+    [placeable] restricts replica-hosting nodes (Section 6.2 phase
+    two). *)
 
 val compare_classes :
   ?solver:solver ->
@@ -153,10 +155,6 @@ val compare_classes :
   Mcperf.Classes.t list ->
   t list
 (** {!compute} for each class, in the given order. *)
-
-val best_class : t list -> t option
-(** The feasible class with the smallest lower bound (the methodology's
-    recommendation when its bound is close to the general bound). *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -248,19 +246,17 @@ module Sweep_config : sig
       ambient {!Obs.Config}, so install one first to trace a sweep. *)
 end
 
-val load_journal_result :
+val load_journal :
   fingerprint:string ->
   string ->
-  ((string * (t * float)) list, Util.Parse_error.t) result
-(** Strict checkpoint-journal loader: parse the journal at the path and
-    return its completed cells in file order, or a structured error
-    naming the first defect — missing or unreadable file ([line 0]),
-    missing header ([line 1]), fingerprint mismatch ([line 1]), or a
-    corrupt record (its 1-based line). The sweep itself uses the tolerant
-    salvage semantics instead (ignore a mismatched or unreadable journal,
-    keep the valid prefix of a torn one);
-    this is the result-first API for tools that must distinguish "no
-    journal" from "journal damaged". *)
+  (string * (t * float)) list * Util.Parse_error.t option
+(** The checkpoint journal at the path: its completed cells in file
+    order, keyed as the sweep keys them, and — when the scan stopped
+    early — the first defect: an unreadable file ([line 0]), a missing
+    header or a fingerprint mismatch ([line 1], no cells), or a corrupt
+    record (its 1-based line; the cells before it are kept). A missing
+    file is a fresh start: no cells and no defect. {!sweep_classes}
+    resumes from the cells and logs the defect as a warning. *)
 
 val sweep_classes :
   Sweep_config.t ->

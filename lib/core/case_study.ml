@@ -26,7 +26,7 @@ let make ?(seed = 2004) ?(nodes = 20) ?(intervals = 24) ?(scale = 0.1)
   let trace_rng = Util.Prng.split rng in
   let graph =
     Topology.Generate.as_like ~rng:topo_rng ~nodes
-      ~latency:Topology.Generate.default_hop_latency ()
+      ~latency:Topology.Generate.default_hop_latency
   in
   let system = Topology.System.make graph in
   (* WEB keeps 2.5x more objects than the request scale so the heavy tail

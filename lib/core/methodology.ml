@@ -30,9 +30,13 @@ let default_candidates =
     Mcperf.Classes.cooperative_caching;
   ]
 
-let select ?solver ?(classes = default_candidates) ?(slack = 2.0) spec =
-  let general = Bounds.Pipeline.compute ?solver spec Mcperf.Classes.general in
-  let results = Bounds.Pipeline.compare_classes ?solver spec classes in
+(* "Close to the general bound": the chosen class's bound is within this
+   factor of it. *)
+let slack = 2.0
+
+let select spec =
+  let general = Bounds.Pipeline.compute spec Mcperf.Classes.general in
+  let results = Bounds.Pipeline.compare_classes spec default_candidates in
   let ranked =
     List.map
       (fun (r : Bounds.Pipeline.t) ->
@@ -88,7 +92,7 @@ let open_values (model : Mcperf.Model.t) x =
     model.Mcperf.Model.kinds;
   vals
 
-let plan_deployment ?solver ?(zeta = 10_000.) (spec : Mcperf.Spec.t) =
+let plan_deployment ?(zeta = 10_000.) (spec : Mcperf.Spec.t) =
   let phase1_spec =
     { spec with Mcperf.Spec.costs = { spec.Mcperf.Spec.costs with zeta } }
   in
@@ -113,8 +117,7 @@ let plan_deployment ?solver ?(zeta = 10_000.) (spec : Mcperf.Spec.t) =
     let problem = model.Mcperf.Model.problem in
     let x, bound =
       match
-        Bounds.Pipeline.route
-          (Option.value solver ~default:Bounds.Pipeline.Auto)
+        Bounds.Pipeline.route Bounds.Pipeline.Auto
           ~vars:(Lp.Problem.nvars problem) ~rows:(Lp.Problem.nrows problem)
       with
       | Bounds.Pipeline.Simplex -> (

@@ -30,24 +30,19 @@ type selection = {
   ranking : ranked list;  (** feasible classes first, sorted by bound *)
   chosen : ranked option;  (** lowest-bound feasible non-general class *)
   near_general : bool;
-      (** the chosen class's bound is within [slack] of the general bound
-          — no class of heuristics can be significantly better *)
+      (** the chosen class's bound is within a factor 2 of the general
+          bound — no class of heuristics can be significantly better *)
 }
 
 val deployable_of_class : string -> string option
 (** Class name -> deployed heuristic name (None for the general/reactive
     pseudo-classes that exist only as bounds). *)
 
-val select :
-  ?solver:Bounds.Pipeline.solver ->
-  ?classes:Mcperf.Classes.t list ->
-  ?slack:float ->
-  Mcperf.Spec.t ->
-  selection
-(** [select spec] ranks the candidate classes (default: the implementable
-    ones of Table 3 — storage-constrained, replica-constrained,
-    decentralized, caching variants) by lower bound. [slack] (default 2.0)
-    is the "close to the general bound" factor. *)
+val select : Mcperf.Spec.t -> selection
+(** [select spec] ranks the implementable classes of Table 3 —
+    storage-constrained, replica-constrained-uniform, decentralized local
+    routing, caching and cooperative caching — by lower bound, every
+    bound on the [Auto] solver. *)
 
 type deployment = {
   open_nodes : int list;  (** deployed sites, origin included *)
@@ -57,12 +52,9 @@ type deployment = {
       (** certified lower bound of the ζ-augmented MC-PERF solve *)
 }
 
-val plan_deployment :
-  ?solver:Bounds.Pipeline.solver ->
-  ?zeta:float ->
-  Mcperf.Spec.t ->
-  deployment option
-(** Phase one. [zeta] defaults to the paper's 10_000. Returns [None] when
+val plan_deployment : ?zeta:float -> Mcperf.Spec.t -> deployment option
+(** Phase one, with the LP on the solver [Bounds.Pipeline.route] picks
+    under [Auto]. [zeta] defaults to the paper's 10_000. Returns [None] when
     even opening every node cannot meet the goal. The open set is derived
     by rounding the LP's [open] variables greedily (largest fractional
     value first) until the goal is coverable. *)

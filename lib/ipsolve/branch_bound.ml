@@ -13,12 +13,9 @@ let m_nodes = lazy (Obs.Metrics.counter "branch_bound.nodes")
 let m_incumbents = lazy (Obs.Metrics.counter "branch_bound.incumbent_updates")
 let m_truncated = lazy (Obs.Metrics.counter "branch_bound.node_limit_hits")
 
-let solve ?(max_nodes = 100_000) ?integer_vars ?(integrality_tol = 1e-6) p =
-  let integer_vars =
-    match integer_vars with
-    | Some vs -> vs
-    | None -> Array.init (Lp.Problem.nvars p) (fun j -> j)
-  in
+let integrality_tol = 1e-6
+
+let solve ?(max_nodes = 100_000) p =
   let incumbent = ref None in
   let nodes = ref 0 in
   let truncated = ref false in
@@ -29,14 +26,14 @@ let solve ?(max_nodes = 100_000) ?integer_vars ?(integrality_tol = 1e-6) p =
   in
   let most_fractional x =
     let pick = ref None in
-    Array.iter
-      (fun j ->
-        let frac = Float.abs (x.(j) -. Float.round x.(j)) in
+    Array.iteri
+      (fun j xj ->
+        let frac = Float.abs (xj -. Float.round xj) in
         if frac > integrality_tol then
           match !pick with
           | Some (_, best_frac) when frac <= best_frac -> ()
           | _ -> pick := Some (j, frac))
-      integer_vars;
+      x;
     !pick
   in
   let rec explore problem =

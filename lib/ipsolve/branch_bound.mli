@@ -17,15 +17,10 @@ type result =
       (** Search truncated; the best integral solution found so far, if
           any (an upper bound on the optimum, not a certificate). *)
 
-val solve :
-  ?max_nodes:int ->
-  ?integer_vars:int array ->
-  ?integrality_tol:float ->
-  Lp.Problem.t ->
-  result
-(** [solve p] minimizes [p] with the given variables restricted to
-    integers (default: all variables). [max_nodes] bounds the search-tree
-    size (default 100_000). Variables are branched within their box
+val solve : ?max_nodes:int -> Lp.Problem.t -> result
+(** [solve p] minimizes [p] with every variable restricted to integers
+    (within [1e-6]). [max_nodes] bounds the search-tree size (default
+    100_000). Variables are branched within their box
     bounds, so binaries are just variables with bounds [0, 1]. Raises
     [Invalid_argument] on an unbounded relaxation (MC-PERF instances are
     always bounded: every variable is boxed). *)

@@ -48,9 +48,9 @@ let farkas_margin (p : Problem.t) ~ray =
   let zero = Array.make (Problem.nvars p) 0. in
   fst (bound_with_objective p ~objective:zero ~y:ray)
 
-let default_farkas_tol = 1e-9
+let farkas_tol = 1e-9
 
-let check_farkas ?(tol = default_farkas_tol) (p : Problem.t) ~ray =
+let check_farkas (p : Problem.t) ~ray =
   Array.length ray = Problem.nrows p
   && Array.for_all Float.is_finite ray
   &&
@@ -64,10 +64,10 @@ let check_farkas ?(tol = default_farkas_tol) (p : Problem.t) ~ray =
     !acc
   in
   match farkas_margin p ~ray with
-  | margin -> Float.is_finite margin && margin > tol *. (1. +. rhs_part)
+  | margin -> Float.is_finite margin && margin > farkas_tol *. (1. +. rhs_part)
   | exception Invalid_argument _ -> false
 
-let row_farkas ?(tol = default_farkas_tol) (p : Problem.t) =
+let row_farkas (p : Problem.t) =
   let m = Problem.nrows p in
   (* Supremum / infimum of a row's left-hand side over the variable box. *)
   let sup (row : Problem.row) =
@@ -86,11 +86,11 @@ let row_farkas ?(tol = default_farkas_tol) (p : Problem.t) =
   (try
      for i = 0 to m - 1 do
        let row = p.rows.(i) in
-       let slack = tol *. (1. +. Float.abs row.rhs) in
+       let slack = farkas_tol *. (1. +. Float.abs row.rhs) in
        let hit sign =
          let ray = Array.make m 0. in
          ray.(i) <- sign;
-         if check_farkas ~tol p ~ray then begin
+         if check_farkas p ~ray then begin
            found := Some ray;
            raise Exit
          end

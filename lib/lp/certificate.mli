@@ -38,16 +38,15 @@ val dual_bound : Problem.t -> y:float array -> float
     certificate — checkable by pure arithmetic, independent of whichever
     solver produced the ray. *)
 
-val check_farkas : ?tol:float -> Problem.t -> ray:float array -> bool
+val check_farkas : Problem.t -> ray:float array -> bool
 (** [check_farkas p ~ray] accepts iff [ray] has the right dimension, is
     everywhere finite, and its margin on the Ge-normalized [p] (negative
     Ge entries of [ray] clamped to 0, which preserves the guarantee)
-    strictly exceeds
-    [tol * (1 + sum_i |ray_i * b_i|)] (default [tol = 1e-9]) — i.e. the
+    strictly exceeds [1e-9 * (1 + sum_i |ray_i * b_i|)] — i.e. the
     infeasibility proof survives a conservative rounding-error allowance.
     Never raises: malformed input is simply rejected. *)
 
-val row_farkas : ?tol:float -> Problem.t -> float array option
+val row_farkas : Problem.t -> float array option
 (** Cheap single-row certificate scan: the first row whose left-hand side
     cannot reach its rhs anywhere in the variable box yields a unit ray
     (negated for an Eq row violated from above). This covers the MC-PERF

@@ -3,7 +3,6 @@ type options = {
   check_every : int;
   rel_tol : float;
   restart_every : int;
-  verbose : bool;
   deadline_s : float;
 }
 
@@ -13,7 +12,6 @@ let default_options =
     check_every = 50;
     rel_tol = 1e-6;
     restart_every = 1_000;
-    verbose = false;
     deadline_s = infinity;
   }
 
@@ -36,10 +34,6 @@ type outcome = {
   stop : stop_reason;
   rel_gap : float;
 }
-
-let src = Logs.Src.create "lp.pdhg" ~doc:"first-order LP solver"
-
-module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Observability instruments (cached registry lookups). Only
    [solve_prepared] is instrumented; [solve_reference] stays a pristine
@@ -206,10 +200,6 @@ let solve_prepared ?(options = default_options) pr =
          let pinf = Problem.max_violation p x in
          let scale = 1. +. Float.abs pobj +. Float.abs !best_bound in
          let gap = Float.abs (pobj -. !best_bound) /. scale in
-         if options.verbose then
-           Log.info (fun f ->
-               f "iter %6d  obj %.6g  bound %.6g  gap %.2e  pinf %.2e" iter
-                 pobj !best_bound gap pinf);
          Obs.Metrics.incr (Lazy.force m_checkpoints);
          if Obs.Config.tracing () then
            Obs.Trace.event "pdhg.checkpoint"

@@ -18,7 +18,6 @@ type options = {
           (default 1_000; 0 disables). Restarting upgrades PDHG's
           sublinear tail to fast linear convergence on most LPs — the
           core trick of Google's PDLP. *)
-  verbose : bool;  (** log checkpoint progress via [logs] *)
   deadline_s : float;
       (** wall-clock budget for one solve (default [infinity] = none).
           Checked at checkpoints only, so the precision is one

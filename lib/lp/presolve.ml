@@ -117,7 +117,9 @@ let fix_unreferenced st (p : Problem.t) rows =
     appears;
   !changed
 
-let run ?(max_passes = 10) ?(fix_unreferenced_vars = true) (p : Problem.t) =
+let max_passes = 10
+
+let run ?(fix_unreferenced_vars = true) (p : Problem.t) =
   let n = Problem.nvars p in
   let st =
     {

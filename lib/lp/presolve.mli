@@ -27,8 +27,8 @@ type result = {
   dropped_rows : int;  (** rows eliminated *)
 }
 
-val run : ?max_passes:int -> ?fix_unreferenced_vars:bool -> Problem.t -> result
-(** [run p] applies, to fixpoint (at most [max_passes], default 10):
+val run : ?fix_unreferenced_vars:bool -> Problem.t -> result
+(** [run p] applies, to fixpoint (at most 10 passes):
 
     - bound-fixed variables ([lo = hi]) are substituted out;
     - empty rows are checked and dropped (or the problem is declared

@@ -132,7 +132,11 @@ let iterate t ~allowed ~budget =
   in
   step 0
 
-let solve_certified ?(max_pivots = 100_000) (p : Problem.t) =
+(* More pivots than this means a bug, not a hard instance at the
+   intended scale. *)
+let max_pivots = 100_000
+
+let solve_certified (p : Problem.t) =
   let n = Problem.nvars p in
   Array.iter
     (fun l ->
@@ -347,8 +351,8 @@ let solve_certified ?(max_pivots = 100_000) (p : Problem.t) =
       Cert_optimal { x; objective; dual = multipliers ~art_cost:0. }
   end
 
-let solve ?max_pivots p =
-  match solve_certified ?max_pivots p with
+let solve p =
+  match solve_certified p with
   | Cert_optimal { x; objective; dual = _ } -> Optimal { x; objective }
   | Cert_infeasible _ -> Infeasible
   | Cert_unbounded -> Unbounded

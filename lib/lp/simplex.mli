@@ -19,11 +19,10 @@ type result =
   | Infeasible
   | Unbounded
 
-val solve : ?max_pivots:int -> Problem.t -> result
+val solve : Problem.t -> result
 (** [solve p] requires every variable to have a finite lower bound (upper
-    bounds may be infinite). [max_pivots] defaults to [100_000]; raises
-    [Failure] if exceeded, which indicates a bug rather than a hard
-    instance at the intended scale. *)
+    bounds may be infinite). Raises [Failure] after 100,000 pivots, which
+    indicates a bug rather than a hard instance at the intended scale. *)
 
 (** Like {!result}, but every terminal verdict ships its witness:
 
@@ -41,6 +40,6 @@ type certified =
   | Cert_infeasible of { ray : float array }
   | Cert_unbounded
 
-val solve_certified : ?max_pivots:int -> Problem.t -> certified
+val solve_certified : Problem.t -> certified
 (** {!solve} with certificates; identical pivot sequence, so the primal
     answers are bit-identical to {!solve}'s. *)

@@ -47,6 +47,3 @@ val absorb : delta -> unit
 val snapshot_json : unit -> string
 (** The whole registry as one JSON object, instruments sorted by name:
     [{"counters":{...},"histograms":{...}}]. *)
-
-val reset : unit -> unit
-(** Clear the registry (also run by {!Config.install}). *)

@@ -72,5 +72,3 @@ val event_to_json : event -> string
     the [wall_s] field and any attr whose key starts with ["wall_"] —
     are omitted in logical mode and present otherwise. *)
 
-val reset : unit -> unit
-(** Clear all scopes and buffers (also run by {!Config.install}). *)

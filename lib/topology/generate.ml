@@ -6,10 +6,11 @@ let draw_latency rng { lo_ms; hi_ms } =
   if lo_ms < 0. || hi_ms < lo_ms then invalid_arg "Generate: bad latency range";
   if hi_ms = lo_ms then lo_ms else Util.Prng.uniform rng ~lo:lo_ms ~hi:hi_ms
 
-let as_like ?(extra_edge_fraction = 0.3) ~rng ~nodes ~latency () =
+(* Extra random edges per node, for the meshier core of real AS graphs. *)
+let extra_edge_fraction = 0.3
+
+let as_like ~rng ~nodes ~latency =
   if nodes < 1 then invalid_arg "Generate.as_like: need at least one node";
-  if extra_edge_fraction < 0. then
-    invalid_arg "Generate.as_like: negative extra_edge_fraction";
   let g = Graph.create nodes in
   (* Preferential attachment: endpoints of existing edges, each listed once
      per incidence, form the attachment pool, so a node's pick probability

@@ -13,18 +13,12 @@ type latency_range = { lo_ms : float; hi_ms : float }
 val default_hop_latency : latency_range
 (** 100–200 ms, the paper's AS-level hop latency. *)
 
-val as_like :
-  ?extra_edge_fraction:float ->
-  rng:Util.Prng.t ->
-  nodes:int ->
-  latency:latency_range ->
-  unit ->
-  Graph.t
+val as_like : rng:Util.Prng.t -> nodes:int -> latency:latency_range -> Graph.t
 (** Preferential-attachment topology: nodes arrive one at a time and attach
     to an existing node with probability proportional to its degree, then
-    [extra_edge_fraction * nodes] additional random edges are added (default
-    0.3) to create the meshier core of real AS graphs. Always connected.
-    Requires [nodes >= 1]. *)
+    [0.3 * nodes] (rounded) additional random edges are added to create the
+    meshier core of real AS graphs. Always connected. Requires
+    [nodes >= 1]. *)
 
 val ring : rng:Util.Prng.t -> nodes:int -> latency:latency_range -> Graph.t
 val star : rng:Util.Prng.t -> nodes:int -> latency:latency_range -> Graph.t

@@ -38,8 +38,6 @@ let save ?origin g ~path =
 
 type error = Util.Parse_error.t = { file : string; line : int; msg : string }
 
-let error_to_string = Util.Parse_error.to_string
-
 (* Internal parse abort: line 0 means the failure is not tied to a
    specific line (wrong magic, empty file). *)
 exception Err of int * string
@@ -148,20 +146,8 @@ let parse ?(file = "<topology>") s =
   | v -> Ok v
   | exception Err (line, msg) -> Error { file; line; msg }
 
-let of_string_result s = parse s
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      really_input_string ic n)
-
 let load_result ~path =
-  match read_file path with
-  | s -> parse ~file:path s
-  | exception Sys_error msg -> Error { file = path; line = 0; msg }
+  Result.bind (Util.Parse_error.read_file path) (parse ~file:path)
 
 let load_system_result ~path =
   match load_result ~path with

@@ -35,18 +35,15 @@ type error = Util.Parse_error.t = {
 (** Shared structured parse failure (see {!Util.Parse_error}); the
     re-export keeps field access working without opening [Util]. *)
 
-val error_to_string : error -> string
-
-val of_string_result : string -> (Graph.t * int option, error) result
-(** The graph plus the origin recorded in the header, if any. Never
-    raises on malformed input; errors are labelled ["<topology>"]. *)
-
 val parse : ?file:string -> string -> (Graph.t * int option, error) result
-(** {!of_string_result} with an explicit [file] label for errors. *)
+(** The graph plus the origin recorded in the header, if any. Never
+    raises on malformed input; errors are labelled [file] (default
+    ["<topology>"]). *)
 
 val load_result : path:string -> (Graph.t * int option, error) result
 (** {!parse} on the file's contents; an unreadable file (missing,
-    permission) is reported as an [error] with [line = 0]. *)
+    permission) is reported as an [error] with [line = 0]
+    ({!Util.Parse_error.read_file}). *)
 
 val load_system_result : path:string -> (System.t, error) result
 (** {!load_result} followed by {!System.make} (using the recorded

@@ -90,13 +90,6 @@ let to_string s =
     addi "seed" s.seed;
     String.concat "," !fields
 
-let env_var = "REPLICA_FAULTS"
-
-let of_env_result () =
-  match Sys.getenv_opt env_var with
-  | None -> Ok none
-  | Some text -> parse_result ~file:("$" ^ env_var) text
-
 let state = ref none
 let install s = state := s
 let current () = !state

@@ -33,8 +33,7 @@
     [kill -9].
 
     The ambient spec is installed per process ({!install}) and inherited
-    by pool workers through [fork]; separate processes pick it up from
-    the [REPLICA_FAULTS] environment variable ({!of_env_result}). *)
+    by pool workers through [fork]. *)
 
 type spec = {
   seed : int;  (** injection seed; distinct seeds pick distinct fault sets *)
@@ -65,17 +64,10 @@ val parse_result : ?file:string -> string -> (spec, error) Stdlib.result
     and [ckill_after]; any other key is an error.
     Probabilities must lie in [\[0, 1\]]. The empty string parses to
     {!none}. [file] labels the error's [file] field (default
-    ["<faults>"]; CLI and env callers pass their own source label). *)
+    ["<faults>"]). *)
 
 val to_string : spec -> string
 (** Round-trips through {!parse_result}; [""] for {!none}. *)
-
-val env_var : string
-(** ["REPLICA_FAULTS"] — read by {!of_env_result}. *)
-
-val of_env_result : unit -> (spec, error) Stdlib.result
-(** Parse {!env_var} from the environment ({!none} when unset). The
-    error's [file] field is ["$REPLICA_FAULTS"]. *)
 
 val install : spec -> unit
 (** Set the ambient spec for this process (and, through [fork], for any

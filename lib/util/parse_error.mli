@@ -14,7 +14,10 @@ type t = {
   msg : string;
 }
 
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** [file:line: msg], omitting the line when it is 0. *)
 
-val to_string : t -> string
+val read_file : string -> (string, t) result
+(** The whole file at the path, or an error with [line = 0] when it
+    cannot be read (missing, a directory, no permission). The message
+    names the path once, in [file]. *)

@@ -36,14 +36,11 @@ type error = Util.Parse_error.t = {
 (** Shared structured parse failure (see {!Util.Parse_error}); the
     re-export keeps field access working without opening [Util]. *)
 
-val error_to_string : error -> string
-
-val of_string_result : string -> (Trace.t, error) result
-(** Never raises on malformed input; errors are labelled ["<trace>"]. *)
-
 val parse : ?file:string -> string -> (Trace.t, error) result
-(** {!of_string_result} with an explicit [file] label for errors. *)
+(** Never raises on malformed input; errors are labelled [file] (default
+    ["<trace>"]). *)
 
 val load_result : path:string -> (Trace.t, error) result
 (** {!parse} on the file's contents; an unreadable file (missing,
-    permission) is reported as an [error] with [line = 0]. *)
+    permission) is reported as an [error] with [line = 0]
+    ({!Util.Parse_error.read_file}). *)

@@ -143,23 +143,6 @@ let test_pipeline_first_order_agrees () =
        (fo.Bounds.Pipeline.lower_bound -. exact.Bounds.Pipeline.lower_bound)
     < 0.01)
 
-let test_best_class () =
-  let spec = qos_spec () in
-  let results =
-    Bounds.Pipeline.compare_classes spec
-      [
-        Mcperf.Classes.caching;
-        Mcperf.Classes.general;
-        Mcperf.Classes.storage_constrained;
-      ]
-  in
-  match Bounds.Pipeline.best_class results with
-  | Some best ->
-    Alcotest.(check string) "general wins" "general"
-      best.Bounds.Pipeline.class_name
-  | None -> Alcotest.fail "expected a best class"
-
-
 (* --- average-latency rounding ------------------------------------------- *)
 
 let avg_spec ~tavg () =
@@ -213,7 +196,7 @@ let random_scenario rng =
   let nodes = 4 + Util.Prng.int rng 3 in
   let g =
     Topology.Generate.as_like ~rng ~nodes
-      ~latency:Topology.Generate.default_hop_latency ()
+      ~latency:Topology.Generate.default_hop_latency
   in
   let sys = Topology.System.make g in
   let intervals = 3 + Util.Prng.int rng 3 in
@@ -424,7 +407,6 @@ let () =
           Alcotest.test_case "caching at 75%" `Quick test_pipeline_caching_at_75;
           Alcotest.test_case "first-order agrees" `Quick
             test_pipeline_first_order_agrees;
-          Alcotest.test_case "best class" `Quick test_best_class;
         ] );
       ( "lagrangian",
         [

@@ -498,8 +498,8 @@ let test_sweep_matches_percell_compute () =
    three QoS goals (caching only at 0.95), the oracle-infeasible Farkas
    branch (caching at 0.99 and 0.999), the exact tree DP, the
    average-latency rounding, and the exact simplex with its duals for
-   two classes at three QoS goals. The presolve-only, PDHG-retry and
-   simplex-fallback paths are not reached here. *)
+   two classes at three QoS goals. The presolve-only and PDHG-retry
+   paths are not reached here. *)
 let golden_cells () =
   let spec = quickstart_spec () in
   let exact =

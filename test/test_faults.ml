@@ -3,7 +3,8 @@
    injected failures (Util.Faults) and checks that every recovered sweep
    is byte-identical to an unfaulted golden run. The journal group also
    checks that a journal is never resumed into another instance's sweep
-   and that the strict loader names each kind of defect.
+   or from an older journal version, and that the loader names each kind
+   of defect.
 
    By default each scenario runs at jobs=1 and jobs=4; setting
    FAULTS_JOBS=<n> pins the pool width (scripts/check.sh uses this to
@@ -132,16 +133,6 @@ let test_parse_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing '=' must be rejected"
 
-let test_of_env () =
-  Unix.putenv F.env_var "seed=2,diverge=0.5";
-  (match F.of_env_result () with
-  | Ok s -> Alcotest.(check (float 1e-12)) "diverge" 0.5 s.F.diverge_prob
-  | Error e -> Alcotest.fail (Util.Parse_error.to_string e));
-  Unix.putenv F.env_var "";
-  match F.of_env_result () with
-  | Ok s -> Alcotest.(check bool) "empty env is none" true (F.is_none s)
-  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
-
 let test_decide_deterministic () =
   let spec =
     match F.parse_result "seed=11,crash=0.3" with
@@ -251,8 +242,6 @@ let test_diverge_fallback jobs () =
   let clean_sw = Lazy.force fo_golden in
   Alcotest.(check int) "clean run needs no retries" 0
     (List.assoc P.Path_pdhg_retry (P.path_counts clean_sw));
-  Alcotest.(check int) "clean run needs no rescues" 0
-    (List.assoc P.Path_simplex_fallback (P.path_counts clean_sw));
   with_spec "seed=5,diverge=1" (fun () ->
       let sw = run_sweep ~jobs ~solver:fo_solver () in
       Alcotest.(check string) "identical to unfaulted run"
@@ -352,61 +341,88 @@ let test_journal_other_instance () =
     (signature sw);
   check_journal_gone journal
 
-let journal_header fp = "# replica-select sweep journal v3 fingerprint=" ^ fp
+let journal_header fp = "# replica-select sweep journal v4 fingerprint=" ^ fp
 
 let write_file path text =
   let oc = open_out_bin path in
   output_string oc text;
   close_out oc
 
-let test_journal_loader_errors () =
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A journal written before [solve_path] lost its simplex-rescue
+   constructor carries the v3 header; its payloads could decode into a
+   constructor that no longer exists, so it must never be resumed. *)
+let test_journal_old_version () =
+  let clean = Lazy.force golden in
+  let journal = fresh_journal () in
+  interrupt_after 4 ~journal ();
+  let contents = read_file journal in
+  let v4 = "# replica-select sweep journal v4 " in
+  let n = String.length v4 in
+  Alcotest.(check string) "written as v4" v4 (String.sub contents 0 n);
+  write_file journal
+    ("# replica-select sweep journal v3 "
+    ^ String.sub contents n (String.length contents - n));
+  let sw = run_sweep ~jobs:1 ~journal () in
+  Alcotest.(check int) "v3 journal ignored" 0 sw.P.resumed;
+  Alcotest.(check string) "identical to uninterrupted run" clean (signature sw);
+  check_journal_gone journal
+
+(* The loader returns the valid prefix and names the first defect. *)
+let test_journal_loader_defects () =
   let fp = String.make 32 'a' in
   let path = Filename.temp_file "loader" ".journal" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with _ -> ())
   @@ fun () ->
   Sys.remove path;
-  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
-  | Error { Util.Parse_error.file; line = 0; msg = "no such journal" } ->
-    Alcotest.(check string) "missing: file" path file
-  | Error e -> Alcotest.fail ("missing: " ^ Util.Parse_error.to_string e)
-  | Ok _ -> Alcotest.fail "missing journal loaded");
+  let load p = P.load_journal ~fingerprint:fp p in
+  (match load path with
+  | [], None -> ()
+  | _, Some e -> Alcotest.fail ("missing: " ^ Util.Parse_error.to_string e)
+  | _ :: _, None -> Alcotest.fail "missing journal loaded cells");
   write_file path "";
-  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
-  | Error { Util.Parse_error.line = 1; msg = "missing journal header"; _ } ->
-    ()
-  | Error e -> Alcotest.fail ("empty: " ^ Util.Parse_error.to_string e)
-  | Ok _ -> Alcotest.fail "empty journal loaded");
+  (match load path with
+  | [], Some { Util.Parse_error.file; line = 1; msg = "missing journal header" }
+    ->
+    Alcotest.(check string) "empty: file" path file
+  | _, Some e -> Alcotest.fail ("empty: " ^ Util.Parse_error.to_string e)
+  | _, None -> Alcotest.fail "empty journal has no defect");
   write_file path (journal_header (String.make 32 'b') ^ "\n");
-  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
-  | Error { Util.Parse_error.line = 1; msg; _ } ->
+  (match load path with
+  | [], Some { Util.Parse_error.line = 1; msg; _ } ->
     Alcotest.(check bool) "mismatch named" true
       (String.length msg >= 6 && String.sub msg 0 6 = "journa")
-  | Error e -> Alcotest.fail ("mismatch: " ^ Util.Parse_error.to_string e)
-  | Ok _ -> Alcotest.fail "mismatched journal loaded");
+  | _, Some e -> Alcotest.fail ("mismatch: " ^ Util.Parse_error.to_string e)
+  | _, None -> Alcotest.fail "mismatched journal has no defect");
   write_file path (journal_header fp ^ "\nnot-a-record\n");
-  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
-  | Error { Util.Parse_error.line = 2; msg; _ } ->
+  (match load path with
+  | [], Some { Util.Parse_error.line = 2; msg; _ } ->
     Alcotest.(check bool) "corrupt named" true
       (String.length msg >= 22
       && String.sub msg 0 22 = "corrupt journal record")
-  | Error e -> Alcotest.fail ("corrupt: " ^ Util.Parse_error.to_string e)
-  | Ok _ -> Alcotest.fail "corrupt record loaded");
+  | _, Some e -> Alcotest.fail ("corrupt: " ^ Util.Parse_error.to_string e)
+  | _, None -> Alcotest.fail "corrupt record has no defect");
   write_file path (journal_header fp ^ "\ndeadbeef zz\n");
-  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
-  | Error { Util.Parse_error.line = 2; _ } -> ()
-  | Error e -> Alcotest.fail ("bad hex: " ^ Util.Parse_error.to_string e)
-  | Ok _ -> Alcotest.fail "non-hex payload loaded");
+  (match load path with
+  | [], Some { Util.Parse_error.line = 2; _ } -> ()
+  | _, Some e -> Alcotest.fail ("bad hex: " ^ Util.Parse_error.to_string e)
+  | _, None -> Alcotest.fail "non-hex payload has no defect");
   write_file path (journal_header fp ^ "\n");
-  (match Bounds.Pipeline.load_journal_result ~fingerprint:fp path with
-  | Ok [] -> ()
-  | Ok _ -> Alcotest.fail "phantom entries"
-  | Error e -> Alcotest.fail ("header-only: " ^ Util.Parse_error.to_string e));
+  (match load path with
+  | [], None -> ()
+  | _ :: _, _ -> Alcotest.fail "phantom entries"
+  | [], Some e -> Alcotest.fail ("header-only: " ^ Util.Parse_error.to_string e));
   let dir = Filename.dirname path in
-  match Bounds.Pipeline.load_journal_result ~fingerprint:fp dir with
-  | Error { Util.Parse_error.file; line = 0; _ } ->
+  match load dir with
+  | [], Some { Util.Parse_error.file; line = 0; _ } ->
     Alcotest.(check string) "directory: file" dir file
-  | Error e -> Alcotest.fail ("directory: " ^ Util.Parse_error.to_string e)
-  | Ok _ -> Alcotest.fail "a directory loaded as a journal"
+  | _, Some e -> Alcotest.fail ("directory: " ^ Util.Parse_error.to_string e)
+  | _, None -> Alcotest.fail "a directory loaded as a journal"
 
 (* --- retry/backoff bookkeeping ------------------------------------------- *)
 
@@ -468,7 +484,6 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "parse round trip" `Quick test_parse_roundtrip;
-          Alcotest.test_case "env variable" `Quick test_of_env;
           Alcotest.test_case "deterministic decisions" `Quick
             test_decide_deterministic;
         ] );
@@ -499,8 +514,10 @@ let () =
             test_journal_stale_fingerprint;
           Alcotest.test_case "other instance ignored" `Quick
             test_journal_other_instance;
-          Alcotest.test_case "strict loader errors" `Quick
-            test_journal_loader_errors;
+          Alcotest.test_case "old journal version ignored" `Quick
+            test_journal_old_version;
+          Alcotest.test_case "loader defects" `Quick
+            test_journal_loader_defects;
         ] );
       ( "backoff",
         [

@@ -13,14 +13,14 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let topo_of_string s =
-  match Topology.Topo_io.of_string_result s with
+  match Topology.Topo_io.parse s with
   | Ok v -> v
-  | Error e -> Alcotest.fail (Topology.Topo_io.error_to_string e)
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
 
 let trace_of_string s =
-  match Workload.Trace_io.of_string_result s with
+  match Workload.Trace_io.parse s with
   | Ok v -> v
-  | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
 
 let test_topo_round_trip () =
   let golden = read_file "fixtures/golden.topo" in
@@ -64,7 +64,7 @@ let test_tree_fixtures_round_trip () =
       let golden = read_file path in
       match Topology.Topo_io.load_result ~path with
       | Error e ->
-        Alcotest.failf "%s: %s" name (Topology.Topo_io.error_to_string e)
+        Alcotest.failf "%s: %s" name (Util.Parse_error.to_string e)
       | Ok (graph, origin) ->
         Alcotest.(check int)
           (name ^ ": node count")

@@ -630,7 +630,7 @@ let random_cache_scenario seed =
   let nodes = 3 + Util.Prng.int rng 4 in
   let g =
     Topology.Generate.as_like ~rng ~nodes
-      ~latency:Topology.Generate.default_hop_latency ()
+      ~latency:Topology.Generate.default_hop_latency
   in
   let sys = Topology.System.make g in
   let objects = 2 + Util.Prng.int rng 6 in
@@ -688,7 +688,7 @@ let prop_greedy_global_respects_capacity =
       let nodes = 4 + Util.Prng.int rng 3 in
       let g =
         Topology.Generate.as_like ~rng ~nodes
-          ~latency:Topology.Generate.default_hop_latency ()
+          ~latency:Topology.Generate.default_hop_latency
       in
       let sys = Topology.System.make g in
       let objects = 3 + Util.Prng.int rng 5 in
@@ -736,7 +736,7 @@ let prop_costing_components_sum =
       let nodes = 4 + Util.Prng.int rng 3 in
       let g =
         Topology.Generate.as_like ~rng ~nodes
-          ~latency:Topology.Generate.default_hop_latency ()
+          ~latency:Topology.Generate.default_hop_latency
       in
       let sys = Topology.System.make g in
       let objects = 2 + Util.Prng.int rng 4 in

@@ -191,6 +191,13 @@ let test_sweep_pinned () =
     (Digest.to_hex
        (Digest.string (Marshal.to_string sweep [ Marshal.No_sharing ])))
 
+let at_fraction spec fraction =
+  {
+    spec with
+    Mcperf.Spec.goal =
+      Mcperf.Spec.Qos { tlat_ms = SS.default_tlat_ms; fraction };
+  }
+
 let test_sweep_matches_pointwise_bound () =
   (* The sweep shares the bundling and subproblem models across points;
      each point must still equal an independent [bound] call. *)
@@ -201,20 +208,72 @@ let test_sweep_matches_pointwise_bound () =
   in
   List.iter
     (fun (q, (out : Bounds.Lagrangian.outcome)) ->
-      let spec_q =
-        {
-          spec with
-          Mcperf.Spec.goal =
-            Mcperf.Spec.Qos { tlat_ms = SS.default_tlat_ms; fraction = q };
-        }
-      in
       let solo =
-        Bounds.Lagrangian.bound ~iterations:20 spec_q Mcperf.Classes.general
+        Bounds.Lagrangian.bound ~iterations:20 (at_fraction spec q)
+          Mcperf.Classes.general
       in
       Alcotest.(check bool)
         "sweep point = solo bound" true
         (out.Bounds.Lagrangian.bound = solo.Bounds.Lagrangian.bound))
     sweep
+
+(* --- pinned pointwise outcomes ---------------------------------------------- *)
+
+(* Whole [bound] outcomes, one "label md5" line each in
+   fixtures/lagrangian_outcomes.golden, pinned against an earlier build:
+   both step rules, bundled and unbundled, on the homogeneous and the
+   heterogeneous-weight instance at two fractions. The MD5 is taken over
+   the outcome marshaled without sharing, so a change to the bound, the
+   multipliers, the solve counts or the bundling shows. *)
+let lagrangian_outcomes () =
+  List.concat_map
+    (fun (inst, spec) ->
+      List.concat_map
+        (fun (rule_name, step_rule) ->
+          List.concat_map
+            (fun bundling ->
+              List.map
+                (fun fraction ->
+                  let out =
+                    Bounds.Lagrangian.bound ~iterations:20 ~step_rule ~bundling
+                      (at_fraction spec fraction) Mcperf.Classes.general
+                  in
+                  ( Printf.sprintf "%s/%s/%s@%g" inst rule_name
+                      (if bundling then "bundled" else "unbundled")
+                      fraction,
+                    Digest.to_hex
+                      (Digest.string
+                         (Marshal.to_string out [ Marshal.No_sharing ])) ))
+                [ 0.9; 0.99 ])
+            [ true; false ])
+        [
+          ("harmonic", Bounds.Lagrangian.Harmonic);
+          ("adaptive", Bounds.Lagrangian.Adaptive);
+        ])
+    [
+      ("homogeneous", small_spec ());
+      ("heterogeneous-seed3", hetero_spec ~seed:3 ());
+    ]
+
+let read_golden path =
+  let ic = open_in path in
+  let rec read acc =
+    match input_line ic with
+    | line -> (
+      match String.split_on_char ' ' line with
+      | [ label; md5 ] -> read ((label, md5) :: acc)
+      | _ -> Alcotest.failf "malformed golden line %S" line)
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+  in
+  read []
+
+let test_outcomes_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "every outcome matches its pinned digest"
+    (read_golden "fixtures/lagrangian_outcomes.golden")
+    (lagrangian_outcomes ())
 
 let () =
   let props =
@@ -244,6 +303,8 @@ let () =
             test_sweep_pinned;
           Alcotest.test_case "sweep = pointwise bounds" `Quick
             test_sweep_matches_pointwise_bound;
+          Alcotest.test_case "bound outcomes match pinned digests" `Quick
+            test_outcomes_pinned;
         ] );
       ("properties", props);
     ]

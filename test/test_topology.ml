@@ -74,7 +74,7 @@ let prop_dijkstra_matches_floyd_warshall =
       let rng = Util.Prng.create ~seed in
       let n = 2 + Util.Prng.int rng 12 in
       let g =
-        Topology.Generate.as_like ~rng ~nodes:n ~latency:lat100_200 ()
+        Topology.Generate.as_like ~rng ~nodes:n ~latency:lat100_200
       in
       let a = Topology.Shortest_path.all_pairs g in
       let b = Topology.Shortest_path.floyd_warshall g in
@@ -94,7 +94,7 @@ let prop_shortest_paths_metric =
     (fun seed ->
       let rng = Util.Prng.create ~seed:(seed + 17) in
       let n = 2 + Util.Prng.int rng 10 in
-      let g = Topology.Generate.as_like ~rng ~nodes:n ~latency:lat100_200 () in
+      let g = Topology.Generate.as_like ~rng ~nodes:n ~latency:lat100_200 in
       let d = Topology.Shortest_path.all_pairs g in
       let ok = ref true in
       for i = 0 to n - 1 do
@@ -113,7 +113,7 @@ let prop_shortest_paths_metric =
 
 let test_as_like_connected_and_sized () =
   let g =
-    Topology.Generate.as_like ~rng:(rng ()) ~nodes:20 ~latency:lat100_200 ()
+    Topology.Generate.as_like ~rng:(rng ()) ~nodes:20 ~latency:lat100_200
   in
   Alcotest.(check int) "20 nodes" 20 (Topology.Graph.node_count g);
   Alcotest.(check bool) "connected" true (Topology.Graph.is_connected g);
@@ -129,7 +129,7 @@ let test_as_like_degree_skew () =
   (* Preferential attachment should produce a clear hub: max degree well
      above the minimum. *)
   let g =
-    Topology.Generate.as_like ~rng:(rng ()) ~nodes:40 ~latency:lat100_200 ()
+    Topology.Generate.as_like ~rng:(rng ()) ~nodes:40 ~latency:lat100_200
   in
   let degrees =
     Array.init 40 (fun v -> Topology.Graph.degree g v)
@@ -220,13 +220,13 @@ let test_system_rejects_disconnected () =
 
 let test_topo_io_roundtrip () =
   let g =
-    Topology.Generate.as_like ~rng:(rng ()) ~nodes:12 ~latency:lat100_200 ()
+    Topology.Generate.as_like ~rng:(rng ()) ~nodes:12 ~latency:lat100_200
   in
   let s = Topology.Topo_io.to_string ~origin:3 g in
   let g2, origin =
-    match Topology.Topo_io.of_string_result s with
+    match Topology.Topo_io.parse s with
     | Ok v -> v
-    | Error e -> Alcotest.fail (Topology.Topo_io.error_to_string e)
+    | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
   in
   Alcotest.(check (option int)) "origin" (Some 3) origin;
   Alcotest.(check int) "nodes" 12 (Topology.Graph.node_count g2);
@@ -247,7 +247,7 @@ let test_topo_io_load_system () =
   match sys with
   | Ok sys ->
     Alcotest.(check int) "origin from file" 1 sys.Topology.System.origin
-  | Error e -> Alcotest.fail (Topology.Topo_io.error_to_string e)
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
 
 let topo_header = "# replica-select topology v1 nodes=3\nu,v,latency_ms\n"
 
@@ -262,7 +262,7 @@ let test_topo_io_structured_errors () =
     Alcotest.(check string) "NaN latency message" "non-finite latency"
       e.Topology.Topo_io.msg;
     Alcotest.(check string) "rendered location" "<topology>:4: non-finite latency"
-      (Topology.Topo_io.error_to_string e)
+      (Util.Parse_error.to_string e)
   | Ok _ -> Alcotest.fail "NaN latency must be rejected");
   (match Topology.Topo_io.parse (topo_header ^ "0,1,inf\n") with
   | Error e -> Alcotest.(check int) "inf latency line" 3 e.Topology.Topo_io.line
@@ -297,6 +297,14 @@ let test_topo_io_load_result_missing_file () =
   | Ok _ -> Alcotest.fail "missing file must be an error");
   match Topology.Topo_io.load_system_result ~path:"/nonexistent/topo.csv" with
   | Error _ -> ()
+  | Ok _ -> Alcotest.fail "missing file must be an error"
+
+let test_topo_io_missing_file_named_once () =
+  match Topology.Topo_io.load_result ~path:"/nonexistent/topo.csv" with
+  | Error e ->
+    Alcotest.(check string) "path named once"
+      "/nonexistent/topo.csv: No such file or directory"
+      (Util.Parse_error.to_string e)
   | Ok _ -> Alcotest.fail "missing file must be an error"
 
 let test_topo_io_load_system_result_disconnected () =
@@ -348,6 +356,8 @@ let () =
             test_topo_io_structured_errors;
           Alcotest.test_case "missing file" `Quick
             test_topo_io_load_result_missing_file;
+          Alcotest.test_case "missing file named once" `Quick
+            test_topo_io_missing_file_named_once;
           Alcotest.test_case "disconnected system" `Quick
             test_topo_io_load_system_result_disconnected;
         ] );

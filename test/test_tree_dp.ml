@@ -579,7 +579,7 @@ let load_tree name =
   | Ok (g, _origin) -> g
   | Error e ->
     Alcotest.failf "fixture %s failed to load: %s" name
-      (Topology.Topo_io.error_to_string e)
+      (Util.Parse_error.to_string e)
 
 (* fixtures/tree_chain.topo: 0 -120ms- 1 -120ms- 2 -120ms- 3 -120ms- 4.
    Budget 250 everywhere: the origin covers nodes 1 and 2 (120, 240),

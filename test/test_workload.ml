@@ -241,9 +241,9 @@ let test_trace_io_roundtrip () =
       ]
   in
   let t2 =
-    match Workload.Trace_io.of_string_result (Workload.Trace_io.to_string t) with
+    match Workload.Trace_io.parse (Workload.Trace_io.to_string t) with
     | Ok t2 -> t2
-    | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
+    | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
   in
   Alcotest.(check int) "length" (Workload.Trace.length t) (Workload.Trace.length t2);
   Alcotest.(check int) "nodes" 3 (Workload.Trace.node_count t2);
@@ -269,7 +269,7 @@ let test_trace_io_file_roundtrip () =
   | Ok t2 ->
     Alcotest.(check int) "length preserved" (Workload.Trace.length t)
       (Workload.Trace.length t2)
-  | Error e -> Alcotest.fail (Workload.Trace_io.error_to_string e)
+  | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
 
 let trace_header =
   "# replica-select trace v1 nodes=2 objects=2 duration_s=10\n\
@@ -328,6 +328,14 @@ let test_trace_io_load_result_missing_file () =
     Alcotest.(check int) "whole-file error" 0 e.Workload.Trace_io.line;
     Alcotest.(check string) "file carried" "/nonexistent/trace.csv"
       e.Workload.Trace_io.file
+  | Ok _ -> Alcotest.fail "missing file must be an error"
+
+let test_trace_io_missing_file_named_once () =
+  match Workload.Trace_io.load_result ~path:"/nonexistent/trace.csv" with
+  | Error e ->
+    Alcotest.(check string) "path named once"
+      "/nonexistent/trace.csv: No such file or directory"
+      (Util.Parse_error.to_string e)
   | Ok _ -> Alcotest.fail "missing file must be an error"
 
 
@@ -640,6 +648,8 @@ let () =
             test_trace_io_structured_errors;
           Alcotest.test_case "missing file" `Quick
             test_trace_io_load_result_missing_file;
+          Alcotest.test_case "missing file named once" `Quick
+            test_trace_io_missing_file_named_once;
         ] );
       ( "aggregate",
         [
