@@ -22,11 +22,21 @@ type outcome = {
    covered <= sum of reachable stores, and (optionally) the per-object
    replica rows. All variables boxed, so both the simplex optimum and any
    PDHG dual certificate are finite. *)
+
+(* How a subproblem is settled for every lambda. The solver images hold
+   [pre.reduced] itself, whose objective is rewritten in place, and
+   neither its matrix nor its rhs ever changes, so each is built once. *)
+type route =
+  | Trivial  (* no variables *)
+  | Fixed  (* presolve fixed every variable *)
+  | Simplex of Lp.Simplex.prepared
+      (* solved exactly: at most [simplex_size_limit] variables *)
+  | Pdhg of Lp.Pdhg.prepared  (* lower-bounded by a short PDHG run *)
+
 type subproblem = {
   problem : Lp.Problem.t;
   covered_cells : (int * int * float) array;
       (* (covered var, cell node, weighted reads) *)
-  size : int;  (* original variable count; drives the solver choice *)
   pre : Lp.Presolve.result;
       (* objective-independent reduction, computed once and valid for
          every lambda *)
@@ -34,11 +44,10 @@ type subproblem = {
       (* the reduced-space origin lifted back: fixed variables at their
          values, everything else 0 — the per-lambda offset of the
          eliminated variables is [dot objective restored0] *)
-  mutable prep : Lp.Pdhg.prepared option;
-      (* PDHG image of [pre.reduced], built on first use and reused for
-         every lambda (the objective is shared in place, and neither the
-         matrix nor the rhs ever changes) *)
+  route : route;
 }
+
+let simplex_size_limit = 200
 
 let build_subproblem (perm : Mcperf.Permission.t) k =
   let spec = perm.Mcperf.Permission.spec in
@@ -151,16 +160,15 @@ let build_subproblem (perm : Mcperf.Permission.t) k =
     pre.Lp.Presolve.restore
       (Array.make (Lp.Problem.nvars pre.Lp.Presolve.reduced) 0.)
   in
-  {
-    problem;
-    covered_cells = Array.of_list !covered;
-    size = Lp.Problem.nvars problem;
-    pre;
-    restored0;
-    prep = None;
-  }
-
-let simplex_size_limit = 200
+  let red = pre.Lp.Presolve.reduced in
+  let route =
+    if Lp.Problem.nvars problem = 0 then Trivial
+    else if Lp.Problem.nvars red = 0 then Fixed
+    else if Lp.Problem.nvars problem <= simplex_size_limit then
+      Simplex (Lp.Simplex.prepare red)
+    else Pdhg (Lp.Pdhg.prepare red)
+  in
+  { problem; covered_cells = Array.of_list !covered; pre; restored0; route }
 
 (* Solve (or validly lower-bound) a subproblem whose covered-variable
    objective has been set for the current lambda. Returns the bound, the
@@ -168,47 +176,35 @@ let simplex_size_limit = 200
    entry per [covered_cells] slot, in order — and how the solve was
    settled. *)
 let solve_sub sub =
-  if Lp.Problem.nvars sub.problem = 0 then (0., [||], `Trivial)
-  else begin
-    let pre = sub.pre in
-    let red = pre.Lp.Presolve.reduced in
-    let off =
-      Util.Vecops.dot sub.problem.Lp.Problem.objective sub.restored0
+  let restore = sub.pre.Lp.Presolve.restore in
+  let off () =
+    Util.Vecops.dot sub.problem.Lp.Problem.objective sub.restored0
+  in
+  let contribs x =
+    Array.map (fun (cv, _, rw) -> rw *. x.(cv)) sub.covered_cells
+  in
+  match sub.route with
+  | Trivial -> (0., [||], `Trivial)
+  | Fixed ->
+    (* Every variable was fixed by the constraints alone: the feasible
+       set is the single point [restored0], whatever the objective. *)
+    (off (), contribs sub.restored0, `Exact)
+  | Simplex prep -> (
+    match Lp.Simplex.solve_prepared prep with
+    | Lp.Simplex.Cert_optimal { x; objective; dual = _ } ->
+      (objective +. off (), contribs (restore x), `Exact)
+    | Lp.Simplex.Cert_infeasible _ | Lp.Simplex.Cert_unbounded ->
+      invalid_arg "Lagrangian: subproblem should be feasible and bounded")
+  | Pdhg prep ->
+    let out =
+      Lp.Pdhg.solve_prepared
+        ~options:
+          { Lp.Pdhg.default_options with max_iters = 1_500; rel_tol = 1e-6 }
+        prep
     in
-    let contribs x =
-      Array.map (fun (cv, _, rw) -> rw *. x.(cv)) sub.covered_cells
-    in
-    if Lp.Problem.nvars red = 0 then
-      (* Every variable was fixed by the constraints alone: the feasible
-         set is the single point [restored0], whatever the objective. *)
-      (off, contribs sub.restored0, `Exact)
-    else if sub.size <= simplex_size_limit then begin
-      match Lp.Simplex.solve red with
-      | Lp.Simplex.Optimal { x; objective } ->
-        (objective +. off, contribs (pre.Lp.Presolve.restore x), `Exact)
-      | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
-        invalid_arg "Lagrangian: subproblem should be feasible and bounded"
-    end
-    else begin
-      let prep =
-        match sub.prep with
-        | Some p -> p
-        | None ->
-          let p = Lp.Pdhg.prepare red in
-          sub.prep <- Some p;
-          p
-      in
-      let out =
-        Lp.Pdhg.solve_prepared
-          ~options:
-            { Lp.Pdhg.default_options with max_iters = 1_500; rel_tol = 1e-6 }
-          prep
-      in
-      ( out.Lp.Pdhg.best_bound +. off,
-        contribs (pre.Lp.Presolve.restore out.Lp.Pdhg.x),
-        `Bounded )
-    end
-  end
+    ( out.Lp.Pdhg.best_bound +. off (),
+      contribs (restore out.Lp.Pdhg.x),
+      `Bounded )
 
 (* The builder assigns objective coefficients at construction; rewriting
    them per lambda mutates the (non-private-to-us) objective array in
@@ -378,13 +374,20 @@ let always_covered (spec : Mcperf.Spec.t) (perm : Mcperf.Permission.t) =
     spec.Mcperf.Spec.demand.Workload.Demand.reads;
   always
 
+(* The span covers the representative builds (model, presolve, solver
+   image) but not the bundling itself. *)
 let bundle_and_subs ~bundling perm =
   let bundle =
     if bundling then Mcperf.Bundle.compute perm else Mcperf.Bundle.trivial perm
   in
+  let sp =
+    Obs.Trace.span_begin "lagrangian.subproblems"
+      ~attrs:[ ("bundles", Obs.Trace.Int bundle.Mcperf.Bundle.count) ]
+  in
   let subs =
     Array.map (build_subproblem perm) bundle.Mcperf.Bundle.representative
   in
+  Obs.Trace.span_end sp;
   (bundle, subs)
 
 let run ~iterations ~step_rule ~fraction ~spec ~bundle ~subs
@@ -394,9 +397,19 @@ let run ~iterations ~step_rule ~fraction ~spec ~bundle ~subs
     Array.init nodes (fun n ->
         Float.max 0. ((fraction *. node_totals.(n)) -. always.(n)))
   in
+  let sp =
+    Obs.Trace.span_begin "lagrangian.point"
+      ~attrs:
+        [
+          ("fraction", Obs.Trace.Float fraction);
+          ("iterations", Obs.Trace.Int iterations);
+          ("bundles", Obs.Trace.Int bundle.Mcperf.Bundle.count);
+        ]
+  in
   let best, lambda, exact, bounded =
     ascend ~iterations ~step_rule ~t_n ~spec ~bundle ~subs
   in
+  Obs.Trace.span_end sp;
   {
     bound = best;
     iterations;

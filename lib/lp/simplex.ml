@@ -136,17 +136,42 @@ let iterate t ~allowed ~budget =
    intended scale. *)
 let max_pivots = 100_000
 
-let solve_certified (p : Problem.t) =
+(* How a tableau's rows map back onto the problem's rows: [row_src] is
+   the original row a tableau row came from (-1 for the bound rows, whose
+   multipliers the certificate re-derives optimally from the box),
+   [row_flip] the rhs<0 sign flip, and [row_dual_col] the auxiliary column
+   whose reduced cost carries the row's simplex multiplier: the slack
+   (Le), the surplus (Ge) or the artificial (Eq). Columns [0, n) are the
+   problem's variables, [n, n + n_slack) slacks and surpluses, the rest
+   artificials. *)
+type layout = {
+  n : int;
+  n_slack : int;
+  row_kind : Problem.row_kind array;
+  row_src : int array;
+  row_flip : float array;
+  row_dual_col : int array;
+}
+
+type prepared = {
+  problem : Problem.t;
+  layout : layout;
+  base : tableau;  (* after phase 1 and the drive-out *)
+  p1_pivots : int;
+  farkas : float array option;  (* phase 1 proved the rows infeasible *)
+  scratch : tableau Lazy.t;  (* where [solve_prepared] runs phase 2 *)
+}
+
+(* Shift x = z + lower so z >= 0, and lay out the rows: original
+   constraints plus one Le row per finite upper bound, each with its
+   slack, surplus and artificial columns and the basis they start in. *)
+let build (p : Problem.t) =
   let n = Problem.nvars p in
   Array.iter
     (fun l ->
       if not (Float.is_finite l) then
         invalid_arg "Simplex.solve: all lower bounds must be finite")
     p.lower;
-  (* Shift x = z + lower so z >= 0, and collect rows: original constraints
-     plus one Le row per finite upper bound. [src] remembers which
-     original row a tableau row came from (-1 for the bound rows, whose
-     multipliers the certificate re-derives optimally from the box). *)
   let shifted_rows = ref [] in
   Array.iteri
     (fun idx (r : Problem.row) ->
@@ -166,8 +191,7 @@ let solve_certified (p : Problem.t) =
   let m = List.length all_rows in
   (* Count auxiliary columns: slack (Le), surplus (Ge), artificial (Ge with
      positive rhs, Eq always; Le with negative rhs becomes Ge after the
-     sign flip below). [flip] records the sign flip so tableau multipliers
-     can be mapped back to the original row orientation. *)
+     sign flip below). *)
   let rows_std =
     List.map
       (fun (kind, rhs, coeffs, src) ->
@@ -196,8 +220,6 @@ let solve_certified (p : Problem.t) =
   let row_kind = Array.make m Problem.Eq in
   let row_src = Array.make m (-1) in
   let row_flip = Array.make m 1. in
-  (* The auxiliary column whose reduced cost carries row i's simplex
-     multiplier: the slack (Le), the surplus (Ge) or the artificial (Eq). *)
   let row_dual_col = Array.make m 0 in
   let slack_cursor = ref n in
   let art_cursor = ref (n + n_slack) in
@@ -241,45 +263,108 @@ let solve_certified (p : Problem.t) =
       nz = Array.make (ncols + 1) 0;
     }
   in
-  (* Read the simplex multipliers for the original rows out of the current
-     reduced-cost row and express them against the Ge-normalized problem.
-     With duals y = c_B B^-1, a column with coefficient +-e_i and cost c
-     has reduced cost c -+ y_i: slack (+e_i, cost 0) gives y_i =
-     -reduced, surplus (-e_i, cost 0) gives y_i = +reduced, artificial
-     (+e_i, cost [art_cost]) gives y_i = art_cost - reduced. [flip] undoes
-     the rhs<0 sign flip; the final map negates multipliers of original
-     Le rows because {!Problem.normalize_ge} negates those rows. *)
-  let multipliers ~art_cost =
-    let v = Array.make (Array.length p.rows) 0. in
-    for i = 0 to m - 1 do
-      let src = row_src.(i) in
-      if src >= 0 then begin
-        let w =
-          match row_kind.(i) with
-          | Problem.Le -> -.t.reduced.(row_dual_col.(i))
-          | Problem.Ge -> t.reduced.(row_dual_col.(i))
-          | Problem.Eq -> art_cost -. t.reduced.(row_dual_col.(i))
-        in
-        v.(src) <- v.(src) +. (row_flip.(i) *. w)
-      end
-    done;
-    Array.mapi
-      (fun i vi ->
-        match p.rows.(i).kind with
-        | Problem.Le -> -.vi
-        | Problem.Ge | Problem.Eq -> vi)
-      v
-  in
-  (* Phase 1: minimize the sum of artificials. *)
+  (t, { n; n_slack; row_kind; row_src; row_flip; row_dual_col })
+
+(* Read the simplex multipliers for the original rows out of a reduced-
+   cost row and express them against the Ge-normalized problem. With
+   duals y = c_B B^-1, a column with coefficient +-e_i and cost c has
+   reduced cost c -+ y_i: slack (+e_i, cost 0) gives y_i = -reduced,
+   surplus (-e_i, cost 0) gives y_i = +reduced, artificial (+e_i, cost
+   [art_cost]) gives y_i = art_cost - reduced. [flip] undoes the rhs<0
+   sign flip; the final map negates multipliers of original Le rows
+   because {!Problem.normalize_ge} negates those rows. *)
+let multipliers (p : Problem.t) l reduced ~art_cost =
+  let v = Array.make (Array.length p.rows) 0. in
+  for i = 0 to Array.length l.row_src - 1 do
+    let src = l.row_src.(i) in
+    if src >= 0 then begin
+      let w =
+        match l.row_kind.(i) with
+        | Problem.Le -> -.reduced.(l.row_dual_col.(i))
+        | Problem.Ge -> reduced.(l.row_dual_col.(i))
+        | Problem.Eq -> art_cost -. reduced.(l.row_dual_col.(i))
+      in
+      v.(src) <- v.(src) +. (l.row_flip.(i) *. w)
+    end
+  done;
+  Array.mapi
+    (fun i vi ->
+      match p.rows.(i).kind with
+      | Problem.Le -> -.vi
+      | Problem.Ge | Problem.Eq -> vi)
+    v
+
+(* Drive the artificials left basic after a feasible phase 1 out of the
+   basis where possible. *)
+let drive_out t l =
+  for i = 0 to t.m - 1 do
+    if t.basis.(i) >= l.n + l.n_slack then begin
+      let found = ref (-1) in
+      (try
+         for j = 0 to l.n + l.n_slack - 1 do
+           if Float.abs t.tab.(i).(j) > eps then begin
+             found := j;
+             raise Exit
+           end
+         done
+       with Exit -> ());
+      if !found >= 0 then pivot t ~row:i ~col:!found
+      (* else: the row is redundant; the artificial stays basic at
+         value ~0, which is harmless once its column is disallowed. *)
+    end
+  done
+
+(* Phase 1 minimizes the sum of artificials. At a positive optimum its
+   duals aggregate the rows into a constraint no point in the box
+   satisfies, a Farkas certificate; otherwise the artificials are driven
+   out. Nothing here reads the objective. *)
+let phase1 p (t, l) =
+  let ncols = t.ncols in
   let phase1_cost = Array.make ncols 0. in
-  for j = n + n_slack to ncols - 1 do
+  for j = l.n + l.n_slack to ncols - 1 do
     phase1_cost.(j) <- 1.
   done;
+  recompute_reduced t phase1_cost;
+  let p1_pivots =
+    match iterate t ~allowed:(Array.make ncols true) ~budget:max_pivots with
+    | `Unbounded, _ ->
+      assert false (* phase-1 objective is bounded below by 0 *)
+    | `Optimal, pivots -> pivots
+  in
+  let farkas =
+    if -.t.reduced.(ncols) > feas_tol then
+      Some (multipliers p l t.reduced ~art_cost:1.)
+    else None
+  in
+  if Option.is_none farkas then drive_out t l;
+  let scratch =
+    lazy
+      {
+        t with
+        tab = Array.make_matrix t.m (ncols + 1) 0.;
+        basis = Array.make t.m 0;
+        reduced = Array.make (ncols + 1) 0.;
+        nz = Array.make (ncols + 1) 0;
+      }
+  in
+  { problem = p; layout = l; base = t; p1_pivots; farkas; scratch }
+
+let prepare p = phase1 p (build p)
+
+let start_solve (t : tableau) =
   let sp =
     Obs.Trace.span_begin "simplex.solve"
-      ~attrs:[ ("rows", Obs.Trace.Int m); ("cols", Obs.Trace.Int ncols) ]
+      ~attrs:[ ("rows", Obs.Trace.Int t.m); ("cols", Obs.Trace.Int t.ncols) ]
   in
   Obs.Metrics.incr (Lazy.force m_solves);
+  sp
+
+(* Reports phase 1 and runs phase 2 under the problem's current objective
+   on [t], which must hold [pr.base]'s state: the one phase-2 path. Every
+   solve reports the pivots of the phase 1 that prepared it, so a
+   re-solve counts the pivots a cold solve would. *)
+let finish_solve sp pr t =
+  let p = pr.problem and l = pr.layout in
   let finish ?(attrs = []) ~pivots verdict =
     Obs.Metrics.incr ~by:pivots (Lazy.force m_pivots);
     Obs.Trace.span_end sp
@@ -287,69 +372,54 @@ let solve_certified (p : Problem.t) =
         ((("verdict", Obs.Trace.Str verdict)
           :: ("pivots", Obs.Trace.Int pivots) :: attrs))
   in
-  recompute_reduced t phase1_cost;
-  let allowed_all = Array.make ncols true in
-  let p1_pivots =
-    match iterate t ~allowed:allowed_all ~budget:max_pivots with
-    | `Unbounded, _ ->
-      assert false (* phase-1 objective is bounded below by 0 *)
-    | `Optimal, pivots -> pivots
-  in
   if Obs.Config.tracing () then
     Obs.Trace.event "simplex.phase1_done"
-      ~attrs:[ ("pivots", Obs.Trace.Int p1_pivots) ];
-  let phase1_obj = -.t.reduced.(ncols) in
-  if phase1_obj > feas_tol then begin
-    (* The optimal phase-1 duals aggregate the rows into a constraint no
-       point in the box satisfies: a Farkas certificate. *)
+      ~attrs:[ ("pivots", Obs.Trace.Int pr.p1_pivots) ];
+  match pr.farkas with
+  | Some ray ->
     Obs.Metrics.incr (Lazy.force m_infeasible);
-    finish ~pivots:p1_pivots "infeasible";
-    Cert_infeasible { ray = multipliers ~art_cost:1. }
-  end
-  else begin
-    (* Drive remaining artificials out of the basis where possible. *)
-    for i = 0 to m - 1 do
-      if t.basis.(i) >= n + n_slack then begin
-        let found = ref (-1) in
-        (try
-           for j = 0 to n + n_slack - 1 do
-             if Float.abs t.tab.(i).(j) > eps then begin
-               found := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !found >= 0 then pivot t ~row:i ~col:!found
-        (* else: the row is redundant; the artificial stays basic at
-           value ~0, which is harmless once its column is disallowed. *)
-      end
-    done;
-    (* Phase 2: original objective on shifted variables. *)
+    finish ~pivots:pr.p1_pivots "infeasible";
+    Cert_infeasible { ray = Array.copy ray }
+  | None -> (
+    let ncols = t.ncols in
     let phase2_cost = Array.make ncols 0. in
-    for j = 0 to n - 1 do
-      phase2_cost.(j) <- p.objective.(j)
-    done;
+    Array.blit p.objective 0 phase2_cost 0 l.n;
     recompute_reduced t phase2_cost;
     if Obs.Config.tracing () then Obs.Trace.event "simplex.phase2_start";
-    let allowed = Array.init ncols (fun j -> j < n + n_slack) in
+    let allowed = Array.init ncols (fun j -> j < l.n + l.n_slack) in
     match iterate t ~allowed ~budget:max_pivots with
     | `Unbounded, p2_pivots ->
       Obs.Metrics.incr (Lazy.force m_unbounded);
-      finish ~pivots:(p1_pivots + p2_pivots) "unbounded";
+      finish ~pivots:(pr.p1_pivots + p2_pivots) "unbounded";
       Cert_unbounded
     | `Optimal, p2_pivots ->
-      let z = Array.make n 0. in
-      for i = 0 to m - 1 do
-        if t.basis.(i) < n then z.(t.basis.(i)) <- t.tab.(i).(ncols)
+      let z = Array.make l.n 0. in
+      for i = 0 to t.m - 1 do
+        if t.basis.(i) < l.n then z.(t.basis.(i)) <- t.tab.(i).(ncols)
       done;
       let x = Array.mapi (fun j zj -> zj +. p.lower.(j)) z in
       let objective = Problem.objective_value p x in
       finish
-        ~pivots:(p1_pivots + p2_pivots)
+        ~pivots:(pr.p1_pivots + p2_pivots)
         ~attrs:[ ("objective", Obs.Trace.Float objective) ]
         "optimal";
-      Cert_optimal { x; objective; dual = multipliers ~art_cost:0. }
-  end
+      Cert_optimal
+        { x; objective; dual = multipliers p l t.reduced ~art_cost:0. })
+
+let solve_certified p =
+  let ((t, _) as built) = build p in
+  let sp = start_solve t in
+  let pr = phase1 p built in
+  finish_solve sp pr pr.base
+
+let solve_prepared pr =
+  let sp = start_solve pr.base in
+  let s = Lazy.force pr.scratch in
+  for i = 0 to s.m - 1 do
+    Array.blit pr.base.tab.(i) 0 s.tab.(i) 0 (s.ncols + 1)
+  done;
+  Array.blit pr.base.basis 0 s.basis 0 s.m;
+  finish_solve sp pr s
 
 let solve p =
   match solve_certified p with

@@ -1,8 +1,9 @@
 (** Exact dense two-phase simplex.
 
     Solves small LP instances to optimality; used for validation-sized
-    MC-PERF models, as the relaxation engine inside the branch-and-bound IP
-    solver, and as the ground-truth oracle in the test suite. Bland's rule
+    MC-PERF models, for the Lagrangian's per-object subproblems, as the
+    relaxation engine inside the branch-and-bound IP solver, and as the
+    ground-truth oracle in the test suite. Bland's rule
     is used throughout, so the method terminates on degenerate instances
     (set-cover relaxations are heavily degenerate).
 
@@ -42,4 +43,34 @@ type certified =
 
 val solve_certified : Problem.t -> certified
 (** {!solve} with certificates; identical pivot sequence, so the primal
-    answers are bit-identical to {!solve}'s. *)
+    answers are bit-identical to {!solve}'s. Runs phase 2 on
+    [prepare p]'s own tableau, without a copy. *)
+
+(** {2 Re-solving under new objectives}
+
+    The tableau build, phase 1 and the drive-out of the remaining
+    artificials read only the rows and the box, never the objective. A
+    caller that solves the same constraints under many objectives (the
+    Lagrangian, whose subproblem objective is rewritten in place for every
+    multiplier vector) pays them once in {!prepare}; each
+    {!solve_prepared} then costs one copy of the tableau (rows x columns
+    floats) plus the phase-2 pivots. *)
+
+type prepared
+(** The tableau after phase 1 and the drive-out, or the Farkas ray phase
+    1 found, together with a scratch tableau of the same shape. *)
+
+val prepare : Problem.t -> prepared
+(** [prepare p] runs everything up to phase 2. It raises what {!solve}
+    raises before phase 2, emits no trace event and counts no solve. [p]
+    is kept, not copied: its rows and bounds must not change afterwards,
+    while its objective may. *)
+
+val solve_prepared : prepared -> certified
+(** [solve_prepared pr] runs phase 2 under the current objective of the
+    problem [pr] was prepared from, on [pr]'s scratch tableau, so [pr] is
+    unchanged and every call sees the same phase-1 state. The outcome,
+    down to every bit of [x], [objective], [dual] and the Farkas ray, is
+    {!solve_certified}'s on that problem; so are the trace events and
+    the [simplex.solves] and [simplex.pivots] counts, which include the
+    phase-1 pivots of the preparation. *)

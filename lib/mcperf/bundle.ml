@@ -7,24 +7,46 @@ type t = {
   rescaled : int;
 }
 
-(* The structural key is serialized through [Marshal] with sharing
-   disabled — two objects get the same bytes iff their mask columns and
-   read cells are structurally equal, which is exactly the bundling
-   equivalence — then digested so a 100k-object table holds 16-byte keys
-   instead of kilobyte mask columns. *)
-let key_of (perm : Permission.t) ~nodes k =
-  let demand = perm.Permission.spec.Spec.demand in
-  let store_col = Array.init nodes (fun m -> perm.Permission.store_mask.(m).(k)) in
-  let create_col =
-    Array.init nodes (fun m -> perm.Permission.create_mask.(m).(k))
-  in
-  let cells =
-    Array.map
-      (fun (c : Workload.Demand.cell) -> (c.node, c.interval, c.count))
-      demand.Workload.Demand.reads.(k)
-  in
-  Digest.string
-    (Marshal.to_string (store_col, create_col, cells) [ Marshal.No_sharing ])
+(* The structural key of an object: its nonzero (node, store mask,
+   create mask) column entries, flattened, and its read cells (the
+   demand's own array, not a copy). [Permission.compute] leaves every
+   mask zero outside the nodes that can serve one of the object's reads
+   ([Permission.covering]), so the entries are gathered from those nodes
+   alone, in an order fixed by the cells. Two objects with equal cells
+   gather in the same order, so their keys are equal iff their mask
+   columns and read cells are, counts compared by bit pattern (as their
+   Marshal images would be). *)
+type key = { cols : int array; cells : Workload.Demand.cell array }
+
+let count_bits (c : Workload.Demand.cell) = Int64.bits_of_float c.count
+
+module Key_table = Hashtbl.Make (struct
+  type t = key
+
+  let same_cell (x : Workload.Demand.cell) (y : Workload.Demand.cell) =
+    x.node = y.node && x.interval = y.interval
+    && Int64.equal (count_bits x) (count_bits y)
+
+  let equal a b =
+    Array.length a.cols = Array.length b.cols
+    && Array.for_all2 Int.equal a.cols b.cols
+    && Array.length a.cells = Array.length b.cells
+    && Array.for_all2 same_cell a.cells b.cells
+
+  (* FNV-style multiply with a shift that folds the high bits back down,
+     so every word reaches the low bits the table indexes by. A count's
+     sign bit is left out; [Demand] admits only positive counts. *)
+  let mix h v =
+    let h = (h lxor v) * 0x100000001b3 in
+    h lxor (h lsr 29)
+
+  let hash k =
+    Array.fold_left
+      (fun h (c : Workload.Demand.cell) ->
+        mix (mix (mix h c.node) c.interval) (Int64.to_int (count_bits c)))
+      (Array.fold_left mix 0 k.cols)
+      k.cells
+end)
 
 let finish ~objects ~count ~representative ~bundle_of ~weight =
   let exact_member =
@@ -40,19 +62,52 @@ let compute (perm : Permission.t) =
   let spec = perm.Permission.spec in
   let nodes = Spec.node_count spec in
   let objects = Spec.object_count spec in
-  let weight = spec.Spec.demand.Workload.Demand.weight in
-  let table : (string, int) Hashtbl.t = Hashtbl.create ((objects / 4) + 16) in
+  let demand = spec.Spec.demand in
+  let weight = demand.Workload.Demand.weight in
+  let store = perm.Permission.store_mask
+  and create = perm.Permission.create_mask in
+  let covering = Permission.covering perm in
+  (* Per-object scratch: the nodes gathered so far and the key entries. *)
+  let seen = Array.make nodes false in
+  let gathered = Array.make nodes 0 in
+  let entries = Array.make (3 * nodes) 0 in
+  let table = Key_table.create ((objects / 4) + 16) in
   let reps = ref [] in
   let count = ref 0 in
   let bundle_of = Array.make objects 0 in
   for k = 0 to objects - 1 do
-    let key = key_of perm ~nodes k in
-    match Hashtbl.find_opt table key with
+    let cells = demand.Workload.Demand.reads.(k) in
+    let ngathered = ref 0 in
+    for ci = 0 to Array.length cells - 1 do
+      let cov = covering.(cells.(ci).Workload.Demand.node) in
+      for q = 0 to Array.length cov - 1 do
+        let m = cov.(q) in
+        if not seen.(m) then begin
+          seen.(m) <- true;
+          gathered.(!ngathered) <- m;
+          incr ngathered
+        end
+      done
+    done;
+    let len = ref 0 in
+    for g = 0 to !ngathered - 1 do
+      let m = gathered.(g) in
+      seen.(m) <- false;
+      let s = store.(m).(k) and c = create.(m).(k) in
+      if s <> 0 || c <> 0 then begin
+        entries.(!len) <- m;
+        entries.(!len + 1) <- s;
+        entries.(!len + 2) <- c;
+        len := !len + 3
+      end
+    done;
+    let key = { cols = Array.sub entries 0 !len; cells } in
+    match Key_table.find_opt table key with
     | Some b -> bundle_of.(k) <- b
     | None ->
       let b = !count in
       incr count;
-      Hashtbl.add table key b;
+      Key_table.add table key b;
       reps := k :: !reps;
       bundle_of.(k) <- b
   done;

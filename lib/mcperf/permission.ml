@@ -31,6 +31,77 @@ let prefix_or mask ~intervals =
   done;
   !acc land interval_bits intervals
 
+(* The dense sphere masks of a custom knowledge matrix: [sphere.(m).(k)]
+   is the union of the access masks of [k] over [m]'s sphere, and
+   [multi.(m).(k)] (only built when [multi_needed]) the intervals where
+   that sphere saw at least two accesses. O(N^2 * K); nothing in the
+   library builds such a matrix, so it keeps the plain triple loops. *)
+let dense_spheres (spec : Spec.t) know ~multi_needed =
+  let nodes = Spec.node_count spec in
+  let intervals = Spec.interval_count spec in
+  let objects = Spec.object_count spec in
+  let reads = spec.demand.Workload.Demand.reads in
+  let access = Array.make_matrix nodes objects 0 in
+  Array.iteri
+    (fun k cells ->
+      Array.iter
+        (fun (c : Workload.Demand.cell) ->
+          access.(c.node).(k) <- access.(c.node).(k) lor (1 lsl c.interval))
+        cells)
+    reads;
+  let sphere = Array.make_matrix nodes objects 0 in
+  for m = 0 to nodes - 1 do
+    for v = 0 to nodes - 1 do
+      if know.(m).(v) then
+        for k = 0 to objects - 1 do
+          sphere.(m).(k) <- sphere.(m).(k) lor access.(v).(k)
+        done
+    done
+  done;
+  let multi =
+    if not multi_needed then [||]
+    else begin
+      let counts = Array.make_matrix nodes objects [||] in
+      for n = 0 to nodes - 1 do
+        for k = 0 to objects - 1 do
+          counts.(n).(k) <- Array.make intervals 0.
+        done
+      done;
+      Array.iteri
+        (fun k cells ->
+          Array.iter
+            (fun (c : Workload.Demand.cell) ->
+              counts.(c.node).(k).(c.interval) <-
+                counts.(c.node).(k).(c.interval) +. c.count)
+            cells)
+        reads;
+      let multi = Array.make_matrix nodes objects 0 in
+      for m = 0 to nodes - 1 do
+        for k = 0 to objects - 1 do
+          for i = 0 to intervals - 1 do
+            let total = ref 0. in
+            for v = 0 to nodes - 1 do
+              if know.(m).(v) then total := !total +. counts.(v).(k).(i)
+            done;
+            if !total >= 2. then multi.(m).(k) <- multi.(m).(k) lor (1 lsl i)
+          done
+        done
+      done;
+      multi
+    end
+  in
+  (sphere, multi)
+
+let covering_of reach =
+  Array.map
+    (fun row ->
+      let ms = ref [] in
+      for m = Array.length row - 1 downto 0 do
+        if row.(m) then ms := m :: !ms
+      done;
+      Array.of_list !ms)
+    reach
+
 let compute ?placeable (spec : Spec.t) (cls : Classes.t) =
   let sys = spec.system in
   let nodes = Spec.node_count spec in
@@ -57,174 +128,149 @@ let compute ?placeable (spec : Spec.t) (cls : Classes.t) =
   let know = Topology.System.know_matrix sys cls.knowledge in
   let origin = sys.origin in
   let origin_covered = Array.init nodes (fun n -> reach.(n).(origin)) in
-  (* Access masks: for each (node, object), the intervals with reads. *)
-  let access = Array.make_matrix nodes objects 0 in
-  Array.iteri
-    (fun k cells ->
-      Array.iter
-        (fun (c : Workload.Demand.cell) ->
-          access.(c.node).(k) <- access.(c.node).(k) lor (1 lsl c.interval))
-        cells)
-    spec.demand.Workload.Demand.reads;
-  (* Sphere masks: union of access masks over the sphere of knowledge.
-     The two canonical knowledge models short-circuit the O(N^2 * K)
-     union: under [Know_global] every row of [know] is all-true, so each
-     node's sphere is the one global access union (O(N * K)); under
-     [Know_local] the matrix is the identity, so the sphere {e is} the
-     access matrix. Custom matrices keep the general triple loop. *)
-  let sphere = Array.make_matrix nodes objects 0 in
-  (match cls.knowledge with
-  | Topology.System.Know_global ->
-    let global = Array.make objects 0 in
-    for v = 0 to nodes - 1 do
-      let av = access.(v) in
-      for k = 0 to objects - 1 do
-        global.(k) <- global.(k) lor av.(k)
-      done
-    done;
-    for m = 0 to nodes - 1 do
-      Array.blit global 0 sphere.(m) 0 objects
-    done
-  | Topology.System.Know_local ->
-    for m = 0 to nodes - 1 do
-      Array.blit access.(m) 0 sphere.(m) 0 objects
-    done
-  | Topology.System.Know_custom _ ->
-    for m = 0 to nodes - 1 do
-      for v = 0 to nodes - 1 do
-        if know.(m).(v) then
-          for k = 0 to objects - 1 do
-            sphere.(m).(k) <- sphere.(m).(k) lor access.(v).(k)
-          done
-      done
-    done);
+  let placeable = Array.mapi (fun m p -> p && m <> origin) placeable in
+  (* A window of no intervals is an error whenever some pair could be
+     placed, whether or not any read reaches it. *)
+  (match cls.history with
+  | Classes.Window w when w < 1 && objects > 0 && Array.exists Fun.id placeable
+    ->
+    invalid_arg "Permission.compute: window must be >= 1"
+  | Classes.Window _ | Classes.All_intervals -> ());
+  (* Intervals a creation may happen in, given the sphere's access mask. *)
+  let permitted_by sphere =
+    match (cls.history, cls.timing) with
+    | Classes.All_intervals, Classes.Proactive -> prefix_or sphere ~intervals
+    | Classes.All_intervals, Classes.Reactive ->
+      prefix_or sphere ~intervals lsl 1 land bits
+    | Classes.Window w, Classes.Proactive ->
+      smear sphere ~d0:0 ~d1:(w - 1) ~bits
+    | Classes.Window w, Classes.Reactive -> smear sphere ~d0:1 ~d1:w ~bits
+  in
   (* Per-access refinement (Theorem 3): intervals where the sphere sees at
      least two accesses, so a per-access reactive heuristic has already
-     reacted to the first by the time the later ones arrive. Only needed
+     reacted to the first by the time the later ones arrive. Only read
      when the class opts in. *)
-  let sphere_multi =
-    if not cls.intra_interval then [||]
-    else begin
-      match cls.knowledge with
-      | Topology.System.Know_global ->
-        (* Every node sees every access: the per-interval totals are
-           global sums over the (unique, node-ascending) cells, and the
-           resulting row is identical for all nodes. *)
-        let totals = Array.make_matrix objects intervals 0. in
-        Array.iteri
-          (fun k cells ->
-            Array.iter
-              (fun (c : Workload.Demand.cell) ->
-                totals.(k).(c.interval) <- totals.(k).(c.interval) +. c.count)
-              cells)
-          spec.demand.Workload.Demand.reads;
-        let row = Array.make objects 0 in
-        for k = 0 to objects - 1 do
-          for i = 0 to intervals - 1 do
-            if totals.(k).(i) >= 2. then row.(k) <- row.(k) lor (1 lsl i)
-          done
-        done;
-        Array.init nodes (fun _ -> Array.copy row)
-      | Topology.System.Know_local ->
-        (* A node sees only its own cells, and cells are unique per
-           (interval, node): at least two sphere accesses iff that one
-           cell carries count >= 2. *)
-        let multi = Array.make_matrix nodes objects 0 in
-        Array.iteri
-          (fun k cells ->
-            Array.iter
-              (fun (c : Workload.Demand.cell) ->
-                if c.count >= 2. then
-                  multi.(c.node).(k) <- multi.(c.node).(k) lor (1 lsl c.interval))
-              cells)
-          spec.demand.Workload.Demand.reads;
-        multi
-      | Topology.System.Know_custom _ ->
-        let counts = Array.make_matrix nodes objects [||] in
-        for n = 0 to nodes - 1 do
-          for k = 0 to objects - 1 do
-            counts.(n).(k) <- Array.make intervals 0.
-          done
-        done;
-        Array.iteri
-          (fun k cells ->
-            Array.iter
-              (fun (c : Workload.Demand.cell) ->
-                counts.(c.node).(k).(c.interval) <-
-                  counts.(c.node).(k).(c.interval) +. c.count)
-              cells)
-          spec.demand.Workload.Demand.reads;
-        let multi = Array.make_matrix nodes objects 0 in
-        for m = 0 to nodes - 1 do
-          for k = 0 to objects - 1 do
-            for i = 0 to intervals - 1 do
-              let total = ref 0. in
-              for v = 0 to nodes - 1 do
-                if know.(m).(v) then total := !total +. counts.(v).(k).(i)
-              done;
-              if !total >= 2. then multi.(m).(k) <- multi.(m).(k) lor (1 lsl i)
-            done
-          done
-        done;
-        multi
-    end
+  let multi_needed = cls.intra_interval && cls.timing = Classes.Reactive in
+  let dense_sphere, dense_multi =
+    match cls.knowledge with
+    | Topology.System.Know_custom _ -> dense_spheres spec know ~multi_needed
+    | Topology.System.Know_global | Topology.System.Know_local -> ([||], [||])
   in
-  (* Last interval with a read this node's replica could usefully cover.
-     Under a QoS goal, reads from origin-covered nodes are already served
-     within the threshold and never need placement; under an average-
-     latency goal every read can still benefit from a closer replica. *)
+  (* Reads this node's replica could usefully cover. Under a QoS goal,
+     reads from origin-covered nodes are already served within the
+     threshold and never need placement; under an average-latency goal
+     every read can still benefit from a closer replica. *)
   let needs_placement =
     match spec.goal with
     | Spec.Qos _ -> fun n -> not origin_covered.(n)
     | Spec.Avg_latency _ -> fun _ -> true
   in
-  let last_coverable = Array.make_matrix nodes objects (-1) in
-  Array.iteri
-    (fun k cells ->
-      Array.iter
-        (fun (c : Workload.Demand.cell) ->
-          if needs_placement c.node then
-            for m = 0 to nodes - 1 do
-              if reach.(c.node).(m) && c.interval > last_coverable.(m).(k) then
-                last_coverable.(m).(k) <- c.interval
-            done)
-        cells)
-    spec.demand.Workload.Demand.reads;
+  let covering = covering_of reach in
+  (* Per-object scratch, each entry reset before the next object:
+     [last_coverable.(m)] is the last interval with a read [m] could
+     cover (-1 for none), [touched] lists the nodes where it is set,
+     [own]/[own_multi] are a node's own access masks (the sphere under
+     [Know_local]) and [totals] the per-interval read counts (under
+     [Know_global]). A pair no read can reach keeps all-zero masks, so
+     only the reachable pairs are visited. *)
+  let last_coverable = Array.make nodes (-1) in
+  let touched = Array.make nodes 0 in
+  let own = Array.make nodes 0 and own_multi = Array.make nodes 0 in
+  let totals = Array.make intervals 0. in
   let create_mask = Array.make_matrix nodes objects 0 in
   let store_mask = Array.make_matrix nodes objects 0 in
-  for m = 0 to nodes - 1 do
-    if m <> origin && placeable.(m) then
-      for k = 0 to objects - 1 do
-        let permitted =
-          match (cls.history, cls.timing) with
-          | Classes.All_intervals, Classes.Proactive ->
-            prefix_or sphere.(m).(k) ~intervals
-          | Classes.All_intervals, Classes.Reactive ->
-            prefix_or sphere.(m).(k) ~intervals lsl 1 land bits
-          | Classes.Window w, Classes.Proactive ->
-            if w < 1 then invalid_arg "Permission.compute: window must be >= 1";
-            smear sphere.(m).(k) ~d0:0 ~d1:(w - 1) ~bits
-          | Classes.Window w, Classes.Reactive ->
-            if w < 1 then invalid_arg "Permission.compute: window must be >= 1";
-            smear sphere.(m).(k) ~d0:1 ~d1:w ~bits
-        in
-        let permitted =
-          if cls.intra_interval && cls.timing = Classes.Reactive then
-            permitted lor sphere_multi.(m).(k)
-          else permitted
-        in
-        let lc = last_coverable.(m).(k) in
-        if lc >= 0 then begin
-          let useful = interval_bits (lc + 1) in
-          create_mask.(m).(k) <- permitted land useful;
-          store_mask.(m).(k) <-
-            prefix_or create_mask.(m).(k) ~intervals land useful
+  let reads = spec.demand.Workload.Demand.reads in
+  for k = 0 to objects - 1 do
+    let cells = reads.(k) in
+    let ntouched = ref 0 in
+    for ci = 0 to Array.length cells - 1 do
+      let c = cells.(ci) in
+      if needs_placement c.node then begin
+        let cov = covering.(c.node) in
+        for q = 0 to Array.length cov - 1 do
+          let m = cov.(q) in
+          let lc = last_coverable.(m) in
+          if lc < 0 then begin
+            touched.(!ntouched) <- m;
+            incr ntouched
+          end;
+          if c.interval > lc then last_coverable.(m) <- c.interval
+        done
+      end
+    done;
+    if !ntouched > 0 then begin
+      (* Under [Know_global] every sphere is the whole system: one union
+         over the object's cells serves every node, and the per-interval
+         totals are sums over the (unique, node-ascending) cells. Under
+         [Know_local] cells are unique per (interval, node), so the
+         sphere sees two accesses iff one cell carries count >= 2. *)
+      let union = ref 0 and twice = ref 0 in
+      (match cls.knowledge with
+      | Topology.System.Know_global ->
+        Array.iter
+          (fun (c : Workload.Demand.cell) ->
+            union := !union lor (1 lsl c.interval))
+          cells;
+        if multi_needed then begin
+          Array.iter
+            (fun (c : Workload.Demand.cell) ->
+              totals.(c.interval) <- totals.(c.interval) +. c.count)
+            cells;
+          Array.iter
+            (fun (c : Workload.Demand.cell) ->
+              if totals.(c.interval) >= 2. then
+                twice := !twice lor (1 lsl c.interval))
+            cells;
+          Array.iter
+            (fun (c : Workload.Demand.cell) -> totals.(c.interval) <- 0.)
+            cells
         end
-      done
+      | Topology.System.Know_local ->
+        Array.iter
+          (fun (c : Workload.Demand.cell) ->
+            own.(c.node) <- own.(c.node) lor (1 lsl c.interval);
+            if c.count >= 2. then
+              own_multi.(c.node) <- own_multi.(c.node) lor (1 lsl c.interval))
+          cells
+      | Topology.System.Know_custom _ -> ());
+      for t = 0 to !ntouched - 1 do
+        let m = touched.(t) in
+        let lc = last_coverable.(m) in
+        last_coverable.(m) <- -1;
+        if placeable.(m) then begin
+          let permitted =
+            permitted_by
+              (match cls.knowledge with
+              | Topology.System.Know_global -> !union
+              | Topology.System.Know_local -> own.(m)
+              | Topology.System.Know_custom _ -> dense_sphere.(m).(k))
+          in
+          let permitted =
+            if not multi_needed then permitted
+            else
+              permitted
+              lor
+              match cls.knowledge with
+              | Topology.System.Know_global -> !twice
+              | Topology.System.Know_local -> own_multi.(m)
+              | Topology.System.Know_custom _ -> dense_multi.(m).(k)
+          in
+          let useful = interval_bits (lc + 1) in
+          let create = permitted land useful in
+          create_mask.(m).(k) <- create;
+          store_mask.(m).(k) <- prefix_or create ~intervals land useful
+        end
+      done;
+      match cls.knowledge with
+      | Topology.System.Know_local ->
+        Array.iter
+          (fun (c : Workload.Demand.cell) ->
+            own.(c.node) <- 0;
+            own_multi.(c.node) <- 0)
+          cells
+      | Topology.System.Know_global | Topology.System.Know_custom _ -> ()
+    end
   done;
-  let placeable =
-    Array.mapi (fun m p -> p && m <> sys.Topology.System.origin) placeable
-  in
   { spec; cls; placeable; reach; know; origin_covered; create_mask; store_mask }
 
 (* The reach matrix depends on the goal only through [tlat_ms], and the
@@ -238,6 +284,8 @@ let with_fraction t fraction =
       spec = { t.spec with goal = Spec.Qos { tlat_ms; fraction } } }
   | Spec.Avg_latency _ ->
     invalid_arg "Permission.with_fraction: requires a QoS goal"
+
+let covering t = covering_of t.reach
 
 let create_allowed t ~node ~interval ~object_id =
   t.create_mask.(node).(object_id) land (1 lsl interval) <> 0

@@ -42,7 +42,18 @@ val compute : ?placeable:bool array -> Spec.t -> Classes.t -> t
 (** [placeable] restricts the nodes that may host replicas (deployment
     scenario of Section 6.2: only opened sites have file servers); nodes
     outside it get empty create/store masks. Defaults to every node. The
-    origin is never placeable regardless. *)
+    origin is never placeable regardless.
+
+    Cost: the N x N reach and knowledge matrices, the two N x K mask
+    matrices it returns (the only N x K allocations), and per object its
+    read cells times the nodes each can reach. A (node, object) pair no
+    read of the object can reach keeps all-zero masks and is never
+    visited. Under [Know_custom] knowledge the sphere masks are instead
+    built densely, in O(N^2 * K).
+
+    Raises [Invalid_argument] when [placeable] has the wrong length, and
+    under a [Window w] history with [w < 1] when there is an object and a
+    placeable node. *)
 
 val with_fraction : t -> float -> t
 (** [with_fraction t f] re-targets a QoS analysis at fraction [f] without
@@ -50,6 +61,10 @@ val with_fraction : t -> float -> t
     threshold and the masks never read the fraction, so the result equals
     [compute] at the new goal (the matrices are shared, not rebuilt).
     Raises [Invalid_argument] on an average-latency analysis. *)
+
+val covering : t -> int array array
+(** [covering t] lists per node [n], ascending, the nodes [m] with
+    [reach.(n).(m)]: the only nodes whose masks a read at [n] can set. *)
 
 val create_allowed : t -> node:int -> interval:int -> object_id:int -> bool
 val store_possible : t -> node:int -> interval:int -> object_id:int -> bool

@@ -103,7 +103,9 @@ echo "tree stage OK: $(grep -c 'tree-dp' "$treedir/j1.out") DP cells, outputs id
 # bound, a solve count or the bundling. --check additionally gates the
 # decomposition on a small instance: the dual must sit below the exact
 # simplex optimum (bound sandwich) and the bundled bound must equal the
-# forced-unbundled one bit for bit (the family is homogeneous).
+# forced-unbundled one bit for bit (the family is homogeneous). The
+# default instance (229 nodes, 10,000 objects, about a second) is pinned
+# too, since it is the one the figure reports.
 echo "== scale stage: bundled Lagrangian sweep against the committed output =="
 scaledir=_build/scale-check
 rm -rf "$scaledir"
@@ -112,9 +114,13 @@ mkdir -p "$scaledir"
   > "$scaledir/figscale.out" 2> /dev/null
 cmp test/fixtures/figscale-2000.out "$scaledir/figscale.out" \
   || { echo "scale stage: figscale output differs from the committed fixture"; exit 1; }
+./_build/default/bin/experiments.exe figscale \
+  > "$scaledir/figscale-10000.out" 2> /dev/null
+cmp test/fixtures/figscale-10000.out "$scaledir/figscale-10000.out" \
+  || { echo "scale stage: default figscale output differs from the committed fixture"; exit 1; }
 grep -q 'scale checks passed' "$scaledir/figscale.out" \
   || { echo "scale stage: bound-sandwich or bundling-exactness gate failed"; exit 1; }
-echo "scale stage OK: $(sed -n 's/^bundling: .*(\(.*\)x).*/\1/p' "$scaledir/figscale.out")x bundle ratio, output identical to the fixture"
+echo "scale stage OK: $(sed -n 's/^bundling: .*(\(.*\)x).*/\1/p' "$scaledir/figscale.out")x and $(sed -n 's/^bundling: .*(\(.*\)x).*/\1/p' "$scaledir/figscale-10000.out")x bundle ratios, outputs identical to the fixtures"
 
 # Avail stage: the availability validation family checks the sampler's
 # determinism, the all-up/monotonicity laws of the degraded re-pricer,

@@ -355,6 +355,22 @@ let test_pinned_simplex () =
     (read_golden "fixtures/simplex_outcomes.golden")
     (List.map
        (fun (label, p) -> (label, digest (Lp.Simplex.solve_certified p)))
+       (pinned_lps ()));
+  (* A prepared tableau re-solved under another objective first (the
+     negated one) must give the cold outcome under its own, bit for bit:
+     each re-solve starts from the prepared state, not from the last
+     solve's. *)
+  Alcotest.(check (list (pair string string)))
+    "every re-solved outcome matches its pinned digest"
+    (read_golden "fixtures/simplex_outcomes.golden")
+    (List.map
+       (fun (label, (p : Lp.Problem.t)) ->
+         let pr = Lp.Simplex.prepare p in
+         let own = Array.copy p.objective in
+         Array.iteri (fun j c -> p.objective.(j) <- -.c) own;
+         ignore (Lp.Simplex.solve_prepared pr);
+         Array.blit own 0 p.objective 0 (Array.length own);
+         (label, digest (Lp.Simplex.solve_prepared pr)))
        (pinned_lps ()))
 
 (* --- parallel-sweep determinism ------------------------------------------ *)

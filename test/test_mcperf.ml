@@ -127,6 +127,122 @@ let test_max_feasible_qos () =
   Alcotest.(check bool) "caching infeasible at 100%" false
     (Mcperf.Permission.feasible perm_cache)
 
+(* --- permission: sparse pass against the dense reference ----------------- *)
+
+(* A random tiny instance: an AS-like topology of 2-7 nodes with a random
+   origin, 1-6 objects over 1-5 intervals with Bernoulli cells (counts 1,
+   2 or 3.5, so the per-access threshold of 2 falls both ways) and a goal
+   whose threshold ranges from covering only the node itself to the whole
+   graph. *)
+let random_permission_spec ~seed ~avg =
+  let rng = Util.Prng.create ~seed in
+  let nodes = 2 + Util.Prng.int rng 6 in
+  let intervals = 1 + Util.Prng.int rng 5 in
+  let objects = 1 + Util.Prng.int rng 6 in
+  let graph =
+    Topology.Generate.as_like ~rng ~nodes
+      ~latency:Topology.Generate.default_hop_latency
+  in
+  let system = Topology.System.make ~origin:(Util.Prng.int rng nodes) graph in
+  let reads =
+    Array.init objects (fun _ ->
+        let cells = ref [] in
+        for i = 0 to intervals - 1 do
+          for n = 0 to nodes - 1 do
+            if Util.Prng.float rng 1. < 0.3 then
+              cells :=
+                cell n i [| 1.; 2.; 3.5 |].(Util.Prng.int rng 3) :: !cells
+          done
+        done;
+        Array.of_list (List.rev !cells))
+  in
+  if Array.for_all (fun cells -> cells = [||]) reads then
+    reads.(0) <- [| cell (nodes - 1) 0 1. |];
+  let demand =
+    Workload.Demand.create ~nodes ~intervals ~interval_s:3600. ~reads ()
+  in
+  let goal =
+    if avg then Mcperf.Spec.Avg_latency { tavg_ms = Util.Prng.float rng 400. }
+    else
+      Mcperf.Spec.Qos { tlat_ms = Util.Prng.float rng 600.; fraction = 0.9 }
+  in
+  (rng, Mcperf.Spec.make ~system ~demand ~goal ())
+
+(* Every catalogue class and its per-access variant, window histories
+   beyond the catalogue's [Window 1], and a random custom knowledge
+   matrix. *)
+let permission_classes rng nodes =
+  let open Mcperf.Classes in
+  let custom =
+    Topology.System.Know_custom
+      (Array.init nodes (fun _ ->
+           Array.init nodes (fun _ -> Util.Prng.bool rng)))
+  in
+  let base =
+    catalogue
+    @ [
+        { caching with name = "caching-w2"; history = Window 2 };
+        {
+          cooperative_caching_prefetch with
+          name = "coop-w3";
+          history = Window 3;
+        };
+        { caching_prefetch with name = "prefetch-w3"; history = Window 3 };
+        { general with name = "custom"; knowledge = custom };
+        {
+          cooperative_caching with
+          name = "custom-w2";
+          knowledge = custom;
+          history = Window 2;
+        };
+      ]
+  in
+  base @ List.map allow_intra_interval_reaction base
+
+(* The result of a call, or the message of the [Invalid_argument] it
+   raised. *)
+let attempt f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let same_permission ?placeable spec cls =
+  match
+    ( attempt (fun () -> Mcperf.Permission.compute ?placeable spec cls),
+      attempt (fun () -> Permission_dense.compute ?placeable spec cls) )
+  with
+  | Ok got, Ok want ->
+    got.Mcperf.Permission.placeable = want.Permission_dense.placeable
+    && got.Mcperf.Permission.reach = want.Permission_dense.reach
+    && got.Mcperf.Permission.know = want.Permission_dense.know
+    && got.Mcperf.Permission.origin_covered
+       = want.Permission_dense.origin_covered
+    && got.Mcperf.Permission.create_mask = want.Permission_dense.create_mask
+    && got.Mcperf.Permission.store_mask = want.Permission_dense.store_mask
+  | Error got, Error want -> got = want
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_permission_matches_dense =
+  QCheck2.Test.make ~count:150
+    ~name:"permission: sparse compute = dense reference, every field"
+    QCheck2.Gen.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, avg) ->
+      let rng, spec = random_permission_spec ~seed ~avg in
+      let nodes = Mcperf.Spec.node_count spec in
+      let placeable = Array.init nodes (fun _ -> Util.Prng.bool rng) in
+      let window0 =
+        { Mcperf.Classes.caching with history = Mcperf.Classes.Window 0 }
+      in
+      List.for_all
+        (fun cls ->
+          same_permission spec cls && same_permission ~placeable spec cls)
+        (permission_classes rng nodes)
+      (* [Window 0] is rejected exactly when a pair could be placed... *)
+      && same_permission spec window0
+      && same_permission ~placeable spec window0
+      && same_permission ~placeable:(Array.make nodes false) spec window0
+      (* ...and a placeable mask of the wrong length always is. *)
+      && same_permission ~placeable:(Array.make (nodes + 1) true) spec
+           Mcperf.Classes.general)
+
 (* --- exact bounds on the hand-computed fixture -------------------------- *)
 
 let simplex_bound spec cls =
@@ -570,6 +686,7 @@ let () =
           Alcotest.test_case "prefetch proactive" `Quick
             test_permission_prefetch_proactive;
           Alcotest.test_case "max feasible qos" `Quick test_max_feasible_qos;
+          QCheck_alcotest.to_alcotest prop_permission_matches_dense;
         ] );
       ( "bounds-exact",
         [

@@ -99,6 +99,112 @@ let test_bundled_equals_unbundled_exactly () =
         [ 5; 25 ])
     [ Bounds.Lagrangian.Harmonic; Bounds.Lagrangian.Adaptive ]
 
+(* --- bundling equivalence ------------------------------------------------- *)
+
+(* Objects drawn from ten read patterns, so most have exact duplicates:
+   five random ones and, for each, a near-duplicate whose first cell
+   reads twice as often. Weights are all 1 or drawn from {1, 2, 3.5}. *)
+let duplicate_spec ~seed ~hetero =
+  let scen = small_scen ~seed () in
+  let nodes = SS.node_count scen in
+  let rng = Util.Prng.create ~seed:(seed + 29) in
+  let intervals = 3 in
+  let pattern () =
+    let cells = ref [] in
+    for i = 0 to intervals - 1 do
+      for n = 0 to nodes - 1 do
+        if Util.Prng.float rng 1. < 0.15 then
+          cells :=
+            {
+              Workload.Demand.node = n;
+              interval = i;
+              count = [| 1.; 2.; 3.5 |].(Util.Prng.int rng 3);
+            }
+            :: !cells
+      done
+    done;
+    Array.of_list (List.rev !cells)
+  in
+  let random = Array.init 5 (fun _ -> pattern ()) in
+  random.(0) <-
+    [| { Workload.Demand.node = nodes - 1; interval = 0; count = 1. } |];
+  let doubled cells =
+    Array.mapi
+      (fun i (c : Workload.Demand.cell) ->
+        if i = 0 then { c with count = 2. *. c.count } else c)
+      cells
+  in
+  let patterns = Array.append random (Array.map doubled random) in
+  let objects = 60 in
+  let reads =
+    Array.init objects (fun k ->
+        if k < Array.length patterns then patterns.(k)
+        else patterns.(Util.Prng.int rng (Array.length patterns)))
+  in
+  let weight =
+    Array.init objects (fun _ ->
+        if hetero then [| 1.; 2.; 3.5 |].(Util.Prng.int rng 3) else 1.)
+  in
+  let demand =
+    Workload.Demand.create ~nodes ~intervals ~interval_s:3600. ~weight ~reads
+      ()
+  in
+  Mcperf.Spec.make ~system:scen.SS.system ~demand
+    ~goal:(Mcperf.Spec.Qos { tlat_ms = SS.default_tlat_ms; fraction = 0.95 })
+    ()
+
+(* The bundling by definition: compare every object's full mask columns
+   and read cells with each earlier representative's, pairwise. *)
+let naive_bundle (perm : Mcperf.Permission.t) =
+  let spec = perm.Mcperf.Permission.spec in
+  let nodes = Mcperf.Spec.node_count spec in
+  let objects = Mcperf.Spec.object_count spec in
+  let demand = spec.Mcperf.Spec.demand in
+  let weight = demand.Workload.Demand.weight in
+  let key k =
+    ( Array.init nodes (fun m -> perm.Mcperf.Permission.store_mask.(m).(k)),
+      Array.init nodes (fun m -> perm.Mcperf.Permission.create_mask.(m).(k)),
+      demand.Workload.Demand.reads.(k) )
+  in
+  let reps = ref [] in
+  let bundle_of =
+    Array.init objects (fun k ->
+        match List.find_opt (fun (r, _) -> key r = key k) !reps with
+        | Some (_, b) -> b
+        | None ->
+          let b = List.length !reps in
+          reps := !reps @ [ (k, b) ];
+          b)
+  in
+  let representative = Array.of_list (List.map fst !reps) in
+  let exact_member =
+    Array.init objects (fun k ->
+        weight.(k) = weight.(representative.(bundle_of.(k))))
+  in
+  {
+    Mcperf.Bundle.objects;
+    count = Array.length representative;
+    representative;
+    bundle_of;
+    exact_member;
+    rescaled =
+      Array.fold_left (fun n e -> if e then n else n + 1) 0 exact_member;
+  }
+
+let prop_bundle_matches_naive =
+  QCheck2.Test.make ~count:40
+    ~name:"bundling = naive pairwise grouping on duplicate-heavy instances"
+    QCheck2.Gen.(pair (int_range 0 100_000) bool)
+    (fun (seed, hetero) ->
+      let spec = duplicate_spec ~seed ~hetero in
+      List.for_all
+        (fun cls ->
+          let perm = Mcperf.Permission.compute spec cls in
+          let b = Mcperf.Bundle.compute perm in
+          b = naive_bundle perm
+          && b.Mcperf.Bundle.count < b.Mcperf.Bundle.objects)
+        [ Mcperf.Classes.general; Mcperf.Classes.caching ])
+
 (* --- bundling validity (heterogeneous weights) --------------------------- *)
 
 (* Identical read patterns under different multiplicity weights: members
@@ -294,6 +400,7 @@ let () =
             test_bundle_collapses;
           Alcotest.test_case "trivial is identity" `Quick
             test_bundle_trivial_is_identity;
+          QCheck_alcotest.to_alcotest prop_bundle_matches_naive;
         ] );
       ( "lagrangian",
         [
