@@ -19,34 +19,34 @@ type config = {
 
 let make (cfg : config) : Strategy.factory =
  fun ctx ->
-  let trace (w : Strategy.workload) =
-    match w.Strategy.trace with
-    | Some trace -> trace
-    | None -> invalid_arg (cfg.label ^ ": event-level strategy needs a trace")
-  in
   let tlat_ms, _ = goal_parts ctx.Strategy.Context.goal in
-  {
-    Strategy.name = cfg.label;
-    heuristic_class = cfg.cls;
-    parameter_ceiling = (fun w -> Workload.Trace.object_count (trace w));
-    assess =
-      (fun w ->
-        let o =
-          Event_cache.simulate ~system:ctx.Strategy.Context.system
-            ~trace:(trace w) ~intervals:w.Strategy.intervals
-            ~costs:ctx.Strategy.Context.costs ~tlat_ms
-            ~capacity:ctx.Strategy.Context.parameter ~mode:cfg.mode
-            ~prefetch:cfg.prefetch ?placeable:ctx.Strategy.Context.placeable
-            ~policy:cfg.policy ()
-        in
-        {
-          Strategy.cost = o.Event_cache.provisioned_cost;
-          worst_qos = Strategy.worst_qos o.Event_cache.qos;
-          meets_goal = meets ctx.Strategy.Context.goal o;
-          placement = o.Event_cache.placement;
-          detail = Strategy.Cache_outcome o;
-        });
-  }
+  let prepare (w : Strategy.workload) =
+    let trace =
+      match w.Strategy.trace with
+      | Some trace -> trace
+      | None -> invalid_arg (cfg.label ^ ": event-level strategy needs a trace")
+    in
+    let plan =
+      Event_cache.plan ~system:ctx.Strategy.Context.system ~trace
+        ~intervals:w.Strategy.intervals ~costs:ctx.Strategy.Context.costs
+        ~tlat_ms ~mode:cfg.mode ~prefetch:cfg.prefetch
+        ?placeable:ctx.Strategy.Context.placeable ~policy:cfg.policy ()
+    in
+    {
+      Strategy.ceiling = Workload.Trace.object_count trace;
+      assess =
+        (fun capacity ->
+          let o = Event_cache.replay plan ~capacity in
+          {
+            Strategy.cost = o.Event_cache.provisioned_cost;
+            worst_qos = Strategy.worst_qos o.Event_cache.qos;
+            meets_goal = meets ctx.Strategy.Context.goal o;
+            placement = o.Event_cache.placement;
+            detail = Strategy.Cache_outcome o;
+          });
+    }
+  in
+  { Strategy.name = cfg.label; heuristic_class = cfg.cls; prepare }
 
 let reactive = Mcperf.Classes.allow_intra_interval_reaction
 

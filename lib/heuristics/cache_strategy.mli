@@ -2,13 +2,13 @@
 
     Caching decides on every access, so these strategies read the
     workload's cumulative event trace, not the bucketed demand, and
-    raise [Invalid_argument] on a workload without one; [assess]
-    replays the {!Event_cache} simulator at the context's capacity
-    parameter (per-node cache capacity, in objects). *)
+    raise [Invalid_argument] on a workload without one. [prepare] builds
+    one {!Event_cache.plan} of the trace; [assess] replays it at a
+    per-node cache capacity (objects), and the search ceiling is the
+    trace's object count. *)
 
 val lru : Strategy.factory
-(** Plain per-node LRU ({!Lru_cache}) — [policy Lru]; class: reactive
-    caching. *)
+(** Plain per-node LRU — [policy Lru]; class: reactive caching. *)
 
 val policy : Policy_cache.kind -> Strategy.factory
 (** Replacement-policy variants ({!Policy_cache}): lru/fifo/lfu. *)

@@ -4,8 +4,8 @@
     natural evaluation interval — every single access — rather than the
     coarse interval used for the lower bounds. Three variants:
 
-    - {b local} ([Local], [prefetch = false]): plain per-node LRU; misses
-      go to the origin.
+    - {b local} ([Local], [prefetch = false]): per-node caches; misses go
+      to the origin.
     - {b cooperative} ([Cooperative]): a miss is served by the nearest
       node currently caching the object (directory lookup), falling back
       to the origin; the object is then cached locally.
@@ -18,7 +18,23 @@
     {e provisioned} capacity on every non-origin site for the full
     execution (α · C · sites · intervals — caching is a uniform
     storage-constrained heuristic), creation is β per cache fill, and a
-    write refreshes every cached copy in place at δ per copy. *)
+    write refreshes every cached copy in place at δ per copy.
+
+    A simulation has two stages, so a search over the capacity pays for
+    the work that does not depend on it once. {!plan} reads the workload
+    once: each interval's event-index range (a binary search per interval
+    boundary over the time-sorted trace, no copy of it), the peer order,
+    the clusters and the prefetch lists. {!replay} then runs the trace at
+    one capacity over flat node × object arrays: an intrusive list per
+    node for LRU, a ring per node for FIFO, (frequency, insertion)
+    counters for LFU, and one membership matrix that is also the
+    cooperative directory. A replay costs O(events) for LRU and FIFO,
+    plus a scan of the peer order per cooperative miss on an object
+    some node holds, O(capacity) per LFU eviction and O(cached objects)
+    per interval boundary; it allocates O(nodes × objects). A plan reads
+    the trace in O(intervals × log events), or in one pass with
+    prefetch; its peer order and clusters depend on the node count
+    alone. There is no limit on the node count. *)
 
 type mode =
   | Local
@@ -48,28 +64,34 @@ type outcome = {
           under failure scenarios *)
 }
 
-val simulate :
+type plan
+(** Everything a replay needs that does not depend on the capacity. *)
+
+val plan :
   system:Topology.System.t ->
   trace:Workload.Trace.t ->
   intervals:int ->
   costs:Mcperf.Spec.costs ->
   tlat_ms:float ->
-  capacity:int ->
   mode:mode ->
   ?prefetch:bool ->
   ?placeable:bool array ->
   ?policy:Policy_cache.kind ->
   unit ->
-  outcome
-(** Requires at most 62 nodes (the cooperative directory uses bitmask
-    holder sets), between 1 and {!Mcperf.Spec.max_intervals} intervals
-    (the placement packs an interval set into a native int, as the spec
-    does) and [capacity >= 0] — raises [Invalid_argument] otherwise.
-    [placeable] limits which sites run a
-    cache (deployment scenario); non-placeable sites forward every access
-    and pay no provisioned storage. [policy] selects the replacement
-    policy (default [Lru]); all policies belong to the same heuristic
-    class and are bounded by the same caching lower bound. *)
+  plan
+(** Requires between 1 and {!Mcperf.Spec.max_intervals} intervals (the
+    placement packs an interval set into a native int, as the spec does),
+    a trace of at most the system's nodes and a [placeable] of one entry
+    per node — raises [Invalid_argument] otherwise. [placeable] limits which sites run a cache (deployment
+    scenario); non-placeable sites forward every access and pay no
+    provisioned storage. [policy] selects the replacement policy (default
+    [Lru]); all policies belong to the same heuristic class and are
+    bounded by the same caching lower bound. *)
+
+val replay : plan -> capacity:int -> outcome
+(** The simulation at per-node cache capacity [capacity] (objects).
+    Raises [Invalid_argument] when [capacity < 0]. Replays of one plan
+    are independent: each starts from empty caches. *)
 
 val meets_qos : outcome -> fraction:float -> bool
 (** Every node's QoS is at least [fraction]. *)

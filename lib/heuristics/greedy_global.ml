@@ -124,7 +124,7 @@ let strategy =
     ~heuristic_class:Mcperf.Classes.storage_constrained
     ~place:(fun perm ~parameter ->
       place ~perm ~capacity:(float_of_int parameter) ())
-    ~parameter_ceiling:(fun (perm : Mcperf.Permission.t) ->
+    ~ceiling:(fun (perm : Mcperf.Permission.t) ->
       let spec = perm.Mcperf.Permission.spec in
       int_of_float
         (Float.ceil

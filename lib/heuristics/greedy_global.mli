@@ -26,5 +26,5 @@ val place :
 
 val strategy : Strategy.factory
 (** The same heuristic behind the strategy-object API, placed and priced
-    under the storage-constrained class: context parameter = per-node
+    under the storage-constrained class: parameter = per-node
     capacity (weighted object units, integer grid). *)

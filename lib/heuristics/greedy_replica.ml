@@ -58,5 +58,5 @@ let strategy =
   Strategy.of_placement_rule ~name:"greedy-replica"
     ~heuristic_class:Mcperf.Classes.replica_constrained_uniform
     ~place:(fun perm ~parameter -> place ~perm ~replicas:parameter ())
-    ~parameter_ceiling:(fun (perm : Mcperf.Permission.t) ->
+    ~ceiling:(fun (perm : Mcperf.Permission.t) ->
       Mcperf.Spec.node_count perm.Mcperf.Permission.spec - 1)

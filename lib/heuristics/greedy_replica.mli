@@ -19,5 +19,5 @@ val place :
 
 val strategy : Strategy.factory
 (** The heuristic as a strategy factory, placed and priced under the
-    uniform replica-constrained class: context parameter = replicas per
+    uniform replica-constrained class: parameter = replicas per
     object. *)

@@ -19,6 +19,5 @@ module Greedy_global = Greedy_global
 module Greedy_replica = Greedy_replica
 module Proportional = Proportional
 module Event_cache = Event_cache
-module Lru_cache = Lru_cache
 module Policy_cache = Policy_cache
 module Placement_baselines = Placement_baselines

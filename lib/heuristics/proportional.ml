@@ -216,4 +216,4 @@ let strategy =
   Strategy.of_placement_rule ~name:"proportional"
     ~heuristic_class:Mcperf.Classes.general
     ~place:(fun perm ~parameter -> place ~perm ~total_replicas:parameter ())
-    ~parameter_ceiling:budget_ceiling
+    ~ceiling:budget_ceiling

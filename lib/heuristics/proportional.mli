@@ -19,7 +19,7 @@
 
 val strategy : Strategy.factory
 (** The heuristic as a strategy factory, placed and priced under the
-    unconstrained general class: context parameter = total replica
+    unconstrained general class: parameter = total replica
     budget. The offline runner bisects budgets from zero (the empty
     placement wins when the origin already covers everything) up to
     every permitted site of every demanded object (beyond that budget

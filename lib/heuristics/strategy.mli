@@ -1,18 +1,20 @@
 (** The strategy API: every deployed heuristic behind one interface.
 
-    A strategy is a record of its name, its heuristic class and two pure
-    functions of the cumulative workload ({!workload}): the search
-    ceiling of its provisioning parameter and the price of its placement
-    decision (the verdict's [placement]). A {!factory} builds it from a
-    {!Context.t} (topology, cost parameters, performance goal,
-    deployment restrictions, and the heuristic's one provisioning
-    parameter). Each re-placement is a decision on the workload observed
-    so far, so a strategy keeps no state: {!Sim.Runner.deploy} searches
-    the minimal goal-meeting parameter on one workload, offline over the
-    whole trace and online once per epoch ([Online.Engine]).
+    A strategy is a record of its name, its heuristic class and one pure
+    function of the cumulative workload ({!workload}), [prepare]. It does
+    the work that does not depend on the heuristic's provisioning
+    parameter once, and returns the search ceiling of that parameter and
+    the priced placement decision at any parameter (the verdict's
+    [placement]). A {!factory} builds it from a {!Context.t} (topology,
+    cost parameters, performance goal and deployment restrictions). Each
+    re-placement is a decision on the workload observed so far, so a
+    strategy keeps no state: {!Sim.Runner.deploy} prepares once and
+    searches the minimal goal-meeting parameter on one workload, offline
+    over the whole trace and online once per epoch ([Online.Engine]).
 
-    The same workload and context always yield the same verdict, which
-    is what makes epoch output byte-identical across worker counts. *)
+    The same workload, context and parameter always yield the same
+    verdict, which is what makes epoch output byte-identical across
+    worker counts. *)
 
 module Context : sig
   type t = {
@@ -21,23 +23,13 @@ module Context : sig
     goal : Mcperf.Spec.goal;
     placeable : bool array option;
         (** deployment restriction: sites allowed to hold replicas *)
-    parameter : int;
-        (** the heuristic's provisioning knob — per-node capacity for
-            storage-constrained strategies, replicas per object for
-            replica-constrained ones, cache capacity for caching, total
-            replica budget for proportional *)
   }
 
   val make : system:Topology.System.t -> goal:Mcperf.Spec.goal -> unit -> t
-  (** The paper's case-study costs, every node placeable, parameter 0;
-      {!with_parameter} sets the parameter. *)
+  (** The paper's case-study costs, every node placeable. *)
 
   val of_spec : ?placeable:bool array -> Mcperf.Spec.t -> t
-  (** Context of an offline spec (same system/costs/goal), parameter 0. *)
-
-  val with_parameter : t -> int -> t
-  (** Same context at a different provisioning parameter — how the
-      min-feasible search explores the knob. *)
+  (** Context of an offline spec (same system/costs/goal). *)
 end
 
 type workload = {
@@ -65,16 +57,28 @@ type verdict = {
   detail : detail;
 }
 
+type prepared = {
+  ceiling : int;
+      (** Largest provisioning parameter worth trying on the workload —
+          the search's upper bound. *)
+  assess : int -> verdict;
+      (** The placement decision at a provisioning parameter, priced.
+          The parameter is the heuristic's one provisioning knob:
+          per-node capacity for storage-constrained strategies, replicas
+          per object for replica-constrained ones, cache capacity for
+          caching, total replica budget for proportional. *)
+}
+
 type t = {
   name : string;
   heuristic_class : Mcperf.Classes.t;
       (** The heuristic class whose lower bound this strategy is compared
           against (the paper's Table 3 pairing). *)
-  parameter_ceiling : workload -> int;
-      (** Largest provisioning parameter worth trying on the workload —
-          the search's upper bound. *)
-  assess : workload -> verdict;
-      (** The placement decision at the context's parameter, priced. *)
+  prepare : workload -> prepared;
+      (** The strategy on one workload. The work that does not depend on
+          the parameter (class permissions, event-interval ranges,
+          prefetch lists) runs here, once; [assess] reuses it at every
+          parameter. *)
 }
 
 type factory = Context.t -> t
@@ -89,11 +93,12 @@ val of_placement_rule :
   name:string ->
   heuristic_class:Mcperf.Classes.t ->
   place:(Mcperf.Permission.t -> parameter:int -> Mcperf.Costing.placement) ->
-  parameter_ceiling:(Mcperf.Permission.t -> int) ->
+  ceiling:(Mcperf.Permission.t -> int) ->
   factory
 (** Adapter for the interval-level placement heuristics: supply the raw
     placement rule, its search ceiling (given the class permissions on
     the workload; the permission record carries the spec) and its class.
-    The adapter builds the spec from the workload's demand and prices
-    placements through {!Mcperf.Costing.evaluate} under the rule's
+    [prepare] builds the spec from the workload's demand and computes the
+    class permissions once; [assess] places at the parameter and prices
+    the placement through {!Mcperf.Costing.evaluate} under the rule's
     class. *)

@@ -37,22 +37,26 @@ let with_run_obs name f =
 
 (* The single deployment path: every heuristic is a strategy, and a
    deployment is the minimal provisioning parameter whose verdict on the
-   workload meets the goal. *)
+   workload meets the goal. The strategy is prepared once; the verdict
+   of the parameter the search returns is the one its probe computed. *)
 let deploy ~(factory : Heuristics.Strategy.factory) ~ctx ~workload () =
   let module S = Heuristics.Strategy in
-  let at p = factory (S.Context.with_parameter ctx p) in
-  let name = (factory ctx).S.name in
-  with_run_obs name @@ fun () ->
-  let hi = (at 0).S.parameter_ceiling workload in
-  let assess p = (at p).S.assess workload in
-  let feasible p = (assess p).S.meets_goal in
-  match Search.min_feasible_int ~lo:0 ~hi feasible with
+  let strategy = factory ctx in
+  with_run_obs strategy.S.name @@ fun () ->
+  let prepared = strategy.S.prepare workload in
+  let met = Hashtbl.create 16 in
+  let feasible p =
+    let v = prepared.S.assess p in
+    if v.S.meets_goal then Hashtbl.replace met p v;
+    v.S.meets_goal
+  in
+  match Search.min_feasible_int ~lo:0 ~hi:prepared.S.ceiling feasible with
   | None -> None
   | Some parameter ->
-    let v = assess parameter in
+    let v = Hashtbl.find met parameter in
     Some
       {
-        name;
+        name = strategy.S.name;
         parameter;
         cost = v.S.cost;
         worst_qos = v.S.worst_qos;

@@ -38,11 +38,11 @@ val deploy :
   workload:Heuristics.Strategy.workload ->
   unit ->
   deployed option
-(** The deployment path, offline and online alike: build the strategy at
-    candidate parameters (the context's [parameter] field is the knob),
-    assess each on the workload, and find the minimal parameter whose
-    verdict meets the goal. [None] when even the strategy's own
-    parameter ceiling fails. *)
+(** The deployment path, offline and online alike: build the strategy,
+    prepare it once on the workload, and bisect its [assess] for the
+    minimal parameter whose verdict meets the goal; the result carries
+    the verdict of that parameter's probe. [None] when even the
+    strategy's own parameter ceiling fails. *)
 
 val deploy_offline :
   ?placeable:bool array ->

@@ -292,7 +292,19 @@ final_epoch "$onlinedir/serve-k4.out" > "$onlinedir/final-k4"
 final_epoch "$onlinedir/serve-k12.out" > "$onlinedir/final-k12"
 [ -s "$onlinedir/final-k4" ] && cmp "$onlinedir/final-k4" "$onlinedir/final-k12" \
   || { echo "online stage: the final epoch depends on the epoch size"; exit 1; }
-echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/serve-k4.out") epochs identical to the fixture, final epoch identical at --epoch-intervals 12"
+# A replay on a 64-node line (40 ms hops, origin 0; five readers, two
+# of them at nodes 62 and 63) with serve's default strategies, caching
+# among them: the cache replay has no node limit, so the run must exit
+# 0 and match its committed output to the byte.
+status=0
+./_build/default/bin/experiments.exe serve --topo test/fixtures/line64.topo \
+  --trace-file test/fixtures/line64.trace --intervals 4 --epoch-intervals 2 \
+  > "$onlinedir/serve-line64.out" 2> /dev/null || status=$?
+[ "$status" -eq 0 ] \
+  || { echo "online stage: serve on the 64-node line exited $status, want 0"; exit 1; }
+cmp test/fixtures/serve-line64.out "$onlinedir/serve-line64.out" \
+  || { echo "online stage: 64-node serve output differs from the committed fixture"; exit 1; }
+echo "online stage OK: $(grep -c '^epoch ' "$onlinedir/serve-k4.out") epochs identical to the fixture, final epoch identical at --epoch-intervals 12, 64-node replay identical to its fixture"
 
 # Examples stage: the examples are the library's user-facing entry
 # points, and the only callers of Methodology.select and

@@ -1,74 +1,11 @@
-(* Tests for the deployed heuristics: the LRU cache structure, the
-   event-level cache simulator, the centralized greedy placements, and the
-   minimal-parameter searches. *)
+(* Tests for the deployed heuristics: the event-level cache replay and
+   its replacement policies (against the reference simulator in
+   event_cache_reference.ml too), the centralized greedy placements, and
+   the minimal-parameter searches. *)
 
 let cell n i c : Workload.Demand.cell = { node = n; interval = i; count = c }
 
-(* --- LRU cache structure ----------------------------------------------- *)
-
-let test_lru_basic () =
-  let c = Heuristics.Lru_cache.create ~capacity:2 in
-  Alcotest.(check int) "empty" 0 (Heuristics.Lru_cache.size c);
-  Alcotest.(check (option int)) "insert 1" None (Heuristics.Lru_cache.insert c 1);
-  Alcotest.(check (option int)) "insert 2" None (Heuristics.Lru_cache.insert c 2);
-  Alcotest.(check (list int)) "order 2,1" [ 2; 1 ] (Heuristics.Lru_cache.contents c);
-  (* Touch 1 -> becomes MRU; inserting 3 evicts 2. *)
-  Alcotest.(check bool) "touch 1" true (Heuristics.Lru_cache.touch c 1);
-  Alcotest.(check (option int)) "insert 3 evicts 2" (Some 2)
-    (Heuristics.Lru_cache.insert c 3);
-  Alcotest.(check (list int)) "order 3,1" [ 3; 1 ] (Heuristics.Lru_cache.contents c);
-  Alcotest.(check bool) "2 gone" false (Heuristics.Lru_cache.mem c 2)
-
-let test_lru_duplicate_insert () =
-  let c = Heuristics.Lru_cache.create ~capacity:2 in
-  ignore (Heuristics.Lru_cache.insert c 1);
-  ignore (Heuristics.Lru_cache.insert c 2);
-  Alcotest.(check (option int)) "reinsert is refresh" None
-    (Heuristics.Lru_cache.insert c 1);
-  Alcotest.(check int) "size stays 2" 2 (Heuristics.Lru_cache.size c);
-  Alcotest.(check (list int)) "1 refreshed" [ 1; 2 ]
-    (Heuristics.Lru_cache.contents c)
-
-let test_lru_zero_capacity () =
-  let c = Heuristics.Lru_cache.create ~capacity:0 in
-  Alcotest.(check (option int)) "cannot retain" (Some 7)
-    (Heuristics.Lru_cache.insert c 7);
-  Alcotest.(check int) "still empty" 0 (Heuristics.Lru_cache.size c)
-
-let prop_lru_never_exceeds_capacity =
-  QCheck2.Test.make ~count:100 ~name:"lru size <= capacity; eviction is LRU"
-    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 200) (int_range 0 20)))
-    (fun (cap, ops) ->
-      let c = Heuristics.Lru_cache.create ~capacity:cap in
-      (* Reference model: list of keys, most recent first. *)
-      let model = ref [] in
-      List.for_all
-        (fun k ->
-          let evicted = Heuristics.Lru_cache.insert c k in
-          (if List.mem k !model then
-             model := k :: List.filter (fun x -> x <> k) !model
-           else begin
-             model := k :: !model;
-             if List.length !model > cap then begin
-               let rec split acc = function
-                 | [ last ] -> (List.rev acc, last)
-                 | x :: rest -> split (x :: acc) rest
-                 | [] -> assert false
-               in
-               let kept, dropped = split [] !model in
-               model := kept;
-               ignore dropped
-             end
-           end);
-          Heuristics.Lru_cache.size c <= cap
-          && Heuristics.Lru_cache.contents c = !model
-          &&
-          match evicted with
-          | None -> true
-          | Some e -> not (List.mem e !model))
-        ops)
-
-(* --- event-level cache simulation ---------------------------------------- *)
+(* --- event-level cache replay ---------------------------------------------- *)
 
 (* Line 0 -- 1 -- 2 -- 3, 100 ms hops, origin 0, Tlat 150: node 3 misses
    to the origin take 300 ms. *)
@@ -81,10 +18,93 @@ let line_system () =
 let simple_trace events =
   Workload.Trace.of_events ~nodes:4 ~objects:3 ~duration_s:4. events
 
+(* One plan, replayed at one capacity. *)
+let simulate ~system ~trace ~intervals ?(costs = Mcperf.Spec.default_costs)
+    ?(tlat_ms = 150.) ~capacity ~mode ?prefetch ?placeable ?policy () =
+  Heuristics.Event_cache.replay
+    (Heuristics.Event_cache.plan ~system ~trace ~intervals ~costs ~tlat_ms
+       ~mode ?prefetch ?placeable ?policy ())
+    ~capacity
+
 let sim ?(capacity = 2) ?(mode = Heuristics.Event_cache.Local)
     ?(prefetch = false) trace =
-  Heuristics.Event_cache.simulate ~system:(line_system ()) ~trace ~intervals:4
-    ~costs:Mcperf.Spec.default_costs ~tlat_ms:150. ~capacity ~mode ~prefetch ()
+  simulate ~system:(line_system ()) ~trace ~intervals:4 ~capacity ~mode
+    ~prefetch ()
+
+(* One cache seen from outside: node 3 of the line reads [reads] in
+   order, one read per second, the horizon cut into [intervals] equal
+   intervals. *)
+let node3_reads ?(policy = Heuristics.Policy_cache.Lru) ?(intervals = 1)
+    ?(prefetch = false) ~capacity reads =
+  let n = List.length reads in
+  let trace =
+    Workload.Trace.of_events ~nodes:4
+      ~objects:(1 + List.fold_left max 0 reads)
+      ~duration_s:(float_of_int (max 1 n))
+      (List.mapi
+         (fun i k -> (float_of_int i +. 0.5, 3, k, Workload.Trace.Read))
+         reads)
+  in
+  simulate ~system:(line_system ()) ~trace ~intervals ~capacity
+    ~mode:Heuristics.Event_cache.Local ~prefetch ~policy ()
+
+(* The objects node 3 held when interval [iv] closed, ascending. *)
+let held_at (o : Heuristics.Event_cache.outcome) iv =
+  let row = o.Heuristics.Event_cache.placement.(3) in
+  List.filter
+    (fun k -> row.(k) land (1 lsl iv) <> 0)
+    (List.init (Array.length row) Fun.id)
+
+(* --- LRU replacement ------------------------------------------------------ *)
+
+let test_lru_basic () =
+  (* Capacity 2: interval 0 reads 1 and 2, interval 1 reads 1 again (a
+     hit that makes it most recent) and then 3, which evicts 2. *)
+  let o = node3_reads ~intervals:2 ~capacity:2 [ 1; 2; 1; 3 ] in
+  Alcotest.(check (list int)) "1 and 2 cached" [ 1; 2 ] (held_at o 0);
+  Alcotest.(check int) "one hit" 1 o.Heuristics.Event_cache.hits_local;
+  Alcotest.(check int) "three fills" 3 o.Heuristics.Event_cache.insertions;
+  Alcotest.(check (list int)) "2 evicted, not 1" [ 1; 3 ] (held_at o 1)
+
+let test_lru_duplicate_insert () =
+  (* With prefetch, interval 1 preloads 2 (read twice) and then 3. 2 is
+     already cached, so its preload refreshes it without a fill, and 3
+     evicts 1, the least recent. *)
+  let o =
+    node3_reads ~intervals:2 ~prefetch:true ~capacity:2 [ 1; 2; 1; 2; 2; 3 ]
+  in
+  Alcotest.(check (list int)) "interval 0" [ 1; 2 ] (held_at o 0);
+  Alcotest.(check int) "reinsert is refresh" 3
+    o.Heuristics.Event_cache.insertions;
+  Alcotest.(check int) "every read a hit" 6 o.Heuristics.Event_cache.hits_local;
+  Alcotest.(check (list int)) "1 evicted" [ 2; 3 ] (held_at o 1)
+
+let test_lru_zero_capacity () =
+  let o = node3_reads ~capacity:0 [ 7; 7 ] in
+  Alcotest.(check int) "cannot retain" 2 o.Heuristics.Event_cache.misses;
+  Alcotest.(check int) "no fill" 0 o.Heuristics.Event_cache.insertions;
+  Alcotest.(check (list int)) "still empty" [] (held_at o 0)
+
+let prop_lru_never_exceeds_capacity =
+  QCheck2.Test.make ~count:100 ~name:"lru size <= capacity; eviction is LRU"
+    QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 0 200) (int_range 0 20)))
+    (fun (cap, ops) ->
+      (* Reference model: list of keys, most recent first, and the hits
+         so far; every prefix of the reads is replayed against it. *)
+      let model = ref [] and hits = ref 0 and prefix = ref [] in
+      List.for_all
+        (fun k ->
+          if List.mem k !model then begin
+            incr hits;
+            model := k :: List.filter (fun x -> x <> k) !model
+          end
+          else model := List.filteri (fun i _ -> i < cap) (k :: !model);
+          prefix := k :: !prefix;
+          let o = node3_reads ~capacity:cap (List.rev !prefix) in
+          o.Heuristics.Event_cache.hits_local = !hits
+          && List.length (held_at o 0) <= cap
+          && held_at o 0 = List.sort compare !model)
+        ops)
 
 let test_cache_hit_miss_accounting () =
   let t =
@@ -172,9 +192,8 @@ let test_write_messages () =
   in
   let costs = { Mcperf.Spec.default_costs with delta = 1. } in
   let o =
-    Heuristics.Event_cache.simulate ~system:(line_system ()) ~trace:t
-      ~intervals:4 ~costs ~tlat_ms:150. ~capacity:2
-      ~mode:Heuristics.Event_cache.Local ()
+    simulate ~system:(line_system ()) ~trace:t ~intervals:4 ~costs
+      ~capacity:2 ~mode:Heuristics.Event_cache.Local ()
   in
   Alcotest.(check (float 1e-9)) "one update message" 1.
     o.Heuristics.Event_cache.write_messages
@@ -192,8 +211,7 @@ let test_interval_limit () =
       [ (10.5, 3, 0, Workload.Trace.Read) ]
   in
   let run intervals =
-    Heuristics.Event_cache.simulate ~system:(line_system ()) ~trace:t
-      ~intervals ~costs:Mcperf.Spec.default_costs ~tlat_ms:150. ~capacity:2
+    simulate ~system:(line_system ()) ~trace:t ~intervals ~capacity:2
       ~mode:Heuristics.Event_cache.Local ()
   in
   let held =
@@ -208,10 +226,24 @@ let test_interval_limit () =
       Alcotest.check_raises
         (Printf.sprintf "%d intervals rejected" intervals)
         (Invalid_argument
-           (Printf.sprintf "Event_cache.simulate: intervals must be in 1..%d"
+           (Printf.sprintf "Event_cache.plan: intervals must be in 1..%d"
               max))
         (fun () -> ignore (run intervals)))
     [ 0; max + 1 ]
+
+let test_trace_wider_than_system () =
+  (* A trace that names a node the system lacks is rejected up front, not
+     with an index error mid-replay. *)
+  let t =
+    Workload.Trace.of_events ~nodes:5 ~objects:2 ~duration_s:10.
+      [ (1., 4, 0, Workload.Trace.Read) ]
+  in
+  Alcotest.check_raises "5-node trace on 4 nodes"
+    (Invalid_argument "Event_cache.plan: the trace has 5 nodes, the system 4")
+    (fun () ->
+      ignore
+        (simulate ~system:(line_system ()) ~trace:t ~intervals:2 ~capacity:1
+           ~mode:Heuristics.Event_cache.Local ()))
 
 (* --- greedy placements ----------------------------------------------------- *)
 
@@ -230,8 +262,10 @@ let tail_spec ?(fraction = 1.0) () =
    place-and-evaluate, without the runner's minimal-parameter search. *)
 let evaluation_at factory spec parameter =
   let module S = Heuristics.Strategy in
-  let ctx = S.Context.with_parameter (S.Context.of_spec spec) parameter in
-  match ((factory ctx).S.assess (S.workload_of_spec spec)).S.detail with
+  let prepared =
+    (factory (S.Context.of_spec spec)).S.prepare (S.workload_of_spec spec)
+  in
+  match (prepared.S.assess parameter).S.detail with
   | S.Evaluation e -> e
   | S.Cache_outcome _ -> Alcotest.fail "expected an interval-level evaluation"
 
@@ -283,44 +317,33 @@ let test_greedy_replica_sticks_to_best_node () =
 (* --- replacement policies ------------------------------------------------ *)
 
 let test_policy_fifo_ignores_recency () =
-  (* Capacity 2; insert 1,2; touch 1; insert 3. FIFO evicts 1 (oldest
+  (* Capacity 2; read 1, 2, 1 again, then 3. FIFO evicts 1 (oldest
      insertion) even though it was just used; LRU evicts 2. *)
-  let run kind =
-    let c = Heuristics.Policy_cache.create kind ~capacity:2 in
-    ignore (Heuristics.Policy_cache.insert c 1);
-    ignore (Heuristics.Policy_cache.insert c 2);
-    ignore (Heuristics.Policy_cache.touch c 1);
-    Heuristics.Policy_cache.insert c 3
-  in
-  Alcotest.(check (option int)) "fifo evicts 1" (Some 1)
-    (run Heuristics.Policy_cache.Fifo);
-  Alcotest.(check (option int)) "lru evicts 2" (Some 2)
-    (run Heuristics.Policy_cache.Lru)
+  let held policy = held_at (node3_reads ~policy ~capacity:2 [ 1; 2; 1; 3 ]) 0 in
+  Alcotest.(check (list int)) "fifo evicts 1" [ 2; 3 ]
+    (held Heuristics.Policy_cache.Fifo);
+  Alcotest.(check (list int)) "lru evicts 2" [ 1; 3 ]
+    (held Heuristics.Policy_cache.Lru)
 
 let test_policy_lfu_keeps_hot () =
-  (* Capacity 2; object 1 accessed three times, object 2 once; inserting 3
+  (* Capacity 2; object 1 read three times, object 2 once; reading 3
      evicts the cold object 2. *)
-  let c = Heuristics.Policy_cache.create Heuristics.Policy_cache.Lfu ~capacity:2 in
-  ignore (Heuristics.Policy_cache.insert c 1);
-  ignore (Heuristics.Policy_cache.insert c 2);
-  ignore (Heuristics.Policy_cache.touch c 1);
-  ignore (Heuristics.Policy_cache.touch c 1);
-  Alcotest.(check (option int)) "evicts cold" (Some 2)
-    (Heuristics.Policy_cache.insert c 3);
-  Alcotest.(check bool) "hot object kept" true
-    (Heuristics.Policy_cache.mem c 1)
+  let o =
+    node3_reads ~policy:Heuristics.Policy_cache.Lfu ~capacity:2
+      [ 1; 2; 1; 1; 3 ]
+  in
+  Alcotest.(check (list int)) "evicts cold, keeps hot" [ 1; 3 ] (held_at o 0)
 
 let test_policy_size_never_exceeds_capacity () =
+  (* 500 random reads over ten objects in 50 intervals: no interval
+     closes with more than 3 objects cached. *)
+  let rng = Util.Prng.create ~seed:3 in
+  let reads = List.init 500 (fun _ -> Util.Prng.int rng 10) in
   List.iter
-    (fun kind ->
-      let c = Heuristics.Policy_cache.create kind ~capacity:3 in
-      let rng = Util.Prng.create ~seed:3 in
-      for _ = 1 to 500 do
-        let k = Util.Prng.int rng 10 in
-        if not (Heuristics.Policy_cache.touch c k) then
-          ignore (Heuristics.Policy_cache.insert c k);
-        Alcotest.(check bool) "size bound" true
-          (Heuristics.Policy_cache.size c <= 3)
+    (fun policy ->
+      let o = node3_reads ~policy ~intervals:50 ~capacity:3 reads in
+      for iv = 0 to 49 do
+        Alcotest.(check bool) "size bound" true (List.length (held_at o iv) <= 3)
       done)
     [ Heuristics.Policy_cache.Lru; Heuristics.Policy_cache.Fifo;
       Heuristics.Policy_cache.Lfu ]
@@ -478,6 +501,14 @@ let golden_deployments () =
   @ grid "group-n10-s0.006-i12"
       (CS.make ~seed:2004 ~nodes:10 ~scale:0.006 ~intervals:12 CS.Group)
       [ 0.95 ]
+  (* The steady benchmark's own deployment instances (perfbench/harness.ml,
+     workload deploy), so a faster replay must keep its traffic's bytes. *)
+  @ grid "bench-web-n10-s0.006-i12"
+      (CS.make ~nodes:10 ~scale:0.006 ~intervals:12 CS.Web)
+      [ 0.95; 0.99 ]
+  @ grid "bench-group-n10-s0.005-i12"
+      (CS.make ~nodes:10 ~scale:0.005 ~intervals:12 CS.Group)
+      [ 0.95; 0.99 ]
 
 let deployment_view (d : Sim.Runner.deployed) =
   ( d.Sim.Runner.name,
@@ -660,8 +691,7 @@ let prop_cache_conserves_events =
       List.for_all
         (fun (mode, policy, prefetch) ->
           let o =
-            Heuristics.Event_cache.simulate ~system:sys ~trace ~intervals:5
-              ~costs:Mcperf.Spec.default_costs ~tlat_ms:150.
+            simulate ~system:sys ~trace ~intervals:5
               ~capacity:(1 + seed mod 4) ~mode ~prefetch ~policy ()
           in
           o.Heuristics.Event_cache.hits_local
@@ -792,6 +822,266 @@ let prop_costing_components_sum =
       <= 1e-9 *. (1. +. Float.abs e.Mcperf.Costing.total)
       && Array.for_all (fun q -> q >= -1e-9 && q <= 1. +. 1e-9) e.Mcperf.Costing.qos)
 
+(* --- differential oracle: plan and replay against the reference -------- *)
+
+module Ref = Event_cache_reference
+
+let reference_mode : Heuristics.Event_cache.mode -> Ref.mode = function
+  | Heuristics.Event_cache.Local -> Ref.Local
+  | Heuristics.Event_cache.Cooperative -> Ref.Cooperative
+  | Heuristics.Event_cache.Hierarchical { cluster_radius_ms } ->
+    Ref.Hierarchical { cluster_radius_ms }
+
+let reference_policy : Heuristics.Policy_cache.kind -> Ref.Policy_cache.kind =
+  function
+  | Heuristics.Policy_cache.Lru -> Ref.Policy_cache.Lru
+  | Heuristics.Policy_cache.Fifo -> Ref.Policy_cache.Fifo
+  | Heuristics.Policy_cache.Lfu -> Ref.Policy_cache.Lfu
+
+let policies =
+  [ Heuristics.Policy_cache.Lru; Heuristics.Policy_cache.Fifo;
+    Heuristics.Policy_cache.Lfu ]
+
+(* Every outcome field, placement included, as bytes. *)
+let outcome_bytes (o : Heuristics.Event_cache.outcome) =
+  Marshal.to_string
+    ( o.Heuristics.Event_cache.hits_local,
+      o.Heuristics.Event_cache.hits_remote,
+      o.Heuristics.Event_cache.misses,
+      o.Heuristics.Event_cache.insertions,
+      o.Heuristics.Event_cache.qos,
+      o.Heuristics.Event_cache.avg_latency,
+      o.Heuristics.Event_cache.provisioned_cost,
+      o.Heuristics.Event_cache.write_messages,
+      o.Heuristics.Event_cache.placement )
+    [ Marshal.No_sharing ]
+
+let reference_bytes (o : Ref.outcome) =
+  Marshal.to_string
+    ( o.Ref.hits_local,
+      o.Ref.hits_remote,
+      o.Ref.misses,
+      o.Ref.insertions,
+      o.Ref.qos,
+      o.Ref.avg_latency,
+      o.Ref.provisioned_cost,
+      o.Ref.write_messages,
+      o.Ref.placement )
+    [ Marshal.No_sharing ]
+
+(* A random small instance: 2–8 nodes, reads and writes, a random
+   placeable mask, random costs and latency threshold. *)
+let random_replay_instance rng =
+  let nodes = 2 + Util.Prng.int rng 7 in
+  let g =
+    Topology.Generate.as_like ~rng ~nodes
+      ~latency:Topology.Generate.default_hop_latency
+  in
+  let system = Topology.System.make g in
+  let objects = 1 + Util.Prng.int rng 6 in
+  let duration_s = 10. +. Util.Prng.float rng 90. in
+  let events =
+    List.init (Util.Prng.int rng 150) (fun _ ->
+        ( Util.Prng.float rng duration_s,
+          Util.Prng.int rng nodes,
+          Util.Prng.int rng objects,
+          if Util.Prng.int rng 5 = 0 then Workload.Trace.Write
+          else Workload.Trace.Read ))
+  in
+  let trace = Workload.Trace.of_events ~nodes ~objects ~duration_s events in
+  let placeable = Array.init nodes (fun _ -> Util.Prng.int rng 4 > 0) in
+  let costs =
+    {
+      Mcperf.Spec.default_costs with
+      alpha = 0.5 +. Util.Prng.float rng 2.;
+      beta = Util.Prng.float rng 3.;
+      delta = Util.Prng.float rng 0.5;
+    }
+  in
+  let tlat_ms = 50. +. Util.Prng.float rng 250. in
+  let intervals = 1 + Util.Prng.int rng 8 in
+  let radius = Util.Prng.float rng 300. in
+  (system, trace, placeable, costs, tlat_ms, intervals, radius)
+
+let shuffled rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Util.Prng.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let prop_replay_matches_reference =
+  QCheck2.Test.make ~count:150
+    ~name:"event cache: plan + replay = reference simulator, every field"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.create ~seed in
+      let system, trace, placeable, costs, tlat_ms, intervals, radius =
+        random_replay_instance rng
+      in
+      let objects = Workload.Trace.object_count trace in
+      let capacities = List.init (objects + 2) Fun.id in
+      List.for_all
+        (fun (mode, prefetch, policy) ->
+          let plan () =
+            Heuristics.Event_cache.plan ~system ~trace ~intervals ~costs
+              ~tlat_ms ~mode ~prefetch ~placeable ~policy ()
+          in
+          let shared = plan () in
+          (* One plan replayed in random order, a fresh plan each time
+             and the reference must agree at every capacity. *)
+          List.for_all
+            (fun capacity ->
+              let want =
+                reference_bytes
+                  (Ref.simulate ~system ~trace ~intervals ~costs ~tlat_ms
+                     ~capacity ~mode:(reference_mode mode) ~prefetch
+                     ~placeable ~policy:(reference_policy policy) ())
+              in
+              outcome_bytes (Heuristics.Event_cache.replay shared ~capacity)
+              = want
+              && outcome_bytes (Heuristics.Event_cache.replay (plan ()) ~capacity)
+                 = want)
+            (shuffled rng capacities))
+        (List.concat_map
+           (fun mode ->
+             List.concat_map
+               (fun prefetch ->
+                 List.map (fun policy -> (mode, prefetch, policy)) policies)
+               [ false; true ])
+           [
+             Heuristics.Event_cache.Local;
+             Heuristics.Event_cache.Cooperative;
+             Heuristics.Event_cache.Hierarchical { cluster_radius_ms = radius };
+           ]))
+
+(* Every registered strategy prepared once and assessed at each
+   parameter up to its ceiling, in random order, gives the verdict of a
+   fresh preparation at that parameter. *)
+let prop_prepared_matches_fresh =
+  QCheck2.Test.make ~count:40
+    ~name:"strategies: one prepare, assessed in any order = fresh prepare"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.create ~seed in
+      let system, trace, placeable, _, tlat_ms, intervals, _ =
+        random_replay_instance rng
+      in
+      let demand = Workload.Demand.of_trace ~intervals trace in
+      Workload.Demand.total_reads demand <= 0.
+      ||
+      let spec =
+        Mcperf.Spec.make ~system ~demand
+          ~goal:(Mcperf.Spec.Qos { tlat_ms; fraction = 0.8 })
+          ()
+      in
+      let ctx = Heuristics.Strategy.Context.of_spec ~placeable spec in
+      let workload = Heuristics.Strategy.workload_of_spec ~trace spec in
+      let verdict_bytes (v : Heuristics.Strategy.verdict) =
+        Marshal.to_string v [ Marshal.No_sharing ]
+      in
+      List.for_all
+        (fun (_, factory) ->
+          let prepare () =
+            (factory ctx).Heuristics.Strategy.prepare workload
+          in
+          let shared = prepare () in
+          List.for_all
+            (fun p ->
+              verdict_bytes (shared.Heuristics.Strategy.assess p)
+              = verdict_bytes ((prepare ()).Heuristics.Strategy.assess p))
+            (shuffled rng (List.init (shared.Heuristics.Strategy.ceiling + 1) Fun.id)))
+        Heuristics.Registry.builtin)
+
+(* Leaf nodes that never read, hold no cache and sit farther than the
+   cluster radius from every node change nothing for the others, however
+   many there are: the replay has no node limit. *)
+let prop_idle_leaves_change_nothing =
+  QCheck2.Test.make ~count:20
+    ~name:"event cache: idle leaves beyond 62 nodes change no original field"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Util.Prng.create ~seed in
+      let nodes = 3 + Util.Prng.int rng 4 in
+      let g =
+        Topology.Generate.as_like ~rng ~nodes
+          ~latency:Topology.Generate.default_hop_latency
+      in
+      let radius = 150. in
+      let leaves = 62 - nodes + 1 + Util.Prng.int rng 6 in
+      let wide =
+        Topology.Graph.of_edges (nodes + leaves)
+          (Topology.Graph.edges g
+          @ List.init leaves (fun l ->
+                (Util.Prng.int rng nodes, nodes + l, 1000. +. Util.Prng.float rng 100.)))
+      in
+      let origin = Topology.Generate.headquarters g in
+      let objects = 1 + Util.Prng.int rng 5 in
+      let events =
+        List.init (20 + Util.Prng.int rng 150) (fun _ ->
+            ( Util.Prng.float rng 60.,
+              Util.Prng.int rng nodes,
+              Util.Prng.int rng objects,
+              if Util.Prng.int rng 5 = 0 then Workload.Trace.Write
+              else Workload.Trace.Read ))
+      in
+      let run ~total graph =
+        let system = Topology.System.make ~origin graph in
+        let trace =
+          Workload.Trace.of_events ~nodes:total ~objects ~duration_s:60. events
+        in
+        let placeable = Array.init total (fun n -> n < nodes) in
+        fun ~mode ~prefetch ~policy ~capacity ->
+          simulate ~system ~trace ~intervals:4
+            ~costs:{ Mcperf.Spec.default_costs with delta = 0.3 }
+            ~capacity ~mode ~prefetch ~placeable ~policy ()
+      in
+      let narrow = run ~total:nodes g and wide = run ~total:(nodes + leaves) wide in
+      let original (o : Heuristics.Event_cache.outcome) =
+        Marshal.to_string
+          ( o.Heuristics.Event_cache.hits_local,
+            o.Heuristics.Event_cache.hits_remote,
+            o.Heuristics.Event_cache.misses,
+            o.Heuristics.Event_cache.insertions,
+            Array.sub o.Heuristics.Event_cache.qos 0 nodes,
+            Array.sub o.Heuristics.Event_cache.avg_latency 0 nodes,
+            o.Heuristics.Event_cache.provisioned_cost,
+            o.Heuristics.Event_cache.write_messages,
+            Array.sub o.Heuristics.Event_cache.placement 0 nodes )
+          [ Marshal.No_sharing ]
+      in
+      let idle (o : Heuristics.Event_cache.outcome) =
+        let rec from n =
+          n >= nodes + leaves
+          || o.Heuristics.Event_cache.qos.(n) = 1.
+             && o.Heuristics.Event_cache.avg_latency.(n) = 0.
+             && Array.for_all (( = ) 0) o.Heuristics.Event_cache.placement.(n)
+             && from (n + 1)
+        in
+        from nodes
+      in
+      List.for_all
+        (fun mode ->
+          List.for_all
+            (fun (prefetch, policy) ->
+              List.for_all
+                (fun capacity ->
+                  let w = wide ~mode ~prefetch ~policy ~capacity in
+                  original w = original (narrow ~mode ~prefetch ~policy ~capacity)
+                  && idle w)
+                [ 0; 1; objects ])
+            (List.concat_map
+               (fun prefetch -> List.map (fun p -> (prefetch, p)) policies)
+               [ false; true ]))
+        [
+          Heuristics.Event_cache.Local;
+          Heuristics.Event_cache.Cooperative;
+          Heuristics.Event_cache.Hierarchical { cluster_radius_ms = radius };
+        ])
+
 let () =
   Alcotest.run "heuristics"
     [
@@ -815,6 +1105,10 @@ let () =
           Alcotest.test_case "prefetch" `Quick test_prefetch_covers_first_access;
           Alcotest.test_case "write messages" `Quick test_write_messages;
           Alcotest.test_case "interval limit" `Quick test_interval_limit;
+          Alcotest.test_case "trace wider than the system" `Quick
+            test_trace_wider_than_system;
+          QCheck_alcotest.to_alcotest prop_replay_matches_reference;
+          QCheck_alcotest.to_alcotest prop_idle_leaves_change_nothing;
         ] );
       ( "greedy",
         [
@@ -872,5 +1166,6 @@ let () =
             test_runner_costs_at_least_class_bound;
           Alcotest.test_case "deployments match pinned digests" `Quick
             test_golden_deployments;
+          QCheck_alcotest.to_alcotest prop_prepared_matches_fresh;
         ] );
     ]
