@@ -70,10 +70,14 @@ val prepared_problem : prepared -> Problem.t
     which {!Certificate.dual_bound} certificates are valid). *)
 
 val solve_prepared : ?options:options -> prepared -> outcome
-(** Run the solver on a prepared image. The per-iteration work is fused
-    into four streams (primal step + extrapolation + averaging; A·x_bar;
-    dual step + averaging; Aᵀ·y) instead of one pass per conceptual
-    operation. *)
+(** Run the solver on a prepared image. One iteration is two sweeps over
+    the image: a column sweep that forms (Aᵀ·y)_j and does column [j]'s
+    step, box projection, extrapolation and averaging, then a row sweep
+    that forms (A·x_bar)_i and does row [i]'s step, cone projection and
+    averaging. A checkpoint evaluates the {!Certificate.dual_bound} and
+    {!Problem.max_violation} of the iterate on the same image, bit-equal
+    to those functions, in O(nnz) and with no allocation beyond a few
+    boxed scalars. *)
 
 val solve : ?options:options -> Problem.t -> outcome
 (** [solve p] normalizes [p] with {!Problem.normalize_ge} and runs PDHG

@@ -12,7 +12,13 @@ type row_kind = Ge | Le | Eq
 type row = {
   kind : row_kind;
   rhs : float;
-  coeffs : (int * float) array;  (** sorted by variable index, unique *)
+  coeffs : (int * float) array;
+      (** strictly ascending by variable index (so unique), every
+          coefficient nonzero: {!Builder} sums repeats and drops zero
+          sums, and [t] is private, so every row of a [t] has this form.
+          PDHG's checkpoints rely on it: {!Sparse.of_row_list} stores such
+          a row unchanged, so the solver can evaluate certificates on its
+          CSR/CSC image bit-equal to these rows. *)
 }
 
 type t = private {

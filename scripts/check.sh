@@ -13,7 +13,7 @@ dune runtest
 
 # Bench stage: the tree and pdhg legs of bench/main.ml take seconds and
 # exit nonzero on a broken check (tree-DP routing, LP bound <= DP
-# optimum, fused PDHG bound within 1e-9 of the reference). They run from
+# optimum, fused PDHG bound equal to the reference's). They run from
 # a scratch directory, so no committed BENCH file or BENCH_LOG.tsv is
 # written.
 echo "== bench stage: tree and pdhg legs =="

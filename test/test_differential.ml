@@ -38,7 +38,9 @@ let tight_pdhg =
 
 (* --- random dense LPs --------------------------------------------------- *)
 
-let random_dense_lp rng =
+(* [eq_rows] equality rows through the interior point follow the
+   inequalities; with none the draw is unchanged. *)
+let random_dense_lp ?(eq_rows = 0) rng =
   let open Lp.Problem in
   let nvars = 3 + Util.Prng.int rng 6 in
   let b = Builder.create () in
@@ -73,7 +75,20 @@ let random_dense_lp rng =
       Builder.add_row b Ge ~rhs:(!dot -. slack) !coeffs
     else Builder.add_row b Le ~rhs:(!dot +. slack) !coeffs
   done;
+  for _ = 1 to eq_rows do
+    let j = Util.Prng.int rng nvars in
+    let k = (j + 1 + Util.Prng.int rng (nvars - 1)) mod nvars in
+    let cj = 0.5 +. Util.Prng.float rng 1. in
+    let ck = Util.Prng.float rng 2. -. 1. in
+    Builder.add_row b Eq
+      ~rhs:((cj *. xstar.(j)) +. (ck *. xstar.(k)))
+      [ (j, cj); (k, ck) ]
+  done;
   Builder.build b
+
+(* A value's bytes: equal bytes mean equal structure with every float
+   equal bit for bit. *)
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
 
 let check_against_simplex ~what ~index problem =
   match Lp.Simplex.solve problem with
@@ -82,27 +97,16 @@ let check_against_simplex ~what ~index problem =
   | Lp.Simplex.Optimal { objective = opt; _ } ->
     let out = Lp.Pdhg.solve ~options:tight_pdhg problem in
     let scale = 1. +. Float.abs opt in
-    (* The fused iteration must track the pre-fusion reference exactly:
-       both run the same recurrence with the same operation order, so
-       their iterates agree far below the 1e-9 budget. *)
+    (* The two-sweep iteration runs the reference's recurrence with every
+       per-element expression in the same order and association, so the
+       whole outcome (iterates, duals, bound, counts) must be equal. *)
     let ref_out = Lp.Pdhg.solve_reference ~options:tight_pdhg problem in
-    Alcotest.(check int)
-      (Printf.sprintf "%s %d: fused/reference same iteration count" what index)
-      ref_out.Lp.Pdhg.iterations out.Lp.Pdhg.iterations;
-    Alcotest.(check bool)
-      (Printf.sprintf "%s %d: fused matches reference bound" what index)
-      true
-      (Float.abs (out.Lp.Pdhg.best_bound -. ref_out.Lp.Pdhg.best_bound)
-      <= 1e-9 *. scale);
-    let max_dx = ref 0. in
-    Array.iteri
-      (fun j v ->
-        max_dx := Float.max !max_dx (Float.abs (v -. ref_out.Lp.Pdhg.x.(j))))
-      out.Lp.Pdhg.x;
-    Alcotest.(check bool)
-      (Printf.sprintf "%s %d: fused matches reference iterates (%.1e)" what
-         index !max_dx)
-      true (!max_dx <= 1e-9);
+    if bits out <> bits ref_out then
+      Alcotest.failf
+        "%s %d: fused outcome differs from the reference (bound %h vs %h, %d \
+         vs %d iterations)"
+        what index out.Lp.Pdhg.best_bound ref_out.Lp.Pdhg.best_bound
+        out.Lp.Pdhg.iterations ref_out.Lp.Pdhg.iterations;
     let gap = (opt -. out.Lp.Pdhg.best_bound) /. scale in
     Alcotest.(check bool)
       (Printf.sprintf "%s %d: pdhg agrees (gap %.3e)" what index gap)
@@ -123,10 +127,17 @@ let check_against_simplex ~what ~index problem =
       true
       (cert -. opt <= duality_tol *. scale)
 
+let eq_instances = 10
+
 let test_dense_lps () =
   let rng = Util.Prng.create ~seed:77 in
   for index = 1 to instances do
     check_against_simplex ~what:"dense LP" ~index (random_dense_lp rng)
+  done;
+  let rng = Util.Prng.create ~seed:78 in
+  for index = 1 to eq_instances do
+    check_against_simplex ~what:"dense LP with an Eq row" ~index
+      (random_dense_lp ~eq_rows:1 rng)
   done
 
 (* --- random small MC-PERF instances ------------------------------------- *)
@@ -253,8 +264,7 @@ let read_golden path =
   in
   read []
 
-let digest v =
-  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+let digest v = Digest.to_hex (Digest.string (bits v))
 
 let lp_of vars rows =
   let b = Lp.Problem.Builder.create () in
@@ -372,6 +382,79 @@ let test_pinned_simplex () =
          Array.blit own 0 p.objective 0 (Array.length own);
          (label, digest (Lp.Simplex.solve_prepared pr)))
        (pinned_lps ()))
+
+(* --- pinned PDHG outcomes -------------------------------------------------- *)
+
+(* Never converges (rel_tol 0), so it crosses two restarts (every 1,000
+   iterations) and stops between two checkpoints (every 50). *)
+let budget_pdhg =
+  { Lp.Pdhg.default_options with max_iters = 2_517; rel_tol = 0. }
+
+(* The presolved LPs that perfbench's [cells] workload hands to PDHG for
+   its storage-constrained and replica-constrained-uniform cells at QoS
+   0.99, one per case study. *)
+let cells_lps () =
+  List.concat_map
+    (fun (wname, cs) ->
+      let spec = CS.qos_spec cs ~fraction:0.99 ~for_bounds:true () in
+      List.map
+        (fun (cls : Mcperf.Classes.t) ->
+          let model = Mcperf.Model.build (Mcperf.Permission.compute spec cls) in
+          ( Printf.sprintf "%s/%s@0.99" wname cls.Mcperf.Classes.name,
+            (Lp.Presolve.run model.Mcperf.Model.problem).Lp.Presolve.reduced ))
+        Mcperf.Classes.[ storage_constrained; replica_constrained_uniform ])
+    [
+      ("web", CS.make ~nodes:10 ~scale:0.006 ~intervals:12 CS.Web);
+      ("group", CS.make ~nodes:10 ~scale:0.005 ~intervals:12 CS.Group);
+    ]
+
+(* A NaN rhs on one row, as the pipeline's [inject_nan] poisons row 0. *)
+let poison row p = Lp.Problem.with_rhs p [ (row, Float.nan) ]
+
+let pinned_pdhg_runs () =
+  let first k l = List.filteri (fun i _ -> i < k) l in
+  let dense = first instances (pinned_lps ()) in
+  let rng = Util.Prng.create ~seed:78 in
+  let eq = ref [] in
+  for index = 1 to eq_instances do
+    eq :=
+      (Printf.sprintf "dense-eq-lp/%d" index, random_dense_lp ~eq_rows:1 rng)
+      :: !eq
+  done;
+  let eq = List.rev !eq in
+  let cells = cells_lps () in
+  let web_sc = List.assoc "web/storage-constrained@0.99" cells in
+  let eq1 = List.assoc "dense-eq-lp/1" eq in
+  let runs prefix options = List.map (fun (l, p) -> (prefix ^ l, options, p)) in
+  runs "" tight_pdhg (dense @ eq)
+  @ runs "default/" Lp.Pdhg.default_options
+      (first 5 dense @ first 5 eq
+      @ [
+          ( "group/storage-constrained@0.99",
+            List.assoc "group/storage-constrained@0.99" cells );
+        ])
+  @ runs "cells/" Bounds.Pipeline.default_pdhg_options cells
+  @ runs "budget/" budget_pdhg
+      [ ("web/storage-constrained@0.99", web_sc); ("dense-eq-lp/1", eq1) ]
+  @ runs "nan-rhs/" budget_pdhg
+      [
+        ("web/storage-constrained@0.99", poison 0 web_sc);
+        ("dense-eq-lp/1-eq-row", poison (Lp.Problem.nrows eq1 - 1) eq1);
+      ]
+
+(* The whole outcome of every run (iterates, duals, best bound and dual,
+   counts, stop reason), pinned bit for bit against the four-pass kernel
+   the two-sweep one replaced: seeded dense LPs with and without an Eq
+   row, the default options, perfbench's cell LPs under the pipeline's
+   options, a budget that stops between checkpoints after two restarts,
+   and NaN right-hand sides on a Ge row and on an Eq row. *)
+let test_pinned_pdhg () =
+  Alcotest.(check (list (pair string string)))
+    "every outcome matches its pinned digest"
+    (read_golden "fixtures/pdhg_outcomes.golden")
+    (List.map
+       (fun (label, options, p) -> (label, digest (Lp.Pdhg.solve ~options p)))
+       (pinned_pdhg_runs ()))
 
 (* --- parallel-sweep determinism ------------------------------------------ *)
 
@@ -596,6 +679,8 @@ let () =
             test_presolve_roundtrip;
           Alcotest.test_case "simplex outcomes match pinned digests" `Quick
             test_pinned_simplex;
+          Alcotest.test_case "pdhg outcomes match pinned digests" `Quick
+            test_pinned_pdhg;
         ] );
       ( "incremental",
         [

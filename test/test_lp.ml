@@ -176,6 +176,30 @@ let test_pdhg_equality_rows () =
   let out = Lp.Pdhg.solve ~options:pdhg_options p in
   check_float ~eps:1e-4 "bound" obj out.best_bound
 
+(* The iteration allocates nothing and a checkpoint only a few boxed
+   scalars, so a long solve's minor allocation per iteration is a small
+   constant. A checkpoint that walks the rows as boxed (int * float)
+   pairs shows as hundreds of words per iteration on this model. *)
+let test_pdhg_allocation () =
+  let module CS = Replica_select.Case_study in
+  let cs = CS.make ~nodes:10 ~scale:0.006 ~intervals:12 CS.Web in
+  let spec = CS.qos_spec cs ~fraction:0.99 ~for_bounds:true () in
+  let model =
+    Mcperf.Model.build
+      (Mcperf.Permission.compute spec Mcperf.Classes.storage_constrained)
+  in
+  let pr = Lp.Pdhg.prepare model.Mcperf.Model.problem in
+  let options =
+    { Lp.Pdhg.default_options with max_iters = 2_000; rel_tol = 0. }
+  in
+  let before = Gc.minor_words () in
+  let out = Lp.Pdhg.solve_prepared ~options pr in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "ran the whole budget" 2_000 out.iterations;
+  let per_iter = words /. float_of_int out.iterations in
+  if per_iter > 20. then
+    Alcotest.failf "%.1f minor words per iteration (at most 20)" per_iter
+
 let test_certificate_is_valid_for_any_dual () =
   (* For arbitrary (even silly) dual vectors, the certified bound must stay
      below the true optimum. *)
@@ -463,6 +487,8 @@ let () =
           Alcotest.test_case "matches simplex" `Quick
             test_pdhg_matches_simplex_small;
           Alcotest.test_case "equality rows" `Quick test_pdhg_equality_rows;
+          Alcotest.test_case "bounded allocation per iteration" `Quick
+            test_pdhg_allocation;
         ] );
       ( "certificate",
         [
