@@ -7,6 +7,9 @@
      reduced topology).
    - scale: solver wall-clock vs instance size (the Section 5 discussion).
 
+   The figures themselves are declared and computed in
+   [Replica_select.Figure]; this file parses flags and prints.
+
    Absolute numbers depend on the synthetic substitutes for the paper's
    proprietary trace and topology (see DESIGN.md); the reproduced
    artefacts are the orderings, ceilings and cost ratios. *)
@@ -15,24 +18,10 @@ module CS = Replica_select.Case_study
 module SS = Replica_select.Scale_scenario
 module Report = Replica_select.Report
 module Methodology = Replica_select.Methodology
+module Figure = Replica_select.Figure
 
 let qos_sweep quick =
   if quick then [ 0.95; 0.999; 0.99999 ] else CS.qos_points
-
-let maybe_write_csv ~csv_dir ~name series =
-  match csv_dir with
-  | None -> ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path = Filename.concat dir (name ^ ".csv") in
-    let oc = open_out path in
-    output_string oc (Report.csv_of_figure series);
-    close_out oc;
-    Printf.printf "wrote %s\n%!" path
-
-let cost_of_result (r : Bounds.Pipeline.t) =
-  if r.Bounds.Pipeline.feasible then Some r.Bounds.Pipeline.lower_bound
-  else None
 
 (* Recovery bookkeeping: how each sweep's cells were actually solved and
    how much supervision the worker pool needed. Quiet unless something
@@ -68,11 +57,6 @@ let fail name fmt =
   incr violations;
   Printf.printf "FAIL %s: " name;
   Printf.kfprintf (fun oc -> output_char oc '\n') stdout fmt
-
-(* The pool's per-task timeout (--task-timeout), installed ambiently by
-   the CLI like the fault spec; every bound sweep in the process picks it
-   up through [sweep_figure]. *)
-let task_timeout_s : float option ref = ref None
 
 (* --- observability ------------------------------------------------------- *)
 
@@ -110,62 +94,87 @@ let summary_counters =
        ])
 
 (* Metrics accumulate for the whole process, so the per-sweep table
-   shows the movement across one sweep: value-after minus value-before
-   for every counter that moved. *)
-let with_metrics_summary ~name f =
-  if not (Obs.Config.metering ()) then f ()
-  else begin
-    let counters = Lazy.force summary_counters in
-    let before =
-      List.map (fun (n, c) -> (n, Obs.Metrics.counter_value c)) counters
-    in
-    let r = f () in
-    let moved =
-      List.filter_map
-        (fun ((n, c), (_, b)) ->
-          let d = Obs.Metrics.counter_value c - b in
-          if d > 0 then Some (n, d) else None)
-        (List.combine counters before)
-    in
-    if moved <> [] then begin
-      Printf.printf "metrics %s:\n" name;
-      List.iter (fun (n, d) -> Printf.printf "  %-28s %12d\n" n d) moved;
-      Printf.printf "%!"
-    end;
-    r
+   shows the movement across one sweep: [metrics_mark] reads every
+   counter before the sweep, and [print_metrics_moved] prints
+   value-after minus value-before for every counter that moved. *)
+let metrics_mark () =
+  if not (Obs.Config.metering ()) then []
+  else
+    List.map
+      (fun (n, c) -> (n, c, Obs.Metrics.counter_value c))
+      (Lazy.force summary_counters)
+
+let print_metrics_moved ~name mark =
+  let moved =
+    List.filter_map
+      (fun (n, c, before) ->
+        let d = Obs.Metrics.counter_value c - before in
+        if d > 0 then Some (n, d) else None)
+      mark
+  in
+  if moved <> [] then begin
+    Printf.printf "metrics %s:\n" name;
+    List.iter (fun (n, d) -> Printf.printf "  %-28s %12d\n" n d) moved;
+    Printf.printf "%!"
   end
 
-let print_sweep_robustness ~name (sweep : Bounds.Pipeline.sweep) =
+(* --- figures ------------------------------------------------------------- *)
+
+(* A figure command's sweep flags, resolved: [deadline_s] and
+   [cell_budget_s] are [infinity] when unset. *)
+type sweep_opts = {
+  jobs : int;
+  journal_dir : string option;
+  deadline_s : float;
+  cell_budget_s : float;
+  timeout_s : float option;
+  certify : bool;
+  csv_dir : string option;
+}
+
+let bound_cells (fig : Figure.t) =
+  List.concat_map (fun (b : Figure.bound) -> b.Figure.cells) fig.Figure.bounds
+
+let bound_results fig =
+  List.map (fun (c : _ Figure.cell) -> c.Figure.value) (bound_cells fig)
+
+let print_bound_robustness (fig : Figure.t) =
+  let sweep = fig.Figure.bound_sweep in
   let paths =
-    List.filter (fun (_, n) -> n > 0) (Bounds.Pipeline.path_counts sweep)
+    List.filter
+      (fun (_, n) -> n > 0)
+      (Bounds.Pipeline.path_counts (bound_results fig))
   in
   let retried = List.mem_assoc Bounds.Pipeline.Path_pdhg_retry paths in
   if
     Util.Faults.active () || retried
-    || pool_nontrivial sweep.Bounds.Pipeline.pool
-    || sweep.Bounds.Pipeline.resumed > 0
+    || pool_nontrivial sweep.Figure.pool
+    || sweep.Figure.resumed > 0
   then
-    Printf.printf "robustness %s: paths[%s] pool[%s] resumed=%d\n%!" name
+    Printf.printf "robustness %s: paths[%s] pool[%s] resumed=%d\n%!"
+      fig.Figure.decl.Figure.sweep_name
       (String.concat " "
          (List.map
             (fun (p, n) ->
               Printf.sprintf "%s=%d" (Bounds.Pipeline.path_label p) n)
             paths))
-      (pool_summary sweep.Bounds.Pipeline.pool)
-      sweep.Bounds.Pipeline.resumed
+      (pool_summary sweep.Figure.pool)
+      sweep.Figure.resumed
 
 (* Degradation bookkeeping: which quality each cell stopped with, and —
    under a --deadline — whether the sweep honored its budget. The grace
    term is one cell's wall-clock plus scheduling slop: the governor can
    only stop a cell at its next solver checkpoint, so the last cell may
    straddle the deadline by its own runtime but never more. *)
-let print_sweep_quality ~name ~deadline_s ~cell_budget_s
-    (sweep : Bounds.Pipeline.sweep) =
+let print_bound_quality o (fig : Figure.t) =
+  let name = fig.Figure.decl.Figure.sweep_name in
   let budgeted =
-    Float.is_finite deadline_s || Float.is_finite cell_budget_s
+    Float.is_finite o.deadline_s || Float.is_finite o.cell_budget_s
   in
   let counts =
-    List.filter (fun (_, n) -> n > 0) (Bounds.Pipeline.quality_counts sweep)
+    List.filter
+      (fun (_, n) -> n > 0)
+      (Bounds.Pipeline.quality_counts (bound_results fig))
   in
   let degraded =
     List.exists
@@ -180,22 +189,21 @@ let print_sweep_quality ~name ~deadline_s ~cell_budget_s
             (fun (q, n) ->
               Printf.sprintf "%s=%d" (Bounds.Pipeline.quality_label q) n)
             counts));
-  if Float.is_finite deadline_s then begin
+  if Float.is_finite o.deadline_s then begin
     let max_cell =
       List.fold_left
-        (fun acc (s : Bounds.Pipeline.task_stat) ->
-          Float.max acc s.Bounds.Pipeline.wall_s)
-        0. sweep.Bounds.Pipeline.stats
+        (fun acc (c : _ Figure.cell) -> Float.max acc c.Figure.wall_s)
+        0. (bound_cells fig)
     in
     let grace = max_cell +. 1.0 in
-    let elapsed = sweep.Bounds.Pipeline.elapsed_s in
-    if elapsed <= deadline_s +. grace then
+    let elapsed = fig.Figure.bound_sweep.Figure.elapsed_s in
+    if elapsed <= o.deadline_s +. grace then
       Printf.printf "deadline %s: budget %.2fs elapsed %.2fs (within; grace %.2fs)\n%!"
-        name deadline_s elapsed grace
+        name o.deadline_s elapsed grace
     else begin
       incr violations;
       Printf.printf "deadline %s: budget %.2fs elapsed %.2fs OVERRUN (grace %.2fs)\n%!"
-        name deadline_s elapsed grace
+        name o.deadline_s elapsed grace
     end
   end
 
@@ -203,323 +211,112 @@ let print_sweep_quality ~name ~deadline_s ~cell_budget_s
    {!Bounds.Pipeline.certify}): feasible cells must reproduce their bound
    from the attached dual, infeasible cells must carry a Farkas ray that
    [check_farkas] accepts. *)
-let certify_sweep ?placeable ~name spec (sweep : Bounds.Pipeline.sweep)
-    classes =
-  match spec.Mcperf.Spec.goal with
-  | Mcperf.Spec.Avg_latency _ -> ()
-  | Mcperf.Spec.Qos { tlat_ms; _ } ->
-    let total = ref 0 and ok = ref 0 in
-    List.iter
-      (fun (label, results) ->
-        match List.assoc_opt label classes with
-        | None -> ()
-        | Some cls ->
-          List.iter
-            (fun (q, r) ->
-              incr total;
-              let spec =
-                {
-                  spec with
-                  Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction = q };
-                }
-              in
-              match Bounds.Pipeline.certify ?placeable spec cls r with
-              | Ok () -> incr ok
-              | Error msg ->
-                incr violations;
-                Printf.printf "certificate FAIL %s @ %.5f: %s\n%!" label q msg)
-            results)
-      sweep.Bounds.Pipeline.per_class;
-    Printf.printf "certificates %s: %d/%d verified\n%!" name !ok !total
-
-(* One parallel batch for a whole figure: every (class, point) cell is an
-   independent task, so a figure's bound grid saturates the worker pool
-   instead of sweeping class by class. [journal_dir] turns on
-   checkpointing: an interrupted run re-executed with the same arguments
-   resumes from DIR/<name>.journal. *)
-let sweep_figure ?placeable ?journal_dir ?(deadline_s = infinity)
-    ?(cell_budget_s = infinity) ?(certify = false) ~name ~jobs spec points
-    classes =
-  let journal =
-    Option.map
-      (fun dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        Filename.concat dir (name ^ ".journal"))
-      journal_dir
-  in
-  let cfg =
-    {
-      Bounds.Pipeline.Sweep_config.default with
-      jobs;
-      placeable;
-      deadline_s;
-      cell_budget_s;
-      journal;
-      timeout_s = !task_timeout_s;
-    }
-  in
-  let sweep =
-    with_metrics_summary ~name (fun () ->
-        Bounds.Pipeline.sweep_classes cfg spec ~fractions:points classes)
-  in
-  print_sweep_robustness ~name sweep;
-  print_sweep_quality ~name ~deadline_s ~cell_budget_s sweep;
-  if certify then certify_sweep ?placeable ~name spec sweep classes;
-  let series =
-    List.map
-      (fun (label, results) ->
-        Report.series_of ~label
-          (List.map (fun (q, r) -> (q, cost_of_result r)) results))
-      sweep.Bounds.Pipeline.per_class
-  in
-  (series, Report.timing_of_stats sweep.Bounds.Pipeline.stats,
-   sweep.Bounds.Pipeline.elapsed_s)
-
-(* --- Figure 1 ----------------------------------------------------------- *)
-
-let fig1_classes =
-  [
-    ("General lower bound", Mcperf.Classes.general);
-    ("Storage constrained", Mcperf.Classes.storage_constrained);
-    ("Replica constrained", Mcperf.Classes.replica_constrained_uniform);
-    ("Decentral local routing", Mcperf.Classes.decentralized_local_routing);
-    ( "Caching",
-      Mcperf.Classes.allow_intra_interval_reaction Mcperf.Classes.caching );
-    ( "Cooperative caching",
-      Mcperf.Classes.allow_intra_interval_reaction
-        Mcperf.Classes.cooperative_caching );
-  ]
-
-let fig1 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
-    ~cell_budget_s ~certify workload =
-  let cs = CS.make ~seed ~scale workload in
-  let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
-  let points = qos_sweep quick in
-  Logs.app (fun f ->
-      f "fig1 %s: %d classes x %d points, jobs=%d ..."
-        (CS.workload_name workload)
-        (List.length fig1_classes) (List.length points) jobs);
-  let name = "fig1-" ^ String.lowercase_ascii (CS.workload_name workload) in
-  let series, timing, elapsed_s =
-    sweep_figure ?journal_dir ~deadline_s ~cell_budget_s ~certify ~name ~jobs
-      spec points fig1_classes
-  in
-  Report.print_figure
-    ~title:
-      (Printf.sprintf
-         "Figure 1 (%s): lower bound per heuristic class vs QoS goal"
-         (CS.workload_name workload))
-    ~xlabel:"QoS" series;
-  Report.print_timing
-    ~title:(Printf.sprintf "fig1 %s" (CS.workload_name workload))
-    ~jobs ~elapsed_s timing;
-  maybe_write_csv ~csv_dir ~name series;
-  series
-
-(* --- Figure 2 ----------------------------------------------------------- *)
-
-(* Deployed-heuristic sweeps: one task per goal point. Each point's
-   minimal-parameter search is itself monotone-deterministic, so parallel
-   and sequential sweeps agree; the raw per-point outcomes are returned so
-   callers can derive ratios without re-simulating. [cell_budget_s] gives
-   each point an advisory budget: the bisection inside is anytime (its
-   upper bracket stays feasible), so on expiry it returns a valid but
-   possibly non-minimal parameter. *)
-let deployed_sweep ?(cell_budget_s = infinity) ~jobs ~label points run =
-  let budget_of =
-    if Float.is_finite cell_budget_s then Some (fun _ -> cell_budget_s)
-    else None
-  in
-  let t0 = Unix.gettimeofday () in
-  let outcomes = Util.Parallel.map ~jobs ?budget_of ~f:run points in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
-  let pool = Util.Parallel.last_pool_stats () in
-  if pool_nontrivial pool then
-    Printf.printf "robustness %s: pool[%s]\n%!" label (pool_summary pool);
-  let raw =
-    List.map2 (fun q (o : _ Util.Parallel.result) -> (q, o.Util.Parallel.value))
-      points outcomes
-  in
-  let series =
-    Report.series_of ~label
-      (List.map
-         (fun (q, d) ->
-           (q, Option.map (fun (d : Sim.Runner.deployed) -> d.Sim.Runner.cost) d))
-         raw)
-  in
-  let timing =
-    List.map2
-      (fun q (o : _ Util.Parallel.result) ->
-        {
-          Report.task = label;
-          x = q;
-          wall_s = o.Util.Parallel.wall_s;
-          solver = "sim";
-          iterations = 0;
-          quality = "-";
-        })
-      points outcomes
-  in
-  (series, raw, timing, elapsed_s)
-
-let fig2 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
-    ~cell_budget_s ~certify workload =
-  let cs = CS.make ~seed ~scale workload in
-  let points = qos_sweep quick in
-  let bound_spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
-  let sim_spec q = CS.qos_spec cs ~fraction:q ~for_bounds:false () in
-  let chosen_cls, chosen_label, chosen =
-    match workload with
-    | CS.Web ->
-      ( Mcperf.Classes.storage_constrained,
-        "Greedy global heuristic",
-        Heuristics.Greedy_global.strategy )
-    | CS.Group ->
-      ( Mcperf.Classes.replica_constrained_uniform,
-        "Replica constrained heuristic",
-        Heuristics.Greedy_replica.strategy )
-  in
-  let run factory q =
-    Sim.Runner.deploy_offline ~trace:cs.CS.trace ~factory ~spec:(sim_spec q) ()
-  in
-  Logs.app (fun f -> f "fig2 %s: class bound ..." (CS.workload_name workload));
-  let bound_label =
-    match workload with
-    | CS.Web -> "Storage constrained bound"
-    | CS.Group -> "Replica constrained bound"
-  in
-  let bound_series, bound_timing, bound_elapsed =
-    sweep_figure ?journal_dir ~deadline_s ~cell_budget_s ~certify
-      ~name:
-        ("fig2-" ^ String.lowercase_ascii (CS.workload_name workload) ^ "-bound")
-      ~jobs bound_spec points
-      [ (bound_label, chosen_cls) ]
-  in
-  Logs.app (fun f -> f "fig2 %s: %s ..." (CS.workload_name workload) chosen_label);
-  let chosen_series, chosen_raw, chosen_timing, chosen_elapsed =
-    deployed_sweep ~cell_budget_s ~jobs ~label:chosen_label points (run chosen)
-  in
-  Logs.app (fun f -> f "fig2 %s: LRU caching ..." (CS.workload_name workload));
-  let lru_series, lru_raw, lru_timing, lru_elapsed =
-    deployed_sweep ~cell_budget_s ~jobs ~label:"LRU caching" points
-      (run Heuristics.Cache_strategy.lru)
-  in
-  let series = List.concat [ bound_series; [ chosen_series; lru_series ] ] in
-  Report.print_figure
-    ~title:
-      (Printf.sprintf
-         "Figure 2 (%s): deployed heuristic cost vs its class bound"
-         (CS.workload_name workload))
-    ~xlabel:"QoS" series;
-  Report.print_timing
-    ~title:(Printf.sprintf "fig2 %s" (CS.workload_name workload))
-    ~jobs
-    ~elapsed_s:(bound_elapsed +. chosen_elapsed +. lru_elapsed)
-    (bound_timing @ chosen_timing @ lru_timing);
-  (* The introduction's headline claim: cost ratio of the default heuristic
-     (LRU) to the methodology's choice, at the goals both can meet. *)
-  let ratios =
-    List.filter_map
-      (fun q ->
-        match (List.assoc q chosen_raw, List.assoc q lru_raw) with
-        | Some c, Some l when c.Sim.Runner.cost > 0. ->
-          Some (q, l.Sim.Runner.cost /. c.Sim.Runner.cost)
-        | _ -> None)
-      points
-  in
+let certify_bounds (fig : Figure.t) =
+  let d = fig.Figure.decl in
+  let total = ref 0 and ok = ref 0 in
   List.iter
-    (fun (q, ratio) ->
-      Printf.printf "intro-claim %s @ %.5f: LRU costs %.1fx the chosen heuristic\n"
-        (CS.workload_name workload) q ratio)
-    ratios;
-  maybe_write_csv ~csv_dir
-    ~name:("fig2-" ^ String.lowercase_ascii (CS.workload_name workload))
-    series;
-  series
+    (fun (b : Figure.bound) ->
+      List.iter
+        (fun (c : _ Figure.cell) ->
+          incr total;
+          let q = c.Figure.fraction in
+          match
+            Bounds.Pipeline.certify ?placeable:d.Figure.placeable
+              (Figure.at_fraction d.Figure.spec q)
+              b.Figure.cls c.Figure.value
+          with
+          | Ok () -> incr ok
+          | Error msg ->
+            incr violations;
+            Printf.printf "certificate FAIL %s @ %.5f: %s\n%!" b.Figure.label
+              q msg)
+        b.Figure.cells)
+    fig.Figure.bounds;
+  Printf.printf "certificates %s: %d/%d verified\n%!" d.Figure.sweep_name !ok
+    !total
 
-(* --- Figure 3 ----------------------------------------------------------- *)
+(* Run a declared figure and print it: each batch's lines as soon as it
+   finishes — the bound sweep's metrics, robustness, quality, deadline
+   and certificate lines, each deployed column's robustness line — then
+   the figure and timing tables, [claims], and the CSV. [announce] logs
+   each deployed column as it starts. *)
+let show_figure ?(announce = false) ?(claims = ignore) o (d : Figure.decl) =
+  let mark = metrics_mark () in
+  let fig =
+    Figure.run ?journal_dir:o.journal_dir ~deadline_s:o.deadline_s
+      ~cell_budget_s:o.cell_budget_s ?timeout_s:o.timeout_s ~jobs:o.jobs d
+      ~on_event:(function
+        | Figure.Bounds_done fig ->
+          print_metrics_moved ~name:d.Figure.sweep_name mark;
+          print_bound_robustness fig;
+          print_bound_quality o fig;
+          if o.certify then certify_bounds fig
+        | Figure.Deploying label ->
+          if announce then
+            Logs.app (fun f -> f "%s: %s ..." d.Figure.timing_title label)
+        | Figure.Deployed_done col ->
+          let pool = col.Figure.deploy_sweep.Figure.pool in
+          if pool_nontrivial pool then
+            Printf.printf "robustness %s: pool[%s]\n%!" col.Figure.heuristic
+              (pool_summary pool))
+  in
+  Report.print_figure fig;
+  Report.print_timing ~jobs:o.jobs fig;
+  claims fig;
+  match o.csv_dir with
+  | None -> ()
+  | Some dir ->
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let path = Filename.concat dir (d.Figure.name ^ ".csv") in
+    let oc = open_out path in
+    output_string oc (Report.csv_of_figure fig);
+    close_out oc;
+    Printf.printf "wrote %s\n%!" path
 
-let fig3_classes =
-  [
-    ( "Reactive bound",
-      Mcperf.Classes.allow_intra_interval_reaction
-        Mcperf.Classes.reactive_general );
-    ("Storage constrained", Mcperf.Classes.storage_constrained);
-    ("Replica constrained", Mcperf.Classes.replica_constrained_uniform);
-    ( "Caching bound",
-      Mcperf.Classes.allow_intra_interval_reaction Mcperf.Classes.caching );
-  ]
+let announce_grid o (d : Figure.decl) =
+  Logs.app (fun f ->
+      f "%s: %d classes x %d points, jobs=%d ..." d.Figure.timing_title
+        (List.length d.Figure.classes)
+        (List.length d.Figure.points)
+        o.jobs)
 
-let fig3 ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
-    ~cell_budget_s ~certify workload =
-  let cs = CS.make ~seed ~scale workload in
-  let points = qos_sweep quick in
-  (* Phase 1: decide where to deploy nodes. The planning goal must be one
-     the reactive classes can reach at all (heavy-tailed workloads have an
-     irreducible cold-miss floor per site), so plan at the sweep's lowest
-     goal; phase 2 then reports how far up the deployed system can go. *)
-  let phase1_spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
-  match Methodology.plan_deployment ~zeta phase1_spec with
+let fig1 o cs ~points =
+  let d = Figure.fig1 cs ~points in
+  announce_grid o d;
+  show_figure o d
+
+(* The introduction's headline claim: cost ratio of the default heuristic
+   (LRU, fig2's second deployed column) to the methodology's choice (its
+   first), at the goals both can meet. *)
+let print_intro_claims workload (fig : Figure.t) =
+  match fig.Figure.deployed with
+  | [ chosen; lru ] ->
+    List.iter2
+      (fun (c : _ Figure.cell) (l : _ Figure.cell) ->
+        match (c.Figure.value, l.Figure.value) with
+        | Some c', Some l' when c'.Sim.Runner.cost > 0. ->
+          Printf.printf
+            "intro-claim %s @ %.5f: LRU costs %.1fx the chosen heuristic\n"
+            (CS.workload_name workload) c.Figure.fraction
+            (l'.Sim.Runner.cost /. c'.Sim.Runner.cost)
+        | _ -> ())
+      chosen.Figure.outcomes lru.Figure.outcomes
+  | _ -> ()
+
+let fig2 o (cs : CS.t) ~points =
+  let d = Figure.fig2 cs ~points in
+  Logs.app (fun f -> f "%s: class bound ..." d.Figure.timing_title);
+  show_figure ~announce:true ~claims:(print_intro_claims cs.CS.workload) o d
+
+let fig3 o ~zeta (cs : CS.t) ~points =
+  match Figure.fig3 ~zeta cs ~points with
   | None ->
     Printf.printf "fig3 %s: no deployment can meet the goal\n"
-      (CS.workload_name workload);
-    []
-  | Some plan ->
+      (CS.workload_name cs.CS.workload)
+  | Some (plan, d) ->
     Report.print_deployment plan;
-    (* Phase 2: bounds with users reassigned to the open nodes and
-       placement restricted to them. *)
-    let placeable = plan.Methodology.placeable in
-    let bound_spec =
-      Methodology.reassign_demand
-        (CS.qos_spec cs ~fraction:0.95 ~for_bounds:true ())
-        plan
-    in
-    let sim_spec q =
-      Methodology.reassign_demand (CS.qos_spec cs ~fraction:q ~for_bounds:false ()) plan
-    in
-    let trace =
-      Workload.Trace.remap_nodes cs.CS.trace
-        ~mapping:plan.Methodology.assignment
-    in
-    Logs.app (fun f ->
-        f "fig3 %s: %d classes x %d points, jobs=%d ..."
-          (CS.workload_name workload)
-          (List.length fig3_classes) (List.length points) jobs);
-    let bound_series, bound_timing, bound_elapsed =
-      sweep_figure ~placeable ?journal_dir ~deadline_s ~cell_budget_s ~certify
-        ~name:
-          ("fig3-"
-          ^ String.lowercase_ascii (CS.workload_name workload)
-          ^ "-bound")
-        ~jobs bound_spec points fig3_classes
-    in
-    let label, factory =
-      match workload with
-      | CS.Web -> ("Greedy global heuristic", Heuristics.Greedy_global.strategy)
-      | CS.Group -> ("LRU caching", Heuristics.Cache_strategy.lru)
-    in
-    let deployed, _, deployed_timing, deployed_elapsed =
-      deployed_sweep ~cell_budget_s ~jobs ~label points (fun q ->
-          Sim.Runner.deploy_offline ~placeable ~trace ~factory
-            ~spec:(sim_spec q) ())
-    in
-    let series = bound_series @ [ deployed ] in
-    Report.print_figure
-      ~title:
-        (Printf.sprintf
-           "Figure 3 (%s): bounds with only the %d deployed nodes"
-           (CS.workload_name workload)
-           (List.length plan.Methodology.open_nodes))
-      ~xlabel:"QoS" series;
-    Report.print_timing
-      ~title:(Printf.sprintf "fig3 %s" (CS.workload_name workload))
-      ~jobs
-      ~elapsed_s:(bound_elapsed +. deployed_elapsed)
-      (bound_timing @ deployed_timing);
-    maybe_write_csv ~csv_dir
-      ~name:("fig3-" ^ String.lowercase_ascii (CS.workload_name workload))
-      series;
-    series
+    announce_grid o d;
+    show_figure o d
 
 (* --- Scale (Section 5 runtime discussion) -------------------------------- *)
 
@@ -558,14 +355,13 @@ let scale_experiment ~seed () =
 
 (* --- Selection methodology demo (Section 6.1 narrative) ------------------- *)
 
-let selection ~scale ~seed workload =
-  let cs = CS.make ~seed ~scale workload in
+let selection (cs : CS.t) =
   let spec = CS.qos_spec cs ~fraction:0.999 ~for_bounds:true () in
   let sel = Methodology.select spec in
   Report.print_selection
     ~title:
       (Printf.sprintf "Heuristic selection for %s at 99.9%% QoS"
-         (CS.workload_name workload))
+         (CS.workload_name cs.CS.workload))
     sel
 
 
@@ -997,58 +793,6 @@ let validate_avail ~seed ~count () =
   Printf.printf "\navail validation: %s\n%!"
     (if !violations = 0 then "all checks passed"
      else Printf.sprintf "%d violations" !violations)
-
-(* --- tree figure: how much the rule-of-thumb leaves on the table ---------- *)
-
-(* On trees the general bound is the exact optimum (the DP), so the
-   figure reads as ground truth vs the caching class's bound vs the
-   proportional heuristic's deployed cost — the paper's bound-vs-deployed
-   comparison, but with the bound known to be tight. *)
-let figtree ?csv_dir ~seed ~jobs () =
-  let scen = TS.make ~seed (TS.Random { nodes = 24 }) in
-  let spec = scen.TS.spec in
-  let points = [ 0.9; 0.95; 0.99; 0.999 ] in
-  let classes =
-    [
-      ("Exact tree optimum (general)", Mcperf.Classes.general);
-      ( "Caching",
-        Mcperf.Classes.allow_intra_interval_reaction Mcperf.Classes.caching );
-    ]
-  in
-  let name = Printf.sprintf "figtree-n24-s%d" seed in
-  let series, timing, elapsed_s =
-    sweep_figure ~name ~jobs spec points classes
-  in
-  (match spec.Mcperf.Spec.goal with
-  | Mcperf.Spec.Avg_latency _ -> ()
-  | Mcperf.Spec.Qos { tlat_ms; _ } ->
-    let prop =
-      Report.series_of ~label:"Proportional (deployed)"
-        (List.map
-           (fun q ->
-             let spec =
-               {
-                 spec with
-                 Mcperf.Spec.goal = Mcperf.Spec.Qos { tlat_ms; fraction = q };
-               }
-             in
-             ( q,
-               Option.map
-                 (fun (d : Sim.Runner.deployed) -> d.Sim.Runner.cost)
-                 (Sim.Runner.deploy_offline
-                    ~factory:Heuristics.Proportional.strategy ~spec ()) ))
-           points)
-    in
-    let series = series @ [ prop ] in
-    Report.print_figure
-      ~title:
-        (Printf.sprintf
-           "Tree figure (random 24-node tree, seed %d): exact optimum vs \
-            caching bound vs proportional heuristic"
-           seed)
-      ~xlabel:"QoS" series;
-    Report.print_timing ~title:"figtree" ~jobs ~elapsed_s timing;
-    maybe_write_csv ~csv_dir ~name series)
 
 (* --- avail figure: fragility frontier vs the scenario-LP bound ------------ *)
 
@@ -1716,19 +1460,24 @@ let run_figure f =
     setup_logs verbose;
     setup_faults inject;
     setup_obs ~trace ~metrics ~profile;
-    (task_timeout_s :=
-       match task_timeout with Some s when s > 0. -> Some s | _ -> None);
-    let jobs = resolve_jobs jobs in
     (* Non-positive budgets mean "no budget", matching sweep_classes —
        the overrun check must not treat them as already blown. *)
     let budget = function Some s when s > 0. -> s | _ -> infinity in
-    let deadline_s = budget deadline in
-    let cell_budget_s = budget cell_budget in
+    let o =
+      {
+        jobs = resolve_jobs jobs;
+        journal_dir;
+        deadline_s = budget deadline;
+        cell_budget_s = budget cell_budget;
+        timeout_s =
+          (match task_timeout with Some s when s > 0. -> Some s | _ -> None);
+        certify;
+        csv_dir;
+      }
+    in
     List.iter
       (fun w ->
-        ignore
-          (f ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
-             ~cell_budget_s ~certify w))
+        f o ~seed ~zeta (CS.make ~seed ~scale w) ~points:(qos_sweep quick))
       workloads;
     flush_obs ~trace ~metrics;
     if !violations > 0 then exit 1
@@ -1740,34 +1489,22 @@ let run_figure f =
 
 let fig1_cmd =
   Cmd.v (Cmd.info "fig1" ~doc:"Lower bounds per class vs QoS (Figure 1).")
-    (run_figure
-       (fun ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta:_ ~jobs ~deadline_s
-            ~cell_budget_s ~certify w ->
-         fig1 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
-           ~cell_budget_s ~certify w))
+    (run_figure (fun o ~seed:_ ~zeta:_ -> fig1 o))
 
 let fig2_cmd =
   Cmd.v
     (Cmd.info "fig2" ~doc:"Deployed heuristics vs class bounds (Figure 2).")
-    (run_figure
-       (fun ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta:_ ~jobs ~deadline_s
-            ~cell_budget_s ~certify w ->
-         fig2 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
-           ~cell_budget_s ~certify w))
+    (run_figure (fun o ~seed:_ ~zeta:_ -> fig2 o))
 
 let fig3_cmd =
   Cmd.v (Cmd.info "fig3" ~doc:"Deployment scenario bounds (Figure 3).")
-    (run_figure
-       (fun ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
-            ~cell_budget_s ~certify w ->
-         fig3 ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
-           ~cell_budget_s ~certify w))
+    (run_figure (fun o ~seed:_ ~zeta -> fig3 o ~zeta))
 
 let select_cmd =
   let run verbose scale seed trace metrics profile workloads =
     setup_logs verbose;
     setup_obs ~trace ~metrics ~profile;
-    List.iter (selection ~scale ~seed) workloads;
+    List.iter (fun w -> selection (CS.make ~seed ~scale w)) workloads;
     flush_obs ~trace ~metrics
   in
   Cmd.v
@@ -1991,7 +1728,17 @@ let serve_cmd =
 let figtree_cmd =
   let run verbose seed csv_dir jobs =
     setup_logs verbose;
-    figtree ?csv_dir ~seed ~jobs:(resolve_jobs jobs) ();
+    show_figure
+      {
+        jobs = resolve_jobs jobs;
+        journal_dir = None;
+        deadline_s = infinity;
+        cell_budget_s = infinity;
+        timeout_s = None;
+        certify = false;
+        csv_dir;
+      }
+      (Figure.figtree ~seed);
     if !violations > 0 then exit 1
   in
   Cmd.v
@@ -2072,21 +1819,12 @@ let figscale_cmd =
 let all_cmd =
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment (fig1, fig2, fig3, scale).")
-    (run_figure
-       (fun ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs ~deadline_s
-            ~cell_budget_s ~certify w ->
-         ignore
-           (fig1 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
-              ~cell_budget_s ~certify w);
-         ignore
-           (fig2 ?csv_dir ?journal_dir ~quick ~scale ~seed ~jobs ~deadline_s
-              ~cell_budget_s ~certify w);
-         ignore
-           (fig3 ?csv_dir ?journal_dir ~quick ~scale ~seed ~zeta ~jobs
-              ~deadline_s ~cell_budget_s ~certify w);
-         selection ~scale ~seed w;
-         if w = CS.Web then scale_experiment ~seed ();
-         []))
+    (run_figure (fun o ~seed ~zeta cs ~points ->
+         fig1 o cs ~points;
+         fig2 o cs ~points;
+         fig3 o ~zeta cs ~points;
+         selection cs;
+         if cs.CS.workload = CS.Web then scale_experiment ~seed ()))
 
 let main =
   Cmd.group

@@ -539,9 +539,6 @@ let compute_cell ?(solver = Auto) ?placeable ?inject_nan spec cls =
 let compute ?solver ?placeable spec cls =
   compute_cell ?solver ?placeable spec cls
 
-let compare_classes ?solver ?placeable spec classes =
-  List.map (fun cls -> compute ?solver ?placeable spec cls) classes
-
 let pp ppf t =
   if not t.feasible then
     Format.fprintf ppf "%-32s infeasible (max QoS %.5f)" t.class_name
@@ -655,43 +652,23 @@ let certify ?placeable spec cls cell =
       end
     end
 
-type task_stat = {
-  label : string;
-  x : float;
-  wall_s : float;
-  iterations : int;
-  solved_exactly : bool;
-  cell_path : solve_path;
-  cell_quality : quality;
-  cell_rel_gap : float;
-}
-
 type sweep = {
   per_class : (string * (float * t) list) list;
-  stats : task_stat list;
-  jobs : int;
+  wall_s : float list list;
   elapsed_s : float;
   pool : Util.Parallel.pool_stats;
   resumed : int;
 }
 
-(* How many of the sweep's cells carry each tag of [tags]. *)
-let count_cells sweep tag_of tags =
+(* How many of [cells] carry each tag of [tags]. *)
+let count_cells cells tag_of tags =
   List.map
     (fun tag ->
-      let n =
-        List.fold_left
-          (fun acc (_, series) ->
-            List.fold_left
-              (fun acc (_, r) -> if tag_of r = tag then acc + 1 else acc)
-              acc series)
-          0 sweep.per_class
-      in
-      (tag, n))
+      (tag, List.length (List.filter (fun r -> tag_of r = tag) cells)))
     tags
 
-let path_counts sweep = count_cells sweep (fun r -> r.solve_path) all_paths
-let quality_counts sweep = count_cells sweep (fun r -> r.quality) all_qualities
+let path_counts cells = count_cells cells (fun r -> r.solve_path) all_paths
+let quality_counts cells = count_cells cells (fun r -> r.quality) all_qualities
 
 (* --- checkpoint journal -------------------------------------------------- *)
 
@@ -1043,38 +1020,19 @@ let sweep_classes (cfg : Sweep_config.t) spec ~fractions classes =
       Hashtbl.replace result_tbl k
         (o.Util.Parallel.value, o.Util.Parallel.wall_s))
     pending outcomes;
-  let lookup k = Hashtbl.find result_tbl k in
-  let stats =
-    List.map
-      (fun (k, label, _, fraction) ->
-        let cell, wall_s = lookup k in
-        {
-          label;
-          x = fraction;
-          wall_s;
-          iterations = cell.lp_iterations;
-          solved_exactly = cell.exact;
-          cell_path = cell.solve_path;
-          cell_quality = cell.quality;
-          cell_rel_gap = cell.rel_gap;
-        })
-      keyed_cells
-  in
+  let lookup label fraction = Hashtbl.find result_tbl (cell_key label fraction) in
   let per_class =
     List.map
       (fun (label, _) ->
-        ( label,
-          List.filter_map
-            (fun (k, l, _, fraction) ->
-              if String.equal l label then Some (fraction, fst (lookup k))
-              else None)
-            keyed_cells ))
+        (label, List.map (fun q -> (q, fst (lookup label q))) fractions))
       classes
   in
   {
     per_class;
-    stats;
-    jobs = (if jobs <= 1 then 1 else jobs);
+    wall_s =
+      List.map
+        (fun (label, _) -> List.map (fun q -> snd (lookup label q)) fractions)
+        classes;
     elapsed_s;
     pool = Util.Parallel.last_pool_stats ();
     resumed;

@@ -23,9 +23,9 @@
       average-latency goal), whose cost bounds the lower bound's
       tightness from above.
 
-    Every cell comes from {!compute}: {!compare_classes},
-    {!sweep_classes} and the online engine all call it, and no solver
-    state passes from one cell to the next, so a cell's result is a pure
+    Every cell comes from {!compute}: {!sweep_classes}, the selection
+    methodology and the online engine all call it, and no solver state
+    passes from one cell to the next, so a cell's result is a pure
     function of [(solver, placeable, spec, class)] whoever asks for it.
 
     The designer then compares classes on [lower_bound] (Figure 1) and
@@ -148,14 +148,6 @@ val compute :
     [placeable] restricts replica-hosting nodes (Section 6.2 phase
     two). *)
 
-val compare_classes :
-  ?solver:solver ->
-  ?placeable:bool array ->
-  Mcperf.Spec.t ->
-  Mcperf.Classes.t list ->
-  t list
-(** {!compute} for each class, in the given order. *)
-
 val pp : Format.formatter -> t -> unit
 
 val certify :
@@ -185,22 +177,12 @@ val certify :
     pure function of [(spec, class, point)] and the sweep output is
     byte-identical at every [jobs] value. *)
 
-type task_stat = {
-  label : string;  (** the class's display label *)
-  x : float;  (** the swept QoS fraction *)
-  wall_s : float;  (** cell wall-clock inside its worker *)
-  iterations : int;  (** first-order solver iterations (0 for simplex) *)
-  solved_exactly : bool;
-  cell_path : solve_path;  (** which fallback-chain leg produced the cell *)
-  cell_quality : quality;  (** the cell result's [quality] tag *)
-  cell_rel_gap : float;  (** the cell result's [rel_gap] *)
-}
-
 type sweep = {
   per_class : (string * (float * t) list) list;
       (** one series per input class, fractions in input order *)
-  stats : task_stat list;  (** one entry per cell, in task order *)
-  jobs : int;  (** worker count actually used *)
+  wall_s : float list list;
+      (** each cell's wall-clock inside its worker, shaped like
+          [per_class] (a resumed cell keeps its journaled one) *)
   elapsed_s : float;  (** whole-sweep wall-clock in the parent *)
   pool : Util.Parallel.pool_stats;
       (** supervision counters from the worker pool (all-zero when no
@@ -208,13 +190,13 @@ type sweep = {
   resumed : int;  (** cells restored from the checkpoint journal *)
 }
 
-val path_counts : sweep -> (solve_path * int) list
-(** How many cells each fallback-chain leg handled, over every tag in a
-    fixed display order (zero entries included). *)
+val path_counts : t list -> (solve_path * int) list
+(** How many of the cells each fallback-chain leg handled, over every
+    tag in a fixed display order (zero entries included). *)
 
-val quality_counts : sweep -> (quality * int) list
-(** How many cells stopped with each quality tag, over every tag in a
-    fixed display order (zero entries included). A budget-free sweep
+val quality_counts : t list -> (quality * int) list
+(** How many of the cells stopped with each quality tag, over every tag
+    in a fixed display order (zero entries included). A budget-free sweep
     reports every cell [Exact] or [Converged]. *)
 
 (** Sweep configuration as one value; build it from

@@ -36,12 +36,12 @@ let slack = 2.0
 
 let select spec =
   let general = Bounds.Pipeline.compute spec Mcperf.Classes.general in
-  let results = Bounds.Pipeline.compare_classes spec default_candidates in
   let ranked =
     List.map
-      (fun (r : Bounds.Pipeline.t) ->
+      (fun cls ->
+        let r = Bounds.Pipeline.compute spec cls in
         { result = r; deployable = deployable_of_class r.Bounds.Pipeline.class_name })
-      results
+      default_candidates
   in
   let feasible, infeasible =
     List.partition (fun r -> r.result.Bounds.Pipeline.feasible) ranked

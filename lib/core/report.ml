@@ -1,46 +1,53 @@
-type point = { x : float; cost : float option }
-
-type series = { label : string; points : point list }
-
-let series_of ~label points =
-  { label; points = List.map (fun (x, cost) -> { x; cost }) points }
-
-let xs_of series =
-  let xs =
-    List.concat_map (fun s -> List.map (fun p -> p.x) s.points) series
-  in
-  List.sort_uniq compare xs
-
-let cost_at s x =
-  List.find_map
-    (fun p -> if Float.abs (p.x -. x) < 1e-12 then Some p.cost else None)
-    s.points
-
 let format_cost = function
-  | Some (Some c) ->
+  | Some c ->
     if Float.abs c >= 10_000. then Printf.sprintf "%.3gk" (c /. 1000.)
     else Printf.sprintf "%.4g" c
-  | Some None -> "-"
-  | None -> ""
+  | None -> "-"
 
-let print_figure ?(oc = stdout) ~title ~xlabel series =
-  let xs = xs_of series in
-  Printf.fprintf oc "\n=== %s ===\n" title;
+(* Each column of a figure — class bounds, then deployed heuristics — as
+   its label and its cost at every point, [None] where the goal cannot be
+   met. *)
+let columns (fig : Figure.t) =
+  List.map
+    (fun (b : Figure.bound) ->
+      ( b.Figure.label,
+        List.map
+          (fun (c : Bounds.Pipeline.t Figure.cell) ->
+            let r = c.Figure.value in
+            if r.Bounds.Pipeline.feasible then Some r.Bounds.Pipeline.lower_bound
+            else None)
+          b.Figure.cells ))
+    fig.Figure.bounds
+  @ List.map
+      (fun (d : Figure.deployed) ->
+        ( d.Figure.heuristic,
+          List.map
+            (fun (c : Sim.Runner.deployed option Figure.cell) ->
+              Option.map (fun (r : Sim.Runner.deployed) -> r.Sim.Runner.cost)
+                c.Figure.value)
+            d.Figure.outcomes ))
+      fig.Figure.deployed
+
+let print_figure ?(oc = stdout) (fig : Figure.t) =
+  let columns = columns fig in
+  Printf.fprintf oc "\n=== %s ===\n" fig.Figure.decl.Figure.title;
   let col_width =
-    List.fold_left (fun acc s -> max acc (String.length s.label)) 12 series + 2
+    List.fold_left (fun acc (label, _) -> max acc (String.length label)) 12
+      columns
+    + 2
   in
   let pad s = Printf.sprintf "%-*s" col_width s in
-  Printf.fprintf oc "%-12s" xlabel;
-  List.iter (fun s -> output_string oc (pad s.label)) series;
+  Printf.fprintf oc "%-12s" "QoS";
+  List.iter (fun (label, _) -> output_string oc (pad label)) columns;
   output_char oc '\n';
-  List.iter
-    (fun x ->
+  List.iteri
+    (fun i x ->
       Printf.fprintf oc "%-12.5g" x;
       List.iter
-        (fun s -> output_string oc (pad (format_cost (cost_at s x))))
-        series;
+        (fun (_, costs) -> output_string oc (pad (format_cost (List.nth costs i))))
+        columns;
       output_char oc '\n')
-    xs;
+    fig.Figure.decl.Figure.points;
   flush oc
 
 let print_selection ?(oc = stdout) ~title (sel : Methodology.selection) =
@@ -86,41 +93,50 @@ let print_deployment ?(oc = stdout) (d : Methodology.deployment) =
              d.Methodology.assignment)));
   flush oc
 
-type timing_row = {
-  task : string;
-  x : float;
-  wall_s : float;
-  solver : string;
-  iterations : int;
-  quality : string;
-}
-
-let timing_of_stats stats =
-  List.map
-    (fun (s : Bounds.Pipeline.task_stat) ->
-      {
-        task = s.Bounds.Pipeline.label;
-        x = s.Bounds.Pipeline.x;
-        wall_s = s.Bounds.Pipeline.wall_s;
-        solver = Bounds.Pipeline.path_label s.Bounds.Pipeline.cell_path;
-        iterations = s.Bounds.Pipeline.iterations;
-        quality = Bounds.Pipeline.quality_label s.Bounds.Pipeline.cell_quality;
-      })
-    stats
-
-let print_timing ?(oc = stdout) ~title ~jobs ~elapsed_s rows =
-  Printf.fprintf oc "\n--- sweep timing: %s ---\n" title;
+let print_timing ?(oc = stdout) ~jobs (fig : Figure.t) =
+  let rows =
+    List.concat_map
+      (fun (b : Figure.bound) ->
+        List.map
+          (fun (c : Bounds.Pipeline.t Figure.cell) ->
+            let r = c.Figure.value in
+            ( b.Figure.label,
+              c.Figure.fraction,
+              c.Figure.wall_s,
+              r.Bounds.Pipeline.lp_iterations,
+              Bounds.Pipeline.path_label r.Bounds.Pipeline.solve_path,
+              Bounds.Pipeline.quality_label r.Bounds.Pipeline.quality ))
+          b.Figure.cells)
+      fig.Figure.bounds
+    @ List.concat_map
+        (fun (d : Figure.deployed) ->
+          List.map
+            (fun (c : Sim.Runner.deployed option Figure.cell) ->
+              (d.Figure.heuristic, c.Figure.fraction, c.Figure.wall_s, 0, "sim", "-"))
+            d.Figure.outcomes)
+        fig.Figure.deployed
+  in
+  let elapsed_s =
+    List.fold_left
+      (fun acc (d : Figure.deployed) ->
+        acc +. d.Figure.deploy_sweep.Figure.elapsed_s)
+      fig.Figure.bound_sweep.Figure.elapsed_s fig.Figure.deployed
+  in
+  Printf.fprintf oc "\n--- sweep timing: %s ---\n" fig.Figure.decl.Figure.timing_title;
   let col_width =
-    List.fold_left (fun acc r -> max acc (String.length r.task)) 12 rows + 2
+    List.fold_left
+      (fun acc (task, _, _, _, _, _) -> max acc (String.length task))
+      12 rows
+    + 2
   in
   Printf.fprintf oc "%-*s %-10s %10s %10s  %-16s %s\n" col_width "task" "x"
     "wall(s)" "iters" "solver" "quality";
   List.iter
-    (fun r ->
-      Printf.fprintf oc "%-*s %-10.5g %10.3f %10d  %-16s %s\n" col_width
-        r.task r.x r.wall_s r.iterations r.solver r.quality)
+    (fun (task, x, wall_s, iterations, solver, quality) ->
+      Printf.fprintf oc "%-*s %-10.5g %10.3f %10d  %-16s %s\n" col_width task
+        x wall_s iterations solver quality)
     rows;
-  let total = List.fold_left (fun acc r -> acc +. r.wall_s) 0. rows in
+  let total = List.fold_left (fun acc (_, _, w, _, _, _) -> acc +. w) 0. rows in
   Printf.fprintf oc
     "%d tasks  task-wall %.2fs  elapsed %.2fs  speedup %.2fx  jobs %d\n"
     (List.length rows) total elapsed_s
@@ -128,26 +144,19 @@ let print_timing ?(oc = stdout) ~title ~jobs ~elapsed_s rows =
     jobs;
   flush oc
 
-let csv_of_figure series =
-  let xs = xs_of series in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "qos";
-  List.iter
-    (fun s ->
-      Buffer.add_char buf ',';
-      Buffer.add_string buf s.label)
-    series;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun x ->
-      Buffer.add_string buf (Printf.sprintf "%.6g" x);
-      List.iter
-        (fun s ->
-          Buffer.add_char buf ',';
-          match cost_at s x with
-          | Some (Some c) -> Buffer.add_string buf (Printf.sprintf "%.6g" c)
-          | Some None | None -> Buffer.add_string buf "")
-        series;
-      Buffer.add_char buf '\n')
-    xs;
-  Buffer.contents buf
+let csv_of_figure fig =
+  let columns = columns fig in
+  let line fields = String.concat "," fields ^ "\n" in
+  line ("qos" :: List.map fst columns)
+  ^ String.concat ""
+      (List.mapi
+         (fun i x ->
+           line
+             (Printf.sprintf "%.6g" x
+             :: List.map
+                  (fun (_, costs) ->
+                    match List.nth costs i with
+                    | Some c -> Printf.sprintf "%.6g" c
+                    | None -> "")
+                  columns))
+         fig.Figure.decl.Figure.points)

@@ -1,20 +1,13 @@
-(** Plain-text rendering of experiment series and methodology output.
+(** Plain-text rendering of the evaluation figures and the methodology
+    output.
 
-    The experiment binaries print the same rows/series as the paper's
-    figures; a series maps the QoS sweep to costs, with [None] marking
-    goals the class cannot meet (e.g. local caching above its cold-miss
-    ceiling on WEB). *)
+    A {!Figure.t} renders as the paper's table — one row per QoS goal, one
+    column per class bound or deployed heuristic, ["-"] where the class or
+    heuristic cannot meet the goal (e.g. local caching above its
+    cold-miss ceiling on WEB) — as its CSV, and as its timing table. *)
 
-type point = { x : float; cost : float option }
-
-type series = { label : string; points : point list }
-
-val series_of : label:string -> (float * float option) list -> series
-
-val print_figure :
-  ?oc:out_channel -> title:string -> xlabel:string -> series list -> unit
-(** Aligned-column table: one row per x value, one column per series;
-    infeasible points print as ["-"]. *)
+val print_figure : ?oc:out_channel -> Figure.t -> unit
+(** Aligned-column table under the figure's title. *)
 
 val print_selection :
   ?oc:out_channel -> title:string -> Methodology.selection -> unit
@@ -22,37 +15,14 @@ val print_selection :
 
 val print_deployment : ?oc:out_channel -> Methodology.deployment -> unit
 
-val csv_of_figure : series list -> string
-(** Machine-readable dump (one line per x value). *)
+val csv_of_figure : Figure.t -> string
+(** Machine-readable dump: one line per goal, an empty field where the
+    goal cannot be met. *)
 
-(** {2 Sweep timing}
-
-    Every parallel-sweep task reports its own wall-clock (and solver
-    iteration count, for LP cells); the driver aggregates them into a
-    per-sweep table so a designer can see where the compute budget went
-    and what the worker pool bought. *)
-
-type timing_row = {
-  task : string;  (** class label or heuristic name *)
-  x : float;  (** the swept goal point *)
-  wall_s : float;  (** task wall-clock inside its worker *)
-  solver : string;  (** ["simplex"], ["pdhg"], ["sim"], ... *)
-  iterations : int;  (** 0 when not iteration-based *)
-  quality : string;
-      (** {!Bounds.Pipeline.quality_label} of the cell's stop quality;
-          ["-"] for rows with no LP bound (deployed-heuristic sims) *)
-}
-
-val timing_of_stats : Bounds.Pipeline.task_stat list -> timing_row list
-(** Adapt the bound sweep's per-cell stats to timing rows. *)
-
-val print_timing :
-  ?oc:out_channel ->
-  title:string ->
-  jobs:int ->
-  elapsed_s:float ->
-  timing_row list ->
-  unit
-(** Aligned table of the rows followed by a summary line: task count,
-    summed task wall-clock, parent-side elapsed wall-clock, the implied
-    speedup (sum / elapsed), and the worker count. *)
+val print_timing : ?oc:out_channel -> jobs:int -> Figure.t -> unit
+(** Where a figure's compute went: one row per task — a bound cell with
+    its wall-clock, solver iterations, solve path and stop quality, or a
+    deployed point with its wall-clock ([sim], no iterations, quality
+    ["-"]) — then a summary line: task count, summed task wall-clock,
+    the elapsed wall-clock of every batch together, the implied speedup
+    (sum / elapsed) and the worker count. *)

@@ -256,12 +256,3 @@ let chunks ~interval_s ~epoch_intervals trace =
     lo := !hi
   done;
   List.rev !out
-
-let run config ~trace =
-  let t = create config in
-  let cs =
-    chunks ~interval_s:config.interval_s
-      ~epoch_intervals:config.epoch_intervals trace
-  in
-  List.iter (fun c -> ignore (feed t c)) cs;
-  (t, epochs t)

@@ -98,6 +98,3 @@ val chunks :
     the whole trace — so feeding the chunks reproduces the offline
     demand exactly, for any epoch size. The last chunk may cover fewer
     than [epoch_intervals] intervals. *)
-
-val run : config -> trace:Workload.Trace.t -> t * epoch list
-(** [create] + [chunks] + [feed] over the whole stream. *)

@@ -2,10 +2,14 @@
 
     Heuristic families are parameterized by a scalar knob — cache capacity,
     replication factor — and the designer wants the smallest knob value
-    that meets the performance goal (storage cost grows with the knob).
-    Feasibility is monotone for these families (LRU contents satisfy the
-    inclusion property; the greedy placements only grow with their
-    budget), so one sequential bisection applies.
+    that meets the performance goal. Bisection finds it only if meeting
+    the goal is monotone in the knob. LRU's inclusion property and the
+    greedy placements' growth with their budget argue it; FIFO has no
+    inclusion property (Belady's anomaly), so for every registered
+    strategy a test checks it parameter by parameter on the pinned
+    case-study grids instead. The smallest goal-meeting parameter is not
+    always the cheapest: a larger cache stores more but fills less, and
+    each fill is a replica creation (ROADMAP item 11).
 
     The search is {e anytime}: the upper bracket end is feasible by
     invariant, so when the ambient per-task budget expires

@@ -3,8 +3,8 @@
     Folds a stream of continuation chunks (absolute-time {!Trace} slices,
     see {!Trace.extend}) into a growing {!Demand} via {!Demand.extend} —
     O(chunk) per fold instead of an O(total) [of_trace] rebuild — plus
-    cheap running statistics: per-node and per-object read totals,
-    first/last access intervals, and a recency-window working-set size.
+    the two running statistics the online engine reports: the event
+    count and a recency-window working-set size.
 
     Bucketing matches a whole-trace {!Demand.of_trace} exactly: the
     interval width is fixed at creation and every chunk's events carry
@@ -27,14 +27,8 @@ val demand : t -> Demand.t
 val intervals : t -> int
 (** Intervals ingested so far (0 before the first chunk). *)
 
-val chunks : t -> int
 val events : t -> int
-val reads : t -> int
-val writes : t -> int
-
-val object_count : t -> int
-
-val first_read_interval : t -> int -> int option
+(** Events (reads and writes) ingested so far. *)
 
 val working_set : t -> window:int -> int
 (** Objects whose last read falls within the trailing [window] intervals. *)

@@ -65,6 +65,55 @@ ends=$(grep -c '"kind":"E"' "$obsdir/j4.jsonl")
   || { echo "obs stage: malformed trace ($lines lines, $bad bad, $begins B vs $ends E)"; exit 1; }
 echo "obs stage OK: $lines events, $begins spans, traces and CSVs identical"
 
+# Figures stage: fig1, fig2 and fig3 at a tiny scale must print what an
+# earlier build printed, to the byte apart from clocks, and write the
+# same CSVs. The mask replaces only the timing table's wall(s) column and
+# the summary line's task-wall, elapsed and speedup; the solver, iters
+# and quality columns stay pinned, and so do fig3 WEB's one line (no
+# deployment meets its goal at this scale) and every progress line. The
+# tree figure's CSV is pinned too, and its stdout must be the same at
+# --jobs 1 and 4 once the clocks and the jobs count are masked. Each run
+# writes its CSV to a directory named csv beside it, so the "wrote" lines
+# match the fixtures.
+echo "== figures stage: fig1-3 and figtree against the committed fixtures =="
+figdir=_build/figures-check
+rm -rf "$figdir"
+mkdir -p "$figdir"
+mask_clocks() {
+  sed -E \
+    -e 's/ +[0-9]+\.[0-9]{3}( +[0-9]+  [-a-z]+ +[-a-z]+)$/ WALL\1/' \
+    -e 's/task-wall [0-9.]+s  elapsed [0-9.]+s  speedup [0-9.]+x/task-wall T  elapsed T  speedup T/' \
+    "$1"
+}
+for fig in fig1 fig2 fig3; do
+  for w in web group; do
+    run="$figdir/$fig-$w"
+    mkdir -p "$run"
+    (cd "$run" && ../../default/bin/experiments.exe "$fig" --quick \
+      --scale 0.005 --jobs 1 -w "$w" --csv csv > stdout)
+    mask_clocks "test/fixtures/$fig-$w-s0.005.out" > "$run/want"
+    mask_clocks "$run/stdout" > "$run/got"
+    cmp "$run/want" "$run/got" \
+      || { echo "figures stage: $fig $w stdout differs from the committed fixture"; exit 1; }
+  done
+done
+for csv in fig1-web fig1-group fig2-web fig2-group fig3-group; do
+  cmp "test/fixtures/$csv-s0.005.csv" "$figdir/$csv/csv/$csv.csv" \
+    || { echo "figures stage: $csv.csv differs from the committed fixture"; exit 1; }
+done
+for j in 1 4; do
+  run="$figdir/figtree-j$j"
+  mkdir -p "$run"
+  (cd "$run" && ../../default/bin/experiments.exe figtree --jobs "$j" \
+    --csv csv > stdout)
+  cmp test/fixtures/figtree-n24-s2004.csv "$run/csv/figtree-n24-s2004.csv" \
+    || { echo "figures stage: figtree CSV at --jobs $j differs from the committed fixture"; exit 1; }
+  mask_clocks "$run/stdout" | sed -E 's/  jobs [0-9]+$/  jobs N/' > "$run/masked"
+done
+cmp "$figdir/figtree-j1/masked" "$figdir/figtree-j4/masked" \
+  || { echo "figures stage: figtree stdout differs across --jobs"; exit 1; }
+echo "figures stage OK: 6 figure outputs and 5 CSVs identical to the fixtures, figtree identical across --jobs"
+
 # Deadline stage: a budgeted figure sweep must finish within its budget
 # plus one cell's grace, degrade cells to looser-but-still-certified
 # bounds, and pass the from-scratch certificate recheck (--certify makes

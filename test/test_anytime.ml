@@ -347,7 +347,13 @@ let test_budgeted_sweep_bounds_dominated () =
         fs ts)
     free.Bounds.Pipeline.per_class tight.Bounds.Pipeline.per_class;
   (* The tiny budget must actually have truncated something... *)
-  let count q sweep = List.assoc q (Bounds.Pipeline.quality_counts sweep) in
+  let count q (sweep : Bounds.Pipeline.sweep) =
+    List.assoc q
+      (Bounds.Pipeline.quality_counts
+         (List.concat_map
+            (fun (_, cells) -> List.map snd cells)
+            sweep.Bounds.Pipeline.per_class))
+  in
   Alcotest.(check bool) "some cell hit the time budget" true
     (count Bounds.Pipeline.Time_budget tight > 0);
   (* ...while the unconstrained sweep never reads a clock. *)

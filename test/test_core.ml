@@ -5,6 +5,7 @@
 module CS = Replica_select.Case_study
 module M = Replica_select.Methodology
 module Report = Replica_select.Report
+module Figure = Replica_select.Figure
 
 (* Small and fast: 8 nodes, 2% of the paper's request volume. *)
 let small_web () = CS.make ~nodes:8 ~scale:0.02 ~intervals:8 CS.Web
@@ -175,16 +176,58 @@ let contains haystack needle =
   in
   scan 0
 
-let test_report_figure_rendering () =
-  let series =
-    [
-      Report.series_of ~label:"a" [ (0.95, Some 10.); (0.99, Some 20.) ];
-      Report.series_of ~label:"b" [ (0.95, Some 15.); (0.99, None) ];
-    ]
+(* A figure by hand: bound columns "a" and "b" over two goals, with the
+   costs given and [None] an infeasible cell. *)
+let hand_figure a b =
+  let spec =
+    (Replica_select.Tree_scenario.make
+       (Replica_select.Tree_scenario.Balanced { fanout = 2; depth = 1 }))
+      .Replica_select.Tree_scenario.spec
   in
+  let base = Bounds.Pipeline.compute spec Mcperf.Classes.general in
+  let cell fraction cost =
+    {
+      Figure.fraction;
+      value =
+        (match cost with
+        | Some c ->
+          { base with Bounds.Pipeline.feasible = true; lower_bound = c }
+        | None -> { base with Bounds.Pipeline.feasible = false });
+      wall_s = 0.;
+    }
+  in
+  let points = [ 0.95; 0.99 ] in
+  let column label costs =
+    {
+      Figure.label;
+      cls = Mcperf.Classes.general;
+      cells = List.map2 cell points costs;
+    }
+  in
+  {
+    Figure.decl =
+      {
+        Figure.name = "test";
+        sweep_name = "test";
+        title = "test";
+        timing_title = "test";
+        spec;
+        placeable = None;
+        points;
+        classes = [ ("a", Mcperf.Classes.general); ("b", Mcperf.Classes.general) ];
+        heuristics = [];
+      };
+    bounds = [ column "a" a; column "b" b ];
+    bound_sweep =
+      { Figure.elapsed_s = 0.; pool = Util.Parallel.last_pool_stats (); resumed = 0 };
+    deployed = [];
+  }
+
+let test_report_figure_rendering () =
+  let fig = hand_figure [ Some 10.; Some 20. ] [ Some 15.; None ] in
   let buf_name = Filename.temp_file "report" ".txt" in
   let oc = open_out buf_name in
-  Report.print_figure ~oc ~title:"test" ~xlabel:"QoS" series;
+  Report.print_figure ~oc fig;
   close_out oc;
   let content =
     let ic = open_in buf_name in
@@ -199,13 +242,9 @@ let test_report_figure_rendering () =
   Alcotest.(check bool) "has values" true (contains content "15")
 
 let test_report_csv () =
-  let series =
-    [
-      Report.series_of ~label:"a" [ (0.95, Some 10.); (0.99, Some 20.) ];
-      Report.series_of ~label:"b" [ (0.95, None); (0.99, Some 5.) ];
-    ]
+  let csv =
+    Report.csv_of_figure (hand_figure [ Some 10.; Some 20. ] [ None; Some 5. ])
   in
-  let csv = Report.csv_of_figure series in
   Alcotest.(check string) "csv"
     "qos,a,b\n0.95,10,\n0.99,20,5\n" csv
 

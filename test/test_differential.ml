@@ -18,6 +18,7 @@
 
 module CS = Replica_select.Case_study
 module Report = Replica_select.Report
+module Figure = Replica_select.Figure
 
 let instances = 50
 
@@ -496,42 +497,68 @@ let sweep_fixture =
     ("replica-constrained", Mcperf.Classes.replica_constrained_uniform);
   ]
 
-let figure_of (sweep : Bounds.Pipeline.sweep) =
-  List.map
-    (fun (label, cells) ->
-      Report.series_of ~label
-        (List.map
-           (fun (q, (r : Bounds.Pipeline.t)) ->
-             ( q,
-               if r.Bounds.Pipeline.feasible then
-                 Some r.Bounds.Pipeline.lower_bound
-               else None ))
-           cells))
-    sweep.Bounds.Pipeline.per_class
+let figure_of jobs =
+  Figure.run ~jobs
+    {
+      Figure.name = "sweep";
+      sweep_name = "sweep";
+      title = "sweep";
+      timing_title = "sweep";
+      spec = quickstart_spec ();
+      placeable = None;
+      points = [ 0.95; 0.99; 0.999 ];
+      classes = sweep_fixture;
+      heuristics = [];
+    }
 
-let strip_walls (sweep : Bounds.Pipeline.sweep) =
-  ( sweep.Bounds.Pipeline.per_class,
-    List.map
-      (fun (s : Bounds.Pipeline.task_stat) ->
-        (s.Bounds.Pipeline.label, s.Bounds.Pipeline.x,
-         s.Bounds.Pipeline.iterations, s.Bounds.Pipeline.solved_exactly))
-      sweep.Bounds.Pipeline.stats )
+(* What a figure computed, with every clock zeroed, as bytes: it must not
+   depend on how its cells were distributed. [No_sharing]: values that
+   crossed a worker pipe lose the block sharing of values built in one
+   process, which plain [Marshal] would encode. *)
+let without_clocks (fig : Figure.t) =
+  let cell (c : _ Figure.cell) = { c with Figure.wall_s = 0. } in
+  let sweep (s : Figure.sweep) = { s with Figure.elapsed_s = 0. } in
+  Marshal.to_string
+    ( List.map
+        (fun (b : Figure.bound) ->
+          { b with Figure.cells = List.map cell b.Figure.cells })
+        fig.Figure.bounds,
+      sweep fig.Figure.bound_sweep,
+      List.map
+        (fun (d : Figure.deployed) ->
+          {
+            d with
+            Figure.outcomes = List.map cell d.Figure.outcomes;
+            deploy_sweep = sweep d.Figure.deploy_sweep;
+          })
+        fig.Figure.deployed )
+    [ Marshal.No_sharing ]
 
 let test_sweep_determinism () =
-  let spec = quickstart_spec () in
-  let fractions = [ 0.95; 0.99; 0.999 ] in
-  let cfg jobs = { Bounds.Pipeline.Sweep_config.default with jobs } in
-  let seq = Bounds.Pipeline.sweep_classes (cfg 1) spec ~fractions sweep_fixture in
-  let par = Bounds.Pipeline.sweep_classes (cfg 4) spec ~fractions sweep_fixture in
+  let seq = figure_of 1 in
+  let par = figure_of 4 in
   (* The rendered report must be byte-identical, and so must everything
      under it except the wall-clock fields. *)
   Alcotest.(check string)
     "csv report byte-identical"
-    (Report.csv_of_figure (figure_of seq))
-    (Report.csv_of_figure (figure_of par));
+    (Report.csv_of_figure seq) (Report.csv_of_figure par);
   Alcotest.(check bool)
     "results identical (incl. iterations and placements)" true
-    (strip_walls seq = strip_walls par)
+    (String.equal (without_clocks seq) (without_clocks par))
+
+(* The tree figure — bound cells and the proportional heuristic's
+   deployed column alike — is the same at every worker count, and renders
+   the CSV an earlier build wrote. *)
+let test_figtree_jobs_identical () =
+  let fig jobs = Figure.run ~jobs (Figure.figtree ~seed:2004) in
+  let seq = fig 1 and par = fig 2 in
+  Alcotest.(check bool)
+    "jobs 1 and jobs 2 equal apart from clocks" true
+    (String.equal (without_clocks seq) (without_clocks par));
+  let ic = open_in_bin "fixtures/figtree-n24-s2004.csv" in
+  let committed = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Alcotest.(check string) "committed CSV" committed (Report.csv_of_figure par)
 
 (* A complete binary tree inside the tree DP's exact scope: its general
    cells take the tree-DP branch of the cell chain. *)
@@ -693,5 +720,7 @@ let () =
         [
           Alcotest.test_case "parallel sweep byte-identical to sequential"
             `Quick test_sweep_determinism;
+          Alcotest.test_case "tree figure identical across jobs" `Quick
+            test_figtree_jobs_identical;
         ] );
     ]

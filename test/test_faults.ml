@@ -238,16 +238,20 @@ let test_pool_stats_clean () =
 
 (* --- solver fallback chain ----------------------------------------------- *)
 
+let retries (sw : P.sweep) =
+  List.assoc P.Path_pdhg_retry
+    (P.path_counts
+       (List.concat_map (fun (_, cells) -> List.map snd cells) sw.P.per_class))
+
 let test_diverge_fallback jobs () =
   let clean_sw = Lazy.force fo_golden in
-  Alcotest.(check int) "clean run needs no retries" 0
-    (List.assoc P.Path_pdhg_retry (P.path_counts clean_sw));
+  Alcotest.(check int) "clean run needs no retries" 0 (retries clean_sw);
   with_spec "seed=5,diverge=1" (fun () ->
       let sw = run_sweep ~jobs ~solver:fo_solver () in
       Alcotest.(check string) "identical to unfaulted run"
         (signature clean_sw) (signature sw);
       Alcotest.(check bool) "retry path exercised" true
-        (List.assoc P.Path_pdhg_retry (P.path_counts sw) >= 1))
+        (retries sw >= 1))
 
 (* --- checkpoint journal -------------------------------------------------- *)
 

@@ -475,40 +475,46 @@ let test_runner_costs_at_least_class_bound () =
 
 module CS = Replica_select.Case_study
 
-(* Every registered strategy deployed on two case-study grids, one
-   "label md5" line each in fixtures/strategy_deployments.golden. The MD5
-   is over an explicit tuple of the deployment's fields (name, parameter,
-   cost, QoS, placement) and of its evaluation's or cache outcome's
-   fields, marshaled without sharing and pinned against an earlier
-   build; the tuple keeps the pin independent of record layouts. The
-   20-node grid covers WEB and GROUP at two goals; the 10-node GROUP
-   grid is where hierarchical caching meets its goal at all. *)
-let golden_deployments () =
-  let grid name cs fractions =
-    List.concat_map
-      (fun fraction ->
-        let spec = CS.qos_spec cs ~fraction ~for_bounds:false () in
-        List.map
-          (fun (label, factory) ->
-            ( Printf.sprintf "%s/%s@%g" name label fraction,
-              fun () -> deploy ~trace:cs.CS.trace factory spec ))
-          Heuristics.Registry.builtin)
-      fractions
-  in
+(* The case-study grids the deployments are pinned on: name, instance and
+   goals. The 20-node grid covers WEB and GROUP at two goals; the 10-node
+   GROUP grid is where hierarchical caching meets its goal at all. *)
+let golden_grids () =
   let twenty w = CS.make ~seed:2004 ~scale:0.02 w in
-  grid "web-s0.02" (twenty CS.Web) [ 0.95; 0.999 ]
-  @ grid "group-s0.02" (twenty CS.Group) [ 0.95; 0.999 ]
-  @ grid "group-n10-s0.006-i12"
-      (CS.make ~seed:2004 ~nodes:10 ~scale:0.006 ~intervals:12 CS.Group)
-      [ 0.95 ]
-  (* The steady benchmark's own deployment instances (perfbench/harness.ml,
-     workload deploy), so a faster replay must keep its traffic's bytes. *)
-  @ grid "bench-web-n10-s0.006-i12"
-      (CS.make ~nodes:10 ~scale:0.006 ~intervals:12 CS.Web)
-      [ 0.95; 0.99 ]
-  @ grid "bench-group-n10-s0.005-i12"
-      (CS.make ~nodes:10 ~scale:0.005 ~intervals:12 CS.Group)
-      [ 0.95; 0.99 ]
+  [
+    ("web-s0.02", twenty CS.Web, [ 0.95; 0.999 ]);
+    ("group-s0.02", twenty CS.Group, [ 0.95; 0.999 ]);
+    ( "group-n10-s0.006-i12",
+      CS.make ~seed:2004 ~nodes:10 ~scale:0.006 ~intervals:12 CS.Group,
+      [ 0.95 ] );
+    (* The steady benchmark's own deployment instances (perfbench/harness.ml,
+       workload deploy), so a faster replay must keep its traffic's bytes. *)
+    ( "bench-web-n10-s0.006-i12",
+      CS.make ~nodes:10 ~scale:0.006 ~intervals:12 CS.Web,
+      [ 0.95; 0.99 ] );
+    ( "bench-group-n10-s0.005-i12",
+      CS.make ~nodes:10 ~scale:0.005 ~intervals:12 CS.Group,
+      [ 0.95; 0.99 ] );
+  ]
+
+(* Every registered strategy deployed on every grid, one "label md5" line
+   each in fixtures/strategy_deployments.golden. The MD5 is over an
+   explicit tuple of the deployment's fields (name, parameter, cost, QoS,
+   placement) and of its evaluation's or cache outcome's fields,
+   marshaled without sharing and pinned against an earlier build; the
+   tuple keeps the pin independent of record layouts. *)
+let golden_deployments () =
+  List.concat_map
+    (fun (name, (cs : CS.t), fractions) ->
+      List.concat_map
+        (fun fraction ->
+          let spec = CS.qos_spec cs ~fraction ~for_bounds:false () in
+          List.map
+            (fun (label, factory) ->
+              ( Printf.sprintf "%s/%s@%g" name label fraction,
+                fun () -> deploy ~trace:cs.CS.trace factory spec ))
+            Heuristics.Registry.builtin)
+        fractions)
+    (golden_grids ())
 
 let deployment_view (d : Sim.Runner.deployed) =
   ( d.Sim.Runner.name,
@@ -565,6 +571,45 @@ let test_golden_deployments () =
   in
   Alcotest.(check (list (pair string string)))
     "every deployment matches its pinned digest" expected actual
+
+(* The minimal-parameter search bisects ({!Sim.Search}), so it returns
+   the minimal goal-meeting parameter only if meeting the goal is
+   monotone in the parameter. The inclusion property argues it for LRU
+   and growth for the greedy placements, but not for FIFO (Belady's
+   anomaly), so every parameter from 0 to the ceiling is assessed here,
+   for every registered strategy on every pinned grid: once a parameter
+   meets the goal, every larger one must too. *)
+let test_feasibility_monotone () =
+  List.iter
+    (fun (name, (cs : CS.t), fractions) ->
+      List.iter
+        (fun fraction ->
+          let spec = CS.qos_spec cs ~fraction ~for_bounds:false () in
+          let workload =
+            Heuristics.Strategy.workload_of_spec ~trace:cs.CS.trace spec
+          in
+          List.iter
+            (fun (label, factory) ->
+              let strategy =
+                factory (Heuristics.Strategy.Context.of_spec spec)
+              in
+              let prepared = strategy.Heuristics.Strategy.prepare workload in
+              let met = ref None in
+              for p = 0 to prepared.Heuristics.Strategy.ceiling do
+                let ok =
+                  (prepared.Heuristics.Strategy.assess p)
+                    .Heuristics.Strategy.meets_goal
+                in
+                match !met with
+                | Some q when not ok ->
+                  Alcotest.failf "%s/%s@%g: meets the goal at %d, not at %d"
+                    name label fraction q p
+                | None when ok -> met := Some p
+                | _ -> ()
+              done)
+            Heuristics.Registry.builtin)
+        fractions)
+    (golden_grids ())
 
 let test_hierarchical_no_intra_cluster_duplication () =
   (* With a 350 ms radius the whole line is one cluster; after node 2
@@ -1145,6 +1190,8 @@ let () =
       ( "search",
         [
           Alcotest.test_case "int" `Quick test_min_feasible_int;
+          Alcotest.test_case "goal-meeting is monotone in the parameter"
+            `Quick test_feasibility_monotone;
         ] );
       ( "properties",
         [

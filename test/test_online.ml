@@ -29,6 +29,16 @@ let config ?(strategies = [ ("greedy-global", Heuristics.Greedy_global.strategy)
     strategies;
   }
 
+(* The whole trace, epoch by epoch, as [serve] feeds it: the engine and
+   its epoch reports. *)
+let run (config : E.config) ~trace =
+  let t = E.create config in
+  List.iter
+    (fun chunk -> ignore (E.feed t chunk))
+    (E.chunks ~interval_s:config.E.interval_s
+       ~epoch_intervals:config.E.epoch_intervals trace);
+  (t, E.epochs t)
+
 (* A deterministic fingerprint of an epoch: everything except the wall
    clocks. *)
 let epoch_view (e : E.epoch) =
@@ -97,7 +107,7 @@ let test_epoch_size_invariant_final_decisions () =
   let finals =
     List.map
       (fun k ->
-        let _, epochs = E.run (config ~epoch_intervals:k ()) ~trace:cs.CS.trace in
+        let _, epochs = run (config ~epoch_intervals:k ()) ~trace:cs.CS.trace in
         let last = List.nth epochs (List.length epochs - 1) in
         Alcotest.(check int)
           (Printf.sprintf "final intervals k=%d" k)
@@ -143,7 +153,7 @@ let test_epoch_reports_pinned () =
     ]
   in
   let _, epochs =
-    E.run (config ~strategies ~epoch_intervals:4 ()) ~trace:cs.CS.trace
+    run (config ~strategies ~epoch_intervals:4 ()) ~trace:cs.CS.trace
   in
   Alcotest.(check string) "epoch reports digest"
     "0dd62781628edeafff02b52d77192389"
@@ -161,7 +171,7 @@ let test_regret_nonnegative () =
     ]
   in
   let t, epochs =
-    E.run (config ~strategies ~epoch_intervals:4 ()) ~trace:cs.CS.trace
+    run (config ~strategies ~epoch_intervals:4 ()) ~trace:cs.CS.trace
   in
   let seen = ref 0 in
   List.iter
@@ -210,7 +220,7 @@ let prop_online_bound_is_offline_bound =
         ]
       in
       let _, epochs =
-        E.run
+        run
           { E.system; interval_s; epoch_intervals = k; goal; strategies }
           ~trace:cs.CS.trace
       in

@@ -511,12 +511,15 @@ let sweep_signature (sweep : Bounds.Pipeline.sweep) =
   Marshal.to_string
     ( sweep.Bounds.Pipeline.per_class,
       List.map
-        (fun (s : Bounds.Pipeline.task_stat) ->
-          ( s.Bounds.Pipeline.label,
-            s.Bounds.Pipeline.x,
-            s.Bounds.Pipeline.iterations,
-            s.Bounds.Pipeline.solved_exactly ))
-        sweep.Bounds.Pipeline.stats )
+        (fun (label, cells) ->
+          ( label,
+            List.map
+              (fun (x, (r : Bounds.Pipeline.t)) ->
+                ( x,
+                  r.Bounds.Pipeline.lp_iterations,
+                  r.Bounds.Pipeline.quality ))
+              cells ))
+        sweep.Bounds.Pipeline.per_class )
     [ Marshal.No_sharing ]
 
 let tree_sweep ?obs ~jobs () =
