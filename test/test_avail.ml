@@ -165,7 +165,10 @@ let test_scenario_lp_bounds_expected_cost () =
    [Auto] every pinned model is past the simplex limit and routes to
    PDHG: the small fixture above and the validate --family avail instance
    (seed 2004, six scenarios), for three classes each. One more cell
-   forces the fixture's general class through the simplex. *)
+   forces the fixture's general class through the simplex. The last four
+   price the update term (delta, over a copy of the fixture's demand
+   whose every read cell is also a write) and the late-read penalty
+   (gamma). *)
 let pinned_cells () =
   let validate_cs = CS.make ~seed:2004 ~nodes:8 ~scale:0.01 ~intervals:8 CS.Web in
   let validate_scenarios =
@@ -194,6 +197,39 @@ let pinned_cells () =
           (CS.qos_spec cs ~fraction:0.95 ~for_bounds:true ())
           Mcperf.Classes.general ~scenarios );
     ]
+  @
+  let base = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
+  let d = base.Mcperf.Spec.demand in
+  let written =
+    Workload.Demand.create ~nodes:d.Workload.Demand.nodes
+      ~intervals:d.Workload.Demand.intervals
+      ~interval_s:d.Workload.Demand.interval_s ~weight:d.Workload.Demand.weight
+      ~writes:d.Workload.Demand.reads ~reads:d.Workload.Demand.reads ()
+  in
+  let delta =
+    {
+      base with
+      Mcperf.Spec.demand = written;
+      costs = { base.Mcperf.Spec.costs with Mcperf.Spec.delta = 0.5 };
+    }
+  in
+  let gamma =
+    {
+      base with
+      Mcperf.Spec.costs = { base.Mcperf.Spec.costs with Mcperf.Spec.gamma = 0.01 };
+    }
+  in
+  List.map
+    (fun (label, spec, (cls : Mcperf.Classes.t)) ->
+      ( Printf.sprintf "test-fixture/%s@0.95/%s" cls.Mcperf.Classes.name label,
+        Bounds.Avail_bound.expected_cost_bound spec cls ~scenarios ))
+    Mcperf.Classes.
+      [
+        ("delta", delta, general);
+        ("delta", delta, storage_constrained);
+        ("gamma", gamma, general);
+        ("gamma", gamma, replica_constrained_uniform);
+      ]
 
 let cell_digest (c : Bounds.Avail_bound.cell) =
   let open Bounds.Avail_bound in

@@ -692,6 +692,102 @@ let test_golden_cells () =
     (read_golden "fixtures/pipeline_cells.golden")
     (List.map (fun (label, cell) -> (label, digest (cell ()))) (golden_cells ()))
 
+(* --- pinned MC-PERF problems ---------------------------------------------- *)
+
+(* [Mcperf.Model.build] outputs pinned against an earlier build, one
+   "label md5" line each in fixtures/model_problems.golden. The MD5 is
+   taken over the problem, the variable kinds, the objective offset and
+   both per-node vectors marshaled without sharing, so a change to any
+   variable, row, coefficient bit or their order shows. The set reaches
+   every block of the model: storage constrained uniform and per node,
+   replicas per object and uniform, node opening, both goals, the penalty
+   (gamma) and update (delta) terms, and a placement restriction. The
+   update term reads writes, which the quickstart demand has none of:
+   [writes_spec] buckets fixtures/golden.trace (two writes) on a
+   three-node line whose far end is the origin. *)
+let writes_spec costs =
+  let trace =
+    match
+      Workload.Trace_io.parse
+        (In_channel.with_open_bin "fixtures/golden.trace" In_channel.input_all)
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail (Util.Parse_error.to_string e)
+  in
+  Mcperf.Spec.make
+    ~system:
+      (Topology.System.make ~origin:2
+         (Topology.Graph.of_edges 3 [ (0, 1, 100.); (1, 2, 100.) ]))
+    ~demand:(Workload.Demand.of_trace ~intervals:4 trace)
+    ~costs
+    ~goal:(Mcperf.Spec.Qos { tlat_ms = 150.; fraction = 0.9 })
+    ()
+
+let model_problems () =
+  let qs = quickstart_spec () in
+  let costs (f : Mcperf.Spec.costs -> Mcperf.Spec.costs) =
+    { qs with Mcperf.Spec.costs = f Mcperf.Spec.default_costs }
+  in
+  let avg = { qs with Mcperf.Spec.goal = Mcperf.Spec.Avg_latency { tavg_ms = 100. } } in
+  let gamma = costs (fun c -> { c with gamma = 0.01 }) in
+  let zeta = costs (fun c -> { c with zeta = 5. }) in
+  let delta =
+    writes_spec { Mcperf.Spec.default_costs with Mcperf.Spec.delta = 0.5 }
+  in
+  let delta_gamma =
+    writes_spec
+      { Mcperf.Spec.default_costs with Mcperf.Spec.delta = 0.5; gamma = 0.01 }
+  in
+  let placeable = [| true; true; false; true; false; true |] in
+  let open Mcperf.Classes in
+  let cases =
+    List.map
+      (fun cls -> ("quickstart", qs, cls, None))
+      [
+        general;
+        storage_constrained;
+        storage_constrained_per_node;
+        replica_constrained;
+        replica_constrained_uniform;
+        decentralized_local_routing;
+        allow_intra_interval_reaction caching;
+      ]
+    @ [
+        ("quickstart@0.95", at_fraction qs 0.95, general, None);
+        ("quickstart@avg100", avg, general, None);
+        ("quickstart@avg100", avg, storage_constrained, None);
+        ("quickstart@avg100", avg, replica_constrained, None);
+        ("quickstart/gamma", gamma, general, None);
+        ("quickstart/gamma", gamma, replica_constrained_uniform, None);
+        ("quickstart/zeta", zeta, general, None);
+        ("quickstart/zeta", zeta, storage_constrained_per_node, None);
+        ("quickstart/placeable", qs, general, Some placeable);
+        ("quickstart/placeable", qs, storage_constrained, Some placeable);
+        ("golden-trace/delta", delta, general, None);
+        ("golden-trace/delta", delta, replica_constrained, None);
+        ("golden-trace/delta", delta, storage_constrained, None);
+        ("golden-trace/delta+gamma", delta_gamma, general, None);
+      ]
+  in
+  List.map
+    (fun (name, spec, cls, placeable) ->
+      let m = Mcperf.Model.build (Mcperf.Permission.compute ?placeable spec cls) in
+      ( Printf.sprintf "%s/%s" name cls.name,
+        Mcperf.Model.(
+          digest
+            ( m.problem,
+              m.kinds,
+              m.objective_offset,
+              m.node_totals,
+              m.always_covered )) ))
+    cases
+
+let test_model_problems () =
+  Alcotest.(check (list (pair string string)))
+    "every problem matches its pinned digest"
+    (read_golden "fixtures/model_problems.golden")
+    (model_problems ())
+
 let () =
   Alcotest.run "differential"
     [
@@ -715,6 +811,8 @@ let () =
             test_sweep_matches_percell_compute;
           Alcotest.test_case "cells match pinned digests" `Quick
             test_golden_cells;
+          Alcotest.test_case "MC-PERF problems match pinned digests" `Quick
+            test_model_problems;
         ] );
       ( "determinism",
         [

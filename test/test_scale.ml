@@ -330,8 +330,31 @@ let test_sweep_matches_pointwise_bound () =
    both step rules, bundled and unbundled, on the homogeneous and the
    heterogeneous-weight instance at two fractions. The MD5 is taken over
    the outcome marshaled without sharing, so a change to the bound, the
-   multipliers, the solve counts or the bundling shows. *)
+   multipliers, the solve counts or the bundling shows. The last lines
+   pin two more classes under the harmonic rule: the per-object replica
+   constraint, whose subproblems carry alpha on their R variable, and
+   local routing, whose permission masks differ from the general
+   class's. On the heterogeneous instance (one interval, one reading leaf
+   per object) both coincide with the general class, and so do their
+   digests. *)
 let lagrangian_outcomes () =
+  let line label spec cls rule_name step_rule bundling fraction =
+    let out =
+      Bounds.Lagrangian.bound ~iterations:20 ~step_rule ~bundling
+        (at_fraction spec fraction) cls
+    in
+    ( Printf.sprintf "%s/%s/%s@%g" label rule_name
+        (if bundling then "bundled" else "unbundled")
+        fraction,
+      Digest.to_hex (Digest.string (Marshal.to_string out [ Marshal.No_sharing ]))
+    )
+  in
+  let instances =
+    [
+      ("homogeneous", small_spec ());
+      ("heterogeneous-seed3", hetero_spec ~seed:3 ());
+    ]
+  in
   List.concat_map
     (fun (inst, spec) ->
       List.concat_map
@@ -339,27 +362,27 @@ let lagrangian_outcomes () =
           List.concat_map
             (fun bundling ->
               List.map
-                (fun fraction ->
-                  let out =
-                    Bounds.Lagrangian.bound ~iterations:20 ~step_rule ~bundling
-                      (at_fraction spec fraction) Mcperf.Classes.general
-                  in
-                  ( Printf.sprintf "%s/%s/%s@%g" inst rule_name
-                      (if bundling then "bundled" else "unbundled")
-                      fraction,
-                    Digest.to_hex
-                      (Digest.string
-                         (Marshal.to_string out [ Marshal.No_sharing ])) ))
+                (line inst spec Mcperf.Classes.general rule_name step_rule
+                   bundling)
                 [ 0.9; 0.99 ])
             [ true; false ])
         [
           ("harmonic", Bounds.Lagrangian.Harmonic);
           ("adaptive", Bounds.Lagrangian.Adaptive);
         ])
-    [
-      ("homogeneous", small_spec ());
-      ("heterogeneous-seed3", hetero_spec ~seed:3 ());
-    ]
+    instances
+  @ List.concat_map
+      (fun (inst, spec) ->
+        List.concat_map
+          (fun (cls : Mcperf.Classes.t) ->
+            List.map
+              (fun bundling ->
+                line
+                  (inst ^ "/" ^ cls.Mcperf.Classes.name)
+                  spec cls "harmonic" Bounds.Lagrangian.Harmonic bundling 0.9)
+              [ true; false ])
+          Mcperf.Classes.[ replica_constrained; decentralized_local_routing ])
+      instances
 
 let read_golden path =
   let ic = open_in path in
