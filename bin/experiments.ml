@@ -1303,9 +1303,9 @@ let jobs_t =
     value & opt int 0
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker processes for the sweep layers. 0 (the default) \
-           auto-detects the processor count from /proc/cpuinfo; 1 forces \
-           the sequential path. Results are identical at every setting.")
+          "Worker processes for the sweep layers. 0 (the default) uses \
+           the processor count the OCaml runtime reports; 1 forces the \
+           sequential path. Results are identical at every setting.")
 
 let csv_t =
   Arg.(
@@ -1440,7 +1440,8 @@ let workload_t =
     value & opt wconv [ CS.Web; CS.Group ]
     & info [ "workload"; "w" ] ~docv:"WORKLOAD" ~doc:"web, group or both.")
 
-let resolve_jobs jobs = if jobs <= 0 then Util.Parallel.default_jobs () else jobs
+let resolve_jobs jobs =
+  if jobs <= 0 then Util.Parallel.available_cores () else jobs
 
 (* Write the merged trace / metrics snapshot (no-op when neither --trace,
    --metrics nor --profile was given). *)

@@ -10,20 +10,16 @@ type cell = {
   iterations : int;
 }
 
-(* The scenario model shares Model.build's store/create skeleton and QoS
-   rows, then appends per-scenario coverage terms. The nominal coverage
-   variables carry no objective here: the degraded cost keeps the
-   placement's sunk resources and replaces the nominal latency penalty
-   with the per-scenario service terms, so pricing the nominal penalty
-   too would overcount and break the lower bound. Class storage/replica
-   padding and node-opening fees are likewise omitted — every placement
-   pays at least the bare [alpha]/[beta]/[delta] resource terms, so
-   dropping the extras only loosens the minimum. *)
+(* The scenario model is Model's store and coverage blocks plus the QoS
+   rows, then per-scenario coverage terms. The nominal coverage variables
+   carry no objective here: the degraded cost keeps the placement's sunk
+   resources and replaces the nominal latency penalty with the
+   per-scenario service terms, so pricing the nominal penalty too would
+   overcount and break the lower bound. Class storage/replica padding and
+   node-opening fees are likewise omitted — every placement pays at least
+   the bare [alpha]/[beta]/[delta] resource terms, so dropping the extras
+   only loosens the minimum. *)
 type built = { problem : Lp.Problem.t; offset : float; nominal_vars : int }
-
-(* Same packing as Mcperf.Model (not exported there). *)
-let pack ~intervals ~objects ~node ~interval ~object_id =
-  ((node * objects) + object_id) * intervals + interval
 
 let build_scenario_model ~tlat_ms ~fraction (perm : Mcperf.Permission.t)
     (scenarios : Avail.Scenario.t array) =
@@ -31,119 +27,23 @@ let build_scenario_model ~tlat_ms ~fraction (perm : Mcperf.Permission.t)
   let sys = spec.Mcperf.Spec.system in
   let demand = spec.Mcperf.Spec.demand in
   let nodes = Mcperf.Spec.node_count spec in
-  let intervals = Mcperf.Spec.interval_count spec in
-  let objects = Mcperf.Spec.object_count spec in
   let origin = sys.Topology.System.origin in
   let weight = demand.Workload.Demand.weight in
-  let costs = spec.Mcperf.Spec.costs in
   if Array.length scenarios = 0 then
     invalid_arg "Avail_bound: empty scenario set";
   let miss = Avail.Survive.miss_penalty spec in
-  let gamma = costs.Mcperf.Spec.gamma in
+  let gamma = spec.Mcperf.Spec.costs.Mcperf.Spec.gamma in
   let b = Lp.Problem.Builder.create () in
-  (* Write totals for the update-cost term, as in Model.build. *)
-  let write_totals =
-    if costs.Mcperf.Spec.delta > 0. then begin
-      let w = Array.make_matrix objects intervals 0. in
-      Array.iteri
-        (fun k cells ->
-          Array.iter
-            (fun (c : Workload.Demand.cell) ->
-              w.(k).(c.Workload.Demand.interval) <-
-                w.(k).(c.Workload.Demand.interval) +. c.Workload.Demand.count)
-            cells)
-        demand.Workload.Demand.writes;
-      Some w
-    end
-    else None
+  let stores =
+    Mcperf.Model.add_stores b perm
+      ~objects:(List.init (Mcperf.Spec.object_count spec) Fun.id)
+      ~alpha:true ~delta:true
   in
-  (* Store/create variables over the pruned support, with continuity. *)
-  let store_tbl = Hashtbl.create 4096 in
-  for m = 0 to nodes - 1 do
-    if m <> origin then
-      for k = 0 to objects - 1 do
-        let smask = perm.Mcperf.Permission.store_mask.(m).(k) in
-        if smask <> 0 then begin
-          let w = weight.(k) in
-          let prev_store = ref None in
-          for i = 0 to intervals - 1 do
-            if smask land (1 lsl i) <> 0 then begin
-              let store_obj =
-                (costs.Mcperf.Spec.alpha *. w)
-                +.
-                match write_totals with
-                | Some wt -> costs.Mcperf.Spec.delta *. w *. wt.(k).(i)
-                | None -> 0.
-              in
-              let sv =
-                Lp.Problem.Builder.add_var b ~lo:0. ~hi:1. ~obj:store_obj ()
-              in
-              Hashtbl.add store_tbl
-                (pack ~intervals ~objects ~node:m ~interval:i
-                   ~object_id:k)
-                sv;
-              let row = ref [ (sv, 1.) ] in
-              (match !prev_store with
-              | Some pv -> row := (pv, -1.) :: !row
-              | None -> ());
-              if
-                Mcperf.Permission.create_allowed perm ~node:m ~interval:i
-                  ~object_id:k
-              then begin
-                let cv =
-                  Lp.Problem.Builder.add_var b ~lo:0. ~hi:1.
-                    ~obj:(costs.Mcperf.Spec.beta *. w)
-                    ()
-                in
-                row := (cv, -1.) :: !row
-              end;
-              Lp.Problem.Builder.add_row b Lp.Problem.Le ~rhs:0. !row;
-              prev_store := Some sv
-            end
-            else prev_store := None
-          done
-        end
-      done
-  done;
-  (* Nominal QoS rows — zero-priced coverage variables, target rhs. *)
-  let node_totals = Workload.Demand.node_read_totals demand in
-  let always_covered = Array.make nodes 0. in
-  let qos_terms = Array.make nodes [] in
-  Array.iteri
-    (fun k cells ->
-      let w = weight.(k) in
-      Array.iter
-        (fun (c : Workload.Demand.cell) ->
-          let n = c.Workload.Demand.node and i = c.Workload.Demand.interval in
-          let rw = w *. c.Workload.Demand.count in
-          if perm.Mcperf.Permission.origin_covered.(n) then
-            always_covered.(n) <- always_covered.(n) +. rw
-          else begin
-            let covering = ref [] in
-            for m = 0 to nodes - 1 do
-              if perm.Mcperf.Permission.reach.(n).(m) then
-                match
-                  Hashtbl.find_opt store_tbl
-                    (pack ~intervals ~objects ~node:m ~interval:i
-                       ~object_id:k)
-                with
-                | Some sv -> covering := sv :: !covering
-                | None -> ()
-            done;
-            if !covering <> [] then begin
-              let cv = Lp.Problem.Builder.add_var b ~lo:0. ~hi:1. ~obj:0. () in
-              Lp.Problem.Builder.add_row b Lp.Problem.Le ~rhs:0.
-                ((cv, 1.) :: List.map (fun sv -> (sv, -1.)) !covering);
-              qos_terms.(n) <- (cv, rw) :: qos_terms.(n)
-            end
-          end)
-        cells)
-    demand.Workload.Demand.reads;
-  for n = 0 to nodes - 1 do
-    let rhs = (fraction *. node_totals.(n)) -. always_covered.(n) in
-    if qos_terms.(n) <> [] || rhs > 1e-9 then
-      Lp.Problem.Builder.add_row b Lp.Problem.Ge ~rhs qos_terms.(n)
-  done;
+  let covered, _ = Mcperf.Model.add_coverage b perm stores ~penalty:false in
+  Mcperf.Model.add_qos_rows b ~fraction
+    ~node_totals:(Workload.Demand.node_read_totals demand)
+    ~always_covered:(Mcperf.Model.always_covered perm)
+    covered;
   let nominal_vars = Lp.Problem.Builder.var_count b in
   (* Scenario terms: each read cell priced at its degraded fallback,
      discharged by coverage from a surviving reachable store. The prices
@@ -179,9 +79,8 @@ let build_scenario_model ~tlat_ms ~fraction (perm : Mcperf.Permission.t)
                     if (not down.(m)) && perm.Mcperf.Permission.reach.(n).(m)
                     then
                       match
-                        Hashtbl.find_opt store_tbl
-                          (pack ~intervals ~objects ~node:m
-                             ~interval:i ~object_id:k)
+                        Mcperf.Model.store_var stores ~node:m ~interval:i
+                          ~object_id:k
                       with
                       | Some sv -> covering := sv :: !covering
                       | None -> ()

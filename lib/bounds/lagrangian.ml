@@ -35,8 +35,8 @@ type route =
 
 type subproblem = {
   problem : Lp.Problem.t;
-  covered_cells : (int * int * float) array;
-      (* (covered var, cell node, weighted reads) *)
+  covered_cells : Mcperf.Model.covered array;
+      (* in reverse creation order, the order [merge_members] sums in *)
   pre : Lp.Presolve.result;
       (* objective-independent reduction, computed once and valid for
          every lambda *)
@@ -52,85 +52,33 @@ let simplex_size_limit = 200
 let build_subproblem (perm : Mcperf.Permission.t) k =
   let spec = perm.Mcperf.Permission.spec in
   let cls = perm.Mcperf.Permission.cls in
-  let demand = spec.Mcperf.Spec.demand in
   let nodes = Mcperf.Spec.node_count spec in
   let intervals = Mcperf.Spec.interval_count spec in
   let costs = spec.Mcperf.Spec.costs in
-  let w = demand.Workload.Demand.weight.(k) in
+  let w = spec.Mcperf.Spec.demand.Workload.Demand.weight.(k) in
+  let b = Lp.Problem.Builder.create () in
   (* Mirror Model.build's storage-cost carrier: with a per-object replica
      constraint the alpha charge moves to the R variable (charging both
-     would over-count and break the bound's validity). *)
-  let alpha_on_store =
-    cls.Mcperf.Classes.replicas <> Mcperf.Classes.Rc_per_object
+     would over-count and break the bound's validity). The update term is
+     left out (see the interface). *)
+  let stores =
+    Mcperf.Model.add_stores b perm ~objects:[ k ]
+      ~alpha:(cls.Mcperf.Classes.replicas <> Mcperf.Classes.Rc_per_object)
+      ~delta:false
   in
-  let b = Lp.Problem.Builder.create () in
-  let store_var = Hashtbl.create 64 in
-  let rc_terms = Array.make intervals [] in
-  for m = 0 to nodes - 1 do
-    let smask = perm.Mcperf.Permission.store_mask.(m).(k) in
-    if smask <> 0 then begin
-      let prev = ref None in
-      for i = 0 to intervals - 1 do
-        if smask land (1 lsl i) <> 0 then begin
-          let sv =
-            Lp.Problem.Builder.add_var b ~lo:0. ~hi:1.
-              ~obj:(if alpha_on_store then costs.Mcperf.Spec.alpha *. w else 0.)
-              ()
-          in
-          Hashtbl.add store_var (m, i) sv;
-          rc_terms.(i) <- (sv, 1.) :: rc_terms.(i);
-          (* terms emitted in ascending variable order ([pv < sv < cv] by
-             creation order) so the builder's sorted fast path applies *)
-          let base =
-            match !prev with
-            | Some pv -> [ (pv, -1.); (sv, 1.) ]
-            | None -> [ (sv, 1.) ]
-          in
-          let row =
-            if
-              Mcperf.Permission.create_allowed perm ~node:m ~interval:i
-                ~object_id:k
-            then begin
-              let cv =
-                Lp.Problem.Builder.add_var b ~lo:0. ~hi:1.
-                  ~obj:(costs.Mcperf.Spec.beta *. w)
-                  ()
-              in
-              base @ [ (cv, -1.) ]
-            end
-            else base
-          in
-          Lp.Problem.Builder.add_row b Lp.Problem.Le ~rhs:0. row;
-          prev := Some sv
-        end
-        else prev := None
-      done
-    end
-  done;
   (* Covered variables: objective coefficients are rewritten per lambda,
      so they start at 0. *)
-  let covered = ref [] in
-  Array.iter
-    (fun (c : Workload.Demand.cell) ->
-      if not perm.Mcperf.Permission.origin_covered.(c.node) then begin
-        let covering = ref [] in
-        for m = 0 to nodes - 1 do
-          if perm.Mcperf.Permission.reach.(c.node).(m) then
-            match Hashtbl.find_opt store_var (m, c.interval) with
-            | Some sv -> covering := sv :: !covering
-            | None -> ()
-        done;
-        if !covering <> [] then begin
-          let cv = Lp.Problem.Builder.add_var b ~lo:0. ~hi:1. ~obj:0. () in
-          Lp.Problem.Builder.add_row b Lp.Problem.Le ~rhs:0.
-            ((cv, 1.) :: List.map (fun sv -> (sv, -1.)) !covering);
-          covered := (cv, c.node, c.count *. w) :: !covered
-        end
-      end)
-    demand.Workload.Demand.reads.(k);
+  let covered, _ = Mcperf.Model.add_coverage b perm stores ~penalty:false in
   (* Per-object replica constraint (17a): does not couple objects. *)
   (match cls.Mcperf.Classes.replicas with
   | Mcperf.Classes.Rc_per_object ->
+    let rc_terms = Array.make intervals [] in
+    List.iter
+      (function
+        | sv, Mcperf.Model.Store { interval; _ } ->
+          rc_terms.(interval) <- (sv, 1.) :: rc_terms.(interval)
+        | _ -> ())
+      (Mcperf.Model.created stores);
     let has_any = Array.exists (fun terms -> terms <> []) rc_terms in
     if has_any then begin
       let rv =
@@ -168,7 +116,13 @@ let build_subproblem (perm : Mcperf.Permission.t) k =
       Simplex (Lp.Simplex.prepare red)
     else Pdhg (Lp.Pdhg.prepare red)
   in
-  { problem; covered_cells = Array.of_list !covered; pre; restored0; route }
+  {
+    problem;
+    covered_cells = Array.of_list (List.rev covered);
+    pre;
+    restored0;
+    route;
+  }
 
 (* Solve (or validly lower-bound) a subproblem whose covered-variable
    objective has been set for the current lambda. Returns the bound, the
@@ -181,7 +135,9 @@ let solve_sub sub =
     Util.Vecops.dot sub.problem.Lp.Problem.objective sub.restored0
   in
   let contribs x =
-    Array.map (fun (cv, _, rw) -> rw *. x.(cv)) sub.covered_cells
+    Array.map
+      (fun (c : Mcperf.Model.covered) -> c.reads *. x.(c.var))
+      sub.covered_cells
   in
   match sub.route with
   | Trivial -> (0., [||], `Trivial)
@@ -215,10 +171,10 @@ let set_lambda_objective sub lambda =
   let red = sub.pre.Lp.Presolve.reduced in
   let var_map = sub.pre.Lp.Presolve.var_map in
   Array.iter
-    (fun (cv, n, rw) ->
-      let c = -.(lambda.(n) *. rw) in
-      sub.problem.Lp.Problem.objective.(cv) <- c;
-      let rj = var_map.(cv) in
+    (fun (cell : Mcperf.Model.covered) ->
+      let c = -.(lambda.(cell.node) *. cell.reads) in
+      sub.problem.Lp.Problem.objective.(cell.var) <- c;
+      let rj = var_map.(cell.var) in
       if rj >= 0 then red.Lp.Problem.objective.(rj) <- c)
     sub.covered_cells
 
@@ -260,7 +216,8 @@ let merge_members ~nodes ~(bundle : Mcperf.Bundle.t) ~weight ~subs vals =
     if bundle.Mcperf.Bundle.exact_member.(k) then begin
       sub_total := !sub_total +. v;
       Array.iteri
-        (fun i (_, n, _) -> coverage.(n) <- coverage.(n) +. contribs.(i))
+        (fun i (c : Mcperf.Model.covered) ->
+          coverage.(c.node) <- coverage.(c.node) +. contribs.(i))
         cells
     end
     else begin
@@ -271,8 +228,8 @@ let merge_members ~nodes ~(bundle : Mcperf.Bundle.t) ~weight ~subs vals =
       let guarded = sv -. (2. *. Float.abs sv *. epsilon_float) in
       sub_total := !sub_total +. guarded;
       Array.iteri
-        (fun i (_, n, _) ->
-          coverage.(n) <- coverage.(n) +. (contribs.(i) *. r))
+        (fun i (c : Mcperf.Model.covered) ->
+          coverage.(c.node) <- coverage.(c.node) +. (contribs.(i) *. r))
         cells
     end
   done;
@@ -357,23 +314,6 @@ let infeasible_outcome ~nodes ~objects =
     rescaled_members = 0;
   }
 
-(* Always-covered demand reduces the QoS requirements (same constants as
-   the monolithic model); it never reads the fraction, so one vector
-   serves a whole sweep. *)
-let always_covered (spec : Mcperf.Spec.t) (perm : Mcperf.Permission.t) =
-  let nodes = Mcperf.Spec.node_count spec in
-  let always = Array.make nodes 0. in
-  Array.iteri
-    (fun k cells ->
-      let w = spec.Mcperf.Spec.demand.Workload.Demand.weight.(k) in
-      Array.iter
-        (fun (c : Workload.Demand.cell) ->
-          if perm.Mcperf.Permission.origin_covered.(c.node) then
-            always.(c.node) <- always.(c.node) +. (c.count *. w))
-        cells)
-    spec.Mcperf.Spec.demand.Workload.Demand.reads;
-  always
-
 (* The span covers the representative builds (model, presolve, solver
    image) but not the bundling itself. *)
 let bundle_and_subs ~bundling perm =
@@ -428,7 +368,9 @@ let sweep ?(iterations = 60) ?(step_rule = Harmonic) ?(bundling = true) spec
   let nodes = Mcperf.Spec.node_count spec in
   let objects = Mcperf.Spec.object_count spec in
   let node_totals = Workload.Demand.node_read_totals spec.Mcperf.Spec.demand in
-  let always = always_covered spec perm in
+  (* Always-covered demand reduces the QoS requirements; it never reads
+     the fraction, so one vector serves the whole sweep. *)
+  let always = Mcperf.Model.always_covered perm in
   (* The permission masks never read the fraction, so the bundling and
      every representative subproblem are shared across the whole sweep;
      only the requirement vector t_n changes per point. Built lazily so a

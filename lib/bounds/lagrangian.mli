@@ -46,7 +46,13 @@
     replica constraint and the storage constraints couple objects and are
     dropped, which keeps the bound valid for the class (dropping
     constraints can only lower a minimum) but makes it no tighter than the
-    corresponding unconstrained-storage bound. *)
+    corresponding unconstrained-storage bound. The update term (12) is
+    left out of every subproblem: the bundle keys ({!Mcperf.Bundle})
+    ignore writes, so members of one bundle may differ in them, and the
+    weight-linearity argument that transfers a representative's optimum
+    needs every term of a member to be its weight [w_k] times the
+    representative's term. The term is nonnegative, so dropping it keeps
+    the bound valid, though it is then no tighter than at [delta = 0]. *)
 
 (** Step-size schedule of the projected subgradient ascent, in units of
     [unit_cost = max (alpha + beta) 1e-6] from the spec's costs. Both

@@ -248,7 +248,7 @@ val sweep_classes :
   sweep
 (** [sweep_classes cfg spec ~fractions classes] computes {!compute} for
     every (class, fraction) cell, fanned out over [cfg.jobs] worker
-    processes ({!Util.Parallel.default_jobs} is a good explicit choice).
+    processes ({!Util.Parallel.available_cores} is a good explicit choice).
     Requires a QoS-goal spec. The field names below refer to
     {!Sweep_config.t}.
 

@@ -11,7 +11,6 @@ type t = {
   valuest : float array;
 }
 
-let nnz t = Array.length t.values
 
 (* Construction is a chain of counting sorts — no hashing, no polymorphic
    comparison, every pass linear in the number of entries:

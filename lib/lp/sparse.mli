@@ -23,8 +23,6 @@ type t = private {
   valuest : float array;
 }
 
-val nnz : t -> int
-
 val of_row_list : rows:int -> cols:int -> (int * float) list array -> t
 (** [of_row_list ~rows ~cols per_row] builds from per-row [(col, coeff)]
     lists. Duplicate column entries within a row are summed; entries whose

@@ -136,36 +136,7 @@ let backoff_delay ?(base_s = 0.001) ?(cap_s = 0.25) attempt =
   if attempt <= 0 then Float.min base_s cap_s
   else Float.min cap_s (base_s *. (2. ** float_of_int attempt))
 
-let available_cores () =
-  let from_cpuinfo () =
-    let ic = open_in "/proc/cpuinfo" in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let count = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if
-               String.length line >= 9
-               && String.sub line 0 9 = "processor"
-             then incr count
-           done
-         with End_of_file -> ());
-        !count)
-  in
-  let from_getconf () =
-    let ic = Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" in
-    Fun.protect
-      ~finally:(fun () -> ignore (Unix.close_process_in ic))
-      (fun () -> int_of_string (String.trim (input_line ic)))
-  in
-  let attempt f = try f () with _ -> 0 in
-  let n = attempt from_cpuinfo in
-  let n = if n > 0 then n else attempt from_getconf in
-  max 1 n
-
-let default_jobs () = available_cores ()
+let available_cores () = Domain.recommended_domain_count ()
 
 (* --- sequential fallback ------------------------------------------------ *)
 
@@ -654,7 +625,7 @@ let run_pool ~jobs ~timeout_s ?budget_of ?on_result ~f tasks =
 
 let run ?jobs ?timeout_s ?budget_of ?on_result ~f tasks =
   incr phase;
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let jobs = match jobs with Some j -> j | None -> available_cores () in
   let arr = Array.of_list tasks in
   if (not fork_available) || jobs <= 1 || Array.length arr <= 1 then begin
     stats_ref := zero_stats;

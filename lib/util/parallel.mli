@@ -100,11 +100,8 @@ val task_expired : unit -> bool
     byte-identical. *)
 
 val available_cores : unit -> int
-(** Processor count from [/proc/cpuinfo] (fallback: [getconf
-    _NPROCESSORS_ONLN]; 1 when neither is readable). *)
-
-val default_jobs : unit -> int
-(** [available_cores], floored at 1 — the [--jobs 0] auto value. *)
+(** [Domain.recommended_domain_count ()]: the processor count, at least
+    1 — the [--jobs 0] auto value. *)
 
 val fork_available : bool
 (** Whether the process-pool path can run at all (Unix only). *)
@@ -119,7 +116,7 @@ val map :
   'b result list
 (** [map ~jobs ~f tasks] is [List.map f tasks] with per-task wall-clock
     timing, computed by up to [jobs] worker processes. [jobs] defaults to
-    {!default_jobs}[ ()]. Result order always matches task order.
+    {!available_cores}[ ()]. Result order always matches task order.
     [on_result] is invoked in the {e parent}, in completion order, as
     each task finishes (checkpoint journals hang off this). If any task
     failed, {!Task_failed} is raised for the lowest failing index after

@@ -77,7 +77,3 @@ let peek_min h =
     match h.data.(0) with
     | Some v -> Some (h.prio.(0), v)
     | None -> assert false
-
-let clear h =
-  Array.fill h.data 0 h.size None;
-  h.size <- 0

@@ -21,5 +21,3 @@ val pop_min : 'a t -> (float * 'a) option
     Ties are broken arbitrarily. *)
 
 val peek_min : 'a t -> (float * 'a) option
-
-val clear : 'a t -> unit

@@ -209,27 +209,6 @@ let node_read_totals t =
 let object_total t k =
   Array.fold_left (fun acc c -> acc +. c.count) 0. t.reads.(k)
 
-let first_read_interval t k =
-  let cells = t.reads.(k) in
-  if Array.length cells = 0 then None else Some cells.(0).interval
-
-let last_read_interval t k =
-  let cells = t.reads.(k) in
-  let n = Array.length cells in
-  if n = 0 then None else Some cells.(n - 1).interval
-
-let first_access_of_node t ~object_id ~node =
-  let cells = t.reads.(object_id) in
-  let best = ref None in
-  Array.iter
-    (fun c ->
-      if c.node = node then
-        match !best with
-        | None -> best := Some c.interval
-        | Some b -> if c.interval < b then best := Some c.interval)
-    cells;
-  !best
-
 let merge_cells cells =
   (* Combine duplicate (interval, node) cells produced by a node remap. *)
   let arr = Array.copy cells in
@@ -260,11 +239,6 @@ let remap_nodes t ~mapping =
     reads = Array.map remap t.reads;
     writes = Array.map remap t.writes;
   }
-
-let scale_counts t ~factor =
-  if factor <= 0. then invalid_arg "Demand.scale_counts: factor must be positive";
-  let scale cells = Array.map (fun c -> { c with count = c.count *. factor }) cells in
-  { t with reads = Array.map scale t.reads; writes = Array.map scale t.writes }
 
 let pp_summary ppf t =
   Format.fprintf ppf

@@ -61,19 +61,7 @@ val node_read_totals : t -> float array
 val object_total : t -> int -> float
 (** Unweighted read count of one object across all nodes and intervals. *)
 
-val first_read_interval : t -> int -> int option
-(** Earliest interval in which the object is read anywhere. *)
-
-val last_read_interval : t -> int -> int option
-
-val first_access_of_node : t -> object_id:int -> node:int -> int option
-(** Earliest interval in which [node] itself reads the object. *)
-
 val remap_nodes : t -> mapping:int array -> t
 (** Merge demand along a user-to-node assignment (deployment scenario). *)
-
-val scale_counts : t -> factor:float -> t
-(** Multiply every read/write count by [factor] (> 0). Used to down-scale
-    case studies while preserving popularity shape. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -44,7 +44,7 @@ let extend t chunk =
   in
   let last_read =
     let grown = demand.Demand.objects - Array.length t.last_read in
-    if grown <= 0 then t.last_read
+    if grown <= 0 then Array.copy t.last_read
     else Array.append t.last_read (Array.make grown (-1))
   in
   let total = demand.Demand.intervals in

@@ -19,7 +19,9 @@ val create : nodes:int -> interval_s:float -> t
 val extend : t -> Trace.t -> t
 (** Fold one continuation chunk. The first chunk establishes the initial
     intervals (its horizon must be a whole number of widths); later
-    chunks go through {!Demand.extend}. *)
+    chunks go through {!Demand.extend}. The given state is left as it
+    was: the last-read intervals behind {!working_set} are copied, in
+    O(objects). *)
 
 val demand : t -> Demand.t
 (** Cumulative demand. Raises [Invalid_argument] before the first chunk. *)

@@ -103,11 +103,8 @@ let extend t delta =
       kinds = Array.append t.kinds delta.kinds;
     }
 
-let count_kind t k =
-  Array.fold_left (fun acc kd -> if kd = k then acc + 1 else acc) 0 t.kinds
-
-let read_count t = count_kind t Read
-let write_count t = count_kind t Write
+let write_count t =
+  Array.fold_left (fun acc kd -> if kd = Write then acc + 1 else acc) 0 t.kinds
 
 let remap_nodes t ~mapping =
   if Array.length mapping <> t.nodes then

@@ -58,7 +58,6 @@ val extend : t -> t -> t
     new, longer horizon. Node counts must match; the object universe may
     grow. Inverse of slicing a long trace into prefix + {!sub} suffix. *)
 
-val read_count : t -> int
 val write_count : t -> int
 
 val remap_nodes : t -> mapping:int array -> t

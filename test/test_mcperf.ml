@@ -334,7 +334,7 @@ let test_origin_covered_demand_is_free () =
   let perm = Mcperf.Permission.compute spec Mcperf.Classes.general in
   let model = Mcperf.Model.build perm in
   Alcotest.(check int) "no variables needed" 0
-    (Mcperf.Model.var_count model);
+    (Lp.Problem.nvars model.Mcperf.Model.problem);
   Alcotest.(check (float 1e-9)) "always covered" 15.
     model.Mcperf.Model.always_covered.(1)
 

@@ -258,6 +258,46 @@ let prop_hetero_bundled_below_lp =
         | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> false
       end)
 
+(* --- the update term ------------------------------------------------------- *)
+
+(* The subproblems leave the update term (12) out, so with delta > 0 the
+   Lagrangian bound must stay below the exact LP that prices it. Every
+   read cell is also a write here, and the LP check that the writes do
+   raise the optimum keeps the comparison from passing vacuously. *)
+let test_delta_below_lp () =
+  let plain = small_spec ~objects:20 () in
+  let d = plain.Mcperf.Spec.demand in
+  let spec =
+    {
+      plain with
+      Mcperf.Spec.demand =
+        Workload.Demand.create ~nodes:d.Workload.Demand.nodes
+          ~intervals:d.Workload.Demand.intervals
+          ~interval_s:d.Workload.Demand.interval_s
+          ~writes:d.Workload.Demand.reads ~reads:d.Workload.Demand.reads ();
+      costs = { plain.Mcperf.Spec.costs with Mcperf.Spec.delta = 0.5 };
+    }
+  in
+  let lp spec =
+    let model =
+      Mcperf.Model.build (Mcperf.Permission.compute spec Mcperf.Classes.general)
+    in
+    match Lp.Simplex.solve model.Mcperf.Model.problem with
+    | Lp.Simplex.Optimal { objective; _ } ->
+      objective +. model.Mcperf.Model.objective_offset
+    | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
+      Alcotest.fail "LP should be feasible and bounded"
+  in
+  let with_writes = lp spec in
+  Alcotest.(check bool) "writes raise the LP optimum" true
+    (with_writes > lp plain);
+  let b = Bounds.Lagrangian.bound spec Mcperf.Classes.general in
+  Alcotest.(check bool)
+    (Printf.sprintf "Lagrangian %.6f <= LP %.6f" b.Bounds.Lagrangian.bound
+       with_writes)
+    true
+    (b.Bounds.Lagrangian.bound <= with_writes +. 1e-6)
+
 (* --- monotone dual bound under both step rules --------------------------- *)
 
 (* Both step rules depend only on the trajectory so far, so a longer
@@ -435,6 +475,8 @@ let () =
             test_sweep_matches_pointwise_bound;
           Alcotest.test_case "bound outcomes match pinned digests" `Quick
             test_outcomes_pinned;
+          Alcotest.test_case "update term: bound below the LP" `Quick
+            test_delta_below_lp;
         ] );
       ("properties", props);
     ]
