@@ -103,9 +103,9 @@ let build_scenario_model ~tlat_ms ~fraction (perm : Mcperf.Permission.t)
   { problem = Lp.Problem.Builder.build b; offset = !offset; nominal_vars }
 
 (* One cold cell: build the scenario model at the spec's own goal and
-   solve it on the solver [Pipeline.route] picks for its dimensions. *)
-let expected_cost_bound ?(solver = Pipeline.Auto) (spec : Mcperf.Spec.t)
-    (cls : Mcperf.Classes.t) ~scenarios =
+   solve it on the cell chain's LP leg. *)
+let expected_cost_bound ?solver (spec : Mcperf.Spec.t) (cls : Mcperf.Classes.t)
+    ~scenarios =
   let tlat_ms, fraction =
     match spec.Mcperf.Spec.goal with
     | Mcperf.Spec.Qos { tlat_ms; fraction } -> (tlat_ms, fraction)
@@ -114,9 +114,6 @@ let expected_cost_bound ?(solver = Pipeline.Auto) (spec : Mcperf.Spec.t)
   in
   let perm = Mcperf.Permission.compute spec cls in
   let built = build_scenario_model ~tlat_ms ~fraction perm scenarios in
-  let problem = built.problem in
-  let nvars = Lp.Problem.nvars problem in
-  let nrows = Lp.Problem.nrows problem in
   let cell ~feasible ~bound ~exact ~iterations =
     {
       class_name = cls.Mcperf.Classes.name;
@@ -124,8 +121,8 @@ let expected_cost_bound ?(solver = Pipeline.Auto) (spec : Mcperf.Spec.t)
       feasible;
       expected_bound = (if feasible then bound +. built.offset else infinity);
       nominal_vars = built.nominal_vars;
-      vars = nvars;
-      rows = nrows;
+      vars = Lp.Problem.nvars built.problem;
+      rows = Lp.Problem.nrows built.problem;
       exact;
       iterations;
     }
@@ -134,20 +131,12 @@ let expected_cost_bound ?(solver = Pipeline.Auto) (spec : Mcperf.Spec.t)
     (* The oracle already knows no class placement can reach the goal. *)
     cell ~feasible:false ~bound:infinity ~exact:false ~iterations:0
   else
-    match Pipeline.route solver ~vars:nvars ~rows:nrows with
-    | Pipeline.Simplex -> (
-      match Lp.Simplex.solve problem with
-      | Lp.Simplex.Optimal { objective; _ } ->
-        cell ~feasible:true ~bound:objective ~exact:true ~iterations:0
-      | Lp.Simplex.Infeasible ->
-        cell ~feasible:false ~bound:infinity ~exact:true ~iterations:0
-      | Lp.Simplex.Unbounded ->
-        (* Impossible for a box-bounded minimization; treat as no bound. *)
-        cell ~feasible:true ~bound:neg_infinity ~exact:false ~iterations:0)
-    | Pipeline.Pdhg options ->
-      let outcome = Lp.Pdhg.solve ~options problem in
-      cell ~feasible:true ~bound:outcome.Lp.Pdhg.best_bound ~exact:false
-        ~iterations:outcome.Lp.Pdhg.iterations
+    match Pipeline.solve_lp ?solver built.problem with
+    | Ok lp ->
+      cell ~feasible:true ~bound:lp.Pipeline.bound
+        ~exact:(lp.Pipeline.quality = Pipeline.Exact)
+        ~iterations:lp.Pipeline.iterations
+    | Error _ -> cell ~feasible:false ~bound:infinity ~exact:true ~iterations:0
 
 type group_check = {
   group : string;

@@ -35,7 +35,7 @@ type cell = {
   nominal_vars : int;  (** variables in the nominal part of the model *)
   vars : int;
   rows : int;
-  exact : bool;  (** solved by the exact simplex *)
+  exact : bool;  (** solved exactly (simplex or presolve) *)
   iterations : int;  (** PDHG iterations (0 for simplex) *)
 }
 
@@ -45,12 +45,13 @@ val expected_cost_bound :
   Mcperf.Classes.t ->
   scenarios:Avail.Scenario.t array ->
   cell
-(** The cell at the spec's own goal, every node placeable, on the solver
-    {!Pipeline.route} picks for the model's dimensions ([solver] default
-    [Auto]). Requires a QoS-goal spec and a
-    non-empty scenario set. The result is a pure function of (spec,
-    class, scenarios) — byte-identical at any parallelism level of the
-    caller. *)
+(** The cell at the spec's own goal, every node placeable, solved on the
+    cell chain's LP leg, {!Pipeline.solve_lp} ([solver] default [Auto]):
+    presolved, routed on the model's dimensions, health-checked under
+    PDHG. Requires a QoS-goal spec and a non-empty scenario set; raises
+    [Failure] when both PDHG attempts are unhealthy. The result is a pure
+    function of (spec, class, scenarios) — byte-identical at any
+    parallelism level of the caller. *)
 
 type group_check = {
   group : string;

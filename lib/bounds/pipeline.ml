@@ -43,6 +43,16 @@ type certificate =
   | Dual of float array
   | Farkas of float array
 
+type lp = {
+  point : float array;
+  bound : float;
+  iterations : int;
+  path : solve_path;
+  quality : quality;
+  rel_gap : float;
+  dual : float array;
+}
+
 type t = {
   class_name : string;
   feasible : bool;
@@ -79,17 +89,15 @@ let m_fallbacks = lazy (Obs.Metrics.counter "pipeline.fallback_hops")
 let default_pdhg_options =
   { Lp.Pdhg.default_options with max_iters = 40_000; rel_tol = 1e-4 }
 
-type route = Simplex | Pdhg of Lp.Pdhg.options
-
-(* The one solver choice: [Auto] takes the dense simplex while both
-   dimensions stay within 260, where it is exact and fast, and PDHG with
-   the MC-PERF options beyond. *)
-let route solver ~vars ~rows =
+(* The one solver choice, [None] for the dense simplex: [Auto] takes it
+   while both dimensions stay within 260, where it is exact and fast, and
+   PDHG with the MC-PERF options beyond. *)
+let pdhg_options solver ~vars ~rows =
   match solver with
-  | Exact_simplex -> Simplex
-  | First_order options -> Pdhg options
+  | Exact_simplex -> None
+  | First_order options -> Some options
   | Auto ->
-    if vars <= 260 && rows <= 260 then Simplex else Pdhg default_pdhg_options
+    if vars <= 260 && rows <= 260 then None else Some default_pdhg_options
 
 let infeasible_result ?ray cls worst_qos =
   {
@@ -125,21 +133,27 @@ let farkas_of problem =
   | Some ray -> verified ray
   | None -> (
     match
-      route Auto ~vars:(Lp.Problem.nvars norm) ~rows:(Lp.Problem.nrows norm)
+      pdhg_options Auto ~vars:(Lp.Problem.nvars norm)
+        ~rows:(Lp.Problem.nrows norm)
     with
-    | Simplex -> (
+    | None -> (
       match Lp.Simplex.solve_certified norm with
       | Lp.Simplex.Cert_infeasible { ray } -> verified ray
       | Lp.Simplex.Cert_optimal _ | Lp.Simplex.Cert_unbounded -> None)
-    | Pdhg _ -> None)
+    | Some _ -> None)
 
-(* --- shared LP-relaxation solve ----------------------------------------- *)
+(* --- the LP leg ---------------------------------------------------------- *)
 
-(* One solve of a model's LP relaxation, the LP leg of the cell chain
-   ([compute_cell] below): presolve, pick the solver on the *original*
-   dimensions (so the choice is stable across reductions), solve the
-   reduced problem from a cold start, and map the point and the certified
-   bound back through [restore]/[offset].
+(* One solve of an LP relaxation, shared by the cell chain
+   ([compute_cell] below), the scenario LP and the deployment planner:
+   presolve, pick the solver on the *original* dimensions (so the choice
+   is stable across reductions), solve the reduced problem from a cold
+   start, and map the point and the certified bound back through
+   [restore]/[offset]. [dual] certifies the bound on the Ge-normalized
+   presolve-reduced problem, the space it was computed in; [certify]
+   replays the deterministic presolve to verify it. An infeasible LP is
+   [Error] with a verified Farkas ray on the normalized full problem,
+   when one is found.
 
    The PDHG leg is supervised. A solve is *healthy* when every reported
    quantity is finite and an independent re-evaluation of
@@ -151,32 +165,7 @@ let farkas_of problem =
    whenever the input itself was sound the retry reproduces the primary
    attempt's iterates exactly and recovery is invisible in the results.
    A retry that is unhealthy too means the input itself is unsound, and
-   the cell raises [Failure]. *)
-(* A feasible solve's payload: the original-space point, the certified
-   bound (presolve offset folded in), how it was obtained and its
-   witness. [dual] is the certificate on the Ge-normalized presolve-
-   reduced problem — the space the bound was computed in; [certify]
-   replays the deterministic presolve to verify it. *)
-type solution = {
-  point : float array;
-  bound : float;
-  exact_sol : bool;
-  iterations : int;
-  sol_quality : quality;
-  sol_rel_gap : float;
-  dual : float array option;
-}
-
-type relaxation = {
-  outcome : solution option;  (* [None] when the LP is infeasible *)
-  path : solve_path;
-  infeasible_ray : float array option;
-      (* verified Farkas ray on the normalized full problem when the LP
-         (as opposed to the oracle) declared the cell infeasible *)
-}
-
-let no_solution ?ray () =
-  { outcome = None; path = Path_infeasible; infeasible_ray = ray }
+   the leg raises [Failure]. *)
 
 (* Independent health check of a PDHG outcome: all reported scalars and
    the primal point finite, and the certified bound reproducible from the
@@ -202,8 +191,21 @@ let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
     problem =
   let vars = Lp.Problem.nvars problem and rows = Lp.Problem.nrows problem in
   let pre = Lp.Presolve.run problem in
+  let solved ?(iterations = 0) ?(quality = Exact) ?(rel_gap = 0.) path x bound
+      dual =
+    Ok
+      {
+        point = pre.Lp.Presolve.restore x;
+        bound;
+        iterations;
+        path;
+        quality;
+        rel_gap;
+        dual;
+      }
+  in
   match pre.Lp.Presolve.status with
-  | `Infeasible -> no_solution ?ray:(farkas_of problem) ()
+  | `Infeasible -> Error (farkas_of problem)
   | `Unchanged | `Reduced ->
     let red = pre.Lp.Presolve.reduced in
     if Lp.Problem.nvars red = 0 then
@@ -211,49 +213,22 @@ let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
          feasible point, hence optimal. The all-zero dual vector is its
          certificate — the reduced problem has no variables left, so the
          dual bound is 0 and the recorded bound is pure offset. *)
-      {
-        outcome =
-          Some
-            {
-              point = pre.Lp.Presolve.restore [||];
-              bound = pre.Lp.Presolve.offset;
-              exact_sol = true;
-              iterations = 0;
-              sol_quality = Exact;
-              sol_rel_gap = 0.;
-              dual = Some (Array.make (Lp.Problem.nrows red) 0.);
-            };
-        path = Path_presolve;
-        infeasible_ray = None;
-      }
+      solved Path_presolve [||] pre.Lp.Presolve.offset
+        (Array.make (Lp.Problem.nrows red) 0.)
     else begin
-      match route solver ~vars ~rows with
-      | Simplex -> (
+      match pdhg_options solver ~vars ~rows with
+      | None -> (
         match Lp.Simplex.solve_certified red with
         | Lp.Simplex.Cert_optimal { x; objective; dual } ->
-          {
-            outcome =
-              Some
-                {
-                  point = pre.Lp.Presolve.restore x;
-                  bound = objective +. pre.Lp.Presolve.offset;
-                  exact_sol = true;
-                  iterations = 0;
-                  sol_quality = Exact;
-                  sol_rel_gap = 0.;
-                  dual = Some dual;
-                };
-            path = Path_simplex;
-            infeasible_ray = None;
-          }
+          solved Path_simplex x (objective +. pre.Lp.Presolve.offset) dual
         | Lp.Simplex.Cert_infeasible _ ->
           (* The simplex ray lives in reduced-row space; re-derive one on
              the full problem so the certificate verifies without a
              presolve replay. *)
-          no_solution ?ray:(farkas_of problem) ()
+          Error (farkas_of problem)
         | Lp.Simplex.Cert_unbounded ->
           invalid_arg "Bounds.Pipeline: unbounded MC-PERF relaxation")
-      | Pdhg options -> begin
+      | Some options -> begin
         (* The sweep governor's per-cell budget caps the solver deadline;
            an already-exhausted budget still runs the checkpointed first
            block, so every cell returns some valid bound. *)
@@ -277,25 +252,15 @@ let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
           (prep, Lp.Pdhg.solve_prepared ~options prep)
         in
         let accept path (out : Lp.Pdhg.outcome) =
-          {
-            outcome =
-              Some
-                {
-                  point = pre.Lp.Presolve.restore out.Lp.Pdhg.x;
-                  bound = out.Lp.Pdhg.best_bound +. pre.Lp.Presolve.offset;
-                  exact_sol = false;
-                  iterations = out.Lp.Pdhg.iterations;
-                  sol_quality =
-                    (match out.Lp.Pdhg.stop with
-                    | Lp.Pdhg.Converged -> Converged
-                    | Lp.Pdhg.Deadline -> Time_budget
-                    | Lp.Pdhg.Budget -> Iter_budget);
-                  sol_rel_gap = out.Lp.Pdhg.rel_gap;
-                  dual = Some out.Lp.Pdhg.best_y;
-                };
-            path;
-            infeasible_ray = None;
-          }
+          solved ~iterations:out.Lp.Pdhg.iterations
+            ~quality:
+              (match out.Lp.Pdhg.stop with
+              | Lp.Pdhg.Converged -> Converged
+              | Lp.Pdhg.Deadline -> Time_budget
+              | Lp.Pdhg.Budget -> Iter_budget)
+            ~rel_gap:out.Lp.Pdhg.rel_gap path out.Lp.Pdhg.x
+            (out.Lp.Pdhg.best_bound +. pre.Lp.Presolve.offset)
+            out.Lp.Pdhg.best_y
         in
         let report_unhealthy cause (out : Lp.Pdhg.outcome) =
           if Obs.Config.tracing () then
@@ -323,18 +288,17 @@ let solve_relaxation_raw ?(solver = Auto) ?(inject_nan = false) ?deadline_s
           else
             failwith
               (Printf.sprintf
-                 "Bounds.Pipeline: the %s leg is unhealthy too (%s): the \
-                  cell's LP is unsound"
+                 "Bounds.Pipeline: the %s leg is unhealthy too (%s): the LP \
+                  is unsound"
                  (path_label Path_pdhg_retry)
                  (report_unhealthy "retry" out2))
         end
       end
     end
 
-(* Instrumented entry point: a span around the whole fallback chain,
-   tagged with the leg that finally produced the bound. The span and
-   path counters never touch the numbers — the raw chain above is the
-   entire computation. *)
+(* Instrumented entry point: a span around the whole leg, tagged with the
+   path that finally produced the bound. The span and path counters never
+   touch the numbers — the raw leg above is the entire computation. *)
 let solve_relaxation ?solver ?inject_nan ?deadline_s problem =
   let sp =
     Obs.Trace.span_begin "pipeline.solve_relaxation"
@@ -348,19 +312,21 @@ let solve_relaxation ?solver ?inject_nan ?deadline_s problem =
     solve_relaxation_raw ?solver ?inject_nan ?deadline_s problem
   with
   | r ->
-    count_path r.path;
-    Obs.Trace.span_end sp
-      ~attrs:[ ("path", Obs.Trace.Str (path_label r.path)) ];
+    let path = match r with Ok lp -> lp.path | Error _ -> Path_infeasible in
+    count_path path;
+    Obs.Trace.span_end sp ~attrs:[ ("path", Obs.Trace.Str (path_label path)) ];
     r
   | exception e ->
     Obs.Trace.span_end sp ~attrs:[ ("path", Obs.Trace.Str "exception") ];
     raise e
 
+let solve_lp ?solver problem = solve_relaxation ?solver problem
+
 (* Turn a feasible relaxation outcome into a pipeline result: round the
    fractional point, evaluate the integral placement, report the gap. *)
-let finish ~round ~path model cls worst_qos sol =
+let finish ~round model cls worst_qos (lp : lp) =
   let problem = model.Mcperf.Model.problem in
-  let lower_bound = sol.bound +. model.Mcperf.Model.objective_offset in
+  let lower_bound = lp.bound +. model.Mcperf.Model.objective_offset in
   let rounded =
     (* Rounding a heavily truncated fractional point is the slowest stage
        of a degraded cell (the greedy repair has far more violations to
@@ -375,7 +341,7 @@ let finish ~round ~path model cls worst_qos sol =
       None
     end
     else
-      match round model ~x:sol.point with
+      match round model ~x:lp.point with
       | Ok r -> Some r
       | Error msg ->
         Log.warn (fun f ->
@@ -396,15 +362,15 @@ let finish ~round ~path model cls worst_qos sol =
     lower_bound;
     rounded;
     gap;
-    exact = sol.exact_sol;
-    lp_iterations = sol.iterations;
+    exact = lp.quality = Exact;
+    lp_iterations = lp.iterations;
     vars = Lp.Problem.nvars problem;
     rows = Lp.Problem.nrows problem;
     max_feasible_qos = worst_qos;
-    solve_path = path;
-    quality = sol.sol_quality;
-    rel_gap = sol.sol_rel_gap;
-    certificate = Option.map (fun d -> Dual d) sol.dual;
+    solve_path = lp.path;
+    quality = lp.quality;
+    rel_gap = lp.rel_gap;
+    certificate = Some (Dual lp.dual);
   }
 
 (* --- exact tree producer ------------------------------------------------- *)
@@ -526,15 +492,14 @@ let compute_cell ?(solver = Auto) ?placeable ?inject_nan spec cls =
         let d = Util.Parallel.task_deadline () in
         if Float.is_finite d then Some (d -. Unix.gettimeofday ()) else None
       in
-      let r =
+      match
         solve_relaxation ~solver ?inject_nan ?deadline_s
           model.Mcperf.Model.problem
-      in
-      match r.outcome with
-      | None ->
+      with
+      | Error ray ->
         (* The LP disagreed with the coverage oracle: conservative report. *)
-        infeasible_result ?ray:r.infeasible_ray cls worst_qos
-      | Some sol -> finish ~round ~path:r.path model cls worst_qos sol)
+        infeasible_result ?ray cls worst_qos
+      | Ok lp -> finish ~round model cls worst_qos lp)
 
 let compute ?solver ?placeable spec cls =
   compute_cell ?solver ?placeable spec cls

@@ -15,9 +15,9 @@
       ineligible or unverified instances fall through to the LP;
     + the MC-PERF LP relaxation ({!Mcperf.Model}), built fresh for the
       cell;
-    + its solve — on the solver {!route} picks: exactly with the dense
-      simplex for small models, or with PDHG from a cold start + the
-      always-valid dual certificate for large ones;
+    + its solve on the LP leg, {!solve_lp}: presolve, then exactly with
+      the dense simplex for small models, or with supervised PDHG from a
+      cold start + the always-valid dual certificate for large ones;
     + rounding of the fractional solution to a feasible integral
       placement ({!Rounding.Round}, or {!Rounding.Round_avg} under an
       average-latency goal), whose cost bounds the lower bound's
@@ -41,13 +41,13 @@ type solver =
     PDHG leg guards its own numerical health: an outcome with non-finite
     scalars or iterates, or whose certified bound cannot be reproduced by
     re-evaluating {!Lp.Certificate.dual_bound} at the best dual iterate,
-    is discarded and the cell is re-solved cold on a clean rebuild
+    is discarded and the LP is re-solved cold on a clean rebuild
     ([Path_pdhg_retry]). The chain ends there: a retry that is unhealthy
-    too means the LP itself is unsound, and {!compute} raises [Failure]
-    naming the [pdhg-retry] leg. Because both attempts start cold on the
-    same reduced problem, a retry after input poisoning yields exactly
-    the values an unfaulted solve produces — only this tag records that
-    recovery happened. *)
+    too means the LP itself is unsound, and {!solve_lp} (so {!compute})
+    raises [Failure] naming the [pdhg-retry] leg. Because both attempts
+    start cold on the same reduced problem, a retry after input poisoning
+    yields exactly the values an unfaulted solve produces — only this tag
+    records that recovery happened. *)
 type solve_path =
   | Path_presolve  (** presolve fixed every variable; no solver ran *)
   | Path_tree_dp
@@ -84,6 +84,18 @@ val quality_label : quality -> string
 type certificate =
   | Dual of float array
   | Farkas of float array
+
+(** One solve on the LP leg, {!solve_lp}. *)
+type lp = {
+  point : float array;  (** primal point, in the input problem's variables *)
+  bound : float;  (** certified lower bound on the LP's optimum *)
+  iterations : int;  (** PDHG iterations; 0 for the simplex and presolve *)
+  path : solve_path;  (** never [Path_tree_dp] or [Path_infeasible] *)
+  quality : quality;
+  rel_gap : float;
+  dual : float array;
+      (** the bound's witness, on the Ge-normalized presolve-reduced problem *)
+}
 
 type t = {
   class_name : string;
@@ -124,17 +136,20 @@ val default_pdhg_options : Lp.Pdhg.options
 (** PDHG options tuned for MC-PERF instances (more iterations, looser
     relative tolerance than the library default). *)
 
-type route = Simplex | Pdhg of Lp.Pdhg.options
-
-val route : solver -> vars:int -> rows:int -> route
-(** The solver an LP of the given dimensions goes to: [Exact_simplex]
-    always takes the dense simplex and [First_order o] always takes PDHG
-    with [o]; [Auto] takes the simplex while both [vars] and [rows] are
-    at most 260 and PDHG with {!default_pdhg_options} beyond. The cell
-    chain decides on the dimensions before presolve, so the choice is
-    stable across reductions; the phase-one LP of
-    [Methodology.plan_deployment] and the scenario LP of {!Avail_bound}
-    go through the same choice. *)
+val solve_lp : ?solver:solver -> Lp.Problem.t -> (lp, float array option) result
+(** The LP leg of every cell, on which [Methodology.plan_deployment]'s
+    phase one and {!Avail_bound}'s scenario LP solve too. It presolves,
+    then routes on the dimensions before presolve, so the choice is
+    stable across reductions: [Exact_simplex] takes the dense simplex,
+    [First_order o] PDHG with [o], and [Auto] (the default) the simplex
+    while both dimensions are at most 260 and PDHG with
+    {!default_pdhg_options} beyond. The solve is cold, and PDHG is
+    health-checked and retried once (see {!solve_path}). An infeasible LP
+    is [Error], with a ray that passes {!Lp.Certificate.check_farkas} on
+    the Ge-normalized problem when one is found. Each call emits one
+    [pipeline.solve_relaxation] span, ended with the [path] label, and
+    bumps [pipeline.path.<label>]. Raises [Invalid_argument] on an
+    unbounded LP and [Failure] when both PDHG attempts are unhealthy. *)
 
 val compute :
   ?solver:solver ->

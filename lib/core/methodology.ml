@@ -114,20 +114,10 @@ let plan_deployment ?(zeta = 10_000.) (spec : Mcperf.Spec.t) =
   else begin
     let perm = Mcperf.Permission.compute phase1_spec cls in
     let model = Mcperf.Model.build perm in
-    let problem = model.Mcperf.Model.problem in
     let x, bound =
-      match
-        Bounds.Pipeline.route Bounds.Pipeline.Auto
-          ~vars:(Lp.Problem.nvars problem) ~rows:(Lp.Problem.nrows problem)
-      with
-      | Bounds.Pipeline.Simplex -> (
-        match Lp.Simplex.solve problem with
-        | Lp.Simplex.Optimal { x; objective } -> (x, objective)
-        | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
-          invalid_arg "plan_deployment: phase-one LP failed")
-      | Bounds.Pipeline.Pdhg options ->
-        let out = Lp.Pdhg.solve ~options problem in
-        (out.Lp.Pdhg.x, out.Lp.Pdhg.best_bound)
+      match Bounds.Pipeline.solve_lp model.Mcperf.Model.problem with
+      | Ok lp -> (lp.Bounds.Pipeline.point, lp.Bounds.Pipeline.bound)
+      | Error _ -> invalid_arg "plan_deployment: phase-one LP failed"
     in
     let opens = open_values model x in
     (* Greedy rounding of the open variables: largest fractional value

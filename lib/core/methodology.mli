@@ -53,8 +53,9 @@ type deployment = {
 }
 
 val plan_deployment : ?zeta:float -> Mcperf.Spec.t -> deployment option
-(** Phase one, with the LP on the solver [Bounds.Pipeline.route] picks
-    under [Auto]. [zeta] defaults to the paper's 10_000. Returns [None] when
+(** Phase one, with the LP solved on the cell chain's LP leg,
+    [Bounds.Pipeline.solve_lp], under [Auto]. [zeta] defaults to the
+    paper's 10_000. Returns [None] when
     even opening every node cannot meet the goal. The open set is derived
     by rounding the LP's [open] variables greedily (largest fractional
     value first) until the goal is coverable. *)

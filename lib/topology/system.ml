@@ -24,18 +24,7 @@ let within_threshold sys ~tlat =
   let n = node_count sys in
   Array.init n (fun i -> Array.init n (fun j -> sys.latency.(i).(j) <= tlat))
 
-let covers sys ~tlat u =
-  let n = node_count sys in
-  let acc = ref [] in
-  for v = n - 1 downto 0 do
-    if sys.latency.(v).(u) <= tlat then acc := v :: !acc
-  done;
-  !acc
-
-type routing =
-  | Route_local
-  | Route_global
-  | Route_custom of bool array array
+type routing = Route_local | Route_global
 
 type knowledge =
   | Know_local
@@ -52,9 +41,6 @@ let fetch_matrix sys r =
     match r with
     | Route_local -> Array.make_matrix n n false
     | Route_global -> Array.make_matrix n n true
-    | Route_custom m ->
-      check_square "System.fetch_matrix" n m;
-      Array.map Array.copy m
   in
   for i = 0 to n - 1 do
     base.(i).(i) <- true;

@@ -21,16 +21,11 @@ val within_threshold : t -> tlat:float -> bool array array
     [m.(n).(u)] iff node [n] can access a replica on node [u] within
     [tlat] ms. The diagonal is always true. *)
 
-val covers : t -> tlat:float -> int -> int list
-(** [covers sys ~tlat u] lists nodes whose accesses a replica at [u]
-    serves within the threshold (including [u] itself). *)
-
 (** Routing knowledge (the [fetch] matrix): which nodes a given node can
     fetch replicas from. *)
 type routing =
   | Route_local  (** only itself and the origin, like plain caching *)
   | Route_global  (** any node, like cooperative caching or centralized *)
-  | Route_custom of bool array array
 
 (** Placement knowledge (the [know] matrix): whose activity a node's
     placement decision may use. *)

@@ -38,8 +38,18 @@ FAULTS_JOBS=4 ./_build/default/test/test_faults.exe
 # a merge bug. The traces must also be well-formed: every line a JSON
 # object, span begins balanced by span ends. The untraced CSV must also
 # match the committed one from an earlier build, so a change that moves
-# every run the same way still shows.
+# every run the same way still shows. fig3 on GROUP is traced the same
+# way, since its deployment planner solves its phase-one LP on the cell
+# chain's LP leg outside the sweep.
 echo "== obs stage: traced sweep at --jobs 1 and 4 =="
+well_formed() {
+  lines=$(wc -l < "$1")
+  bad=$(grep -cv '^{"scope":".*}$' "$1" || true)
+  begins=$(grep -c '"kind":"B"' "$1")
+  ends=$(grep -c '"kind":"E"' "$1")
+  [ "$lines" -gt 0 ] && [ "$bad" -eq 0 ] && [ "$begins" -eq "$ends" ] \
+    || { echo "obs stage: malformed trace $1 ($lines lines, $bad bad, $begins B vs $ends E)"; exit 1; }
+}
 obsdir=_build/obs-check
 rm -rf "$obsdir"
 mkdir -p "$obsdir"
@@ -57,13 +67,16 @@ cmp "$obsdir/j1/fig2-web.csv" "$obsdir/j4/fig2-web.csv" \
   || { echo "obs stage: figure output differs across --jobs"; exit 1; }
 cmp "$obsdir/j1.jsonl" "$obsdir/j4.jsonl" \
   || { echo "obs stage: merged trace differs between --jobs 1 and 4"; exit 1; }
-lines=$(wc -l < "$obsdir/j4.jsonl")
-bad=$(grep -cv '^{"scope":".*}$' "$obsdir/j4.jsonl" || true)
-begins=$(grep -c '"kind":"B"' "$obsdir/j4.jsonl")
-ends=$(grep -c '"kind":"E"' "$obsdir/j4.jsonl")
-[ "$lines" -gt 0 ] && [ "$bad" -eq 0 ] && [ "$begins" -eq "$ends" ] \
-  || { echo "obs stage: malformed trace ($lines lines, $bad bad, $begins B vs $ends E)"; exit 1; }
-echo "obs stage OK: $lines events, $begins spans, traces and CSVs identical"
+for j in 1 4; do
+  ./_build/default/bin/experiments.exe fig3 --quick --scale 0.005 \
+    --jobs "$j" -w group --trace "$obsdir/fig3-j$j.jsonl" > /dev/null
+done
+cmp "$obsdir/fig3-j1.jsonl" "$obsdir/fig3-j4.jsonl" \
+  || { echo "obs stage: fig3 group trace differs between --jobs 1 and 4"; exit 1; }
+well_formed "$obsdir/fig3-j4.jsonl"
+fig3_lines=$lines
+well_formed "$obsdir/j4.jsonl"
+echo "obs stage OK: $lines events, $begins spans, traces and CSVs identical; fig3 group trace ($fig3_lines events) identical across --jobs"
 
 # Figures stage: fig1, fig2 and fig3 at a tiny scale must print what an
 # earlier build printed, to the byte apart from clocks, and write the

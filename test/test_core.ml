@@ -119,6 +119,70 @@ let test_plan_deployment () =
          -. Workload.Demand.total_reads spec.Mcperf.Spec.demand)
       < 1e-6)
 
+(* The scenario LP and the phase-one LP solve on the cell chain's LP leg:
+   each call emits exactly one [pipeline.solve_relaxation] span, ended
+   with the path that produced its bound, and bumps that path's counter
+   by one. *)
+let test_lp_leg_spans () =
+  let on_leg label path run =
+    Obs.Config.install { Obs.Config.default with sink = Obs.Config.Memory };
+    run ();
+    let evs = Obs.Trace.events () in
+    (match
+       List.filter
+         (fun (e : Obs.Trace.event) ->
+           e.Obs.Trace.name = "pipeline.solve_relaxation")
+         evs
+     with
+    | [ b ] ->
+      (* A span's end carries no name: it matches its begin by id. *)
+      let ends =
+        List.filter
+          (fun (e : Obs.Trace.event) ->
+            e.Obs.Trace.kind = Obs.Trace.Span_end
+            && e.Obs.Trace.scope = b.Obs.Trace.scope
+            && e.Obs.Trace.id = b.Obs.Trace.id)
+          evs
+      in
+      Alcotest.(check (list string))
+        (label ^ ": ended on the " ^ path ^ " path")
+        [ path ]
+        (List.filter_map
+           (fun (e : Obs.Trace.event) ->
+             match List.assoc_opt "path" e.Obs.Trace.attrs with
+             | Some (Obs.Trace.Str p) -> Some p
+             | Some _ | None -> None)
+           ends)
+    | leg ->
+      Alcotest.failf "%s: %d solve_relaxation spans, want 1" label
+        (List.length leg));
+    Alcotest.(check int)
+      (label ^ ": path counter")
+      1
+      (Obs.Metrics.counter_value
+         (Obs.Metrics.counter ("pipeline.path." ^ path)))
+  in
+  let cs = CS.make ~nodes:6 ~intervals:6 ~scale:0.005 CS.Web in
+  let spec = CS.qos_spec cs ~fraction:0.9 ~for_bounds:true () in
+  let scenarios =
+    Avail.Scenario.sample_all Avail.Scenario.default cs.CS.system
+      ~groups:(Avail.Groups.derive cs.CS.system)
+  in
+  let scenario_lp ?solver () =
+    ignore
+      (Bounds.Avail_bound.expected_cost_bound ?solver spec
+         Mcperf.Classes.general ~scenarios)
+  in
+  let group = CS.qos_spec (small_group ()) ~fraction:0.95 ~for_bounds:true () in
+  Fun.protect
+    ~finally:(fun () -> Obs.Config.install Obs.Config.disabled)
+    (fun () ->
+      on_leg "scenario LP, exact simplex" "simplex"
+        (scenario_lp ~solver:Bounds.Pipeline.Exact_simplex);
+      on_leg "scenario LP, auto" "pdhg" (scenario_lp ?solver:None);
+      on_leg "phase one" "pdhg" (fun () ->
+          ignore (M.plan_deployment ~zeta:100. group)))
+
 let test_deployment_restricts_placement () =
   let cs = small_group () in
   let spec = CS.qos_spec cs ~fraction:0.95 ~for_bounds:true () in
@@ -270,6 +334,8 @@ let () =
             test_deployment_restricts_placement;
           Alcotest.test_case "beats origin-only" `Slow
             test_deployment_beats_origin_only;
+          Alcotest.test_case "phase one and scenario LP on the LP leg" `Slow
+            test_lp_leg_spans;
         ] );
       ( "report",
         [

@@ -234,6 +234,49 @@ let hetero_spec ~seed () =
     ~goal:(Mcperf.Spec.Qos { tlat_ms = SS.default_tlat_ms; fraction = 0.95 })
     ()
 
+(* Three read patterns over two intervals, with weights that differ
+   inside every pattern. Leaves [first + 3j .. first + 3j + 2] share the
+   parent [1 + j]. In interval 0 a pattern is read under both parents,
+   which takes two replicas; in interval 1 by two sibling leaves, which
+   one replica at their parent serves and local routing forbids. The
+   per-object replica row keeps interval 0's count in interval 1. So,
+   unlike on [hetero_spec], the general, the replica-constrained and the
+   local-routing classes each reach their own Lagrangian outcome here. *)
+let sibling_spec () =
+  let scen = small_scen ~seed:5 () in
+  let nodes = SS.node_count scen in
+  let first = nodes - scen.SS.leaves in
+  let objects = 15 in
+  let patterns =
+    Array.init 3 (fun p ->
+        let a = first + p and sibling = first + ((p + 1) mod 3) in
+        let cells =
+          Workload.Demand.
+            [|
+              { node = a; interval = 0; count = 2. };
+              { node = first + 3 + p; interval = 0; count = 2. };
+              { node = a; interval = 1; count = 1. };
+              { node = sibling; interval = 1; count = 3. };
+            |]
+        in
+        Array.sort
+          (fun (c : Workload.Demand.cell) (d : Workload.Demand.cell) ->
+            compare (c.interval, c.node) (d.interval, d.node))
+          cells;
+        cells)
+  in
+  let reads = Array.init objects (fun k -> patterns.(k mod 3)) in
+  let weight =
+    Array.init objects (fun k -> [| 1.0; 2.0; 3.5 |].(k / 3 mod 3))
+  in
+  let demand =
+    Workload.Demand.create ~nodes ~intervals:2 ~interval_s:3600. ~weight
+      ~reads ()
+  in
+  Mcperf.Spec.make ~system:scen.SS.system ~demand
+    ~goal:(Mcperf.Spec.Qos { tlat_ms = SS.default_tlat_ms; fraction = 0.95 })
+    ()
+
 let prop_hetero_bundled_below_lp =
   QCheck2.Test.make ~count:15
     ~name:"heterogeneous bundling: guarded rescale stays below LP optimum"
@@ -375,8 +418,12 @@ let test_sweep_matches_pointwise_bound () =
    constraint, whose subproblems carry alpha on their R variable, and
    local routing, whose permission masks differ from the general
    class's. On the heterogeneous instance (one interval, one reading leaf
-   per object) both coincide with the general class, and so do their
-   digests. *)
+   per object) neither constraint binds, so those lines repeat the
+   general class's digests; the sibling instance's lines, general class
+   included, tell the three apart (checked below). *)
+let outcome_digest out =
+  Digest.to_hex (Digest.string (Marshal.to_string out [ Marshal.No_sharing ]))
+
 let lagrangian_outcomes () =
   let line label spec cls rule_name step_rule bundling fraction =
     let out =
@@ -386,8 +433,7 @@ let lagrangian_outcomes () =
     ( Printf.sprintf "%s/%s/%s@%g" label rule_name
         (if bundling then "bundled" else "unbundled")
         fraction,
-      Digest.to_hex (Digest.string (Marshal.to_string out [ Marshal.No_sharing ]))
-    )
+      outcome_digest out )
   in
   let instances =
     [
@@ -423,6 +469,17 @@ let lagrangian_outcomes () =
               [ true; false ])
           Mcperf.Classes.[ replica_constrained; decentralized_local_routing ])
       instances
+  @ List.concat_map
+      (fun (cls : Mcperf.Classes.t) ->
+        List.map
+          (fun bundling ->
+            line
+              ("sibling/" ^ cls.Mcperf.Classes.name)
+              (sibling_spec ()) cls "harmonic" Bounds.Lagrangian.Harmonic
+              bundling 0.9)
+          [ true; false ])
+      Mcperf.Classes.
+        [ general; replica_constrained; decentralized_local_routing ]
 
 let read_golden path =
   let ic = open_in path in
@@ -443,6 +500,31 @@ let test_outcomes_pinned () =
     "every outcome matches its pinned digest"
     (read_golden "fixtures/lagrangian_outcomes.golden")
     (lagrangian_outcomes ())
+
+(* The sibling instance's pins tell the classes apart: at each bundling
+   the general, replica-constrained and local-routing outcomes differ
+   pairwise, and the bundled solves rescale members of mixed weight. *)
+let test_sibling_classes_apart () =
+  let spec = at_fraction (sibling_spec ()) 0.9 in
+  List.iter
+    (fun bundling ->
+      let outs =
+        List.map
+          (Bounds.Lagrangian.bound ~iterations:20 ~bundling spec)
+          Mcperf.Classes.
+            [ general; replica_constrained; decentralized_local_routing ]
+      in
+      Alcotest.(check int)
+        "three distinct digests" 3
+        (List.length (List.sort_uniq compare (List.map outcome_digest outs)));
+      if bundling then
+        List.iter
+          (fun (o : Bounds.Lagrangian.outcome) ->
+            Alcotest.(check bool)
+              "mixed-weight members rescaled" true
+              (o.Bounds.Lagrangian.rescaled_members > 0))
+          outs)
+    [ true; false ]
 
 let () =
   let props =
@@ -475,6 +557,8 @@ let () =
             test_sweep_matches_pointwise_bound;
           Alcotest.test_case "bound outcomes match pinned digests" `Quick
             test_outcomes_pinned;
+          Alcotest.test_case "sibling instance tells the classes apart"
+            `Quick test_sibling_classes_apart;
           Alcotest.test_case "update term: bound below the LP" `Quick
             test_delta_below_lp;
         ] );

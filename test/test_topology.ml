@@ -174,11 +174,6 @@ let test_within_threshold () =
   let dist250 = Topology.System.within_threshold sys ~tlat:250. in
   Alcotest.(check bool) "two hops within 250" true dist250.(2).(0)
 
-let test_covers () =
-  let sys = line_system () in
-  Alcotest.(check (list int)) "replica at 1 covers 0,1,2" [ 0; 1; 2 ]
-    (Topology.System.covers sys ~tlat:150. 1)
-
 let test_fetch_matrices () =
   let sys = line_system () in
   let local = Topology.System.fetch_matrix sys Topology.System.Route_local in
@@ -364,7 +359,6 @@ let () =
       ( "system",
         [
           Alcotest.test_case "within threshold" `Quick test_within_threshold;
-          Alcotest.test_case "covers" `Quick test_covers;
           Alcotest.test_case "fetch matrices" `Quick test_fetch_matrices;
           Alcotest.test_case "know matrices" `Quick test_know_matrices;
           Alcotest.test_case "effective reach" `Quick
