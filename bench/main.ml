@@ -1,7 +1,7 @@
 (* Ratio benchmarks: five legs, one for each measured ratio that no other
    harness carries.
 
-     pdhg      fused vs reference PDHG iteration throughput
+     pdhg      C two-sweep vs OCaml reference PDHG iteration throughput
      tree      exact tree DP vs the same cells forced through an LP
      bundling  bundled vs unbundled Lagrangian bound on the CDN family
      avail     scenario-LP cell vs nominal cell, plus the replay rate
@@ -163,10 +163,11 @@ let report ~leg ~sides ~ratios ~checks =
 (* The case-study instance the LP legs share. *)
 let web = lazy (CS.make ~nodes:10 ~scale:0.02 ~intervals:12 CS.Web)
 
-(* Fused vs reference PDHG on the storage-constrained model, the sweeps'
-   dominant cost. Both run the same recurrence with the same per-element
-   arithmetic, so the bounds must be equal; rel_tol 0 disables early
-   convergence, so both must run exactly [iters] iterations. *)
+(* PDHG's C two-sweep kernel ("fused") vs the OCaml reference iteration
+   on the storage-constrained model, the sweeps' dominant cost. Both run
+   the same recurrence with the same per-element arithmetic, so the
+   bounds must be equal; rel_tol 0 disables early convergence, so both
+   must run exactly [iters] iterations. *)
 let pdhg () =
   let leg = "pdhg" in
   let spec = CS.qos_spec (Lazy.force web) ~fraction:0.99 ~for_bounds:true () in

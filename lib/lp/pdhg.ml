@@ -47,14 +47,44 @@ let m_deadline = lazy (Obs.Metrics.counter "pdhg.deadline_stops")
 
 (* --- prepared problems --------------------------------------------------- *)
 
+(* A prepared problem, and the iterates of one solve on it, as PDHG's C
+   sweeps (pdhg_stubs.c) take them. The stub reads each field by
+   position, so the order of [prepared]'s first thirteen fields and of
+   [iterate]'s fields is its ABI: a field added, removed or moved among
+   them must move in the stub's enums too. *)
 type prepared = {
-  norm : Problem.t;  (* Ge-normalized view of the prepared problem *)
-  a : Sparse.t;
+  colt_ptr : int array;  (* the constraint matrix's CSC image ... *)
+  rowt_idx : int array;
+  valuest : float array;
+  row_ptr : int array;  (* ... and its CSR image, as in [a] *)
+  col_idx : int array;
+  values : float array;
+  c : float array;
+      (* [norm.objective] itself, not a copy: the Lagrangian rewrites it in
+         place between solves of one prepared problem *)
+  lower : float array;
+  upper : float array;
+  tau : float array;
   b : float array;
   is_eq : bool array;
-  tau : float array;
   sigma : float array;
+  norm : Problem.t;  (* Ge-normalized view of the prepared problem *)
+  a : Sparse.t;
 }
+
+type iterate = {
+  x : float array;
+  y : float array;
+  x_bar : float array;
+  x_sum : float array;
+  y_sum : float array;
+}
+
+external column_sweep : prepared -> iterate -> unit = "pdhg_column_sweep"
+[@@noalloc]
+
+external row_sweep : prepared -> iterate -> unit = "pdhg_row_sweep"
+[@@noalloc]
 
 let validate_bounds (p : Problem.t) =
   Array.iteri
@@ -80,7 +110,23 @@ let prepare p =
   let sigma =
     Array.map (fun s -> if s > 0. then 1. /. s else 1.) (Sparse.row_abs_sums a)
   in
-  { norm; a; b; is_eq; tau; sigma }
+  {
+    colt_ptr = a.Sparse.colt_ptr;
+    rowt_idx = a.rowt_idx;
+    valuest = a.valuest;
+    row_ptr = a.row_ptr;
+    col_idx = a.col_idx;
+    values = a.values;
+    c = norm.objective;
+    lower = norm.lower;
+    upper = norm.upper;
+    tau;
+    b;
+    is_eq;
+    sigma;
+    norm;
+    a;
+  }
 
 let prepared_problem r = r.norm
 
@@ -100,10 +146,7 @@ let prepared_problem r = r.norm
    - every variable bound is finite ([prepare] checks it), so no column
      takes the certificate's unbounded branch. *)
 let dual_bound pr y =
-  let { Sparse.colt_ptr; rowt_idx; valuest; _ } = pr.a in
-  let c = pr.norm.objective and lower = pr.norm.lower
-  and upper = pr.norm.upper in
-  let b = pr.b in
+  let { colt_ptr; rowt_idx; valuest; c; lower; upper; b; _ } = pr in
   let bound = ref 0. in
   for i = 0 to Array.length b - 1 do
     bound := !bound +. (Array.unsafe_get y i *. Array.unsafe_get b i)
@@ -127,9 +170,7 @@ let dual_bound pr y =
    allocation: the bound violations, then each row's activity summed from
    0 over its coefficients in order — bit-equal for the same reasons. *)
 let max_violation pr x =
-  let { Sparse.row_ptr; col_idx; values; _ } = pr.a in
-  let lower = pr.norm.lower and upper = pr.norm.upper in
-  let b = pr.b and is_eq = pr.is_eq in
+  let { row_ptr; col_idx; values; lower; upper; b; is_eq; _ } = pr in
   let worst = ref 0. in
   for j = 0 to Array.length x - 1 do
     let xj = Array.unsafe_get x j in
@@ -165,61 +206,14 @@ let max_violation pr x =
        projection and average accumulation.
 
    The column sweep reads the y the last row sweep (or restart) left, so
-   no A^T y or A x_bar vector is stored. The reference implementation
-   below ([solve_reference]) runs the same recurrence as separate passes;
-   every per-element expression keeps its order and association, so the
-   two are bit-identical, and the differential tests pin them together.
-   Each sweep is its own function because in a small function the
-   register allocator spills fewer of the inner loop's array pointers
-   (about 5% per iteration on x86-64 with the classic, non-flambda
-   compiler, against the same sweeps inline in [solve_prepared]). *)
-
-let column_sweep pr ~x ~y ~x_bar ~x_sum =
-  let { Sparse.colt_ptr; rowt_idx; valuest; _ } = pr.a in
-  let c = pr.norm.objective and lower = pr.norm.lower
-  and upper = pr.norm.upper in
-  let tau = pr.tau in
-  for j = 0 to Array.length x - 1 do
-    let aty = ref 0. in
-    for q = Array.unsafe_get colt_ptr j to Array.unsafe_get colt_ptr (j + 1) - 1
-    do
-      aty :=
-        !aty
-        +. (Array.unsafe_get valuest q
-            *. Array.unsafe_get y (Array.unsafe_get rowt_idx q))
-    done;
-    let xj = Array.unsafe_get x j in
-    let g = Array.unsafe_get c j -. !aty in
-    let v = xj -. (Array.unsafe_get tau j *. g) in
-    let l = Array.unsafe_get lower j and h = Array.unsafe_get upper j in
-    let xn = if v < l then l else if v > h then h else v in
-    Array.unsafe_set x j xn;
-    Array.unsafe_set x_bar j ((2. *. xn) -. xj);
-    Array.unsafe_set x_sum j (Array.unsafe_get x_sum j +. xn)
-  done
-
-let row_sweep pr ~x_bar ~y ~y_sum =
-  let { Sparse.row_ptr; col_idx; values; _ } = pr.a in
-  let b = pr.b and sigma = pr.sigma and is_eq = pr.is_eq in
-  for i = 0 to Array.length y - 1 do
-    let ax_bar = ref 0. in
-    for q = Array.unsafe_get row_ptr i to Array.unsafe_get row_ptr (i + 1) - 1
-    do
-      ax_bar :=
-        !ax_bar
-        +. (Array.unsafe_get values q
-            *. Array.unsafe_get x_bar (Array.unsafe_get col_idx q))
-    done;
-    let yi =
-      Array.unsafe_get y i
-      +. (Array.unsafe_get sigma i *. (Array.unsafe_get b i -. !ax_bar))
-    in
-    let yi =
-      if Array.unsafe_get is_eq i then yi else if yi > 0. then yi else 0.
-    in
-    Array.unsafe_set y i yi;
-    Array.unsafe_set y_sum i (Array.unsafe_get y_sum i +. yi)
-  done
+   no A^T y or A x_bar vector is stored. Both sweeps are the C externals
+   above. The reference implementation below ([solve_reference]) runs
+   the same recurrence as separate OCaml passes; the stub keeps every
+   per-element expression's order and association and is built with
+   floating-point contraction off, so the two are bit-identical, and the
+   differential tests pin them together. The stub's functions and loops
+   are 32-byte aligned (lib/lp/dune), so the sweeps' speed does not
+   depend on the size of the code linked before them. *)
 
 let solve_prepared ?(options = default_options) pr =
   let p = pr.norm in
@@ -235,6 +229,7 @@ let solve_prepared ?(options = default_options) pr =
      rate to fast linear convergence (the key idea behind PDLP). *)
   let x_sum = Array.make n 0. in
   let y_sum = Array.make m 0. in
+  let it = { x; y; x_bar; x_sum; y_sum } in
   let since_restart = ref 0 in
   let best_bound = ref neg_infinity in
   let best_y = Array.make m 0. in
@@ -257,8 +252,8 @@ let solve_prepared ?(options = default_options) pr =
   (try
      for iter = 1 to options.max_iters do
        iterations := iter;
-       column_sweep pr ~x ~y ~x_bar ~x_sum;
-       row_sweep pr ~x_bar ~y ~y_sum;
+       column_sweep pr it;
+       row_sweep pr it;
        incr since_restart;
        if options.restart_every > 0 && !since_restart >= options.restart_every
        then begin

@@ -7,7 +7,10 @@
     variables are tractable. Because the {!Certificate} bound is valid at
     every iterate, the solver can stop on an iteration budget and still
     return a usable (merely looser) lower bound; the [best_bound] field is
-    the maximum certified bound seen at any checkpoint. *)
+    the maximum certified bound seen at any checkpoint.
+
+    An iteration's two sweeps run in C ([pdhg_stubs.c]); everything else,
+    including the reference iteration {!solve_reference}, is OCaml. *)
 
 type options = {
   max_iters : int;  (** hard iteration cap (default 20_000) *)
@@ -74,7 +77,20 @@ val solve_prepared : ?options:options -> prepared -> outcome
     the image: a column sweep that forms (Aᵀ·y)_j and does column [j]'s
     step, box projection, extrapolation and averaging, then a row sweep
     that forms (A·x_bar)_i and does row [i]'s step, cone projection and
-    averaging. A checkpoint evaluates the {!Certificate.dual_bound} and
+    averaging. The sweeps are two non-allocating C functions; the loop,
+    restarts, checkpoints, spans and metrics are OCaml. The sweeps read
+    the objective array of {!prepared_problem} itself, so a caller may
+    rewrite it in place between solves.
+
+    The C sweeps keep every per-element expression, its order and its
+    association, and are compiled with floating-point contraction off
+    (no fused multiply-add, no reassociation), so the outcome is
+    bit-identical to {!solve_reference}'s. Their code is 32-byte aligned
+    and, on x86-64, keeps every branch inside one 32-byte line, so their
+    speed does not depend on how much code the linker places before
+    them.
+
+    A checkpoint evaluates the {!Certificate.dual_bound} and
     {!Problem.max_violation} of the iterate on the same image, bit-equal
     to those functions, in O(nnz) and with no allocation beyond a few
     boxed scalars. *)
@@ -87,6 +103,6 @@ val solve : ?options:options -> Problem.t -> outcome
     to [solve_prepared (prepare p)]. *)
 
 val solve_reference : ?options:options -> Problem.t -> outcome
-(** The pre-fusion iteration — one pass per conceptual step — kept as the
-    oracle for the differential tests. Produces the same iterates as
-    {!solve} (bit-identical on finite data); it is only slower. *)
+(** The pre-fusion iteration — one OCaml pass per conceptual step — kept
+    as the oracle for the differential tests. Produces the same iterates
+    as {!solve} (bit-identical on finite data); it is only slower. *)

@@ -13,10 +13,20 @@ dune runtest
 
 # Bench stage: the tree and pdhg legs of bench/main.ml take seconds and
 # exit nonzero on a broken check (tree-DP routing, LP bound <= DP
-# optimum, fused PDHG bound equal to the reference's). They run from
-# a scratch directory, so no committed BENCH file or BENCH_LOG.tsv is
-# written.
-echo "== bench stage: tree and pdhg legs =="
+# optimum, the C sweeps' PDHG bound equal to the OCaml reference's).
+# They run from a scratch directory, so no committed BENCH file or
+# BENCH_LOG.tsv is written. First, both executables must carry PDHG's
+# two C sweeps at 32-byte-aligned addresses: their build flags align
+# them, so their speed does not move with the size of the code linked
+# before them, and a build that lost those flags fails here.
+echo "== bench stage: PDHG sweep alignment, tree and pdhg legs =="
+for exe in bin/experiments.exe bench/main.exe; do
+  for sym in pdhg_column_sweep pdhg_row_sweep; do
+    addr=$(nm "_build/default/$exe" | sed -n "s/^\([0-9a-f]*\) T $sym\$/\1/p")
+    [ -n "$addr" ] && [ $((0x$addr % 32)) -eq 0 ] \
+      || { echo "bench stage: $sym in $exe is missing or not 32-byte aligned (${addr:-absent})"; exit 1; }
+  done
+done
 benchdir=_build/bench-check
 rm -rf "$benchdir"
 mkdir -p "$benchdir"

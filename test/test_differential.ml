@@ -457,6 +457,81 @@ let test_pinned_pdhg () =
        (fun (label, options, p) -> (label, digest (Lp.Pdhg.solve ~options p)))
        (pinned_pdhg_runs ()))
 
+(* A prepared image re-solved after its problem's objective is rewritten
+   in place, as the Lagrangian re-prices its subproblems between solves:
+   the kernel must read the live objective array, so each re-solve equals
+   a fresh solve of the mutated problem, by the kernel and by the
+   reference alike. A kernel that copied the objective at [prepare] time
+   would solve the old prices. *)
+let test_pdhg_repriced () =
+  let repricings =
+    [
+      ("negated", fun c -> Array.iteri (fun j v -> c.(j) <- -.v) c);
+      ( "perturbed",
+        fun c ->
+          Array.iteri
+            (fun j v -> c.(j) <- v *. (1. +. (0.25 *. float (j mod 3))))
+            c );
+    ]
+  in
+  List.iter
+    (fun (what, options, (p : Lp.Problem.t)) ->
+      let pr = Lp.Pdhg.prepare p in
+      ignore (Lp.Pdhg.solve_prepared ~options pr);
+      List.iter
+        (fun (how, reprice) ->
+          reprice p.objective;
+          let label = Printf.sprintf "%s, %s" what how in
+          let got = digest (Lp.Pdhg.solve_prepared ~options pr) in
+          Alcotest.(check string)
+            (label ^ ": equals a fresh solve")
+            (digest (Lp.Pdhg.solve ~options p))
+            got;
+          Alcotest.(check string)
+            (label ^ ": equals the reference")
+            (digest (Lp.Pdhg.solve_reference ~options p))
+            got)
+        repricings)
+    [
+      ("dense LP", tight_pdhg, random_dense_lp (Util.Prng.create ~seed:77));
+      ( "web/storage-constrained@0.99",
+        budget_pdhg,
+        List.assoc "web/storage-constrained@0.99" (cells_lps ()) );
+    ]
+
+(* The shapes where a kernel reading OCaml blocks goes wrong: no rows (the
+   dual is the empty array), no variables, a column in no row, a row with
+   no coefficients, and a one-variable Eq row. The kernel's outcome must
+   equal the reference's bit for bit under a budget that stops between
+   checkpoints and under the tight options. *)
+let test_pdhg_degenerate_shapes () =
+  let open Lp.Problem in
+  let shapes =
+    [
+      ("bounds only", lp_of [ (0., 2., 1.); (-1., 3., -2.); (1., 1., 0.5) ] []);
+      ("no variables", lp_of [] []);
+      ( "column in no row",
+        lp_of
+          [ (0., 4., 1.); (0., 5., 2.); (-2., 3., -1.) ]
+          [ (Ge, 2., [ (0, 1.); (1, 1.) ]); (Le, 6., [ (0, 2.); (1, -1.) ]) ] );
+      ( "empty rows",
+        lp_of
+          [ (0., 4., 1.); (0., 5., 2.) ]
+          [ (Ge, -1., []); (Ge, 3., [ (0, 1.); (1, 2.) ]); (Le, 2., []) ] );
+      ("one-variable Eq row", lp_of [ (0., 4., 3.) ] [ (Eq, 3., [ (0, 2.) ]) ]);
+    ]
+  in
+  List.iter
+    (fun (what, p) ->
+      List.iter
+        (fun (opts, options) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s under %s: kernel equals the reference" what opts)
+            (digest (Lp.Pdhg.solve_reference ~options p))
+            (digest (Lp.Pdhg.solve ~options p)))
+        [ ("budget", budget_pdhg); ("tight", tight_pdhg) ])
+    shapes
+
 (* --- parallel-sweep determinism ------------------------------------------ *)
 
 (* The quickstart scenario: six sites, a Zipf workload, a 99% QoS goal. *)
@@ -804,6 +879,10 @@ let () =
             test_pinned_simplex;
           Alcotest.test_case "pdhg outcomes match pinned digests" `Quick
             test_pinned_pdhg;
+          Alcotest.test_case "pdhg re-priced prepared image" `Quick
+            test_pdhg_repriced;
+          Alcotest.test_case "pdhg degenerate shapes match the reference"
+            `Quick test_pdhg_degenerate_shapes;
         ] );
       ( "incremental",
         [
