@@ -12,8 +12,11 @@
     memory. A pivot eliminates only over the pivot row's nonzeros: its
     work is the rows with a nonzero in the pivot column times the
     nonzeros of the pivot row, plus one pass over that row and that
-    column. Intended for problems with at most a few hundred rows and
-    variables; large instances go to {!Pdhg}. *)
+    column. The pivot, the reduced-cost recomputation and Bland's loop
+    are a C kernel that allocates nothing; its pivot sequence and every
+    value are bit-identical to the OCaml loops it replaced. Intended for
+    problems with at most a few hundred rows and variables; large
+    instances go to {!Pdhg}. *)
 
 type result =
   | Optimal of { x : float array; objective : float }
@@ -54,11 +57,12 @@ val solve_certified : Problem.t -> certified
     Lagrangian, whose subproblem objective is rewritten in place for every
     multiplier vector) pays them once in {!prepare}; each
     {!solve_prepared} then costs one copy of the tableau (rows x columns
-    floats) plus the phase-2 pivots. *)
+    floats) into a scratch tableau shared by every prepared value, plus
+    the phase-2 pivots. *)
 
 type prepared
 (** The tableau after phase 1 and the drive-out, or the Farkas ray phase
-    1 found, together with a scratch tableau of the same shape. *)
+    1 found. *)
 
 val prepare : Problem.t -> prepared
 (** [prepare p] runs everything up to phase 2. It raises what {!solve}
@@ -68,8 +72,11 @@ val prepare : Problem.t -> prepared
 
 val solve_prepared : prepared -> certified
 (** [solve_prepared pr] runs phase 2 under the current objective of the
-    problem [pr] was prepared from, on [pr]'s scratch tableau, so [pr] is
-    unchanged and every call sees the same phase-1 state. The outcome,
+    problem [pr] was prepared from, on a copy of [pr]'s tableau in one
+    scratch tableau per process, grown to the largest shape solved so
+    far. So [pr] is unchanged, every call sees the same phase-1 state,
+    and re-solving many prepared values keeps only their own tableaus,
+    not a scratch each, in memory. The outcome,
     down to every bit of [x], [objective], [dual] and the Farkas ray, is
     {!solve_certified}'s on that problem; so are the trace events and
     the [simplex.solves] and [simplex.pivots] counts, which include the

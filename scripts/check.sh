@@ -15,13 +15,15 @@ dune runtest
 # exit nonzero on a broken check (tree-DP routing, LP bound <= DP
 # optimum, the C sweeps' PDHG bound equal to the OCaml reference's).
 # They run from a scratch directory, so no committed BENCH file or
-# BENCH_LOG.tsv is written. First, both executables must carry PDHG's
-# two C sweeps at 32-byte-aligned addresses: their build flags align
+# BENCH_LOG.tsv is written. First, both executables must carry the C
+# kernels (PDHG's two sweeps, the simplex's pivot, reduced-cost and
+# Bland loops) at 32-byte-aligned addresses: their build flags align
 # them, so their speed does not move with the size of the code linked
 # before them, and a build that lost those flags fails here.
-echo "== bench stage: PDHG sweep alignment, tree and pdhg legs =="
+echo "== bench stage: C kernel alignment, tree and pdhg legs =="
 for exe in bin/experiments.exe bench/main.exe; do
-  for sym in pdhg_column_sweep pdhg_row_sweep; do
+  for sym in pdhg_column_sweep pdhg_row_sweep simplex_pivot \
+    simplex_recompute_reduced simplex_iterate; do
     addr=$(nm "_build/default/$exe" | sed -n "s/^\([0-9a-f]*\) T $sym\$/\1/p")
     [ -n "$addr" ] && [ $((0x$addr % 32)) -eq 0 ] \
       || { echo "bench stage: $sym in $exe is missing or not 32-byte aligned (${addr:-absent})"; exit 1; }

@@ -384,6 +384,113 @@ let test_pinned_simplex () =
          (label, digest (Lp.Simplex.solve_prepared pr)))
        (pinned_lps ()))
 
+(* --- the C simplex kernel against the OCaml loops it replaced ------------ *)
+
+module Ref = Simplex_reference
+
+(* [p]'s variables and rows followed by [vars] and [rows]; [widen i]
+   lists the terms row [i] of [p] gains. *)
+let extend ?(widen = fun _ -> []) (p : Lp.Problem.t) ~vars ~rows =
+  lp_of
+    (List.init p.nvars (fun j -> (p.lower.(j), p.upper.(j), p.objective.(j)))
+    @ vars)
+    (List.mapi
+       (fun i (r : Lp.Problem.row) ->
+         (r.kind, r.rhs, Array.to_list r.coeffs @ widen i))
+       (Array.to_list p.rows)
+    @ rows)
+
+(* A fractional 0/1 set cover: [elements] Ge rows, each over the sets
+   covering it (at least one), sets in [0, 1] with costs 1–3. Unit
+   coefficients, unit right-hand sides and repeated costs make ratio
+   ties and degenerate pivots the rule. *)
+let set_cover_lp ~sets ~elements rng =
+  lp_of
+    (List.init sets (fun _ -> (0., 1., float_of_int (1 + Util.Prng.int rng 3))))
+    (List.init elements (fun _ ->
+         let cover =
+           List.filter (fun _ -> Util.Prng.float rng 1. < 0.3)
+             (List.init sets Fun.id)
+         in
+         let cover = if cover = [] then [ Util.Prng.int rng sets ] else cover in
+         (Lp.Problem.Ge, 1., List.map (fun j -> (j, 1.)) cover)))
+
+(* Four families, by seed: dense LPs (a third with an Eq row), set
+   covers, dense LPs with a Ge row over a random subset that the box
+   cannot meet (infeasible), and dense LPs with one more variable,
+   unbounded above at a negative cost, that relaxes every row it enters
+   (unbounded). *)
+let reference_lp seed =
+  let rng = Util.Prng.create ~seed in
+  let dense () = random_dense_lp ~eq_rows:(Util.Prng.int rng 3 / 2) rng in
+  match seed mod 4 with
+  | 0 -> dense ()
+  | 1 ->
+    set_cover_lp ~sets:(2 + Util.Prng.int rng 12)
+      ~elements:(1 + Util.Prng.int rng 16) rng
+  | 2 ->
+    let p = dense () in
+    let subset =
+      List.filter (fun _ -> Util.Prng.float rng 1. < 0.6)
+        (List.init p.nvars Fun.id)
+    in
+    let subset = if subset = [] then [ 0 ] else subset in
+    let cap = List.fold_left (fun acc j -> acc +. p.upper.(j)) 0. subset in
+    extend p ~vars:[]
+      ~rows:
+        [ (Lp.Problem.Ge, cap +. 0.5 +. Util.Prng.float rng 2.,
+           List.map (fun j -> (j, 1.)) subset) ]
+  | _ ->
+    let p = random_dense_lp rng in
+    let z = p.nvars in
+    extend p
+      ~vars:[ (0., infinity, -0.5 -. Util.Prng.float rng 1.) ]
+      ~rows:[]
+      ~widen:(fun i ->
+        if Util.Prng.float rng 1. < 0.5 then []
+        else
+          let c = 0.5 +. Util.Prng.float rng 1. in
+          [ (z, if p.rows.(i).kind = Lp.Problem.Ge then c else -.c) ])
+
+let prop_simplex_matches_reference =
+  QCheck2.Test.make ~count:200
+    ~name:"simplex outcomes equal the OCaml reference's, bit for bit"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p = reference_lp seed in
+      let out = Lp.Simplex.solve_certified p in
+      (match (seed mod 4, out) with
+      | (0 | 1), Cert_optimal _ | 2, Cert_infeasible _ | 3, Cert_unbounded -> ()
+      | _ -> QCheck2.Test.fail_reportf "seed %d: not its family's verdict" seed);
+      digest out = digest (Ref.solve_certified p))
+
+(* Three prepared problems of different shapes (small, large, small)
+   re-solved in turn on the one shared scratch, each under an objective
+   rewritten in place just before: every outcome must be the reference's
+   cold solve of the same problem, so no solve sees what the last one,
+   of another shape, left in the scratch. *)
+let test_simplex_interleaved_shapes () =
+  let rng = Util.Prng.create ~seed:31 in
+  let small = random_dense_lp (Util.Prng.create ~seed:5) in
+  let large = set_cover_lp ~sets:40 ~elements:60 (Util.Prng.create ~seed:6) in
+  let other = random_dense_lp ~eq_rows:1 (Util.Prng.create ~seed:7) in
+  let problems =
+    [| ("small", small); ("large", large); ("other small", other) |]
+  in
+  let prepared = Array.map (fun (_, p) -> Lp.Simplex.prepare p) problems in
+  List.iteri
+    (fun step k ->
+      let label, (p : Lp.Problem.t) = problems.(k) in
+      Array.iteri
+        (fun j _ -> p.objective.(j) <- Util.Prng.float rng 3. -. 1.)
+        p.objective;
+      Alcotest.(check string)
+        (Printf.sprintf "step %d, %s: equals the reference's cold solve" step
+           label)
+        (digest (Ref.solve_certified p))
+        (digest (Lp.Simplex.solve_prepared prepared.(k))))
+    [ 0; 1; 2; 0; 2; 1; 0; 1; 1; 2; 0 ]
+
 (* --- pinned PDHG outcomes -------------------------------------------------- *)
 
 (* Never converges (rel_tol 0), so it crosses two restarts (every 1,000
@@ -877,6 +984,9 @@ let () =
             test_presolve_roundtrip;
           Alcotest.test_case "simplex outcomes match pinned digests" `Quick
             test_pinned_simplex;
+          QCheck_alcotest.to_alcotest prop_simplex_matches_reference;
+          Alcotest.test_case "simplex re-solves of interleaved shapes" `Quick
+            test_simplex_interleaved_shapes;
           Alcotest.test_case "pdhg outcomes match pinned digests" `Quick
             test_pinned_pdhg;
           Alcotest.test_case "pdhg re-priced prepared image" `Quick

@@ -200,6 +200,45 @@ let test_pdhg_allocation () =
   if per_iter > 20. then
     Alcotest.failf "%.1f minor words per iteration (at most 20)" per_iter
 
+(* Every [solve_prepared] runs phase 2 on one scratch tableau shared by
+   all prepared problems, so re-solving many of them allocates no
+   tableau each: 20 prepared set-cover relaxations of one shape, solved
+   once each, allocate fewer words than five of their tableaus. One
+   scratch per prepared value costs at least 20. Every block of such a
+   tableau (rows of 101 floats) is small enough for the minor heap, so
+   [Gc.minor_words], which is exact, counts them all; [Gc.quick_stat]'s
+   counters are not, as they lag until the next minor collection. *)
+let test_simplex_shared_scratch () =
+  let sets = 20 and elements = 30 in
+  let set_cover seed =
+    let rng = Util.Prng.create ~seed in
+    build_problem
+      (List.init sets (fun _ -> ("s", 0., 1., 1. +. Util.Prng.float rng 2.)))
+      (List.init elements (fun e ->
+           ( Lp.Problem.Ge,
+             1.,
+             (e mod sets, 1.)
+             :: List.filter_map
+                  (fun j ->
+                    if j <> e mod sets && Util.Prng.float rng 1. < 0.3 then
+                      Some (j, 1.)
+                    else None)
+                  (List.init sets Fun.id) )))
+  in
+  let prepared = List.init 20 (fun seed -> Lp.Simplex.prepare (set_cover seed)) in
+  let before = Gc.minor_words () in
+  List.iter (fun pr -> ignore (Lp.Simplex.solve_prepared pr)) prepared;
+  let allocated = Gc.minor_words () -. before in
+  (* One row per element and per upper bound; one column per set, one
+     slack or surplus per row and one artificial per element (Ge, rhs 1);
+     each row a block of [ncols + 1] floats plus its header. *)
+  let m = elements + sets in
+  let ncols = sets + m + elements in
+  let tableau = float_of_int (m * (ncols + 2)) in
+  if allocated >= 5. *. tableau then
+    Alcotest.failf "20 re-solves allocated %.0f words, %.1f tableaus (at most 5)"
+      allocated (allocated /. tableau)
+
 let test_certificate_is_valid_for_any_dual () =
   (* For arbitrary (even silly) dual vectors, the certified bound must stay
      below the true optimum. *)
@@ -481,6 +520,8 @@ let () =
           Alcotest.test_case "set-cover LP relaxation" `Quick
             test_simplex_set_cover_lp;
           Alcotest.test_case "degenerate (Beale)" `Quick test_simplex_degenerate;
+          Alcotest.test_case "one scratch for every prepared problem" `Quick
+            test_simplex_shared_scratch;
         ] );
       ( "pdhg",
         [
